@@ -11,82 +11,18 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
-from . import generic, io, magidor, prikry, projection, ramsey
+from . import generic, io, magidor, ordinal, prikry, projection, ramsey
 from .errors import ParseError, WorkbenchError
 from .magidor import ExtensionType
-from .ordinal import Ordinal, format_ordinal, parse_ordinal
-from .oset import OrdinalSet, format_set, parse_set
-from .projection import IndexSet
+from .ordinal import format_ordinal, parse_ordinal
+from .oset import format_set, parse_set
+from .projection import ICondition, IndexSet
 from .universe import ToyUniverse
 
-# Every public operation of every module is reachable through exactly one
-# verb; tests enforce this table against the modules' __all__ lists.
-REGISTRY: dict[tuple[str, str], tuple[str, str]] = {
-    ("ordinal", "compare"): ("ord", "cmp"),
-    ("ordinal", "add"): ("ord", "add"),
-    ("ordinal", "omega_power"): ("ord", "wpow"),
-    ("ordinal", "cnf_difference"): ("ord", "diff"),
-    ("ordinal", "limit_order"): ("ord", "olimit"),
-    ("ordinal", "classify"): ("ord", "classify"),
-    ("oset", "union"): ("set", "union"),
-    ("oset", "intersect"): ("set", "inter"),
-    ("oset", "difference"): ("set", "diff"),
-    ("oset", "membership"): ("set", "member"),
-    ("oset", "restrict_below"): ("set", "restrict-below"),
-    ("oset", "restrict_above"): ("set", "restrict-above"),
-    ("universe", "stratum"): ("set", "stratum"),
-    ("universe", "check"): ("uni", "check"),
-    ("universe", "is_large"): ("uni", "large"),
-    ("universe", "star_closure"): ("uni", "star"),
-    ("universe", "stratify"): ("uni", "stratify"),
-    ("magidor", "validate"): ("cond", "validate"),
-    ("magidor", "leq"): ("cond", "leq"),
-    ("magidor", "gamma_of"): ("cond", "gamma"),
-    ("magidor", "type_of"): ("cond", "type-of"),
-    ("magidor", "extend"): ("cond", "extend"),
-    ("magidor", "find_type"): ("cond", "find-type"),
-    ("magidor", "unveil_type"): ("cond", "unveil"),
-    ("magidor", "split_at"): ("cond", "split"),
-    ("magidor", "join"): ("cond", "join"),
-    ("projection", "index_of"): ("proj", "index"),
-    ("projection", "pi"): ("proj", "pi"),
-    ("projection", "validate_I"): ("proj", "validate"),
-    ("projection", "leq_I"): ("proj", "leq"),
-    ("projection", "in_D"): ("proj", "in-d"),
-    ("projection", "densify"): ("proj", "densify"),
-    ("projection", "onto_construct"): ("proj", "onto"),
-    ("projection", "lift"): ("proj", "lift"),
-    ("projection", "correct_computation_check"): ("proj", "check-correct"),
-    ("projection", "refine_to_clubs"): ("proj", "refine-clubs"),
-    ("projection", "quotient_member"): ("proj", "quotient-member"),
-    ("generic", "in_filter"): ("gen", "in-filter"),
-    ("generic", "interval_otp"): ("gen", "otp"),
-    ("generic", "filter_pair_compatible"): ("gen", "compatible"),
-    ("ramsey", "homogenize"): ("ramsey", "homog"),
-    ("ramsey", "important_coordinates"): ("ramsey", "important"),
-    ("prikry", "validate_tree"): ("prikry", "validate"),
-    ("prikry", "leq_tree"): ("prikry", "leq"),
-    ("prikry", "normalize_dense"): ("prikry", "normalize"),
-    ("prikry", "validate_sequence_condition"): ("prikry", "validate-seq"),
-    ("prikry", "modified_diag"): ("prikry", "diag"),
-    ("prikry", "limit_ultrafilter_member"): ("prikry", "limit-member"),
-    ("prikry", "is_p_point"): ("prikry", "p-point"),
-    ("prikry", "apply_derivation"): ("prikry", "derive"),
-    ("prikry", "project_ultrafilter"): ("prikry", "project"),
-}
 
-
-# Parsed inputs are echoed canonically in machine-mode reports.
-_ECHO: list = []
-
-
-def _record(kind: str, value):
-    _ECHO.append({"kind": kind, "value": value})
-    return value
-
-
-def _load_json_arg(text: str):
+def _load_json(text: str):
     if os.path.exists(text):
         return io.load_document(text)
     try:
@@ -95,66 +31,85 @@ def _load_json_arg(text: str):
         raise ParseError(f"not a file and not JSON: {text[:40]!r}") from err
 
 
-def _arg_ord(text: str) -> Ordinal:
-    g = parse_ordinal(text)
-    _record("ordinal", format_ordinal(g))
-    return g
-
-
-def _arg_set(text: str) -> OrdinalSet:
+def _set_literal(text: str):
     if os.path.exists(text):
-        s = io.set_from_json(io.load_document(text))
-    else:
+        return io.set_from_json(io.load_document(text))
+    try:
+        return parse_set(text)
+    except ParseError:
         try:
-            s = parse_set(text)
-        except ParseError:
-            try:
-                s = io.set_from_json(json.loads(text))
-            except json.JSONDecodeError as err:
-                raise ParseError(f"not a set literal: {text[:40]!r}") from err
-    _record("set", io.set_to_json(s))
-    return s
+            return io.set_from_json(json.loads(text))
+        except json.JSONDecodeError as err:
+            raise ParseError(f"not a set literal: {text[:40]!r}") from err
 
 
-def _arg_universe(text: str) -> ToyUniverse:
-    u = io.universe_from_json(_load_json_arg(text))
-    _record("universe", io.universe_to_json(u))
-    return u
+def _document(decode: Callable) -> Callable:
+    """A decoder for a JSON document given as a path or as inline text."""
+    return lambda text: decode(_load_json(text))
 
 
-def _arg_condition(text: str):
-    p = io.condition_from_json(_load_json_arg(text))
-    _record("condition", io.condition_to_json(p))
-    return p
+def _hashable(value):
+    return tuple(value) if isinstance(value, list) else value
 
 
-def _arg_icondition(text: str):
-    q = io.icondition_from_json(_load_json_arg(text))
-    _record("icondition", io.icondition_to_json(q))
-    return q
+# Argument kind -> decoder from the command-line text.
+KINDS: dict[str, Callable] = {
+    "ord": parse_ordinal,
+    "set": _set_literal,
+    "uni": _document(io.universe_from_json),
+    "cond": _document(io.condition_from_json),
+    "icond": _document(io.icondition_from_json),
+    "int": int,
+    "ints": lambda text: tuple(int(x) for x in text.split(",")),
+    "str": str,
+    "alphas": _document(lambda d: tuple(tuple(parse_ordinal(a) for a in gap) for gap in d)),
+    "shrink": _document(
+        lambda d: {parse_ordinal(e["kappa"]): io.set_from_json(e["B"]) for e in d}
+    ),
+    "tree": _document(io.tree_from_json),
+    "structure": _document(io.structure_from_json),
+    "fn": _document(io.product_fn_from_json),
+    "derivation": _document(io.derivation_from_json),
+    "members": _document(set),
+    "family": _document(lambda d: {int(k): set(v) for k, v in d.items()}),
+    "tuples": _document(lambda d: [tuple(t) for t in d]),
+    "tables": _document(lambda d: [{int(k): v for k, v in t.items()} for t in d]),
+    "graph": _document(lambda d: {tuple(e["args"]): _hashable(e["value"]) for e in d}),
+    "target": _document(lambda d: {_hashable(t) for t in d}),
+}
+# Kinds echoed in machine mode -> (input kind, canonical JSON rendering).
+ECHOED = {
+    "ord": ("ordinal", format_ordinal),
+    "set": ("set", io.set_to_json),
+    "uni": ("universe", io.universe_to_json),
+    "cond": ("condition", io.condition_to_json),
+    "icond": ("icondition", io.icondition_to_json),
+}
 
 
-def _arg_alphas(text: str) -> tuple[tuple[Ordinal, ...], ...]:
-    doc = _load_json_arg(text)
-    return tuple(tuple(parse_ordinal(a) for a in gap) for gap in doc)
-
-
-def _type_json(x: ExtensionType) -> list:
-    return [[format_ordinal(e) for e in gap] for gap in x.per_block]
-
-
-def _alphas_json(alphas) -> list:
-    return [[format_ordinal(a) for a in gap] for gap in alphas]
+def _gaps(gaps) -> list:
+    return [[format_ordinal(a) for a in gap] for gap in gaps]
 
 
 class Report:
-    """Collects the result payload plus the human rendering."""
+    """Collects the result payload, the human rendering and the echoed inputs."""
 
     def __init__(self, schema: str):
-        self.schema = schema
         self.payload: dict = {"schema": schema}
         self.lines: list[str] = []
+        self.inputs: list[dict] = []
         self.code = 0
+
+    def decode(self, kind: str, text: str):
+        """Decode one argument; a document of the wrong shape is a ParseError."""
+        try:
+            value = KINDS[kind](text)
+        except (TypeError, AttributeError, IndexError, RecursionError) as err:
+            raise ParseError(f"malformed {kind} argument: {err}") from err
+        if kind in ECHOED:
+            name, render = ECHOED[kind]
+            self.inputs.append({"kind": name, "value": render(value)})
+        return value
 
     def set(self, key: str, value, human: str | None = None):
         self.payload[key] = value
@@ -167,512 +122,326 @@ class Report:
         self.lines.append(yes if ok else no)
         return self
 
+    def text(self, word: str):
+        return self.set("result", word, word)
 
-def _emit(rep: Report, machine: bool) -> int:
-    if machine:
-        print(json.dumps(rep.payload, sort_keys=True))
+    def ordinal(self, g):
+        return self.text(format_ordinal(g))
+
+    def oset(self, s):
+        return self.set("result", io.set_to_json(s), format_set(s))
+
+    def blocks(self, cond, key: str = "result", label: str = ""):
+        to_json = io.icondition_to_json if isinstance(cond, ICondition) else io.condition_to_json
+        return self.set(key, to_json(cond), f"{label}{len(cond.blocks)} blocks")
+
+    def extension_type(self, x: ExtensionType, key: str = "result"):
+        return self.set(key, _gaps(x.per_block), str(x))
+
+    def check(self, ok: bool, yes: str, no: str):
+        return self.set("result", ok).verdict(ok, yes, no)
+
+    def extends(self, ok: bool):
+        return self.check(ok, "extends", "does not extend")
+
+    def violations(self, found: list):
+        self.set("violations", found)
+        self.lines.extend(found)
+        return self.verdict(not found, "ok", f"{len(found)} violation(s)")
+
+
+# ---------------------------------------------------------------------------
+# The verb table
+#
+# An argument spec is "name:kind" for a positional, "--flag:kind" for an
+# optional flag (None when left out or empty), "--flag:kind!" for a required
+# one, "--flag:kind=default", or a bare "--flag" for a store-true switch.
+# The handler gets the report and the decoded values in spec order.
+# ---------------------------------------------------------------------------
+
+
+class Verb(NamedTuple):
+    op: str  # "module.operation", the public operation the verb exposes
+    args: str  # space-separated argument specs
+    run: Callable  # run(report, *values)
+
+
+VERBS: dict[tuple[str, str], Verb] = {}
+
+
+def verb(group: str, name: str, op: str, args: str):
+    def register(run: Callable) -> Callable:
+        VERBS[group, name] = Verb(op, args, run)
+        return run
+
+    return register
+
+
+def _sequence(p, restriction):
+    return generic.CanonicalSequence(p.universe.lambda0, restriction)
+
+
+def _order(leq: Callable, leq_star: Callable) -> Callable:
+    """The handler of a `leq` verb; its last value is the --star switch."""
+    return lambda r, *args: r.extends((leq_star if args[-1] else leq)(*args[:-1]))
+
+
+verb("ord", "add", "ordinal.add", "a:ord b:ord")(lambda r, a, b: r.ordinal(a + b))
+
+
+@verb("ord", "diff", "ordinal.cnf_difference", "a:ord b:ord")
+def _ord_diff(rep, a, b):
+    exps = [format_ordinal(e) for e in ordinal.cnf_difference(a, b)]
+    rep.set("result", exps, "<" + ",".join(exps) + ">")
+
+
+verb("ord", "cmp", "ordinal.compare", "a:ord b:ord")(
+    lambda r, a, b: r.text(("equal", "greater", "less")[ordinal.compare(a, b)]))
+verb("ord", "olimit", "ordinal.limit_order", "a:ord")(
+    lambda r, a: r.ordinal(ordinal.limit_order(a)))
+verb("ord", "classify", "ordinal.classify", "a:ord")(lambda r, a: r.text(ordinal.classify(a)))
+verb("ord", "wpow", "ordinal.omega_power", "a:ord")(lambda r, a: r.ordinal(ordinal.omega_power(a)))
+
+verb("set", "union", "oset.union", "a:set b:set")(lambda r, a, b: r.oset(a.union(b)))
+verb("set", "inter", "oset.intersect", "a:set b:set")(lambda r, a, b: r.oset(a.intersect(b)))
+verb("set", "diff", "oset.difference", "a:set b:set")(lambda r, a, b: r.oset(a.difference(b)))
+verb("set", "member", "oset.membership", "a:set b:ord")(
+    lambda r, s, g: r.check(g in s, "member", "not a member"))
+verb("set", "restrict-below", "oset.restrict_below", "a:set b:ord")(
+    lambda r, s, g: r.oset(s.restrict_below(g)))
+verb("set", "restrict-above", "oset.restrict_above", "a:set b:ord")(
+    lambda r, s, g: r.oset(s.restrict_above(g)))
+verb("set", "stratum", "universe.stratum", "--universe:uni! a:ord --below:ord")(
+    lambda r, u, xi, below: r.oset(u.stratum(xi, u.lambda0 if below is None else below)))
+
+
+@verb("uni", "check", "universe.check", "universe:str")
+def _uni_check(rep, text):
+    # A document that decodes but breaks a universe invariant is a
+    # violation (exit 1), not malformed input.
+    try:
+        u = rep.decode("uni", text)
+    except ValueError as err:
+        rep.set("violations", [str(err)])
+        return rep.verdict(False, "", f"invalid: {err}")
+    rep.set("universe", io.universe_to_json(u))
+    rep.violations([])
+
+
+verb("uni", "large", "universe.is_large", "universe:uni b_set:set beta:ord xi:ord")(
+    lambda r, u, B, beta, xi: r.check(u.is_large(B, beta, xi), "large", "not large"))
+verb("uni", "star", "universe.star_closure", "universe:uni b_set:set beta:ord")(
+    lambda r, u, B, beta: r.oset(u.star_closure(B, beta)))
+
+
+@verb("uni", "stratify", "universe.stratify", "universe:uni b_set:set beta:ord")
+def _uni_stratify(rep, u, B, beta):
+    parts = u.stratify(B, beta)
+    doc = {format_ordinal(k): io.set_to_json(v) for k, v in parts.items()}
+    pairs = sorted((str(k), v) for k, v in parts.items())
+    rep.set("result", doc, "; ".join(f"{k}: {format_set(v)}" for k, v in pairs))
+
+
+verb("cond", "validate", "magidor.validate", "c1:cond")(
+    lambda r, p: r.violations(magidor.validate(p)))
+verb("cond", "leq", "magidor.leq", "c1:cond c2:cond --star")(_order(magidor.leq, magidor.leq_star))
+verb("cond", "gamma", "magidor.gamma_of", "c1:cond index:int")(
+    lambda r, p, i: r.ordinal(magidor.gamma_of(p, i)))
+verb("cond", "type-of", "magidor.type_of", "c1:cond alphas:alphas")(
+    lambda r, p, alphas: r.extension_type(magidor.type_of(p, alphas)))
+verb("cond", "extend", "magidor.extend", "c1:cond alphas:alphas --shrink:shrink")(
+    lambda r, p, alphas, shrink: r.blocks(magidor.extend(p, alphas, shrink)))
+
+
+@verb("cond", "find-type", "magidor.find_type", "c1:cond c2:cond")
+def _cond_find_type(rep, p, q):
+    x, alphas = magidor.find_type(p, q)
+    rep.extension_type(x, "type").set("alphas", _gaps(alphas))
+
+
+verb("cond", "unveil", "magidor.unveil_type", "c1:cond gamma:ord")(
+    lambda r, p, gamma: r.extension_type(magidor.unveil_type(p, gamma)))
+
+
+@verb("cond", "split", "magidor.split_at", "c1:cond index:int")
+def _cond_split(rep, p, i):
+    lower, upper = magidor.split_at(p, i)
+    rep.blocks(lower, "lower", "lower: ")
+    if upper is None:
+        rep.set("upper", None, "upper: empty")
     else:
-        for line in rep.lines:
-            print(line)
-    return rep.code
+        rep.blocks(upper, "upper", "upper: ")
 
 
-# ---------------------------------------------------------------------------
-# Handlers
-# ---------------------------------------------------------------------------
+verb("cond", "join", "magidor.join", "c1:cond --c2:cond")(
+    lambda r, lower, upper: r.blocks(magidor.join(lower, upper)))
 
 
-def _handle_ord(args) -> Report:
-    verb = args.verb
-    rep = Report(f"ordbench.ord.{verb}/1")
-    if verb == "add":
-        a, b = _arg_ord(args.a), _arg_ord(args.b)
-        out = a + b
-        return rep.set("result", format_ordinal(out), format_ordinal(out))
-    if verb == "diff":
-        from .ordinal import cnf_difference
-
-        a, b = _arg_ord(args.a), _arg_ord(args.b)
-        exps = cnf_difference(a, b)
-        human = "<" + ",".join(format_ordinal(e) for e in exps) + ">"
-        return rep.set("result", [format_ordinal(e) for e in exps], human)
-    if verb == "cmp":
-        from .ordinal import compare
-
-        c = compare(_arg_ord(args.a), _arg_ord(args.b))
-        word = {-1: "less", 0: "equal", 1: "greater"}[c]
-        return rep.set("result", word, word)
-    if verb == "olimit":
-        from .ordinal import limit_order
-
-        out = limit_order(_arg_ord(args.a))
-        return rep.set("result", format_ordinal(out), format_ordinal(out))
-    if verb == "classify":
-        from .ordinal import classify
-
-        word = classify(_arg_ord(args.a))
-        return rep.set("result", word, word)
-    if verb == "wpow":
-        from .ordinal import omega_power
-
-        out = omega_power(_arg_ord(args.a))
-        return rep.set("result", format_ordinal(out), format_ordinal(out))
-    raise AssertionError(verb)
+@verb("proj", "index", "projection.index_of", "c1:cond index:int --index:set!")
+def _proj_index(rep, p, i, S):
+    out = projection.index_of(p, i, IndexSet(S))
+    text = None if out is None else format_ordinal(out)
+    rep.set("result", text, "NA" if text is None else text)
 
 
-def _handle_set(args) -> Report:
-    verb = args.verb
-    rep = Report(f"ordbench.set.{verb}/1")
-    if verb in ("union", "inter", "diff"):
-        a, b = _arg_set(args.a), _arg_set(args.b)
-        out = {
-            "union": a.union,
-            "inter": a.intersect,
-            "diff": a.difference,
-        }[verb](b)
-        return rep.set("result", io.set_to_json(out), format_set(out))
-    if verb == "member":
-        s = _arg_set(args.a)
-        g = parse_ordinal(args.b)
-        ok = g in s
-        rep.set("result", ok)
-        return rep.verdict(ok, "member", "not a member")
-    if verb in ("restrict-below", "restrict-above"):
-        s = _arg_set(args.a)
-        g = parse_ordinal(args.b)
-        out = s.restrict_below(g) if verb == "restrict-below" else s.restrict_above(g)
-        return rep.set("result", io.set_to_json(out), format_set(out))
-    if verb == "stratum":
-        u = _arg_universe(args.universe)
-        xi = _arg_ord(args.a)
-        below = parse_ordinal(args.below) if args.below else u.lambda0
-        out = u.stratum(xi, below)
-        return rep.set("result", io.set_to_json(out), format_set(out))
-    raise AssertionError(verb)
+verb("proj", "pi", "projection.pi", "c1:cond --index:set!")(
+    lambda r, p, S: r.blocks(projection.pi(p, IndexSet(S))))
+verb("proj", "validate", "projection.validate_I", "c1:icond")(
+    lambda r, q: r.violations(projection.validate_I(q)))
+verb("proj", "leq", "projection.leq_I", "c1:icond c2:icond --star")(
+    _order(projection.leq_I, projection.leq_I_star))
 
 
-def _handle_uni(args) -> Report:
-    verb = args.verb
-    rep = Report(f"ordbench.uni.{verb}/1")
-    if verb == "check":
-        try:
-            u = _arg_universe(args.universe)
-        except ValueError as err:
-            rep.set("violations", [str(err)])
-            return rep.verdict(False, "", f"invalid: {err}")
-        rep.set("universe", io.universe_to_json(u))
-        rep.set("violations", [])
-        return rep.verdict(True, "ok", "")
-    u = _arg_universe(args.universe)
-    if verb == "large":
-        ok = u.is_large(_arg_set(args.b_set), parse_ordinal(args.beta), parse_ordinal(args.xi))
-        rep.set("result", ok)
-        return rep.verdict(ok, "large", "not large")
-    if verb == "star":
-        out = u.star_closure(_arg_set(args.b_set), parse_ordinal(args.beta))
-        return rep.set("result", io.set_to_json(out), format_set(out))
-    if verb == "stratify":
-        parts = u.stratify(_arg_set(args.b_set), parse_ordinal(args.beta))
-        doc = {format_ordinal(k): io.set_to_json(v) for k, v in parts.items()}
-        human = "; ".join(f"{k}: {format_set(v)}" for k, v in sorted((str(k), v) for k, v in parts.items()))
-        return rep.set("result", doc, human)
-    raise AssertionError(verb)
+@verb("proj", "in-d", "projection.in_D", "c1:cond --index:set!")
+def _proj_in_d(rep, p, S):
+    bad = projection.in_D(p, IndexSet(S))
+    if bad is None:
+        return rep.set("result", None).verdict(True, "in D", "")
+    repair = None if bad.repair is None else format_ordinal(bad.repair)
+    where = {"block": bad.block_index, "coordinate": format_ordinal(bad.coordinate)}
+    rep.set("result", {**where, "clause": bad.clause, "repair": repair})
+    rep.verdict(
+        False,
+        "",
+        f"fails clause {bad.clause} at block {bad.block_index} (coordinate {bad.coordinate})",
+    )
 
 
-def _handle_cond(args) -> Report:
-    verb = args.verb
-    rep = Report(f"ordbench.cond.{verb}/1")
-    if verb == "validate":
-        p = _arg_condition(args.c1)
-        violations = magidor.validate(p)
-        rep.set("violations", violations)
-        for v in violations:
-            rep.lines.append(v)
-        return rep.verdict(not violations, "ok", f"{len(violations)} violation(s)")
-    if verb == "leq":
-        p, q = _arg_condition(args.c1), _arg_condition(args.c2)
-        ok = magidor.leq_star(p, q) if args.star else magidor.leq(p, q)
-        rep.set("result", ok)
-        return rep.verdict(ok, "extends", "does not extend")
-    if verb == "gamma":
-        p = _arg_condition(args.c1)
-        out = magidor.gamma_of(p, int(args.index))
-        return rep.set("result", format_ordinal(out), format_ordinal(out))
-    if verb == "type-of":
-        p = _arg_condition(args.c1)
-        x = magidor.type_of(p, _arg_alphas(args.alphas))
-        return rep.set("result", _type_json(x), str(x))
-    if verb == "extend":
-        p = _arg_condition(args.c1)
-        shrink = None
-        if args.shrink:
-            doc = _load_json_arg(args.shrink)
-            shrink = {
-                parse_ordinal(entry["kappa"]): io.set_from_json(entry["B"])
-                for entry in doc
-            }
-        out = magidor.extend(p, _arg_alphas(args.alphas), shrink)
-        return rep.set(
-            "result", io.condition_to_json(out), f"{len(out.blocks)} blocks"
-        )
-    if verb == "find-type":
-        p, q = _arg_condition(args.c1), _arg_condition(args.c2)
-        x, alphas = magidor.find_type(p, q)
-        rep.set("type", _type_json(x), str(x))
-        rep.set("alphas", _alphas_json(alphas))
-        return rep
-    if verb == "unveil":
-        p = _arg_condition(args.c1)
-        x = magidor.unveil_type(p, parse_ordinal(args.gamma))
-        return rep.set("result", _type_json(x), str(x))
-    if verb == "split":
-        p = _arg_condition(args.c1)
-        lower, upper = magidor.split_at(p, int(args.index))
-        rep.set("lower", io.condition_to_json(lower), f"lower: {len(lower.blocks)} blocks")
-        rep.set(
-            "upper",
-            None if upper is None else io.condition_to_json(upper),
-            "upper: empty" if upper is None else f"upper: {len(upper.blocks)} blocks",
-        )
-        return rep
-    if verb == "join":
-        lower = _arg_condition(args.c1)
-        upper = _arg_condition(args.c2) if args.c2 else None
-        out = magidor.join(lower, upper)
-        return rep.set("result", io.condition_to_json(out), f"{len(out.blocks)} blocks")
-    raise AssertionError(verb)
+verb("proj", "densify", "projection.densify", "c1:cond --index:set!")(
+    lambda r, p, S: r.blocks(projection.densify(p, IndexSet(S))))
+verb("proj", "onto", "projection.onto_construct", "c1:icond")(
+    lambda r, q: r.blocks(projection.onto_construct(q)))
+verb("proj", "lift", "projection.lift", "c1:cond c2:icond")(
+    lambda r, p, q: r.blocks(projection.lift(p, q)))
+verb("proj", "check-correct", "projection.correct_computation_check", "c1:cond --index:set!")(
+    lambda r, p, S: r.check(projection.correct_computation_check(p, IndexSet(S)),
+                            "computes the index set correctly", "mismatch"))
 
 
-def _handle_proj(args) -> Report:
-    verb = args.verb
-    rep = Report(f"ordbench.proj.{verb}/1")
-    if verb == "index":
-        p = _arg_condition(args.c1)
-        I = IndexSet(_arg_set(args.index_set))
-        out = projection.index_of(p, int(args.index), I)
-        text = "NA" if out is None else format_ordinal(out)
-        return rep.set("result", None if out is None else format_ordinal(out), text)
-    if verb == "pi":
-        p = _arg_condition(args.c1)
-        I = IndexSet(_arg_set(args.index_set))
-        out = projection.pi(p, I)
-        return rep.set("result", io.icondition_to_json(out), f"{len(out.blocks)} blocks")
-    if verb == "validate":
-        q = _arg_icondition(args.c1)
-        violations = projection.validate_I(q)
-        rep.set("violations", violations)
-        for v in violations:
-            rep.lines.append(v)
-        return rep.verdict(not violations, "ok", f"{len(violations)} violation(s)")
-    if verb == "leq":
-        p, q = _arg_icondition(args.c1), _arg_icondition(args.c2)
-        ok = projection.leq_I_star(p, q) if args.star else projection.leq_I(p, q)
-        rep.set("result", ok)
-        return rep.verdict(ok, "extends", "does not extend")
-    if verb == "in-d":
-        p = _arg_condition(args.c1)
-        I = IndexSet(_arg_set(args.index_set))
-        failure = projection.in_D(p, I)
-        if failure is None:
-            rep.set("result", None)
-            return rep.verdict(True, "in D", "")
-        rep.set(
-            "result",
-            {
-                "block": failure.block_index,
-                "coordinate": format_ordinal(failure.coordinate),
-                "clause": failure.clause,
-                "repair": None
-                if failure.repair is None
-                else format_ordinal(failure.repair),
-            },
-        )
-        return rep.verdict(
-            False,
-            "",
-            f"fails clause {failure.clause} at block {failure.block_index} "
-            f"(coordinate {failure.coordinate})",
-        )
-    if verb == "densify":
-        p = _arg_condition(args.c1)
-        I = IndexSet(_arg_set(args.index_set))
-        out = projection.densify(p, I)
-        return rep.set("result", io.condition_to_json(out), f"{len(out.blocks)} blocks")
-    if verb == "onto":
-        q = _arg_icondition(args.c1)
-        out = projection.onto_construct(q)
-        return rep.set("result", io.condition_to_json(out), f"{len(out.blocks)} blocks")
-    if verb == "lift":
-        p = _arg_condition(args.c1)
-        q = _arg_icondition(args.c2)
-        out = projection.lift(p, q)
-        return rep.set("result", io.condition_to_json(out), f"{len(out.blocks)} blocks")
-    if verb == "check-correct":
-        p = _arg_condition(args.c1)
-        I = IndexSet(_arg_set(args.index_set))
-        ok = projection.correct_computation_check(p, I)
-        rep.set("result", ok)
-        return rep.verdict(ok, "computes the index set correctly", "mismatch")
-    if verb == "refine-clubs":
-        roots = [parse_ordinal(r) for r in args.roots.split(",")]
-        cstar = _arg_set(args.c1)
-        out = projection.refine_to_clubs(roots, cstar)
-        return rep.set(
-            "result",
-            [format_ordinal(r) for r in out],
-            ", ".join(format_ordinal(r) for r in out),
-        )
-    if verb == "quotient-member":
-        p = _arg_condition(args.c1)
-        I = _arg_set(args.index_set)
-        witness = generic.CanonicalSequence(p.universe.lambda0, I)
-        ok = projection.quotient_member(p, witness)
-        rep.set("result", ok)
-        return rep.verdict(ok, "in the quotient filter", "not in the quotient filter")
-    raise AssertionError(verb)
+@verb("proj", "refine-clubs", "projection.refine_to_clubs", "c1:set --roots:str!")
+def _proj_refine_clubs(rep, cstar, roots):
+    out = projection.refine_to_clubs([parse_ordinal(r) for r in roots.split(",")], cstar)
+    out = [format_ordinal(r) for r in out]
+    rep.set("result", out, ", ".join(out))
 
 
-def _handle_gen(args) -> Report:
-    verb = args.verb
-    rep = Report(f"ordbench.gen.{verb}/1")
-    if verb == "in-filter":
-        p = _arg_condition(args.c1)
-        seq = generic.CanonicalSequence(
-            p.universe.lambda0, _arg_set(args.restrict) if args.restrict else None
-        )
-        ok = generic.in_filter(p, seq)
-        rep.set("result", ok)
-        return rep.verdict(ok, "in the filter", "not in the filter")
-    if verb == "otp":
-        seq = generic.CanonicalSequence(
-            parse_ordinal(args.lambda0),
-            _arg_set(args.restrict) if args.restrict else None,
-        )
-        out = generic.interval_otp(seq, parse_ordinal(args.a), parse_ordinal(args.b))
-        return rep.set("result", format_ordinal(out), format_ordinal(out))
-    if verb == "compatible":
-        p, q = _arg_condition(args.c1), _arg_condition(args.c2)
-        seq = generic.CanonicalSequence(
-            p.universe.lambda0, _arg_set(args.restrict) if args.restrict else None
-        )
-        ok = generic.filter_pair_compatible(p, q, seq)
-        rep.set("result", ok)
-        return rep.verdict(ok, "compatible", "not compatible")
-    raise AssertionError(verb)
+verb("proj", "quotient-member", "projection.quotient_member", "c1:cond --index:set!")(
+    lambda r, p, S: r.check(projection.quotient_member(p, _sequence(p, S)),
+                            "in the quotient filter", "not in the quotient filter"))
+
+verb("gen", "in-filter", "generic.in_filter", "c1:cond --restrict:set")(
+    lambda r, p, R: r.check(generic.in_filter(p, _sequence(p, R)),
+                            "in the filter", "not in the filter"))
+verb("gen", "otp", "generic.interval_otp", "lambda0:ord a:ord b:ord --restrict:set")(
+    lambda r, l0, a, b, R: r.ordinal(generic.interval_otp(generic.CanonicalSequence(l0, R), a, b)))
+verb("gen", "compatible", "generic.filter_pair_compatible", "c1:cond c2:cond --restrict:set")(
+    lambda r, p, q, R: r.check(generic.filter_pair_compatible(p, q, _sequence(p, R)),
+                               "compatible", "not compatible"))
 
 
-def _handle_ramsey(args) -> Report:
-    verb = args.verb
-    rep = Report(f"ordbench.ramsey.{verb}/1")
-    F = io.product_fn_from_json(_load_json_arg(args.fn))
-    sizes = [int(x) for x in args.min_sizes.split(",")]
-    if verb == "homog":
-        got = ramsey.homogenize(F, sizes)
-        if got is None:
-            rep.set("result", None)
-            return rep.verdict(False, "", "not found")
-        hs, color = got
-        rep.set("result", {"factors": [list(h) for h in hs], "color": color})
-        return rep.verdict(True, f"color {color} on {[list(h) for h in hs]}", "")
-    if verb == "important":
-        got = ramsey.important_coordinates(F, sizes)
-        if got is None:
-            rep.set("result", None)
-            return rep.verdict(False, "", "not found")
-        hs, I = got
-        rep.set("result", {"factors": [list(h) for h in hs], "coordinates": list(I)})
-        return rep.verdict(True, f"important coordinates {list(I)}", "")
-    raise AssertionError(verb)
+def _certificate(rep, got, key: str, human: Callable):
+    """A Ramsey search's (sub-factors, witness), or its absence."""
+    if got is None:
+        return rep.set("result", None).verdict(False, "", "not found")
+    factors = [list(h) for h in got[0]]
+    rep.set("result", {"factors": factors, key: got[1]})
+    rep.verdict(True, human(factors, got[1]), "")
 
 
-def _handle_prikry(args) -> Report:
-    verb = args.verb
-    rep = Report(f"ordbench.prikry.{verb}/1")
-    if verb == "validate":
-        t = io.tree_from_json(_load_json_arg(args.a))
-        u = io.structure_from_json(_load_json_arg(args.structure))
-        violations = prikry.validate_tree(t, u)
-        rep.set("violations", violations)
-        for v in violations:
-            rep.lines.append(v)
-        return rep.verdict(not violations, "ok", f"{len(violations)} violation(s)")
-    if verb == "leq":
-        u = io.structure_from_json(_load_json_arg(args.structure))
-        s = io.tree_from_json(_load_json_arg(args.a))
-        t = io.tree_from_json(_load_json_arg(args.b))
-        ok = (
-            prikry.leq_tree_star(s, t, u)
-            if args.star
-            else prikry.leq_tree(s, t, u)
-        )
-        rep.set("result", ok)
-        return rep.verdict(ok, "extends", "does not extend")
-    if verb == "normalize":
-        u = io.structure_from_json(_load_json_arg(args.structure))
-        t = io.tree_from_json(_load_json_arg(args.a))
-        out = prikry.normalize_dense(t, u)
-        return rep.set("result", io.tree_to_json(out), f"depth {out.depth} tree")
-    if verb == "validate-seq":
-        u = io.structure_from_json(_load_json_arg(args.structure))
-        trunk = tuple(int(x) for x in args.trunk.split(",")) if args.trunk else ()
-        doc = _load_json_arg(args.a)
-        if args.variant == "single":
-            sets = set(doc)
-        else:
-            sets = {int(k): set(v) for k, v in doc.items()}
-        violations = prikry.validate_sequence_condition(trunk, sets, u, args.variant)
-        rep.set("violations", violations)
-        for v in violations:
-            rep.lines.append(v)
-        return rep.verdict(not violations, "ok", f"{len(violations)} violation(s)")
-    if verb == "diag":
-        u = io.structure_from_json(_load_json_arg(args.structure))
-        fam = {int(k): set(v) for k, v in _load_json_arg(args.a).items()}
-        out = prikry.modified_diag(u, fam, int(args.k))
-        return rep.set("result", sorted(out), str(sorted(out)))
-    if verb == "limit-member":
-        u = io.structure_from_json(_load_json_arg(args.structure))
-        X = [tuple(t) for t in _load_json_arg(args.a)]
-        ok = prikry.limit_ultrafilter_member(u, X, int(args.n))
-        rep.set("result", ok)
-        return rep.verdict(ok, "member", "not a member")
-    if verb == "p-point":
-        u = io.structure_from_json(_load_json_arg(args.structure))
-        node = tuple(int(x) for x in args.node.split(",")) if args.node else ()
-        family = [
-            {int(k): v for k, v in table.items()}
-            for table in _load_json_arg(args.a)
-        ]
-        ok = prikry.is_p_point(u, node, int(args.bound), family)
-        rep.set("result", ok)
-        return rep.verdict(ok, "p-point on the family", "not a p-point")
-    if verb == "derive":
-        d = io.derivation_from_json(_load_json_arg(args.a))
-        branch = tuple(int(x) for x in args.branch.split(","))
-        out = prikry.apply_derivation(d, branch)
-        distinct, counts = prikry.derivation_profile(d)
-        rep.set("result", list(out), f"sequence {list(out)}")
-        rep.set("profile", {"levels": list(distinct), "counts": list(counts)})
-        return rep
-    if verb == "project":
-        u = io.structure_from_json(_load_json_arg(args.structure))
-        table = {
-            tuple(entry["args"]): tuple(entry["value"])
-            if isinstance(entry["value"], list)
-            else entry["value"]
-            for entry in _load_json_arg(args.fn)
-        }
-        target = {
-            tuple(t) if isinstance(t, list) else t
-            for t in _load_json_arg(args.a)
-        }
-        member = prikry.project_ultrafilter(
-            u, lambda *t: table[t], int(args.n)
-        )
-        ok = member(target)
-        rep.set("result", ok)
-        return rep.verdict(ok, "member", "not a member")
-    raise AssertionError(verb)
+verb("ramsey", "homog", "ramsey.homogenize", "fn:fn --min-sizes:ints!")(
+    lambda r, F, sizes: _certificate(r, ramsey.homogenize(F, sizes), "color",
+                                     lambda hs, c: f"color {c} on {hs}"))
+verb("ramsey", "important", "ramsey.important_coordinates", "fn:fn --min-sizes:ints!")(
+    lambda r, F, sizes: _certificate(r, ramsey.important_coordinates(F, sizes), "coordinates",
+                                     lambda hs, I: f"important coordinates {list(I)}"))
+
+verb("prikry", "validate", "prikry.validate_tree", "a:tree --structure:structure!")(
+    lambda r, t, u: r.violations(prikry.validate_tree(t, u)))
+verb("prikry", "leq", "prikry.leq_tree", "a:tree b:tree --structure:structure! --star")(
+    _order(prikry.leq_tree, prikry.leq_tree_star))
 
 
-HANDLERS = {
-    "ord": _handle_ord,
-    "set": _handle_set,
-    "uni": _handle_uni,
-    "cond": _handle_cond,
-    "proj": _handle_proj,
-    "gen": _handle_gen,
-    "ramsey": _handle_ramsey,
-    "prikry": _handle_prikry,
+@verb("prikry", "normalize", "prikry.normalize_dense", "a:tree --structure:structure!")
+def _prikry_normalize(rep, t, u):
+    out = prikry.normalize_dense(t, u)
+    rep.set("result", io.tree_to_json(out), f"depth {out.depth} tree")
+
+
+@verb("prikry", "validate-seq", "prikry.validate_sequence_condition",
+      "a:str --structure:structure! --trunk:ints --variant:str=omega_sequence")
+def _prikry_validate_seq(rep, text, u, trunk, variant):
+    # The single variant takes one set; the omega-sequence one a set per level.
+    sets = rep.decode("members" if variant == "single" else "family", text)
+    rep.violations(prikry.validate_sequence_condition(trunk or (), sets, u, variant))
+
+
+@verb("prikry", "diag", "prikry.modified_diag", "a:family k:int --structure:structure!")
+def _prikry_diag(rep, family, k, u):
+    out = sorted(prikry.modified_diag(u, family, k))
+    rep.set("result", out, str(out))
+
+
+verb("prikry", "limit-member", "prikry.limit_ultrafilter_member",
+     "a:tuples n:int --structure:structure!")(
+    lambda r, X, n, u: r.check(prikry.limit_ultrafilter_member(u, X, n), "member", "not a member"))
+verb("prikry", "p-point", "prikry.is_p_point",
+     "a:tables bound:int --structure:structure! --node:ints")(
+    lambda r, family, bound, u, node: r.check(prikry.is_p_point(u, node or (), bound, family),
+                                              "p-point on the family", "not a p-point"))
+
+
+@verb("prikry", "derive", "prikry.apply_derivation", "a:derivation branch:ints")
+def _prikry_derive(rep, d, branch):
+    out = list(prikry.apply_derivation(d, branch))
+    distinct, counts = prikry.derivation_profile(d)
+    rep.set("result", out, f"sequence {out}")
+    rep.set("profile", {"levels": list(distinct), "counts": list(counts)})
+
+
+verb("prikry", "project", "prikry.project_ultrafilter",
+     "fn:graph a:target n:int --structure:structure!")(
+    lambda r, table, target, n, u: r.check(
+        prikry.project_ultrafilter(u, lambda *t: table[t], n)(target), "member", "not a member"))
+
+# Every public operation of every module is reachable through exactly one
+# verb; tests enforce this table against the modules' __all__ lists.
+REGISTRY: dict[tuple[str, str], tuple[str, str]] = {
+    tuple(v.op.split(".")): key for key, v in VERBS.items()
 }
+GROUPS = tuple(dict.fromkeys(group for group, _ in VERBS))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="ordbench", description=__doc__)
-    top.add_argument("--machine", action="store_true", help="emit one JSON document")
-    top.add_argument(
-        "--self-test", action="store_true", help="run a quick deterministic sweep"
-    )
-    groups = top.add_subparsers(dest="group")
+def _chooser(prog: str, dest: str, choices, **kw) -> argparse.ArgumentParser:
+    """A parser whose one positional picks a name and keeps the rest of argv.
 
-    def sub(g, verb, *names, **flags):
-        sp = g.add_parser(verb)
-        sp.set_defaults(verb=verb)
-        for n in names:
-            sp.add_argument(n)
-        for n, kw in flags.items():
-            flag = "--index" if n == "index_set" else f"--{n.replace('_', '-')}"
-            sp.add_argument(flag, **kw)
-        return sp
+    The name may be left out, so that `main` can answer with the top-level
+    help and exit 2.
+    """
+    parser = argparse.ArgumentParser(prog=prog, **kw)
+    parser.add_argument(dest, nargs=argparse.PARSER, choices=choices).required = False
+    return parser
 
-    g = groups.add_parser("ord").add_subparsers(dest="verb")
-    for v in ("add", "diff", "cmp"):
-        sub(g, v, "a", "b")
-    for v in ("olimit", "classify", "wpow"):
-        sub(g, v, "a")
 
-    g = groups.add_parser("set").add_subparsers(dest="verb")
-    for v in ("union", "inter", "diff", "member", "restrict-below", "restrict-above"):
-        sub(g, v, "a", "b")
-    sub(g, "stratum", "a", universe={"required": True}, below={"default": None})
-
-    g = groups.add_parser("uni").add_subparsers(dest="verb")
-    sub(g, "check", "universe")
-    sub(g, "large", "universe", "b_set", "beta", "xi")
-    sub(g, "star", "universe", "b_set", "beta")
-    sub(g, "stratify", "universe", "b_set", "beta")
-
-    g = groups.add_parser("cond").add_subparsers(dest="verb")
-    sub(g, "validate", "c1")
-    sub(g, "leq", "c1", "c2", star={"action": "store_true"})
-    sub(g, "gamma", "c1", "index")
-    sub(g, "type-of", "c1", "alphas")
-    sub(g, "extend", "c1", "alphas", shrink={"default": None})
-    sub(g, "find-type", "c1", "c2")
-    sub(g, "unveil", "c1", "gamma")
-    sub(g, "split", "c1", "index")
-    sub(g, "join", "c1", c2={"default": None})
-
-    g = groups.add_parser("proj").add_subparsers(dest="verb")
-    sub(g, "index", "c1", "index", index_set={"required": True, "dest": "index_set"})
-    sub(g, "pi", "c1", index_set={"required": True, "dest": "index_set"})
-    sub(g, "validate", "c1")
-    sub(g, "leq", "c1", "c2", star={"action": "store_true"})
-    sub(g, "in-d", "c1", index_set={"required": True, "dest": "index_set"})
-    sub(g, "densify", "c1", index_set={"required": True, "dest": "index_set"})
-    sub(g, "onto", "c1")
-    sub(g, "lift", "c1", "c2")
-    sub(g, "check-correct", "c1", index_set={"required": True, "dest": "index_set"})
-    sub(g, "refine-clubs", "c1", roots={"required": True})
-    sub(g, "quotient-member", "c1", index_set={"required": True, "dest": "index_set"})
-
-    g = groups.add_parser("gen").add_subparsers(dest="verb")
-    sub(g, "in-filter", "c1", restrict={"default": None})
-    sub(g, "otp", "lambda0", "a", "b", restrict={"default": None})
-    sub(g, "compatible", "c1", "c2", restrict={"default": None})
-
-    g = groups.add_parser("ramsey").add_subparsers(dest="verb")
-    sub(g, "homog", "fn", min_sizes={"required": True})
-    sub(g, "important", "fn", min_sizes={"required": True})
-
-    g = groups.add_parser("prikry").add_subparsers(dest="verb")
-    sub(g, "validate", "a", structure={"required": True})
-    sub(g, "leq", "a", "b", structure={"required": True}, star={"action": "store_true"})
-    sub(g, "normalize", "a", structure={"required": True})
-    sub(
-        g,
-        "validate-seq",
-        "a",
-        structure={"required": True},
-        trunk={"default": ""},
-        variant={"default": "omega_sequence"},
-    )
-    sub(g, "diag", "a", "k", structure={"required": True})
-    sub(g, "limit-member", "a", "n", structure={"required": True})
-    sub(g, "p-point", "a", "bound", structure={"required": True}, node={"default": ""})
-    sub(g, "derive", "a", "branch")
-    sub(g, "project", "fn", "a", "n", structure={"required": True})
-    return top
+def _verb_parser(group: str, name: str):
+    """The parser for one verb, and (dest, kind, optional) for each of its specs."""
+    parser = argparse.ArgumentParser(prog=f"ordbench {group} {name}")
+    fields = []
+    for spec in VERBS[group, name].args.split():
+        flag, _, kind = spec.partition(":")
+        kind, _, default = kind.partition("=")
+        if not flag.startswith("--"):
+            parser.add_argument(flag)
+            fields.append((flag, kind, False))
+            continue
+        # `proj index` takes a positional index besides the --index flag
+        dest = "index_set" if flag == "--index" else flag[2:].replace("-", "_")
+        required = kind.endswith("!")
+        if kind:
+            parser.add_argument(flag, dest=dest, required=required, default=default or None)
+        else:
+            parser.add_argument(flag, action="store_true")
+        fields.append((dest, kind.rstrip("!"), not required))
+    return parser, fields
 
 
 def self_test() -> int:
@@ -697,25 +466,44 @@ def self_test() -> int:
             )
         except WorkbenchError:
             continue
-        assert leq(p, q) and in_filter(q, seq)
-        x, got = find_type(p, q)
-        assert got == alphas
+        if not (leq(p, q) and in_filter(q, seq)):
+            raise WorkbenchError(f"self-test (seed {seed}): an extension left the order or filter")
+        if find_type(p, q)[1] != alphas:
+            raise WorkbenchError(f"self-test (seed {seed}): find_type missed the witnesses")
         p = q if rng.random() < 0.5 else p
     print(f"self-test ok (seed {seed})")
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    top = _chooser("ordbench", "group", GROUPS, description=__doc__)
+    top.add_argument("--machine", action="store_true", help="emit one JSON document")
+    top.add_argument("--self-test", action="store_true", help="run a quick deterministic sweep")
+    args = top.parse_args(argv)
+    call = None
+    if args.group:
+        group, *rest = args.group
+        verbs = [name for g, name in VERBS if g == group]
+        picked = _chooser(f"ordbench {group}", "verb", verbs).parse_args(rest).verb
+        if picked:
+            name, *rest = picked
+            parser, fields = _verb_parser(group, name)
+            call = group, name, fields, parser.parse_args(rest)
     if args.self_test:
         return self_test()
-    if not getattr(args, "group", None) or not getattr(args, "verb", None):
-        parser.print_help()
+    if call is None:
+        top.print_help()
         return 2
-    _ECHO.clear()
+    group, name, fields, ns = call
+    rep = Report(f"ordbench.{group}.{name}/1")
     try:
-        rep = HANDLERS[args.group](args)
+        values = []
+        for dest, kind, optional in fields:
+            value = getattr(ns, dest)
+            if kind:  # a store-true switch has no kind
+                value = None if optional and not value else rep.decode(kind, value)
+            values.append(value)
+        VERBS[group, name].run(rep, *values)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
@@ -725,9 +513,14 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
-    if args.machine and _ECHO:
-        rep.payload["inputs"] = list(_ECHO)
-    return _emit(rep, args.machine)
+    if not args.machine:
+        for line in rep.lines:
+            print(line)
+        return rep.code
+    if rep.inputs:
+        rep.payload["inputs"] = rep.inputs
+    print(json.dumps(rep.payload, sort_keys=True))
+    return rep.code
 
 
 if __name__ == "__main__":

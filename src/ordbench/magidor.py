@@ -16,6 +16,7 @@ from .errors import (
     PointNotInMeasureSet,
     UniverseMismatch,
     WitnessUnavailable,
+    WorkbenchError,
 )
 from .ordinal import ZERO, Ordinal, add, cnf_difference, compare, omega_power
 from .oset import OrdinalSet
@@ -360,7 +361,8 @@ def unveil_type(p: MagidorCondition, gamma: Ordinal) -> ExtensionType:
         raise OutOfRange(f"{gamma} is below the preceding coordinate")
     exponents = tuple(cnf_difference(base, gamma))
     limit = p.o(slot + 1)
-    assert all(compare(e, limit) < 0 for e in exponents)
+    if any(compare(e, limit) >= 0 for e in exponents):
+        raise WorkbenchError(f"unveiling {gamma} needs an exponent at or above o = {limit}")
     per = [()] * len(p.blocks)
     per[slot] = exponents
     return ExtensionType(tuple(per))

@@ -241,11 +241,16 @@ def classify(a: Ordinal) -> str:
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(w)|(\^)|(\*)|(\+)|(\()|(\)))")
 
+# Deepest parenthesised exponent a literal may nest; the parser recurses
+# once per level, so deeper input would exhaust the interpreter's stack.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise ParseError(message, column=self.pos + 1)
@@ -302,8 +307,12 @@ class _Parser:
     def atom(self) -> Ordinal:
         tok = self.peek()
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"exponents nested deeper than {MAX_NESTING}")
             self.take()
+            self.depth += 1
             inner = self.ordinal()
+            self.depth -= 1
             self.expect(")")
             return inner
         tok = self.take()

@@ -15,6 +15,7 @@ from .errors import (
     RepairImpossible,
     UniverseMismatch,
     WitnessUnavailable,
+    WorkbenchError,
 )
 from .magidor import (
     Block,
@@ -482,8 +483,10 @@ def onto_construct(q: ICondition) -> MagidorCondition:
     bad = validate(out)
     if bad:
         raise WitnessUnavailable("; ".join(bad))
-    assert pi(out, I) == q, "projection of the construction differs from the input"
-    assert in_D(out, I) is None
+    if pi(out, I) != q:
+        raise WorkbenchError("projection of the construction differs from the input")
+    if in_D(out, I) is not None:
+        raise WorkbenchError("the construction is not in D")
     return out
 
 
@@ -660,7 +663,8 @@ def quotient_member(p: MagidorCondition, witness) -> bool:
     """
     from .generic import CanonicalSequence
 
-    assert isinstance(witness, CanonicalSequence)
+    if not isinstance(witness, CanonicalSequence):
+        raise TypeError(f"the witness must be a CanonicalSequence, not {type(witness).__name__}")
     if witness.restriction is None:
         raise ValueError("quotient membership needs a restricted sequence")
     I = IndexSet(witness.restriction)

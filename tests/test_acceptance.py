@@ -85,11 +85,12 @@ class Budget:
 
     def finish(self, detail: str = ""):
         elapsed = time.monotonic() - self.start
-        line = f"ACCEPTANCE {self.name}: PASS ({elapsed:.2f}s"
+        ok = elapsed < self.seconds
+        line = f"ACCEPTANCE {self.name}: {'PASS' if ok else 'FAIL'} ({elapsed:.2f}s"
         if detail:
             line += f"; {detail}"
         print(line + ")")
-        assert elapsed < self.seconds, f"{self.name} exceeded {self.seconds}s"
+        assert ok, f"{self.name} exceeded {self.seconds}s"
 
 
 def test_criterion_1_ordinal_suite():

@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ordbench import io
-from ordbench.cli import REGISTRY, build_parser, main
+from ordbench.cli import REGISTRY, main
 from ordbench.ordinal import parse_ordinal
 from ordbench.oset import parse_set
 
@@ -205,6 +207,53 @@ def test_prikry_cli(capsys, tmp_path):
     assert doc["profile"] == {"levels": [1, 3], "counts": [2, 1]}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cond", "validate", "[]"],
+        ["cond", "validate", json.dumps(
+            {"universe": io.universe_to_json(canon_universe("w^2")), "blocks": 5}
+        )],
+        ["cond", "gamma", "[]", "1"],
+        ["ord", "classify", "w^(" * 400 + "1" + ")" * 400],
+        ["cond", "validate", "[" * 100_000 + "]" * 100_000],
+    ],
+    ids=["list-condition", "int-blocks", "gamma-list-condition", "deep-literal", "deep-json"],
+)
+def test_malformed_input_exits_2(argv, capsys):
+    for mode in ([], ["--machine"]):
+        assert main(mode + argv) == 2
+        assert capsys.readouterr().out == ""
+
+
+_STRUCTURE = json.dumps(
+    {"ground": [0, 1, 2, 3, 4, 5], "default": {"core": [3, 4, 5], "pi": None}}
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    doc=_json_values,
+    verb=st.sampled_from([
+        (["cond", "validate"], []),
+        (["proj", "validate"], []),
+        (["uni", "check"], []),
+        (["prikry", "validate"], ["--structure", _STRUCTURE]),
+        (["ramsey", "homog"], ["--min-sizes", "1,1"]),
+    ]),
+)
+def test_document_arguments_never_raise(doc, verb):
+    # Any JSON value as a document argument is a verdict or an input error.
+    name, flags = verb
+    assert main(["--machine", *name, json.dumps(doc), *flags]) in (0, 1, 2)
+
+
 def test_machine_roundtrip_condition(cond_doc, capsys):
     code, doc = machine(["cond", "extend", cond_doc, "[[], []]"], capsys)
     assert code == 0
@@ -278,6 +327,7 @@ def test_registry_covers_public_operations():
     verbs = list(REGISTRY.values())
     assert len(set(verbs)) == len(verbs)
     # and every registered verb actually parses
-    parser = build_parser()
     for group, verb in verbs:
-        assert group in ("ord", "set", "uni", "cond", "proj", "gen", "ramsey", "prikry")
+        with pytest.raises(SystemExit) as done:
+            main([group, verb, "--help"])
+        assert done.value.code == 0, (group, verb)

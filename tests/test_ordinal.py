@@ -6,6 +6,7 @@ import pytest
 
 from ordbench.errors import DifferenceUndefined, ParseError
 from ordbench.ordinal import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -110,6 +111,17 @@ def test_parse_errors_have_columns():
         parse_ordinal("w+3 junk")
     with pytest.raises(ParseError):
         parse_ordinal("")
+
+
+def test_parse_nesting_limit():
+    def nested(depth):
+        return "w^(" * depth + "1" + ")" * depth
+
+    deepest = parse_ordinal(nested(MAX_NESTING))
+    assert parse_ordinal(format_ordinal(deepest)) == deepest
+    for depth in (MAX_NESTING + 1, 400):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_ordinal(nested(depth))
 
 
 def test_print_parse_roundtrip():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ordbench.errors import NotAnExtension
+from ordbench.errors import NotAnExtension, WorkbenchError
 from ordbench.magidor import (
     Block,
     MagidorCondition,
@@ -319,6 +319,22 @@ def test_onto_sec41():
     assert validate(p) == []
     assert pi(p, SEC41_I) == q
     assert p.blocks[0].measure_set is not None  # canonical large set attached
+
+
+def test_onto_check_raises_without_asserts(monkeypatch):
+    # The lemma check pi(onto(q)) == q must raise a WorkbenchError, which
+    # `python -O` keeps, rather than an assert, which it strips.
+    from ordbench import projection
+
+    u = canon_universe("w^2")
+    q = ICondition(
+        u,
+        SEC41_I,
+        (Block(o("w")), Block(u.lambda0, u.ground().restrict_above(o("w")))),
+    )
+    monkeypatch.setattr(projection, "pi", lambda p, I: None)
+    with pytest.raises(WorkbenchError, match="projection of the construction"):
+        onto_construct(q)
 
 
 def test_onto_single_top():
