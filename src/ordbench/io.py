@@ -171,12 +171,25 @@ def tree_to_json(t: TreeCondition) -> dict:
     }
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """The entries of a JSON list that must hold integers (not booleans)."""
+    out = tuple(values)
+    if any(type(v) is not int for v in out):
+        raise ParseError(f"{what} must hold integers, got {list(out)!r}")
+    return out
+
+
 def tree_from_json(doc: dict) -> TreeCondition:
+    depth = doc["depth"]
+    if type(depth) is not int:
+        raise ParseError(f"tree depth must be an integer, got {depth!r}")
     return TreeCondition(
-        tuple(doc["trunk"]),
-        doc["depth"],
+        _ints(doc["trunk"], "tree trunk"),
+        depth,
         {
-            tuple(entry["node"]): frozenset(entry["set"])
+            _ints(entry["node"], "successor node"): frozenset(
+                _ints(entry["set"], "successor set")
+            )
             for entry in doc.get("successors", [])
         },
     )
@@ -263,5 +276,9 @@ def derivation_from_json(doc: dict) -> Derivation:
 
 
 def load_document(path: str) -> Any:
+    """The JSON document in a file; text that is not JSON is a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ParseError(f"{path}: not a JSON document: {err}") from err

@@ -194,39 +194,6 @@ def leq_star(p: MagidorCondition, q: MagidorCondition) -> bool:
     return len(p.blocks) == len(q.blocks) and leq(p, q)
 
 
-def _leq_derived(p: MagidorCondition, q: MagidorCondition) -> bool:
-    """The condensed order on star-closed conditions: named points survive
-    and all of q's material is drawn from p's sets (containment direction
-    corrected relative to the condensed statement).  Equivalent to leq;
-    kept as a cross-check."""
-    _check_same_universe(p, q)
-    if p.top.kappa != q.top.kappa:
-        return False
-    p_by_kappa = {b.kappa: b for b in p.blocks}
-    if any(b.kappa not in {s.kappa for s in q.blocks} for b in p.blocks):
-        return False
-    u = p.universe
-    for s in q.blocks:
-        r = next((b for b in p.blocks if b.kappa >= s.kappa), None)
-        if r is None:
-            return False
-        if r.kappa == s.kappa:
-            if (r.measure_set is None) != (s.measure_set is None):
-                return False
-            if s.measure_set is not None:
-                if not s.measure_set.difference(r.measure_set).is_empty():
-                    return False
-        else:
-            if r.measure_set is None or s.kappa not in r.measure_set:
-                return False
-            if compare(u.o(s.kappa), u.o(r.kappa)) >= 0:
-                return False
-            if s.measure_set is not None:
-                if not s.measure_set.difference(r.measure_set).is_empty():
-                    return False
-    return True
-
-
 def gamma_of(p: MagidorCondition, i: int) -> Ordinal:
     """Coordinate of the i-th point in every extension: sum of w^o(t_j), j<=i."""
     if not 1 <= i <= len(p.blocks):

@@ -2,15 +2,17 @@
 
 An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with strictly
 decreasing exponents (themselves ordinals) and positive integer
-coefficients.  The empty sum is 0.  Values are immutable and canonical:
-two equal ordinals are structurally identical.
+coefficients.  The empty sum is 0.  Values are immutable and hash-consed:
+two equal ordinals are the same object, so equality is identity.  Each
+ordinal carries a native key, a nested tuple whose Python order is the
+ordinal order.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+import weakref
 
 from .errors import DifferenceUndefined, ParseError
 
@@ -31,32 +33,64 @@ __all__ = [
     "ordinal_enumeration",
 ]
 
+# key -> the one live Ordinal with that key.  Weak, so ordinals no longer
+# referenced elsewhere leave the table.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-@dataclass(frozen=True)
+
 class Ordinal:
-    """CNF ordinal: tuple of (exponent, coefficient) terms, exponents descending."""
+    """CNF ordinal: tuple of (exponent, coefficient) terms, exponents descending.
 
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+    `key` is ((e1.key, c1), ..., (ek.key, ck)).  Tuple order, where a proper
+    prefix is smaller, is lexicographic order on terms, which is CNF order.
+    """
 
-    def __post_init__(self):
-        for i, (e, c) in enumerate(self.terms):
+    __slots__ = ("terms", "key", "_hash", "__weakref__")
+
+    terms: tuple[tuple["Ordinal", int], ...]
+    key: tuple
+
+    def __new__(cls, terms: tuple[tuple["Ordinal", int], ...] = ()):
+        key = tuple((e.key, c) for e, c in terms)
+        self = _INTERNED.get(key)
+        if self is not None:
+            # Only validated terms ever produce a key in the table.
+            return self
+        for i, (e, c) in enumerate(key):
             if c < 1:
                 raise ValueError("coefficients must be >= 1")
-            if i > 0 and compare(self.terms[i - 1][0], e) <= 0:
+            if i > 0 and key[i - 1][0] <= e:
                 raise ValueError("exponents must be strictly decreasing")
+        self = object.__new__(cls)
+        _init = object.__setattr__
+        _init(self, "terms", tuple(terms))
+        _init(self, "key", key)
+        _init(self, "_hash", hash(key))
+        _INTERNED[key] = self
+        return self
 
-    # Comparisons delegate to compare() so Ordinals sort naturally.
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Ordinal is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Ordinal is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # Unpickling and deep-copying go through the intern table.
+        return (Ordinal, (self.terms,))
+
+    # Equality is identity (object.__eq__); the order is the key order.
     def __lt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) < 0
+        return self.key < other.key
 
     def __le__(self, other: "Ordinal") -> bool:
-        return compare(self, other) <= 0
+        return self.key <= other.key
 
     def __gt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) > 0
+        return self.key > other.key
 
     def __ge__(self, other: "Ordinal") -> bool:
-        return compare(self, other) >= 0
+        return self.key >= other.key
 
     def __add__(self, other: "Ordinal") -> "Ordinal":
         return add(self, other)
@@ -70,13 +104,10 @@ class Ordinal:
     def __repr__(self) -> str:
         return f"Ordinal({format_ordinal(self)!r})"
 
-    def __hash__(self) -> int:  # cached: ordinals are hashed constantly
-        try:
-            return object.__getattribute__(self, "_hash")
-        except AttributeError:
-            h = hash(self.terms)
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __hash__(self) -> int:
+        # Value-based, not id-based, so set order (and output) is the same
+        # in every run.
+        return self._hash
 
     @property
     def is_zero(self) -> bool:
@@ -134,31 +165,26 @@ def omega_power(e: Ordinal) -> Ordinal:
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """-1, 0, 1 for a<b, a=b, a>b; lexicographic on (exponent, coefficient)."""
-    if a is b:
-        return 0
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    ka, kb = a.key, b.key
+    return (ka > kb) - (ka < kb)
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum: terms of a below b's leading exponent are absorbed."""
-    if b.is_zero:
+    bt = b.terms
+    if not bt:
         return a
-    if a.is_zero:
+    at = a.terms
+    if not at:
         return b
-    lead = b.terms[0][0]
-    kept = [t for t in a.terms if compare(t[0], lead) > 0]
-    merged = list(b.terms)
-    if len(kept) < len(a.terms) and a.terms[len(kept)][0] == lead:
-        merged[0] = (lead, a.terms[len(kept)][1] + b.terms[0][1])
-    return Ordinal(tuple(kept) + tuple(merged))
+    ak = a.key
+    lead = b.key[0][0]
+    i = 0
+    while i < len(ak) and ak[i][0] > lead:
+        i += 1
+    if i < len(at) and at[i][0] is bt[0][0]:
+        return Ordinal(at[:i] + ((bt[0][0], at[i][1] + bt[0][1]),) + bt[1:])
+    return Ordinal(at[:i] + bt)
 
 
 def mul_nat(a: Ordinal, n: int) -> Ordinal:

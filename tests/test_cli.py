@@ -87,6 +87,16 @@ def test_uni_check(uni_doc, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"lambda0": "w+1", "delta0_bound": "w", "cores": []}))
     assert main(["uni", "check", str(bad)]) == 1
+    # A file that is not a JSON document is malformed input, not a violation.
+    not_json = tmp_path / "not_json.json"
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_json.write_text('{"lambda0": "w^2",')
+    not_utf8.write_bytes(b"\xff\xfe[]")
+    capsys.readouterr()
+    for path in (not_json, not_utf8):
+        assert main(["uni", "check", str(path)]) == 2
+        assert main(["set", "member", str(path), "w"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_uni_star(uni_doc, capsys):
@@ -207,6 +217,11 @@ def test_prikry_cli(capsys, tmp_path):
     assert doc["profile"] == {"levels": [1, 3], "counts": [2, 1]}
 
 
+_STRUCTURE = json.dumps(
+    {"ground": [0, 1, 2, 3, 4, 5], "default": {"core": [3, 4, 5], "pi": None}}
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -217,8 +232,19 @@ def test_prikry_cli(capsys, tmp_path):
         ["cond", "gamma", "[]", "1"],
         ["ord", "classify", "w^(" * 400 + "1" + ")" * 400],
         ["cond", "validate", "[" * 100_000 + "]" * 100_000],
+        ["prikry", "validate", '{"trunk": ["a", 1], "depth": 2}', "--structure",
+         '{"ground": [0,1,2], "default": {"core": [1,2], "pi": null}}'],
+        ["prikry", "validate", '{"trunk": [true], "depth": 2}', "--structure", _STRUCTURE],
+        ["prikry", "validate", '{"trunk": [], "depth": "2"}', "--structure", _STRUCTURE],
+        ["prikry", "validate", '{"trunk": [], "depth": 2, "successors": '
+         '[{"node": [3.5], "set": [4]}]}', "--structure", _STRUCTURE],
+        ["prikry", "validate", '{"trunk": [], "depth": 2, "successors": '
+         '[{"node": [], "set": ["4"]}]}', "--structure", _STRUCTURE],
     ],
-    ids=["list-condition", "int-blocks", "gamma-list-condition", "deep-literal", "deep-json"],
+    ids=[
+        "list-condition", "int-blocks", "gamma-list-condition", "deep-literal", "deep-json",
+        "str-trunk", "bool-trunk", "str-depth", "float-node", "str-set-member",
+    ],
 )
 def test_malformed_input_exits_2(argv, capsys):
     for mode in ([], ["--machine"]):
@@ -226,9 +252,6 @@ def test_malformed_input_exits_2(argv, capsys):
         assert capsys.readouterr().out == ""
 
 
-_STRUCTURE = json.dumps(
-    {"ground": [0, 1, 2, 3, 4, 5], "default": {"core": [3, 4, 5], "pi": None}}
-)
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)

@@ -303,9 +303,38 @@ def test_find_type_roundtrip_random(rng):
             assert leq_star(extend(p, alphas), q)
 
 
-def test_derived_order_matches_leq(rng):
-    from ordbench.magidor import _leq_derived
+def _leq_derived(p: MagidorCondition, q: MagidorCondition) -> bool:
+    """Oracle: the condensed order on star-closed conditions.  Named points
+    survive and all of q's material is drawn from p's sets (containment
+    direction corrected relative to the condensed statement)."""
+    assert p.universe == q.universe
+    if p.top.kappa != q.top.kappa:
+        return False
+    if any(b.kappa not in {s.kappa for s in q.blocks} for b in p.blocks):
+        return False
+    u = p.universe
+    for s in q.blocks:
+        r = next((b for b in p.blocks if b.kappa >= s.kappa), None)
+        if r is None:
+            return False
+        if r.kappa == s.kappa:
+            if (r.measure_set is None) != (s.measure_set is None):
+                return False
+            if s.measure_set is not None:
+                if not s.measure_set.difference(r.measure_set).is_empty():
+                    return False
+        else:
+            if r.measure_set is None or s.kappa not in r.measure_set:
+                return False
+            if u.o(s.kappa) >= u.o(r.kappa):
+                return False
+            if s.measure_set is not None:
+                if not s.measure_set.difference(r.measure_set).is_empty():
+                    return False
+    return True
 
+
+def test_derived_order_matches_leq(rng):
     u = canon_universe("w^3")
     for _ in range(40):
         p = random_condition(u, rng)

@@ -1,20 +1,33 @@
 from __future__ import annotations
 
+import copy
+import functools
+import gc
+import os
+import pickle
 import random
+import subprocess
+import sys
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordbench.errors import DifferenceUndefined, ParseError
 from ordbench.ordinal import (
+    _INTERNED,
     MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
+    Ordinal,
     add,
     classify,
     cnf_difference,
     compare,
     format_ordinal,
+    from_int,
     left_subtract,
     limit_order,
     omega_power,
@@ -211,3 +224,113 @@ def test_cross_model_below_w3():
             if x <= y:
                 d = left_subtract(ox, oy)
                 assert add(ox, d) == oy
+
+
+# -- oracle: the recursive CNF comparison on terms ------------------------
+
+
+def _cnf_compare(a: Ordinal, b: Ordinal) -> int:
+    """Lexicographic on (exponent, coefficient) terms, exponents compared
+    recursively; a proper prefix is smaller.  Structural, no identity test."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = _cnf_compare(ea, eb)
+        if c:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    return (len(a.terms) > len(b.terms)) - (len(a.terms) < len(b.terms))
+
+
+def _from_terms(pairs) -> Ordinal:
+    """Sum of w^e*c over arbitrary (e, c) pairs, normalised with the oracle:
+    merge equal exponents, then order them descending."""
+    coeff: dict = {}
+    for e, c in pairs:
+        coeff[e] = coeff.get(e, 0) + c
+    exps = sorted(coeff, key=functools.cmp_to_key(_cnf_compare), reverse=True)
+    return Ordinal(tuple((e, coeff[e]) for e in exps))
+
+
+# Small coefficients and few terms, so that equal ordinals are drawn often;
+# exponents nest to depth three.
+ordinals = st.recursive(
+    st.just(ZERO),
+    lambda inner: st.lists(st.tuples(inner, st.integers(1, 3)), max_size=3).map(_from_terms),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordinals, ordinals)
+def test_key_order_matches_cnf_oracle(a, b):
+    sign = _cnf_compare(a, b)
+    assert compare(a, b) == sign
+    assert (a < b, a <= b, a > b, a >= b) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordinals, ordinals)
+def test_equal_ordinals_are_identical(a, b):
+    assert (a == b) == (a is b) == (_cnf_compare(a, b) == 0)
+    assert parse_ordinal(format_ordinal(a)) is a
+    assert add(ZERO, a) is a
+
+
+@settings(max_examples=100, deadline=None)
+@given(ordinals)
+def test_hash_pickle_and_deepcopy_keep_identity(a):
+    assert hash(a) == hash(Ordinal(a.terms))
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert copy.deepcopy(a) is a
+
+
+def test_intern_table_is_weak():
+    a = Ordinal(((from_int(424242), 987654321),))
+    key, ref = a.key, weakref.ref(a)
+    assert _INTERNED[key] is a
+    del a
+    gc.collect()
+    assert ref() is None
+    assert key not in _INTERNED
+
+
+def test_ordinals_are_immutable():
+    with pytest.raises(AttributeError):
+        OMEGA.terms = ()
+    with pytest.raises(AttributeError):
+        del OMEGA.key
+
+
+def test_hash_is_the_same_in_fresh_interpreters():
+    """Sets of ordinals iterate, and so the CLI prints, in the same order in
+    every run only if the hash is value-based."""
+    code = "from ordbench.ordinal import parse_ordinal; print(hash(parse_ordinal('w^(w+1)*2+3')))"
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        outs.append(proc.stdout.strip())
+    assert outs[0] == outs[1] == str(hash(parse_ordinal("w^(w+1)*2+3")))
+
+
+def _assert_rejected(terms):
+    for t in terms:
+        with pytest.raises(ValueError, match="coefficients|exponents"):
+            Ordinal(t)
+
+
+def test_constructor_rejects_invalid_terms_new_key():
+    e = from_int(31337)
+    f = add(e, ONE)
+    # A zero coefficient, ascending exponents and a repeated exponent; the
+    # values of the last two, w^f and w^e*2, are not interned.
+    assert ((f.key, 1),) not in _INTERNED and ((e.key, 2),) not in _INTERNED
+    _assert_rejected([((e, 0),), ((e, 1), (f, 1)), ((e, 1), (e, 1))])
+
+
+def test_constructor_rejects_invalid_terms_when_value_interned():
+    live = [parse_ordinal("w^w"), parse_ordinal("w*2"), ZERO]
+    _assert_rejected([((ZERO, 0),), ((ONE, 1), (OMEGA, 1)), ((ONE, 1), (ONE, 1))])
+    assert all(x.key in _INTERNED for x in live)
