@@ -48,10 +48,6 @@ def _document(decode: Callable) -> Callable:
     return lambda text: decode(_load_json(text))
 
 
-def _hashable(value):
-    return tuple(value) if isinstance(value, list) else value
-
-
 # Argument kind -> decoder from the command-line text.
 KINDS: dict[str, Callable] = {
     "ord": parse_ordinal,
@@ -74,8 +70,8 @@ KINDS: dict[str, Callable] = {
     "family": _document(lambda d: {int(k): set(v) for k, v in d.items()}),
     "tuples": _document(lambda d: [tuple(t) for t in d]),
     "tables": _document(lambda d: [{int(k): v for k, v in t.items()} for t in d]),
-    "graph": _document(lambda d: {tuple(e["args"]): _hashable(e["value"]) for e in d}),
-    "target": _document(lambda d: {_hashable(t) for t in d}),
+    "graph": _document(lambda d: {tuple(e["args"]): io.hashable(e["value"]) for e in d}),
+    "target": _document(lambda d: {io.hashable(t) for t in d}),
 }
 # Kinds echoed in machine mode -> (input kind, canonical JSON rendering).
 ECHOED = {

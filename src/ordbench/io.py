@@ -35,6 +35,7 @@ __all__ = [
     "structure_from_json",
     "product_fn_to_json",
     "product_fn_from_json",
+    "hashable",
     "derivation_to_json",
     "derivation_from_json",
     "load_document",
@@ -251,10 +252,20 @@ def product_fn_to_json(F: FiniteProductFn) -> dict:
     }
 
 
+def hashable(value: Any) -> Any:
+    """A JSON value made fit to be a dict key or a set member: lists freeze
+    to tuples, recursively, and an object is a ParseError."""
+    if isinstance(value, dict):
+        raise ParseError(f"a value cannot be a JSON object: {value!r:.40}")
+    if isinstance(value, list):
+        return tuple(hashable(v) for v in value)
+    return value
+
+
 def product_fn_from_json(doc: dict) -> FiniteProductFn:
     return FiniteProductFn(
         tuple(tuple(f) for f in doc["factors"]),
-        {tuple(entry["args"]): entry["value"] for entry in doc["table"]},
+        {tuple(entry["args"]): hashable(entry["value"]) for entry in doc["table"]},
     )
 
 

@@ -179,6 +179,19 @@ def test_ramsey_cli(capsys, tmp_path):
     assert doc["result"]["coordinates"] == [1]
 
 
+def test_list_values_freeze(capsys):
+    # JSON lists, nested or not, are hashable values once frozen to tuples.
+    table = [{"args": [a, b], "value": [a % 2]} for a in (1, 2) for b in (3, 4)]
+    fn = json.dumps({"factors": [[1, 2], [3, 4]], "table": table})
+    code, doc = machine(["ramsey", "homog", fn, "--min-sizes", "1,1"], capsys)
+    assert code == 0
+    assert doc["result"] == {"factors": [[1], [3, 4]], "color": [1]}
+    graph = json.dumps([{"args": [a], "value": [[a // 3]]} for a in range(6)])
+    code, doc = machine(["prikry", "project", graph, "[[[1]]]", "1", "--structure", _STRUCTURE],
+                        capsys)
+    assert code == 0 and doc["result"] is True
+
+
 def test_prikry_cli(capsys, tmp_path):
     struct = {
         "ground": [0, 1, 2, 3, 4, 5],
@@ -240,10 +253,17 @@ _STRUCTURE = json.dumps(
          '[{"node": [3.5], "set": [4]}]}', "--structure", _STRUCTURE],
         ["prikry", "validate", '{"trunk": [], "depth": 2, "successors": '
          '[{"node": [], "set": ["4"]}]}', "--structure", _STRUCTURE],
+        ["ramsey", "homog", json.dumps({"factors": [[1], [3]], "table": [
+            {"args": [1, 3], "value": {"a": 1}}]}), "--min-sizes", "1,1"],
+        ["prikry", "project", json.dumps([{"args": [0], "value": {"a": 1}}]), "[1]", "1",
+         "--structure", _STRUCTURE],
+        ["ramsey", "homog", json.dumps({"factors": [[1], [3]], "table": [
+            {"args": [1, 3], "value": 0}]}), "--min-sizes=-1,1"],
     ],
     ids=[
         "list-condition", "int-blocks", "gamma-list-condition", "deep-literal", "deep-json",
         "str-trunk", "bool-trunk", "str-depth", "float-node", "str-set-member",
+        "object-fn-value", "object-graph-value", "negative-min-size",
     ],
 )
 def test_malformed_input_exits_2(argv, capsys):

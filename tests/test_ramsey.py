@@ -1,16 +1,205 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ordbench import io
 from ordbench.ramsey import (
     FiniteProductFn,
     build_product_fn,
     homogenize,
     important_coordinates,
 )
+
+from test_acceptance import _brute_min_important
+
+# The exact-identity oracle: the exhaustive scan that checks every
+# sub-product in rank order and learns nothing.
+
+
+def _subproducts(factors, min_sizes):
+    """Sub-factor choices ordered by decreasing total size, then lexicographic."""
+    options = []
+    for f, m in zip(factors, min_sizes):
+        if m > len(f):
+            return
+        per = []
+        for size in range(len(f), m - 1, -1):
+            per.extend(itertools.combinations(f, size))
+        options.append(per)
+    ranked = sorted(
+        itertools.product(*options),
+        key=lambda hs: (-sum(len(h) for h in hs), hs),
+    )
+    yield from ranked
+
+
+def _increasing_tuples(subfactors):
+    return [
+        t
+        for t in itertools.product(*subfactors)
+        if all(a < b for a, b in zip(t, t[1:]))
+    ]
+
+
+def _scan_homogenize(F, min_sizes):
+    """Oracle: check every sub-product in rank order, learning nothing."""
+    for hs in _subproducts(F.factors, min_sizes):
+        tuples = _increasing_tuples(hs)
+        if not tuples:
+            continue
+        colors = {F(t) for t in tuples}
+        if len(colors) == 1:
+            return tuple(hs), colors.pop()
+    return None
+
+
+def _scan_respects(F, tuples, I):
+    by_proj, values = {}, {}
+    for t in tuples:
+        key = tuple(t[i - 1] for i in I)
+        v = F(t)
+        if key in by_proj:
+            if by_proj[key] != v:
+                return False
+        else:
+            by_proj[key] = v
+            if v in values and values[v] != key:
+                return False
+            values[v] = key
+    return True
+
+
+def _scan_important(F, min_sizes):
+    """Oracle: for each I in order, check every sub-product in rank order."""
+    n = len(F.factors)
+    for size in range(n + 1):
+        for I in itertools.combinations(range(1, n + 1), size):
+            for hs in _subproducts(F.factors, min_sizes):
+                tuples = _increasing_tuples(hs)
+                if tuples and _scan_respects(F, tuples, I):
+                    return tuple(hs), I
+    return None
+
+
+@st.composite
+def product_fns(draw, values=None):
+    """0-3 factors, each overlapping the next, and a table of `values`, or
+    of 1-5 colours: random, or one coordinate's value mod 1-5 with random
+    noise, so that non-empty coordinate sets are found too."""
+    factors = []
+    for i in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(0, 4))
+        elements = st.integers(2 * i + 1, 2 * i + 5)
+        factors.append(sorted(draw(st.lists(elements, min_size=size, max_size=size, unique=True))))
+    if values is not None:
+        return build_product_fn(factors, lambda *t: draw(values))
+    colours = st.integers(0, draw(st.integers(1, 5)) - 1)
+    coord = draw(st.integers(-1, len(factors) - 1))
+    if coord < 0:
+        return build_product_fn(factors, lambda *t: draw(colours))
+    k = draw(st.integers(1, 5))
+    return build_product_fn(
+        factors, lambda *t: t[coord] % k if draw(st.integers(0, 5)) else draw(colours)
+    )
+
+
+@st.composite
+def searches(draw):
+    F = draw(product_fns())
+    min_sizes = [draw(st.integers(0, len(f) + 1)) for f in F.factors]
+    return F, min_sizes
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches())
+def test_homogenize_matches_scan(search):
+    F, min_sizes = search
+    assert homogenize(F, min_sizes) == _scan_homogenize(F, min_sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches())
+def test_important_matches_scan(search):
+    F, min_sizes = search
+    assert important_coordinates(F, min_sizes) == _scan_important(F, min_sizes)
+
+
+def test_scan_oracle_on_grid_and_near_projections():
+    # Larger minimum sizes than the property draws, so that most searches
+    # learn many conflicts and non-empty coordinate sets are common.
+    grid = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]
+    for bits in range(2 ** len(grid)):
+        F = build_product_fn([[1, 2, 3], [4, 5, 6]], lambda a, b: bits >> grid.index((a, b)) & 1)
+        assert homogenize(F, [2, 2]) == _scan_homogenize(F, [2, 2])
+        assert important_coordinates(F, [2, 2]) == _scan_important(F, [2, 2])
+    rng = random.Random(11)
+    for k in range(12):
+        noise = 0.05 * (k % 4)
+        F = build_product_fn(
+            [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]],
+            lambda a, b, c: (a, b, c)[k % 3] if rng.random() > noise else rng.randrange(3),
+        )
+        assert homogenize(F, [2, 2, 2]) == _scan_homogenize(F, [2, 2, 2])
+        assert important_coordinates(F, [2, 2, 2]) == _scan_important(F, [2, 2, 2])
+
+
+_json_values = st.recursive(
+    st.integers() | st.text(max_size=3), lambda inner: st.lists(inner, max_size=3), max_leaves=6
+).map(io.hashable)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_fns(_json_values))
+def test_product_fn_json_round_trip(F):
+    doc = io.product_fn_to_json(F)
+    assert io.product_fn_from_json(doc) == F
+    assert io.product_fn_from_json(json.loads(json.dumps(doc))) == F
+
+
+def test_equal_factors_keep_their_own_values():
+    # 1.0 == 1, so both factor tuples share the cached tables; each function
+    # must still see, store and certify its own values.
+    floats = build_product_fn([[1.0, 2.0], [3.0]], lambda a, b: repr((a, b)))
+    ints = build_product_fn([[1, 2], [3]], lambda a, b: repr((a, b)))
+    assert sorted(floats.table.values()) == ["(1.0, 3.0)", "(2.0, 3.0)"]
+    assert sorted(ints.table.values()) == ["(1, 3)", "(2, 3)"]
+    assert all(type(x) is int for t in ints.domain() for x in t)
+    assert all(type(x) is float for t in floats.domain() for x in t)
+    for F, kind in ((floats, float), (ints, int), (floats, float)):
+        constant = FiniteProductFn(F.factors, {t: 0 for t in F.domain()})
+        (hs, _), (hs_i, _) = homogenize(constant, [1, 1]), important_coordinates(constant, [1, 1])
+        assert hs == hs_i == F.factors
+        assert all(type(x) is kind for h in hs for x in h)
+
+
+def test_cached_rankings_are_released():
+    """A long-running process that moves on to other factor tuples does not
+    keep an earlier ranking alive."""
+    big = build_product_fn([range(7), range(7, 14), [14]], lambda a, b, c: (a + b) % 3)
+    others = [build_product_fn([[k], [k + 1]], lambda a, b: 0) for k in range(8)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        homogenize(big, [0, 0, 0])  # ranks 2^15 sub-products
+        held = tracemalloc.get_traced_memory()[0] - base
+        for F in others:
+            homogenize(F, [1, 1])
+            important_coordinates(F, [1, 1])
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held > 1_000_000
+    assert after < held / 20
 
 
 def brute_homogeneous(F, min_sizes):
@@ -100,7 +289,9 @@ def test_important_random_validated(rng):
     for _ in range(25):
         F = build_product_fn(factors, lambda a, b, c: rng.randrange(3))
         got = important_coordinates(F, [2, 2, 2])
+        brute = _brute_min_important(F, [2, 2, 2])
         if got is None:
+            assert brute is None
             continue
         hs, I = got
         tuples = [
@@ -114,9 +305,7 @@ def test_important_random_validated(rng):
                 same_proj = all(s[i - 1] == t[i - 1] for i in I)
                 assert (F(s) == F(t)) == same_proj
         # minimality: no smaller I works on any admissible sub-product
-        for smaller in itertools.combinations(range(1, 4), len(I) - 1) if I else []:
-            sets = important_coordinates(F, [2, 2, 2])
-            assert sets is None or len(sets[1]) >= len(smaller) + 1
+        assert len(I) == brute
 
 
 def test_case_dichotomy_first_coordinate_unimportant(rng):
@@ -145,3 +334,6 @@ def test_bad_input():
     F = build_product_fn([[1, 2]], lambda a: 0)
     with pytest.raises(ValueError):
         homogenize(F, [1, 1])
+    for search in (homogenize, important_coordinates):
+        with pytest.raises(ValueError, match="non-negative"):
+            search(F, [-1])
