@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UniverseMismatch
-from .magidor import Block, MagidorCondition, leq, validate
+from .magidor import Block, MagidorCondition, _check_same_universe, _points_in_blocks, leq, validate
 from .ordinal import ZERO, Ordinal
 from .oset import OrdinalSet
 
@@ -35,22 +35,7 @@ def in_filter(p: MagidorCondition, seq: CanonicalSequence) -> bool:
     if p.universe.lambda0 != seq.lambda0:
         raise UniverseMismatch("sequence and condition ground sets differ")
     pts = seq.points()
-    prev: Ordinal | None = None
-    for b in p.blocks:
-        if b is not p.top and b.kappa not in pts:
-            return False
-        # Blockwise open intervals (kappa(t_{i-1}), kappa(t_i)) with t_0 = 0,
-        # so the sequence value at 0 is never constrained.
-        seg = pts.restrict_above(prev if prev is not None else ZERO).restrict_below(
-            b.kappa
-        )
-        if b.measure_set is None:
-            if not seg.is_empty():
-                return False
-        elif not seg.difference(b.measure_set).is_empty():
-            return False
-        prev = b.kappa
-    return True
+    return all(b.kappa in pts for b in p.blocks[:-1]) and _points_in_blocks(p.blocks, pts)
 
 
 def interval_otp(seq: CanonicalSequence, a: Ordinal, b: Ordinal) -> Ordinal:
@@ -65,8 +50,7 @@ def filter_pair_compatible(
 ) -> bool:
     """Directedness witness: the blockwise-intersection condition extends
     both and stays in the filter."""
-    if p.universe != q.universe:
-        raise UniverseMismatch("conditions live over different universes")
+    _check_same_universe(p, q)
     if not (in_filter(p, seq) and in_filter(q, seq)):
         return False
     if p.top.kappa != q.top.kappa:

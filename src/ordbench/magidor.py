@@ -19,7 +19,7 @@ from .errors import (
     WorkbenchError,
 )
 from .ordinal import ZERO, Ordinal, add, cnf_difference, compare, omega_power
-from .oset import OrdinalSet
+from .oset import OrdinalSet, least_in_level
 from .universe import ToyUniverse
 
 __all__ = [
@@ -111,6 +111,27 @@ def _check_same_universe(p: MagidorCondition, q: MagidorCondition):
         raise UniverseMismatch("conditions live over different universes")
 
 
+def _set_violations(
+    u: ToyUniverse, b: Block, prev: Ordinal | None, tag: str
+) -> list[str]:
+    """The measure-set clause of both forcings: the set of b lies below its
+    point and above the previous one, is large at every index (vacuous
+    when o(kappa) = 0) and is star-closed."""
+    out = []
+    B = b.measure_set
+    if B.restrict_below(b.kappa) != B:
+        out.append(f"{tag}: measure set not below its point")
+    if prev is not None:
+        low = B.min_element()
+        if low is not None and low <= prev:
+            out.append(f"{tag}: min of measure set not above previous point")
+    if not u.is_large_all(B, b.kappa):
+        out.append(f"{tag}: measure set not large at every index")
+    elif u.star_closure(B, b.kappa) != B:
+        out.append(f"{tag}: measure set not in stratified (star-closed) form")
+    return out
+
+
 def validate(p: MagidorCondition) -> list[str]:
     """All violations of the condition shape; empty means valid."""
     u = p.universe
@@ -134,42 +155,40 @@ def validate(p: MagidorCondition) -> list[str]:
         if not ob.is_zero and b.measure_set is None:
             out.append(f"{tag}: positive-order point needs a measure set")
         if b.measure_set is not None:
-            B = b.measure_set
-            if B.restrict_below(b.kappa) != B:
-                out.append(f"{tag}: measure set not below its point")
-            if prev is not None:
-                low = B.min_element()
-                if low is not None and low <= prev:
-                    out.append(f"{tag}: min of measure set not above previous point")
-            if not ob.is_zero and not u.is_large_all(B, b.kappa):
-                out.append(f"{tag}: measure set not large at every index")
-            elif u.star_closure(B, b.kappa) != B:
-                out.append(f"{tag}: measure set not in stratified (star-closed) form")
+            out.extend(_set_violations(u, b, prev, tag))
         prev = b.kappa
     return out
 
 
-def leq(p: MagidorCondition, q: MagidorCondition) -> bool:
-    """Forcing order: q extends p."""
-    _check_same_universe(p, q)
+def _kept_named_points(p, q) -> list[int] | None:
+    """The order clauses on what p already names, shared by both forcings:
+    the same top with a shrunk top set, and each named point of p kept in
+    q, bare or not as in p, with a shrunk set.  The positions in q of p's
+    named points, or None when a clause fails."""
     if p.top.kappa != q.top.kappa:
-        return False
-    top_p, top_q = p.top.measure_set, q.top.measure_set
-    if not top_q.difference(top_p).is_empty():
-        return False
+        return None
+    if not q.top.measure_set.difference(p.top.measure_set).is_empty():
+        return None
     positions = {b.kappa: j for j, b in enumerate(q.blocks[:-1])}
     matched: list[int] = []
     for b in p.blocks[:-1]:
         j = positions.get(b.kappa)
         if j is None:
-            return False
+            return None
         matched.append(j)
         qb = q.blocks[j]
         if (b.measure_set is None) != (qb.measure_set is None):
-            return False
+            return None
         if b.measure_set is not None:
             if not qb.measure_set.difference(b.measure_set).is_empty():
-                return False
+                return None
+    return matched
+
+
+def _new_blocks_admitted(p, q, matched: list[int], admits) -> bool:
+    """Each block of q that p does not name lies in the set of its
+    enclosing p-block (the first named point above it, else the top) and
+    passes `admits(j, qb, enclosing)`."""
     matched_set = set(matched)
     for j, qb in enumerate(q.blocks[:-1]):
         if j in matched_set:
@@ -180,13 +199,29 @@ def leq(p: MagidorCondition, q: MagidorCondition) -> bool:
         B = enclosing.measure_set
         if B is None or qb.kappa not in B:
             return False
-        if compare(p.universe.o(qb.kappa), p.universe.o(enclosing.kappa)) >= 0:
+        if not admits(j, qb, enclosing):
             return False
-        if qb.measure_set is not None:
-            allowed = B.restrict_below(qb.kappa)
-            if not qb.measure_set.difference(allowed).is_empty():
-                return False
     return True
+
+
+def _inherits(qb: Block, enclosing: Block) -> bool:
+    """The set of a new block is drawn from its enclosing set below it."""
+    allowed = enclosing.measure_set.restrict_below(qb.kappa)
+    return qb.measure_set.difference(allowed).is_empty()
+
+
+def leq(p: MagidorCondition, q: MagidorCondition) -> bool:
+    """Forcing order: q extends p."""
+    _check_same_universe(p, q)
+    o = p.universe.o
+
+    def admits(j: int, qb: Block, enclosing: Block) -> bool:
+        if compare(o(qb.kappa), o(enclosing.kappa)) >= 0:
+            return False
+        return qb.measure_set is None or _inherits(qb, enclosing)
+
+    matched = _kept_named_points(p, q)
+    return matched is not None and _new_blocks_admitted(p, q, matched, admits)
 
 
 def leq_star(p: MagidorCondition, q: MagidorCondition) -> bool:
@@ -335,6 +370,49 @@ def unveil_type(p: MagidorCondition, gamma: Ordinal) -> ExtensionType:
     return ExtensionType(tuple(per))
 
 
+def _least_witnesses(
+    levels, floor: Ordinal | None, within: OrdinalSet | None = None,
+    below: Ordinal | None = None, missing=None,
+) -> list[Ordinal] | None:
+    """The least increasing points with the given o-values, the first above
+    floor (anywhere when None) and each below `below` when given, drawn
+    from `within` (default: the whole ground).
+
+    When some level has no such point, raise `missing(xi, floor)`, or
+    return None when there is no `missing`.
+    """
+    out: list[Ordinal] = []
+    for xi in levels:
+        if within is None:
+            w = least_in_level(xi, ZERO if floor is None else floor.successor())
+        else:
+            w = within.min_in_level(xi) if floor is None else within.min_in_level_above(xi, floor)
+        if w is None or (below is not None and not w < below):
+            if missing is None:
+                return None
+            raise missing(xi, floor)
+        out.append(w)
+        floor = w
+    return out
+
+
+def _points_in_blocks(blocks, pts: OrdinalSet) -> bool:
+    """Blockwise, the points of pts in the open interval below a block
+    (above the previous block, with a virtual block at 0 below everything,
+    so 0 itself is never constrained) fall into its set; a bare block
+    admits none."""
+    prev = ZERO
+    for b in blocks:
+        seg = pts.restrict_above(prev).restrict_below(b.kappa)
+        if b.measure_set is None:
+            if not seg.is_empty():
+                return False
+        elif not seg.difference(b.measure_set).is_empty():
+            return False
+        prev = b.kappa
+    return True
+
+
 def extend_minimal(
     p: MagidorCondition, xtype: ExtensionType
 ) -> tuple[MagidorCondition, Alphas]:
@@ -350,19 +428,10 @@ def extend_minimal(
         if b.measure_set is None:
             raise WitnessUnavailable(f"gap {i} lies below a bare block")
         lo, _ = _gap_bounds(p, i)
-        picked: list[Ordinal] = []
-        floor = lo
-        for xi in levels:
-            if floor is None:
-                a = b.measure_set.min_in_level(xi)
-            else:
-                a = b.measure_set.min_in_level_above(xi, floor)
-            if a is None:
-                raise WitnessUnavailable(
-                    f"gap {i}: no level-{xi} point above {floor} in the block set"
-                )
-            picked.append(a)
-            floor = a
+        picked = _least_witnesses(
+            levels, lo, b.measure_set, missing=lambda xi, floor: WitnessUnavailable(
+                f"gap {i}: no level-{xi} point above {floor} in the block set"),
+        )
         gaps.append(tuple(picked))
     alphas = tuple(gaps)
     return extend(p, alphas), alphas

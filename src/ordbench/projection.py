@@ -13,13 +13,19 @@ from .errors import (
     NonTermination,
     NotAnExtension,
     RepairImpossible,
-    UniverseMismatch,
     WitnessUnavailable,
     WorkbenchError,
 )
 from .magidor import (
     Block,
     MagidorCondition,
+    _check_same_universe,
+    _inherits,
+    _kept_named_points,
+    _least_witnesses,
+    _new_blocks_admitted,
+    _points_in_blocks,
+    _set_violations,
     extend_minimal,
     gamma_of,
     leq,
@@ -27,7 +33,7 @@ from .magidor import (
     validate,
 )
 from .ordinal import ZERO, Ordinal, add, cnf_difference, compare, omega_power
-from .oset import OrdinalSet, least_in_level
+from .oset import OrdinalSet
 from .universe import ToyUniverse
 
 __all__ = [
@@ -121,8 +127,7 @@ class ICondition:
 
 
 def _check_compatible(p: ICondition, q: ICondition):
-    if p.universe != q.universe:
-        raise UniverseMismatch("conditions live over different universes")
+    _check_same_universe(p, q)
     if p.index_set != q.index_set:
         raise IndexSetMismatch("conditions carry different index sets")
 
@@ -181,37 +186,6 @@ def pi(p: MagidorCondition, I: IndexSet) -> ICondition:
 # ---------------------------------------------------------------------------
 
 
-def _witnesses_exist(
-    u: ToyUniverse,
-    levels: list[Ordinal],
-    lo: Ordinal | None,
-    hi: Ordinal,
-    within: OrdinalSet | None = None,
-) -> bool:
-    """Greedy check for an increasing tuple with the given o-values in
-    (lo, hi), drawn from `within` (default: the whole ground)."""
-    floor = lo
-    for xi in levels:
-        if within is None:
-            cand = (
-                least_in_level(xi, ZERO)
-                if floor is None
-                else least_in_level(xi, floor.successor())
-            )
-            if not (cand < hi):
-                return False
-        else:
-            cand = (
-                within.min_in_level(xi)
-                if floor is None
-                else within.min_in_level_above(xi, floor)
-            )
-            if cand is None or not (cand < hi):
-                return False
-        floor = cand
-    return True
-
-
 def validate_I(q: ICondition) -> list[str]:
     """All violations of the subsequence-condition shape."""
     u, I = q.universe, q.index_set
@@ -256,7 +230,7 @@ def validate_I(q: ICondition) -> list[str]:
                 )
             else:
                 exps = cnf_difference(pred, c)
-                if not _witnesses_exist(u, exps[:-1], prev_kappa, b.kappa):
+                if _least_witnesses(exps[:-1], prev_kappa, below=b.kappa) is None:
                     out.append(f"{tag}: no stratum witness tuple (2.a.iii)")
         else:
             if b.measure_set is None:
@@ -274,74 +248,32 @@ def validate_I(q: ICondition) -> list[str]:
     return out
 
 
-def _set_violations(
-    u: ToyUniverse, b: Block, prev_kappa: Ordinal | None, tag: str
-) -> list[str]:
-    out = []
-    B = b.measure_set
-    if B.restrict_below(b.kappa) != B:
-        out.append(f"{tag}: measure set not below its point")
-    if prev_kappa is not None:
-        low = B.min_element()
-        if low is not None and low <= prev_kappa:
-            out.append(f"{tag}: min of measure set not above previous point")
-    if not u.is_large_all(B, b.kappa):
-        out.append(f"{tag}: measure set not large at every index")
-    elif u.star_closure(B, b.kappa) != B:
-        out.append(f"{tag}: measure set not in stratified (star-closed) form")
-    return out
-
-
 def leq_I(p: ICondition, q: ICondition) -> bool:
     """Order of the subsequence forcing: q extends p."""
     _check_compatible(p, q)
-    if p.top.kappa != q.top.kappa:
+    matched = _kept_named_points(p, q)
+    if matched is None:
         return False
-    if not q.top.measure_set.difference(p.top.measure_set).is_empty():
-        return False
-    u, I = p.universe, p.index_set
-    positions = {b.kappa: j for j, b in enumerate(q.blocks[:-1])}
-    matched: list[int] = []
-    for b in p.blocks[:-1]:
-        j = positions.get(b.kappa)
-        if j is None:
-            return False
-        matched.append(j)
-        qb = q.blocks[j]
-        if (b.measure_set is None) != (qb.measure_set is None):
-            return False
-        if b.measure_set is not None:
-            if not qb.measure_set.difference(b.measure_set).is_empty():
-                return False
-    matched_set = set(matched)
+    I = p.index_set
     chain = index_chain(q, I)
-    for j, qb in enumerate(q.blocks[:-1]):
-        if j in matched_set:
-            continue
-        enclosing = next(
-            (p.blocks[r] for r, mj in enumerate(matched) if mj > j), p.top
-        )
-        B = enclosing.measure_set
-        if B is None or qb.kappa not in B:
-            return False
+
+    def admits(j: int, qb: Block, enclosing: Block) -> bool:
         c = chain[j]
         if c is None:
             return False
-        prev_kappa = q.blocks[j - 1].kappa if j >= 1 else None
-        prev_idx = chain[j - 1] if j >= 1 else ZERO
         if I.in_succ(c):
+            prev_idx = chain[j - 1] if j >= 1 else ZERO
             if prev_idx is None:
                 return False
+            prev_kappa = q.blocks[j - 1].kappa if j >= 1 else None
             exps = cnf_difference(prev_idx, c)
-            if not _witnesses_exist(u, exps[:-1], prev_kappa, qb.kappa, within=B):
-                return False
-        else:
-            if qb.measure_set is None:
-                return False
-            allowed = B.restrict_below(qb.kappa)
-            if not qb.measure_set.difference(allowed).is_empty():
-                return False
-    return True
+            return (
+                _least_witnesses(exps[:-1], prev_kappa, enclosing.measure_set, qb.kappa)
+                is not None
+            )
+        return qb.measure_set is not None and _inherits(qb, enclosing)
+
+    return _new_blocks_admitted(p, q, matched, admits)
 
 
 def leq_I_star(p: ICondition, q: ICondition) -> bool:
@@ -423,19 +355,25 @@ def densify(p: MagidorCondition, I: IndexSet) -> MagidorCondition:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_attached_set(
-    within: OrdinalSet | None, floor: Ordinal | None, point: Ordinal
-) -> OrdinalSet:
-    """The canonical large set at a point: the inherited interval above the
-    last inserted witness (the whole open interval when unconstrained)."""
-    base = (
-        OrdinalSet.interval(ZERO, point)
-        if within is None
-        else within.restrict_below(point)
-    )
-    if floor is not None:
-        base = base.restrict_above(floor)
-    return base
+def _witness_blocks(
+    u: ToyUniverse, levels, floor: Ordinal | None, point: Ordinal,
+    within: OrdinalSet | None, missing,
+) -> list[Block]:
+    """Blocks at the least stratum witnesses of `levels` between floor and
+    point (drawn from `within`, default the ground), then at point itself.
+
+    Each positive-order block carries the canonical large set at its point:
+    the inherited interval above the block before it (the whole open
+    interval when unconstrained)."""
+    out: list[Block] = []
+    for w in _least_witnesses(levels, floor, within, point, missing) + [point]:
+        if u.o(w).is_zero:
+            out.append(Block(w))
+        else:
+            B = OrdinalSet.interval(ZERO, w) if within is None else within.restrict_below(w)
+            out.append(Block(w, B if floor is None else B.restrict_above(floor)))
+        floor = w
+    return out
 
 
 def onto_construct(q: ICondition) -> MagidorCondition:
@@ -450,30 +388,12 @@ def onto_construct(q: ICondition) -> MagidorCondition:
     prev_idx = ZERO
     for i, b in enumerate(q.blocks[:-1], start=1):
         c = chain[i - 1]
-        floor = prev_kappa
         if I.in_succ(c):
-            exps = cnf_difference(prev_idx, c)
-            for xi in exps[:-1]:
-                w = (
-                    least_in_level(xi, ZERO)
-                    if floor is None
-                    else least_in_level(xi, floor.successor())
-                )
-                if not (w < b.kappa):
-                    raise WitnessUnavailable(
-                        f"no level-{xi} witness below {b.kappa} above {floor}"
-                    )
-                if u.o(w).is_zero:
-                    new_blocks.append(Block(w))
-                else:
-                    new_blocks.append(Block(w, _canonical_attached_set(None, floor, w)))
-                floor = w
-            if u.o(b.kappa).is_zero:
-                new_blocks.append(Block(b.kappa))
-            else:
-                new_blocks.append(
-                    Block(b.kappa, _canonical_attached_set(None, floor, b.kappa))
-                )
+            new_blocks += _witness_blocks(
+                u, cnf_difference(prev_idx, c)[:-1], prev_kappa, b.kappa, None,
+                lambda xi, floor: WitnessUnavailable(
+                    f"no level-{xi} witness below {b.kappa} above {floor}"),
+            )
         else:
             new_blocks.append(b)
         prev_kappa = b.kappa
@@ -493,20 +413,19 @@ def onto_construct(q: ICondition) -> MagidorCondition:
 def lift(p: MagidorCondition, q: ICondition) -> MagidorCondition:
     """Some p' extending p with pi(p') = q, for q extending pi(p)."""
     I = q.index_set
-    if p.universe != q.universe:
-        raise UniverseMismatch("conditions live over different universes")
+    _check_same_universe(p, q)
     base = pi(p, I)
     if not leq_I(base, q):
         raise NotAnExtension("q does not extend the projection of p")
     u = p.universe
     base_kappas = {b.kappa for b in base.blocks[:-1]}
     chain = index_chain(q, I)
-    inserted: dict[Ordinal, tuple[Block, Ordinal | None, Ordinal | None]] = {}
+    inserted: dict[Ordinal, tuple[Ordinal | None, Ordinal | None]] = {}
     for j, qb in enumerate(q.blocks[:-1]):
         if qb.kappa in base_kappas:
             continue
         prev_idx = chain[j - 1] if j >= 1 else ZERO
-        inserted[qb.kappa] = (qb, prev_idx, chain[j])
+        inserted[qb.kappa] = (prev_idx, chain[j])
     # Merge q's new blocks (plus stratum witnesses for successor positions)
     # into p, drawing sets from the enclosing p-block.
     q_sets = {b.kappa: b.measure_set for b in q.blocks[:-1]}
@@ -516,38 +435,18 @@ def lift(p: MagidorCondition, q: ICondition) -> MagidorCondition:
     for pb in p.blocks:
         while pending and pending[0] < pb.kappa:
             kappa = pending.pop(0)
-            _, prev_idx, c = inserted[kappa]
-            enclosing = pb if pb.measure_set is not None else None
-            if enclosing is None or kappa not in enclosing.measure_set:
+            prev_idx, c = inserted[kappa]
+            B = pb.measure_set
+            if B is None or kappa not in B:
                 raise WitnessUnavailable(
                     f"inserted point {kappa} is not admissible below {pb.kappa}"
                 )
-            B = enclosing.measure_set
             if I.in_succ(c):
-                exps = cnf_difference(prev_idx, c)
-                for xi in exps[:-1]:
-                    w = (
-                        B.min_in_level(xi)
-                        if prev_point is None
-                        else B.min_in_level_above(xi, prev_point)
-                    )
-                    if w is None or not (w < kappa):
-                        raise WitnessUnavailable(
-                            f"no level-{xi} witness below {kappa} in the block set"
-                        )
-                    if u.o(w).is_zero:
-                        new_blocks.append(Block(w))
-                    else:
-                        new_blocks.append(
-                            Block(w, _canonical_attached_set(B, prev_point, w))
-                        )
-                    prev_point = w
-                if u.o(kappa).is_zero:
-                    new_blocks.append(Block(kappa))
-                else:
-                    new_blocks.append(
-                        Block(kappa, _canonical_attached_set(B, prev_point, kappa))
-                    )
+                new_blocks += _witness_blocks(
+                    u, cnf_difference(prev_idx, c)[:-1], prev_point, kappa, B,
+                    lambda xi, floor: WitnessUnavailable(
+                        f"no level-{xi} witness below {kappa} in the block set"),
+                )
             else:
                 new_blocks.append(Block(kappa, q_sets[kappa]))
             prev_point = kappa
@@ -668,7 +567,6 @@ def quotient_member(p: MagidorCondition, witness) -> bool:
     if witness.restriction is None:
         raise ValueError("quotient membership needs a restricted sequence")
     I = IndexSet(witness.restriction)
-    u = p.universe
     q = pi(p, I)
     if validate_I(q):
         return False
@@ -677,19 +575,9 @@ def quotient_member(p: MagidorCondition, witness) -> bool:
     for j, b in enumerate(q.blocks[:-1]):
         if chain[j] is None or chain[j] != b.kappa:
             return False
-    # (b) members of the restricted sequence fall into the block sets;
-    # intervals are open with the virtual zero block below everything
-    prev: Ordinal | None = None
-    for b in q.blocks:
-        lo = prev if prev is not None else ZERO
-        seg = I.points.restrict_above(lo).restrict_below(b.kappa)
-        if b.measure_set is None:
-            if not seg.is_empty():
-                return False
-        else:
-            if not seg.difference(b.measure_set).is_empty():
-                return False
-        prev = b.kappa
+    # (b) members of the restricted sequence fall into the block sets
+    if not _points_in_blocks(q.blocks, I.points):
+        return False
     # (c) successor members with composite gaps have stratum witnesses in
     # the enclosing block set
     prev = None
@@ -701,9 +589,7 @@ def quotient_member(p: MagidorCondition, witness) -> bool:
                 if pred is None:
                     return False
                 exps = cnf_difference(pred, cand)
-                if not _witnesses_exist(
-                    u, exps[:-1], pred, cand, within=b.measure_set
-                ):
+                if _least_witnesses(exps[:-1], pred, b.measure_set, cand) is None:
                     return False
         prev = b.kappa
     return True

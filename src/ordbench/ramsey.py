@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Hashable
@@ -31,6 +32,12 @@ __all__ = ["FiniteProductFn", "homogenize", "important_coordinates"]
 # rebuild a ranking at every switch. A ranking has one mask per sub-product,
 # so the cache never holds more than two calls' worth of masks.
 _CACHE_SIZE = 2
+
+# The most sub-products one search may rank. Ranking materialises and
+# sorts every one of them, so a larger input is refused up front rather
+# than left to exhaust memory; factors of 8, 8 and 2 elements with min
+# sizes 0 make exactly this many.
+MAX_SUBPRODUCTS = 2**18
 
 
 def _bits(factors) -> list[list[tuple[int, object]]]:
@@ -70,6 +77,14 @@ def _tuples(factors: tuple[tuple, ...]) -> list[tuple[tuple, int]]:
 def _ranked(factors: tuple[tuple, ...], min_sizes: tuple[int, ...]) -> tuple[int, ...]:
     """Masks of the sub-products with at least `min_sizes` elements per
     factor, by decreasing total size, then lexicographic sub-factors."""
+    count = math.prod(
+        sum(math.comb(len(f), k) for k in range(m, len(f) + 1))
+        for f, m in zip(factors, min_sizes)
+    )
+    if count > MAX_SUBPRODUCTS:
+        raise ValueError(
+            f"{count} sub-products to search, more than the cap of {MAX_SUBPRODUCTS}"
+        )
     options = [
         [
             (sum(bit for bit, _ in c), tuple(x for _, x in c))

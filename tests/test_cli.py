@@ -259,11 +259,13 @@ _STRUCTURE = json.dumps(
          "--structure", _STRUCTURE],
         ["ramsey", "homog", json.dumps({"factors": [[1], [3]], "table": [
             {"args": [1, 3], "value": 0}]}), "--min-sizes=-1,1"],
+        ["ramsey", "important", json.dumps({"factors": [list(range(19))], "table": [
+            {"args": [x], "value": 0} for x in range(19)]}), "--min-sizes", "0"],
     ],
     ids=[
         "list-condition", "int-blocks", "gamma-list-condition", "deep-literal", "deep-json",
         "str-trunk", "bool-trunk", "str-depth", "float-node", "str-set-member",
-        "object-fn-value", "object-graph-value", "negative-min-size",
+        "object-fn-value", "object-graph-value", "negative-min-size", "oversized-ramsey",
     ],
 )
 def test_malformed_input_exits_2(argv, capsys):

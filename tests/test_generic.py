@@ -73,6 +73,24 @@ def test_in_filter_missing_interval_point():
     assert not in_filter(q, CanonicalSequence(u.lambda0))
 
 
+@pytest.mark.parametrize(
+    "blocks, restrict, expected",
+    [
+        ([("w+1", None), ("w^2", "(w+1,w^2)")], None, False),
+        ([("w", "[1,w)"), ("w^2", "(w,w^2)")], None, True),
+        ([("w", "[0,w)"), ("w^2", "(w,w^2)")], "[0,w) u (w,w^2)", False),
+    ],
+    ids=["bare-block-above-sequence-points", "zero-unconstrained", "named-point-off-sequence"],
+)
+def test_in_filter_blockwise(blocks, restrict, expected):
+    u = canon_universe("w^2")
+    p = MagidorCondition(
+        u, tuple(Block(o(k), None if B is None else parse_set(B)) for k, B in blocks)
+    )
+    seq = CanonicalSequence(u.lambda0, None if restrict is None else parse_set(restrict))
+    assert in_filter(p, seq) is expected
+
+
 def test_in_filter_canonical_extensions(rng):
     for lam in ("w^2", "w^3", "w^3*2+w"):
         u = canon_universe(lam)

@@ -28,6 +28,7 @@ from ordbench.magidor import (
 )
 from ordbench.ordinal import ZERO
 from ordbench.oset import OrdinalSet, parse_set
+from ordbench.projection import ICondition, IndexSet, leq_I, validate_I
 from ordbench.universe import ToyUniverse
 
 from conftest import (
@@ -67,6 +68,46 @@ def test_validate_min_clause(u3):
     top = Block(u3.lambda0, OrdinalSet.interval(o("w*2+1"), u3.lambda0))
     p = MagidorCondition(u3, (b1, bad, top))
     assert any("min of measure set" in v for v in validate(p))
+
+
+def _blocks(spec):
+    return tuple(Block(o(k), None if B is None else parse_set(B)) for k, B in spec)
+
+
+@pytest.mark.parametrize(
+    "blocks, violation",
+    [
+        ([("w", "[0,w)"), ("w*2", "[w+1,w*2+1)")], "measure set not below its point"),
+        ([("w", "[0,w)"), ("w*2", "[w,w*2)")], "min of measure set not above previous point"),
+        ([("w^2", "[w,w^2)")], "measure set not in stratified (star-closed) form"),
+    ],
+    ids=["past-its-point", "min-at-previous", "not-star-closed"],
+)
+def test_set_clause_in_both_forcings(u3, blocks, violation):
+    """The measure-set clause, reported by both validity checks (every
+    position is a limit position of the full index set)."""
+    last = o(blocks[-1][0])
+    top = Block(u3.lambda0, OrdinalSet.interval(last.successor(), u3.lambda0))
+    bs = _blocks(blocks) + (top,)
+    assert any(violation in v for v in validate(MagidorCondition(u3, bs)))
+    assert any(violation in v for v in validate_I(ICondition(u3, IndexSet(u3.ground()), bs)))
+
+
+@pytest.mark.parametrize(
+    "p_spec, q_spec",
+    [
+        ([("w", "[0,w)"), ("w^3", "(w,w^3)")], [("w", "[0,w)"), ("w^3", "[w,w^3)")]),
+        ([("w+1", None), ("w^3", "(w+1,w^3)")], [("w+1", "[0,w+1)"), ("w^3", "(w+1,w^3)")]),
+        ([("w^3", "[w+2,w^3)")], [("w+1", None), ("w^3", "[w+2,w^3)")]),
+    ],
+    ids=["top-set-grows", "bare-point-gets-a-set", "new-point-outside-enclosing-set"],
+)
+def test_order_clauses_in_both_forcings(u3, p_spec, q_spec):
+    """Clauses the two orders share: q fails each, in both forcings."""
+    p, q = _blocks(p_spec), _blocks(q_spec)
+    assert not leq(MagidorCondition(u3, p), MagidorCondition(u3, q))
+    I = IndexSet(u3.ground())
+    assert not leq_I(ICondition(u3, I, p), ICondition(u3, I, q))
 
 
 def test_validate_bare_iff_zero_order(u3):
