@@ -49,9 +49,6 @@ class Block:
     kappa: Ordinal
     measure_set: OrdinalSet | None = None
 
-    def is_bare(self) -> bool:
-        return self.measure_set is None
-
 
 @dataclass(frozen=True)
 class ExtensionType:

@@ -6,6 +6,17 @@ denotes {g in [lo, hi) | o_L(g) in levels} (with o_L(0) read as 0).
 Plain pieces (levels=None) work anywhere below epsilon_0; filtered pieces
 are confined to regions below w^w, where the set of feasible levels of an
 interval is finite and enumerable.  All operations are exact.
+
+The stored pieces are in normal form, and the queries and restrictions
+walk them in place rather than rebuilding a set.  They rely on these
+invariants:
+
+- the pieces are sorted and pairwise disjoint;
+- each piece is reduced (its filter holds only levels it realizes, and a
+  filter holding all of them is stored as plain) and non-empty;
+- two touching pieces have different filters, and their junction sits at
+  a distinguishing point: the later piece's least point is of a level that
+  one filter allows and the other does not.
 """
 
 from __future__ import annotations
@@ -128,13 +139,18 @@ class Piece:
         return self.levels is None or olim(g) in self.levels
 
     def min_element(self) -> Ordinal | None:
-        if self.hi <= self.lo:
+        return self.least_from(self.lo)
+
+    def least_from(self, x: Ordinal) -> Ordinal | None:
+        """Least element >= x."""
+        lo = x if x > self.lo else self.lo
+        if self.hi <= lo:
             return None
         if self.levels is None:
-            return self.lo
+            return lo
         best: Ordinal | None = None
         for xi in self.levels:
-            cand = least_in_level(xi, self.lo)
+            cand = least_in_level(xi, lo)
             if cand < self.hi and (best is None or cand < best):
                 best = cand
         return best
@@ -175,6 +191,13 @@ class OrdinalSet:
 
     def __init__(self, pieces: tuple[Piece, ...] = ()):
         object.__setattr__(self, "pieces", _normalize(tuple(pieces)))
+
+    @classmethod
+    def _of_normal(cls, pieces: tuple[Piece, ...]) -> "OrdinalSet":
+        """Wrap pieces that are already in normal form."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "pieces", pieces)
+        return s
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("OrdinalSet is immutable")
@@ -225,7 +248,10 @@ class OrdinalSet:
         return not self.pieces
 
     def __contains__(self, g: Ordinal) -> bool:
-        return any(p.contains(g) for p in self.pieces)
+        for p in self.pieces:
+            if g < p.hi:
+                return p.contains(g)
+        return False
 
     def __repr__(self):
         return f"OrdinalSet({format_set(self)!r})"
@@ -245,22 +271,30 @@ class OrdinalSet:
 
     def restrict_below(self, b: Ordinal) -> "OrdinalSet":
         """self ∩ [0, b)."""
-        out = []
-        for p in self.pieces:
-            if p.lo >= b:
-                break
-            out.append(Piece(p.lo, min(p.hi, b), p.levels))
-        return OrdinalSet(tuple(out))
+        pieces = self.pieces
+        for i, p in enumerate(pieces):
+            if p.hi > b:
+                if p.lo >= b:
+                    return OrdinalSet._of_normal(pieces[:i])
+                # Re-reducing the cut piece keeps its junction pinned: the
+                # junction's point lies below b, so its level stays feasible.
+                return OrdinalSet._of_normal(
+                    pieces[:i] + _rejoin(Piece(p.lo, b, p.levels), ())
+                )
+        return self
 
     def restrict_above(self, b: Ordinal) -> "OrdinalSet":
         """self ∩ (b, ∞)."""
         cut = b.successor()
-        out = []
-        for p in self.pieces:
-            if p.hi <= cut:
-                continue
-            out.append(Piece(max(p.lo, cut), p.hi, p.levels))
-        return OrdinalSet(tuple(out))
+        pieces = self.pieces
+        for i, p in enumerate(pieces):
+            if p.hi > cut:
+                if p.lo >= cut:
+                    return OrdinalSet._of_normal(pieces[i:])
+                return OrdinalSet._of_normal(
+                    _rejoin(Piece(cut, p.hi, p.levels), pieces[i + 1 :])
+                )
+        return OrdinalSet._of_normal(())
 
     # -- queries -----------------------------------------------------------
     def min_element(self) -> Ordinal | None:
@@ -272,7 +306,13 @@ class OrdinalSet:
 
     def min_above(self, floor: Ordinal) -> Ordinal | None:
         """Least element strictly above floor."""
-        return self.restrict_above(floor).min_element()
+        cut = floor.successor()
+        for p in self.pieces:
+            if p.hi > cut:
+                m = p.least_from(cut)
+                if m is not None:
+                    return m
+        return None
 
     def min_in_level_above(self, xi: Ordinal, floor: Ordinal) -> Ordinal | None:
         """Least element of level xi strictly above floor."""
@@ -311,13 +351,24 @@ class OrdinalSet:
         s = self.sup()
         return s[0] if s is not None and s[1] else None
 
+    def sup_below(self, b: Ordinal) -> tuple[Ordinal, bool] | None:
+        """(sup, attained) of self ∩ [0, b); None when that is empty."""
+        last: Piece | None = None
+        for p in self.pieces:
+            if p.lo >= b:
+                break
+            if p.hi > b:
+                s = Piece(p.lo, b, p.levels).sup()
+                if s is not None:
+                    return s
+                break
+            last = p
+        return None if last is None else last.sup()
+
     def is_bounded_below(self, b: Ordinal) -> bool:
         """True iff sup(self ∩ [0,b)) < b (the tail-largeness test)."""
-        s = self.restrict_below(b).sup()
+        s = self.sup_below(b)
         return s is None or s[0] < b
-
-    def is_cofinal_in(self, b: Ordinal) -> bool:
-        return not self.is_bounded_below(b)
 
     def closure_points(self, top: Ordinal) -> "OrdinalSet":
         """{a <= top | a > 0, sup(self ∩ a) = a}; needs the w^w level cap."""
@@ -338,12 +389,13 @@ class OrdinalSet:
     def enumerate(self, limit: int) -> list[Ordinal]:
         """First `limit` elements in increasing order."""
         out: list[Ordinal] = []
-        cur: Ordinal | None = None
-        while len(out) < limit:
-            cur = self.min_element() if cur is None else self.min_above(cur)
-            if cur is None:
-                break
-            out.append(cur)
+        for p in self.pieces:
+            cur = p.min_element()
+            while cur is not None:
+                if len(out) >= limit:
+                    return out
+                out.append(cur)
+                cur = p.least_from(cur.successor())
         return out
 
     def otp(self) -> Ordinal:
@@ -408,14 +460,16 @@ def _g_omega_power(e: Ordinal, levels: frozenset[Ordinal]) -> Ordinal:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_piece(p: Piece) -> Piece:
+def _reduce_piece(p: Piece) -> Piece | None:
+    """p with its filter cut to the levels it realizes, plain when that is
+    every feasible level; None when p is empty."""
     if p.levels is None:
         return p
     feas = set(feasible_levels(p.lo, p.hi))
     kept = frozenset(xi for xi in p.levels if xi in feas)
     if kept == feas:
         return Piece(p.lo, p.hi, None)
-    return Piece(p.lo, p.hi, kept)
+    return Piece(p.lo, p.hi, kept) if kept else None
 
 
 def _merge_once(pieces: list[Piece]) -> list[Piece]:
@@ -490,42 +544,72 @@ def _normalize(pieces: tuple[Piece, ...]) -> tuple[Piece, ...]:
             for p in covering:
                 merged |= p.levels  # type: ignore[arg-type]
             levels = frozenset(merged)
-        piece = _reduce_piece(Piece(lo, hi, levels))
-        if not piece.is_empty():
-            spans.append(piece)
-    # Pin junctions, merge, then re-reduce (merging widens feasibility),
-    # to a fixpoint.
-    cur = spans
+        spans.append(Piece(lo, hi, levels))
+    return _settle(spans)
+
+
+def _settle(spans: list[Piece]) -> tuple[Piece, ...]:
+    """Normal form of sorted, disjoint pieces: reduce each, then pin
+    junctions, merge and re-reduce (merging widens feasibility, a pushed
+    junction narrows it), dropping emptied pieces, to a fixpoint."""
+    cur = [q for q in map(_reduce_piece, spans) if q is not None]
     while True:
-        nxt = [_reduce_piece(p) for p in _merge_once(_push_junctions(cur))]
+        nxt = [q for q in map(_reduce_piece, _merge_once(_push_junctions(cur))) if q is not None]
         if nxt == cur:
             return tuple(nxt)
         cur = nxt
 
 
-def _combine(a: OrdinalSet, b: OrdinalSet, op: str) -> OrdinalSet:
-    bounds: set[Ordinal] = set()
-    for p in list(a.pieces) + list(b.pieces):
-        bounds.add(p.lo)
-        bounds.add(p.hi)
-    cuts = sorted(bounds)
-    out: list[Piece] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        la = _span_levels(a, lo, hi)
-        lb = _span_levels(b, lo, hi)
-        lvl = _level_op(la, lb, op, lo, hi)
-        if lvl == "none":
+def _rejoin(head: Piece, rest: tuple[Piece, ...]) -> tuple[Piece, ...]:
+    """Normal form of `head` followed by the normal pieces `rest`, with
+    head below rest[0]: re-reduce head, then re-pin junctions rightward
+    until one still holds; the pieces after it are kept verbatim.
+
+    Extending a reduced piece to the right keeps it reduced (its levels
+    stay feasible and the feasible set only grows), so only the piece
+    starting at a moved junction is reduced again."""
+    done: list[Piece] = []
+    cur = _reduce_piece(head)
+    i = 0
+    while cur is not None:
+        if i == len(rest) or cur.hi != rest[i].lo:
+            break
+        p = rest[i]
+        i += 1
+        if cur.levels == p.levels:
+            cur = _reduce_piece(Piece(cur.lo, p.hi, p.levels))
             continue
-        out.append(Piece(lo, hi, lvl))  # type: ignore[arg-type]
-    return OrdinalSet(tuple(out))
+        e = _least_distinguishing_point(p.lo, p.hi, cur.levels, p.levels)
+        if e == p.lo:
+            return (*done, cur, *rest[i - 1 :])
+        if e is None:
+            e = p.hi
+        cur = Piece(cur.lo, e, cur.levels)
+        if e < p.hi:
+            done.append(cur)
+            cur = _reduce_piece(Piece(e, p.hi, p.levels))
+    if cur is not None:
+        done.append(cur)
+    return (*done, *rest[i:])
 
 
-def _span_levels(s: OrdinalSet, lo: Ordinal, hi: Ordinal):
-    """Coverage of an elementary span: 'none', None (all) or a frozenset."""
-    for p in s.pieces:
-        if p.lo <= lo and hi <= p.hi:
-            return p.levels
-    return "none"
+def _combine(a: OrdinalSet, b: OrdinalSet, op: str) -> OrdinalSet:
+    """One merge of the two sorted piece lists over their common cuts."""
+    pa, pb = a.pieces, b.pieces
+    cuts = sorted({x for p in pa + pb for x in (p.lo, p.hi)})
+    out: list[Piece] = []
+    ia = ib = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        while ia < len(pa) and pa[ia].hi <= lo:
+            ia += 1
+        while ib < len(pb) and pb[ib].hi <= lo:
+            ib += 1
+        la = pa[ia].levels if ia < len(pa) and pa[ia].lo <= lo else "none"
+        lb = pb[ib].levels if ib < len(pb) and pb[ib].lo <= lo else "none"
+        lvl = _level_op(la, lb, op, lo, hi)
+        if lvl != "none":
+            out.append(Piece(lo, hi, lvl))  # type: ignore[arg-type]
+    return OrdinalSet._of_normal(_settle(out))
 
 
 def _level_op(la, lb, op: str, lo: Ordinal, hi: Ordinal):

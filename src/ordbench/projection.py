@@ -76,14 +76,16 @@ class IndexSet:
             return False
         if g.is_zero:
             return True  # sup of the empty set is 0
-        return not self.points.restrict_below(g).is_bounded_below(g)
+        s = self.points.sup_below(g)
+        return s is not None and s[0] >= g
 
     def in_succ(self, g: Ordinal) -> bool:
         return g in self.points and not self.in_lim(g)
 
     def pred(self, g: Ordinal) -> Ordinal | None:
         """Greatest member strictly below g, when attained."""
-        return self.points.restrict_below(g).max_element()
+        s = self.points.sup_below(g)
+        return s[0] if s is not None and s[1] else None
 
     def clause_pred(self, g: Ordinal) -> Ordinal | None:
         """Predecessor for the linkage clauses; 0 stands in below the minimum.
@@ -91,26 +93,17 @@ class IndexSet:
         None means the members below g have an unattained supremum, which
         only happens for index sets that are not closed below their sup.
         """
-        below = self.points.restrict_below(g)
-        if below.is_empty():
+        s = self.points.sup_below(g)
+        if s is None:
             return ZERO
-        return below.max_element()
+        return s[0] if s[1] else None
 
     def min_level_above(self, xi: Ordinal, floor: Ordinal) -> Ordinal | None:
         return self.points.min_in_level_above(xi, floor)
 
     def min_in_open(self, lo: Ordinal, hi: Ordinal) -> Ordinal | None:
-        return self.points.restrict_above(lo).restrict_below(hi).min_element()
-
-    def lim_points(self, top: Ordinal) -> OrdinalSet:
-        """Materialized Lim(I) below top (reports and the CLI)."""
-        cl = self.points.closure_points(top).intersect(self.points)
-        if ZERO in self.points:
-            cl = cl.union(OrdinalSet.singleton(ZERO))
-        return cl.restrict_below(top)
-
-    def succ_points(self, top: Ordinal) -> OrdinalSet:
-        return self.points.restrict_below(top).difference(self.lim_points(top))
+        m = self.points.min_above(lo)
+        return m if m is not None and m < hi else None
 
 
 @dataclass(frozen=True)
@@ -548,8 +541,8 @@ def _succ_gap_candidates(I: IndexSet, lo: Ordinal, hi: Ordinal) -> list[Ordinal]
     out = []
     window = I.points.restrict_above(lo).restrict_below(hi)
     for p in window.pieces:
-        m = OrdinalSet((p,)).min_element()
-        if m is not None and I.in_succ(m):
+        m = p.min_element()
+        if I.in_succ(m):
             out.append(m)
     return out
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from ordbench.errors import LargenessViolated
 from ordbench.magidor import Block, MagidorCondition, extend
@@ -19,8 +21,15 @@ from ordbench.ordinal import (
     omega_power,
     parse_ordinal,
 )
-from ordbench.oset import OrdinalSet
+from ordbench.oset import OrdinalSet, Piece
 from ordbench.universe import ToyUniverse
+
+# Example counts stay per test; no property here has a deadline, and the
+# condition generators are slow enough to trip the too_slow health check.
+settings.register_profile(
+    "ordbench", deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+settings.load_profile("ordbench")
 
 
 def o(text: str) -> Ordinal:
@@ -179,3 +188,17 @@ def small_ordinals_below(bound: Ordinal, count: int) -> list[Ordinal]:
                         out.append(g)
     out.sort()
     return out[:count]
+
+
+SET_TOP = parse_ordinal("w^3*3")
+
+
+@st.composite
+def ordinal_sets(draw, max_pieces: int = 4) -> OrdinalSet:
+    """Unions of a few plain and level-filtered pieces below w^3*3, drawn
+    piece by piece so that a failure shrinks to few pieces."""
+    dom = small_ordinals_below(SET_TOP, 550)
+    ends = st.sampled_from(dom)
+    levels = st.none() | st.frozensets(st.integers(0, 3).map(from_int), max_size=3)
+    drawn = draw(st.lists(st.tuples(ends, ends, levels), max_size=max_pieces))
+    return OrdinalSet(tuple(Piece(min(a, b), max(a, b), lv) for a, b, lv in drawn))

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordbench import io
@@ -72,6 +72,13 @@ def test_set_ops_and_exit_codes(capsys):
     assert code == 1
     code, doc = machine(["set", "inter", "[0,w)", "[5,w^2)"], capsys)
     assert io.set_from_json(doc["result"]) == parse_set("[5,w)")
+
+
+def test_set_union_drops_emptied_piece(capsys):
+    # Pinning the junction at w leaves [w,w+1)@{0}, which holds no point.
+    code, out = run(["set", "union", "[0,1)", "[0,w+1)@{0}"], capsys)
+    assert code == 0
+    assert out.strip() == "[0,w)"
 
 
 def test_set_stratum(uni_doc, capsys):
@@ -282,7 +289,7 @@ _json_values = st.recursive(
 )
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150)
 @given(
     doc=_json_values,
     verb=st.sampled_from([

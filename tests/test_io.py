@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordbench import io
@@ -57,9 +57,7 @@ def filtered_sets(draw) -> OrdinalSet:
     return OrdinalSet(tuple(pieces))
 
 
-_settings = settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
+_settings = settings(max_examples=60)
 
 
 @_settings

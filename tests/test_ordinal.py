@@ -260,7 +260,7 @@ ordinals = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(ordinals, ordinals)
 def test_key_order_matches_cnf_oracle(a, b):
     sign = _cnf_compare(a, b)
@@ -268,7 +268,7 @@ def test_key_order_matches_cnf_oracle(a, b):
     assert (a < b, a <= b, a > b, a >= b) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(ordinals, ordinals)
 def test_equal_ordinals_are_identical(a, b):
     assert (a == b) == (a is b) == (_cnf_compare(a, b) == 0)
@@ -276,7 +276,7 @@ def test_equal_ordinals_are_identical(a, b):
     assert add(ZERO, a) is a
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(ordinals)
 def test_hash_pickle_and_deepcopy_keep_identity(a):
     assert hash(a) == hash(Ordinal(a.terms))

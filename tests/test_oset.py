@@ -3,20 +3,25 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ordbench.errors import UnsupportedRegion
-from ordbench.ordinal import ZERO, add
+from ordbench.ordinal import ONE, ZERO, add
 from ordbench.oset import (
     OrdinalSet,
     Piece,
+    _level_op,
+    _normalize,
     format_set,
     least_in_level,
     level_sup_below,
     olim,
     parse_set,
 )
+from ordbench.projection import IndexSet
 
-from conftest import W, W2, W3, nat, o, small_ordinals_below
+from conftest import W, W2, W3, nat, o, ordinal_sets, small_ordinals_below
 
 DOMAIN = small_ordinals_below(o("w^3*3"), 550)
 
@@ -249,3 +254,144 @@ def test_unsupported_region_guard():
     # ... but level filters cannot be created there.
     with pytest.raises(UnsupportedRegion):
         OrdinalSet.stratum_piece(ZERO, o("w^w"), nat(1))
+
+
+# ---------------------------------------------------------------------------
+# The rebuild-then-query code the piece walks replaced, kept as the oracle:
+# every restriction rebuilds and renormalises a whole set, and every query
+# reads its answer off such a set.
+# ---------------------------------------------------------------------------
+
+
+def old_restrict_below(s: OrdinalSet, b) -> OrdinalSet:
+    out = []
+    for p in s.pieces:
+        if p.lo >= b:
+            break
+        out.append(Piece(p.lo, min(p.hi, b), p.levels))
+    return OrdinalSet(tuple(out))
+
+
+def old_restrict_above(s: OrdinalSet, b) -> OrdinalSet:
+    cut = b.successor()
+    out = []
+    for p in s.pieces:
+        if p.hi <= cut:
+            continue
+        out.append(Piece(max(p.lo, cut), p.hi, p.levels))
+    return OrdinalSet(tuple(out))
+
+
+def _old_span_levels(s: OrdinalSet, lo, hi):
+    for p in s.pieces:
+        if p.lo <= lo and hi <= p.hi:
+            return p.levels
+    return "none"
+
+
+def old_combine(a: OrdinalSet, b: OrdinalSet, op: str) -> OrdinalSet:
+    cuts = sorted({x for p in a.pieces + b.pieces for x in (p.lo, p.hi)})
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        lvl = _level_op(_old_span_levels(a, lo, hi), _old_span_levels(b, lo, hi), op, lo, hi)
+        if lvl != "none":
+            out.append(Piece(lo, hi, lvl))
+    return OrdinalSet(tuple(out))
+
+
+def old_sup_below(s: OrdinalSet, b):
+    return old_restrict_below(s, b).sup()
+
+
+def old_min_above(s: OrdinalSet, floor):
+    return old_restrict_above(s, floor).min_element()
+
+
+def old_enumerate(s: OrdinalSet, limit: int):
+    out, cur = [], None
+    while len(out) < limit:
+        cur = s.min_element() if cur is None else old_min_above(s, cur)
+        if cur is None:
+            break
+        out.append(cur)
+    return out
+
+
+def old_in_lim(points: OrdinalSet, g) -> bool:
+    if g not in points:
+        return False
+    if g.is_zero:
+        return True
+    s = old_restrict_below(old_restrict_below(points, g), g).sup()
+    return not (s is None or s[0] < g)
+
+
+def old_pred(points: OrdinalSet, g):
+    return old_restrict_below(points, g).max_element()
+
+
+def old_clause_pred(points: OrdinalSet, g):
+    below = old_restrict_below(points, g)
+    return ZERO if below.is_empty() else below.max_element()
+
+
+def old_min_in_open(points: OrdinalSet, lo, hi):
+    return old_restrict_below(old_restrict_above(points, lo), hi).min_element()
+
+
+@st.composite
+def sets_and_cuts(draw, cuts: int = 1):
+    """A set with cut points drawn from the grid or from its own piece
+    bounds and their neighbours, where the junction cases live."""
+    s = draw(ordinal_sets())
+    near = [g for p in s.pieces for x in (p.lo, p.hi) for g in (x, x.successor())]
+    near += [p.lo.predecessor() for p in s.pieces if p.lo.is_successor]
+    point = st.sampled_from(DOMAIN) | (st.sampled_from(near) if near else st.nothing())
+    return (s, *(draw(point) for _ in range(cuts)))
+
+
+@settings(max_examples=300)
+@given(ordinal_sets())
+# Pinning the junction at w once left the empty piece [w,w+1)@{0} behind.
+@example(OrdinalSet((Piece(ZERO, ONE), Piece(ZERO, o("w+1"), frozenset((ZERO,))))))
+def test_normal_form_is_idempotent(s):
+    assert _normalize(s.pieces) == s.pieces
+    assert all(p.levels is None or p.levels for p in s.pieces)
+
+
+@settings(max_examples=300)
+@given(sets_and_cuts())
+def test_restrictions_match_rebuild(case):
+    s, b = case
+    assert s.restrict_below(b).pieces == old_restrict_below(s, b).pieces
+    assert s.restrict_above(b).pieces == old_restrict_above(s, b).pieces
+
+
+@settings(max_examples=300)
+@given(ordinal_sets(), ordinal_sets())
+def test_combine_matches_span_scan(a, b):
+    assert a.union(b).pieces == old_combine(a, b, "union").pieces
+    assert a.intersect(b).pieces == old_combine(a, b, "inter").pieces
+    assert a.difference(b).pieces == old_combine(a, b, "diff").pieces
+
+
+@settings(max_examples=300)
+@given(sets_and_cuts())
+def test_set_walks_match_rebuild(case):
+    s, b = case
+    sup = old_sup_below(s, b)
+    assert s.sup_below(b) == sup
+    assert s.is_bounded_below(b) == (sup is None or sup[0] < b)
+    assert s.min_above(b) == old_min_above(s, b)
+    assert s.enumerate(12) == old_enumerate(s, 12)
+
+
+@settings(max_examples=300)
+@given(sets_and_cuts(cuts=2))
+def test_index_set_walks_match_rebuild(case):
+    s, g, h = case
+    I = IndexSet(s)
+    assert I.in_lim(g) == old_in_lim(s, g)
+    assert I.pred(g) == old_pred(s, g)
+    assert I.clause_pred(g) == old_clause_pred(s, g)
+    assert I.min_in_open(g, h) == old_min_in_open(s, g, h)

@@ -118,14 +118,14 @@ def searches(draw):
     return F, min_sizes
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(searches())
 def test_homogenize_matches_scan(search):
     F, min_sizes = search
     assert homogenize(F, min_sizes) == _scan_homogenize(F, min_sizes)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(searches())
 def test_important_matches_scan(search):
     F, min_sizes = search
@@ -156,7 +156,7 @@ _json_values = st.recursive(
 ).map(io.hashable)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(product_fns(_json_values))
 def test_product_fn_json_round_trip(F):
     doc = io.product_fn_to_json(F)
