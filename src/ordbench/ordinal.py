@@ -6,6 +6,14 @@ coefficients.  The empty sum is 0.  Values are immutable and hash-consed:
 two equal ordinals are the same object, so equality is identity.  Each
 ordinal carries a native key, a nested tuple whose Python order is the
 ordinal order.
+
+Construction invariant: every ordinal is made by `_make(terms, key)`,
+which probes the intern table by key first and returns on a hit.  Only a
+key new to the table is validated, once, where it enters the table, so
+the table never holds an invalid key.  The operations (`add`,
+`predecessor`, `left_subtract`, `mul_nat`, `omega_power`, `from_int` and
+the parser) compute the result key by slicing and concatenating operand
+keys, and build terms only on a miss.
 """
 
 from __future__ import annotations
@@ -34,8 +42,38 @@ __all__ = [
 ]
 
 # key -> the one live Ordinal with that key.  Weak, so ordinals no longer
-# referenced elsewhere leave the table.
+# referenced elsewhere leave the table.  `_probe` reads the table's own
+# dict, which maps a key to a weak reference.
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_probe = _INTERNED.data.get
+
+
+def _make(terms: tuple | None, key: tuple) -> "Ordinal":
+    """The interned ordinal with this key, whose terms are `terms`.
+
+    `terms` may be None when every exponent key in `key` is the key of a
+    live ordinal (true of keys sliced from operands); the terms are then
+    read back from the table, on a miss only.
+    """
+    ref = _probe(key)
+    if ref is not None:
+        self = ref()
+        if self is not None:
+            return self
+    for i, (e, c) in enumerate(key):
+        if c < 1:
+            raise ValueError("coefficients must be >= 1")
+        if i > 0 and key[i - 1][0] <= e:
+            raise ValueError("exponents must be strictly decreasing")
+    if terms is None:
+        terms = tuple([(_probe(e)(), c) for e, c in key])
+    self = object.__new__(Ordinal)
+    _init = object.__setattr__
+    _init(self, "terms", terms)
+    _init(self, "key", key)
+    _init(self, "_hash", hash(key))
+    _INTERNED[key] = self
+    return self
 
 
 class Ordinal:
@@ -51,23 +89,9 @@ class Ordinal:
     key: tuple
 
     def __new__(cls, terms: tuple[tuple["Ordinal", int], ...] = ()):
-        key = tuple((e.key, c) for e, c in terms)
-        self = _INTERNED.get(key)
-        if self is not None:
-            # Only validated terms ever produce a key in the table.
-            return self
-        for i, (e, c) in enumerate(key):
-            if c < 1:
-                raise ValueError("coefficients must be >= 1")
-            if i > 0 and key[i - 1][0] <= e:
-                raise ValueError("exponents must be strictly decreasing")
-        self = object.__new__(cls)
-        _init = object.__setattr__
-        _init(self, "terms", tuple(terms))
-        _init(self, "key", key)
-        _init(self, "_hash", hash(key))
-        _INTERNED[key] = self
-        return self
+        # Read the terms once: the key and the new ordinal both need them.
+        terms = tuple(terms)
+        return _make(terms, tuple([(e.key, c) for e, c in terms]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Ordinal is immutable: cannot set {name!r}")
@@ -138,13 +162,12 @@ class Ordinal:
 
     def predecessor(self) -> "Ordinal":
         """The unique b with b+1 = self; only successors have one."""
-        if not self.is_successor:
+        key = self.key
+        # A successor's last exponent is 0, whose key is ().
+        if not key or key[-1][0]:
             raise ValueError(f"{self} is not a successor")
-        e, c = self.terms[-1]
-        head = self.terms[:-1]
-        if c > 1:
-            return Ordinal(head + ((e, c - 1),))
-        return Ordinal(head)
+        c = key[-1][1]
+        return _make(None, key[:-1] + (((), c - 1),) if c > 1 else key[:-1])
 
 
 ZERO = Ordinal()
@@ -155,12 +178,12 @@ OMEGA = Ordinal(((ONE, 1),))
 def from_int(n: int) -> Ordinal:
     if n < 0:
         raise ValueError("ordinals are non-negative")
-    return Ordinal(((ZERO, n),)) if n else ZERO
+    return _make(None, (((), n),)) if n else ZERO
 
 
 def omega_power(e: Ordinal) -> Ordinal:
     """w^e as a single-term ordinal (w^0 = 1)."""
-    return Ordinal(((e, 1),))
+    return _make(None, ((e.key, 1),))
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
@@ -171,33 +194,29 @@ def compare(a: Ordinal, b: Ordinal) -> int:
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum: terms of a below b's leading exponent are absorbed."""
-    bt = b.terms
-    if not bt:
+    bk = b.key
+    if not bk:
         return a
-    at = a.terms
-    if not at:
-        return b
     ak = a.key
-    lead = b.key[0][0]
-    i = 0
-    while i < len(ak) and ak[i][0] > lead:
+    lead = bk[0][0]
+    i, n = 0, len(ak)
+    while i < n and ak[i][0] > lead:
         i += 1
-    if i < len(at) and at[i][0] is bt[0][0]:
-        return Ordinal(at[:i] + ((bt[0][0], at[i][1] + bt[0][1]),) + bt[1:])
-    return Ordinal(at[:i] + bt)
+    if i < n and ak[i][0] == lead:
+        return _make(None, ak[:i] + ((lead, ak[i][1] + bk[0][1]),) + bk[1:])
+    return _make(None, ak[:i] + bk) if i else b
 
 
 def mul_nat(a: Ordinal, n: int) -> Ordinal:
     """a*n for a natural multiplier (right factor)."""
     if n < 0:
         raise ValueError("multiplier must be >= 0")
-    if n == 0 or a.is_zero:
+    key = a.key
+    if n == 0 or not key:
         return ZERO
-    # (w^e*c + rest)*n = w^e*(c*(n-1)) + a  for n >= 1.
-    e, c = a.terms[0]
-    if len(a.terms) == 1:
-        return Ordinal(((e, c * n),))
-    return add(Ordinal(((e, c * (n - 1)),)), a)
+    # (w^e*c + rest)*n = w^e*(c*n) + rest  for n >= 1.
+    e, c = key[0]
+    return _make(None, ((e, c * n),) + key[1:])
 
 
 def mul_omega(a: Ordinal) -> Ordinal:
@@ -214,18 +233,24 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
         raise DifferenceUndefined(f"{a} > {b}")
     if cmp == 0:
         return ZERO
+    bt, bk = b.terms, b.key
     for i, (ea, ca) in enumerate(a.terms):
-        eb, cb = b.terms[i]
+        eb, cb = bt[i]
         c = compare(ea, eb)
         if c < 0:
             # a's remaining terms are absorbed by b's i-th term.
-            return Ordinal(b.terms[i:])
+            return _make(None, bk[i:])
         if c == 0 and ca != cb:
             # b continues with a larger coefficient at the same exponent.
-            return Ordinal(((eb, cb - ca),) + b.terms[i + 1 :])
+            return _make(None, ((bk[i][0], cb - ca),) + bk[i + 1 :])
         if c > 0:  # pragma: no cover - impossible for a < b
             raise DifferenceUndefined(f"{a} > {b}")
-    return Ordinal(b.terms[len(a.terms) :])
+    return _make(None, bk[len(a.terms) :])
+
+
+# Most exponents `cnf_difference` lists (one per unit of coefficient), so a
+# difference such as 0 to 10^12 is refused before its list is allocated.
+MAX_DIFFERENCE_TERMS = 2**18
 
 
 def cnf_difference(a: Ordinal, b: Ordinal) -> list[Ordinal]:
@@ -234,6 +259,11 @@ def cnf_difference(a: Ordinal, b: Ordinal) -> list[Ordinal]:
     Coefficients are expanded into repeated exponents; empty for a = b.
     """
     d = left_subtract(a, b)
+    count = sum(c for _, c in d.key)
+    if count > MAX_DIFFERENCE_TERMS:
+        raise ValueError(
+            f"{count} exponents in the difference, more than the cap of {MAX_DIFFERENCE_TERMS}"
+        )
     out: list[Ordinal] = []
     for e, c in d.terms:
         out.extend([e] * c)
@@ -265,7 +295,7 @@ def classify(a: Ordinal) -> str:
 # the value is the left-to-right ordinal sum of the terms.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(w)|(\^)|(\*)|(\+)|(\()|(\)))")
+_TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
 
 # Deepest parenthesised exponent a literal may nest; the parser recurses
 # once per level, so deeper input would exhaust the interpreter's stack.
@@ -273,26 +303,37 @@ MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent over the literal's tokens, read once up front.
+
+    The tokens are the longest run of `_TOKEN` matches from the start,
+    each beginning where the last ended; after i tokens are taken the
+    position is `ends[i]`, and a None token stands for the rest of the
+    text.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        matches = list(iter(_TOKEN.scanner(text).match, None))
+        self.tokens = [m[1] for m in matches] + [None]
+        self.ends = [0] + [m.end() for m in matches]
+        self.i = 0
         self.depth = 0
+
+    @property
+    def pos(self) -> int:
+        return self.ends[self.i]
 
     def error(self, message: str):
         raise ParseError(message, column=self.pos + 1)
 
     def peek(self) -> str | None:
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            return None
-        return m.group(m.lastindex or 0)
+        return self.tokens[self.i]
 
     def take(self) -> str | None:
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            return None
-        self.pos = m.end()
-        return m.group(m.lastindex or 0)
+        tok = self.tokens[self.i]
+        if tok is not None:
+            self.i += 1
+        return tok
 
     def expect(self, token: str):
         got = self.take()
@@ -328,7 +369,7 @@ class _Parser:
             if c is None or not c.isdigit() or int(c) < 1:
                 self.error("expected a nonzero coefficient after '*'")
             coeff = int(c)
-        return mul_nat(omega_power(exponent), coeff)
+        return _make(None, ((exponent.key, coeff),))
 
     def atom(self) -> Ordinal:
         tok = self.peek()

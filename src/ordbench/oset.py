@@ -155,17 +155,20 @@ class Piece:
                 best = cand
         return best
 
-    def sup(self) -> tuple[Ordinal, bool] | None:
-        """(sup, attained) over the piece; None when empty."""
-        if self.hi <= self.lo:
+    def sup(self, hi: Ordinal | None = None) -> tuple[Ordinal, bool] | None:
+        """(sup, attained) over the piece, or over its part below hi when
+        hi < self.hi is given; None when that is empty."""
+        if hi is None:
+            hi = self.hi
+        if hi <= self.lo:
             return None
         if self.levels is None:
-            if self.hi.is_successor:
-                return self.hi.predecessor(), True
-            return self.hi, False
+            if hi.is_successor:
+                return hi.predecessor(), True
+            return hi, False
         best: tuple[Ordinal, bool] | None = None
         for xi in self.levels:
-            s = level_sup_below(xi, self.hi)
+            s = level_sup_below(xi, hi)
             if s is None:
                 continue
             val, att = s
@@ -248,10 +251,14 @@ class OrdinalSet:
         return not self.pieces
 
     def __contains__(self, g: Ordinal) -> bool:
+        return self.piece_at(g) is not None
+
+    def piece_at(self, g: Ordinal) -> Piece | None:
+        """The piece holding g; None when g is not a member."""
         for p in self.pieces:
             if g < p.hi:
-                return p.contains(g)
-        return False
+                return p if p.contains(g) else None
+        return None
 
     def __repr__(self):
         return f"OrdinalSet({format_set(self)!r})"
@@ -358,7 +365,7 @@ class OrdinalSet:
             if p.lo >= b:
                 break
             if p.hi > b:
-                s = Piece(p.lo, b, p.levels).sup()
+                s = p.sup(b)
                 if s is not None:
                     return s
                 break

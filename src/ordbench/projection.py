@@ -72,10 +72,15 @@ class IndexSet:
 
     def in_lim(self, g: Ordinal) -> bool:
         """Member whose predecessors in the set are cofinal below it."""
-        if g not in self.points:
+        p = self.points.piece_at(g)
+        if p is None:
             return False
         if g.is_zero:
             return True  # sup of the empty set is 0
+        if p.levels is None and p.lo < g:
+            # All of [p.lo, g) is in the set: its sup is g exactly when g
+            # is a limit.
+            return g.is_limit
         s = self.points.sup_below(g)
         return s is not None and s[0] >= g
 

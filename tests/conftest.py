@@ -196,9 +196,22 @@ SET_TOP = parse_ordinal("w^3*3")
 @st.composite
 def ordinal_sets(draw, max_pieces: int = 4) -> OrdinalSet:
     """Unions of a few plain and level-filtered pieces below w^3*3, drawn
-    piece by piece so that a failure shrinks to few pieces."""
+    piece by piece so that a failure shrinks to few pieces.
+
+    Half the draws chain short pieces end to end instead, so that
+    different filters meet at junctions that normalisation has to move,
+    and a moved junction can empty the piece after it.
+    """
     dom = small_ordinals_below(SET_TOP, 550)
     ends = st.sampled_from(dom)
     levels = st.none() | st.frozensets(st.integers(0, 3).map(from_int), max_size=3)
+    if draw(st.booleans()):
+        steps = st.sampled_from((nat(1), nat(2), W, add(W, nat(1)), W2))
+        cut, chain = draw(ends), []
+        for lv in draw(st.lists(levels, min_size=1, max_size=max_pieces)):
+            nxt = add(cut, draw(steps))
+            chain.append(Piece(cut, nxt, lv))
+            cut = nxt
+        return OrdinalSet(tuple(chain))
     drawn = draw(st.lists(st.tuples(ends, ends, levels), max_size=max_pieces))
     return OrdinalSet(tuple(Piece(min(a, b), max(a, b), lv) for a, b, lv in drawn))

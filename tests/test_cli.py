@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,15 @@ def test_ord_diff_machine(capsys):
     assert doc["result"] == ["5", "5", "5", "0", "0", "0", "0", "0"]
     for e in doc["result"]:
         parse_ordinal(e)
+
+
+def test_ord_diff_refuses_a_huge_difference(capsys):
+    start = time.perf_counter()
+    assert main(["ord", "diff", "0", "1000000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than the cap of" in captured.err
 
 
 def test_set_ops_and_exit_codes(capsys):

@@ -6,6 +6,7 @@ import gc
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from ordbench.errors import DifferenceUndefined, ParseError
 from ordbench.ordinal import (
     _INTERNED,
+    MAX_DIFFERENCE_TERMS,
     MAX_NESTING,
     OMEGA,
     ONE,
@@ -30,6 +32,7 @@ from ordbench.ordinal import (
     from_int,
     left_subtract,
     limit_order,
+    mul_nat,
     omega_power,
     ordinal_enumeration,
     parse_ordinal,
@@ -294,6 +297,12 @@ def test_intern_table_is_weak():
     assert key not in _INTERNED
 
 
+def test_constructor_reads_an_iterator_once():
+    e = from_int(77777)
+    a = Ordinal((t for t in [(e, 3)]))
+    assert a.terms == ((e, 3),) and a is parse_ordinal("w^77777*3")
+
+
 def test_ordinals_are_immutable():
     with pytest.raises(AttributeError):
         OMEGA.terms = ()
@@ -334,3 +343,227 @@ def test_constructor_rejects_invalid_terms_when_value_interned():
     live = [parse_ordinal("w^w"), parse_ordinal("w*2"), ZERO]
     _assert_rejected([((ZERO, 0),), ((ONE, 1), (OMEGA, 1)), ((ONE, 1), (ONE, 1))])
     assert all(x.key in _INTERNED for x in live)
+
+
+# -- oracles: the terms-first operations the kernel used before it built ---
+# -- results by key --------------------------------------------------------
+
+
+def _old_add(a: Ordinal, b: Ordinal) -> Ordinal:
+    bt = b.terms
+    if not bt:
+        return a
+    at = a.terms
+    if not at:
+        return b
+    ak = a.key
+    lead = b.key[0][0]
+    i = 0
+    while i < len(ak) and ak[i][0] > lead:
+        i += 1
+    if i < len(at) and at[i][0] is bt[0][0]:
+        return Ordinal(at[:i] + ((bt[0][0], at[i][1] + bt[0][1]),) + bt[1:])
+    return Ordinal(at[:i] + bt)
+
+
+def _old_mul_nat(a: Ordinal, n: int) -> Ordinal:
+    """For n = 1 and a of several terms this built w^e*0 and raised; the
+    properties below check that case against a*1 = a instead."""
+    if n < 0:
+        raise ValueError("multiplier must be >= 0")
+    if n == 0 or a.is_zero:
+        return ZERO
+    e, c = a.terms[0]
+    if len(a.terms) == 1:
+        return Ordinal(((e, c * n),))
+    return _old_add(Ordinal(((e, c * (n - 1)),)), a)
+
+
+def _old_predecessor(a: Ordinal) -> Ordinal:
+    if not a.is_successor:
+        raise ValueError(f"{a} is not a successor")
+    e, c = a.terms[-1]
+    head = a.terms[:-1]
+    if c > 1:
+        return Ordinal(head + ((e, c - 1),))
+    return Ordinal(head)
+
+
+def _old_left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
+    cmp = _cnf_compare(a, b)
+    if cmp > 0:
+        raise DifferenceUndefined(f"{a} > {b}")
+    if cmp == 0:
+        return ZERO
+    for i, (ea, ca) in enumerate(a.terms):
+        eb, cb = b.terms[i]
+        c = _cnf_compare(ea, eb)
+        if c < 0:
+            return Ordinal(b.terms[i:])
+        if c == 0 and ca != cb:
+            return Ordinal(((eb, cb - ca),) + b.terms[i + 1 :])
+    return Ordinal(b.terms[len(a.terms) :])
+
+
+class _OldParser:
+    """The parser that re-ran the token regex at every peek and take."""
+
+    TOKEN = re.compile(r"\s*(?:(\d+)|(w)|(\^)|(\*)|(\+)|(\()|(\)))")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def error(self, message: str):
+        raise ParseError(message, column=self.pos + 1)
+
+    def peek(self):
+        m = self.TOKEN.match(self.text, self.pos)
+        return m.group(m.lastindex or 0) if m else None
+
+    def take(self):
+        m = self.TOKEN.match(self.text, self.pos)
+        if not m:
+            return None
+        self.pos = m.end()
+        return m.group(m.lastindex or 0)
+
+    def expect(self, token: str):
+        got = self.take()
+        if got != token:
+            self.error(f"expected {token!r}, found {got!r}")
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.text) or self.text[self.pos :].isspace()
+
+    def ordinal(self) -> Ordinal:
+        value = self.term()
+        while self.peek() == "+":
+            self.take()
+            value = _old_add(value, self.term())
+        return value
+
+    def term(self) -> Ordinal:
+        tok = self.take()
+        if tok is None:
+            self.error("expected a term")
+        if tok.isdigit():
+            return from_int(int(tok))
+        if tok != "w":
+            self.error(f"unexpected token {tok!r}")
+        exponent = ONE
+        if self.peek() == "^":
+            self.take()
+            exponent = self.atom()
+        coeff = 1
+        if self.peek() == "*":
+            self.take()
+            c = self.take()
+            if c is None or not c.isdigit() or int(c) < 1:
+                self.error("expected a nonzero coefficient after '*'")
+            coeff = int(c)
+        return _old_mul_nat(Ordinal(((exponent, 1),)), coeff)
+
+    def atom(self) -> Ordinal:
+        tok = self.peek()
+        if tok == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"exponents nested deeper than {MAX_NESTING}")
+            self.take()
+            self.depth += 1
+            inner = self.ordinal()
+            self.depth -= 1
+            self.expect(")")
+            return inner
+        tok = self.take()
+        if tok == "w":
+            return OMEGA
+        if tok is not None and tok.isdigit():
+            return from_int(int(tok))
+        self.error(f"expected an exponent atom, found {tok!r}")
+
+
+def _old_parse(text: str) -> Ordinal:
+    p = _OldParser(text)
+    if p.at_end():
+        p.error("empty ordinal literal")
+    value = p.ordinal()
+    if not p.at_end():
+        p.error(f"trailing input: {text[p.pos:].strip()!r}")
+    return value
+
+
+def _outcome(fn, *args):
+    """The result, or the raised error's type, message and column."""
+    try:
+        return fn(*args)
+    except (ValueError, ParseError, DifferenceUndefined) as err:
+        return type(err), str(err), getattr(err, "column", None)
+
+
+@settings(max_examples=300)
+@given(ordinals, ordinals)
+def test_add_and_left_subtract_match_terms_first_oracle(a, b):
+    assert add(a, b) is _old_add(a, b)
+    assert add(b, a) is _old_add(b, a)
+    assert _outcome(left_subtract, a, b) == _outcome(_old_left_subtract, a, b)
+    lo, hi = (a, b) if a <= b else (b, a)
+    assert left_subtract(lo, hi) is _old_left_subtract(lo, hi)
+
+
+@settings(max_examples=200)
+@given(ordinals, st.integers(0, 3), st.integers(0, 6))
+def test_predecessor_and_mul_nat_match_terms_first_oracle(a, k, n):
+    for x in (a, add(a, from_int(k))):
+        assert _outcome(x.predecessor) == _outcome(_old_predecessor, x)
+    if n == 1:
+        assert mul_nat(a, 1) is a
+    else:
+        assert mul_nat(a, n) is _old_mul_nat(a, n)
+
+
+def test_mul_nat_by_one():
+    a = parse_ordinal("w^2*3 + w + 1")
+    assert mul_nat(a, 1) is a
+    assert mul_nat(a, 2) is parse_ordinal("w^2*6 + w + 1")
+
+
+@settings(max_examples=200)
+@given(ordinals)
+def test_parser_matches_old_parser_on_printed_ordinals(a):
+    text = format_ordinal(a)
+    assert parse_ordinal(text) is _old_parse(text) is a
+
+
+# Tokens of the grammar, whitespace, a non-ASCII decimal digit that the
+# token pattern accepts, and characters it does not.
+_literal_pieces = st.sampled_from(
+    ["w", "^", "*", "+", "(", ")", "0", "1", "2", "13", " ", "\t", "٣", "x", "-", ".", "ω"]
+)
+
+
+@st.composite
+def _malformed_literals(draw) -> str:
+    body = "".join(draw(st.lists(_literal_pieces, max_size=12)))
+    if draw(st.booleans()):
+        return body
+    # Nesting around the depth limit, closed or not.
+    depth = draw(st.integers(MAX_NESTING - 2, MAX_NESTING + 2))
+    closing = draw(st.integers(max(depth - 2, 0), depth))
+    return "w^(" * depth + (body or "1") + ")" * closing
+
+
+@settings(max_examples=500)
+@given(_malformed_literals())
+def test_parser_errors_match_old_parser(text):
+    assert _outcome(parse_ordinal, text) == _outcome(_old_parse, text)
+
+
+def test_cnf_difference_cap():
+    assert cnf_difference(ZERO, from_int(MAX_DIFFERENCE_TERMS)) == [ZERO] * MAX_DIFFERENCE_TERMS
+    big = parse_ordinal(f"w*{MAX_DIFFERENCE_TERMS // 2} + {MAX_DIFFERENCE_TERMS // 2 + 1}")
+    with pytest.raises(ValueError, match=f"cap of {MAX_DIFFERENCE_TERMS}"):
+        cnf_difference(ZERO, big)
+    # The cap counts the difference, not the operands.
+    assert cnf_difference(from_int(10**12), parse_ordinal("w^2")) == [from_int(2)]
