@@ -17,10 +17,26 @@ invariants:
 - two touching pieces have different filters, and their junction sits at
   a distinguishing point: the later piece's least point is of a level that
   one filter allows and the other does not.
+
+One left-to-right pass, `_settle`, puts sorted, disjoint spans in this
+form.  It reduces each span.  A touching span with the same filter merges
+into the current piece; otherwise the current piece takes the prefix on
+which the two filters agree, up to their least distinguishing point, and
+the remainder is reduced again.  Extending a reduced piece to the right
+keeps it reduced, so no piece the pass has left behind changes again.
+The boolean operations feed the pass the spans of one merge of the two
+sorted piece lists; the constructor, the union of its raw pieces, merges
+them pairwise the same way.  A restriction feeds it only the cut piece,
+followed by the stored pieces after it; once one of those starts a new
+piece unchanged, the pass returns the rest verbatim.
+
+The form is not canonical: `{w} u {w*2}` and `[w,w*2+1)@{1}` are both
+normal, so equality falls back to comparing the two differences.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ParseError, UnsupportedRegion
@@ -126,13 +142,6 @@ class Piece:
     hi: Ordinal
     levels: frozenset[Ordinal] | None = None  # None = all levels
 
-    def is_empty(self) -> bool:
-        if self.hi <= self.lo:
-            return True
-        if self.levels is None:
-            return False
-        return not any(least_in_level(xi, self.lo) < self.hi for xi in self.levels)
-
     def contains(self, g: Ordinal) -> bool:
         if not (self.lo <= g < self.hi):
             return False
@@ -188,7 +197,7 @@ class Piece:
 
 
 class OrdinalSet:
-    """Canonical finite union of (optionally level-filtered) intervals."""
+    """Finite union of (optionally level-filtered) intervals, in normal form."""
 
     __slots__ = ("pieces",)
 
@@ -228,10 +237,9 @@ class OrdinalSet:
 
     # -- basics ------------------------------------------------------------
     def __eq__(self, other) -> bool:
-        """Semantic equality.  Normalization pins boundaries so equal sets
-        usually have identical piece lists, but a junction between two
-        filtered pieces can realize its distinguishing level exactly at a
-        movable boundary; the fallback compares the two differences."""
+        """Semantic equality.  Equal sets usually have identical piece
+        lists, but the normal form is not canonical (see the module
+        docstring); the fallback compares the two differences."""
         if not isinstance(other, OrdinalSet):
             return NotImplemented
         if self.pieces == other.pieces:
@@ -286,7 +294,7 @@ class OrdinalSet:
                 # Re-reducing the cut piece keeps its junction pinned: the
                 # junction's point lies below b, so its level stays feasible.
                 return OrdinalSet._of_normal(
-                    pieces[:i] + _rejoin(Piece(p.lo, b, p.levels), ())
+                    pieces[:i] + _settle((Piece(p.lo, b, p.levels),))
                 )
         return self
 
@@ -299,17 +307,13 @@ class OrdinalSet:
                 if p.lo >= cut:
                     return OrdinalSet._of_normal(pieces[i:])
                 return OrdinalSet._of_normal(
-                    _rejoin(Piece(cut, p.hi, p.levels), pieces[i + 1 :])
+                    _settle((Piece(cut, p.hi, p.levels),), pieces[i + 1 :])
                 )
         return OrdinalSet._of_normal(())
 
     # -- queries -----------------------------------------------------------
     def min_element(self) -> Ordinal | None:
-        for p in self.pieces:
-            m = p.min_element()
-            if m is not None:
-                return m
-        return None
+        return self.pieces[0].min_element() if self.pieces else None
 
     def min_above(self, floor: Ordinal) -> Ordinal | None:
         """Least element strictly above floor."""
@@ -346,13 +350,7 @@ class OrdinalSet:
 
     def sup(self) -> tuple[Ordinal, bool] | None:
         """(sup, attained) over the whole set; None when empty."""
-        best: tuple[Ordinal, bool] | None = None
-        for p in reversed(self.pieces):
-            s = p.sup()
-            if s is not None:
-                best = s
-                break
-        return best
+        return self.pieces[-1].sup() if self.pieces else None
 
     def max_element(self) -> Ordinal | None:
         s = self.sup()
@@ -381,11 +379,7 @@ class OrdinalSet:
         """{a <= top | a > 0, sup(self ∩ a) = a}; needs the w^w level cap."""
         out = []
         for p in self.pieces:
-            if p.hi <= p.lo:
-                continue
             span_lo, span_hi = p.lo.successor(), p.hi.successor()
-            if p.levels is not None and not p.levels:
-                continue
             floor = ZERO if p.levels is None else min(p.levels)
             allowed = frozenset(
                 xi for xi in feasible_levels(span_lo, span_hi) if compare(xi, floor) > 0
@@ -479,131 +473,78 @@ def _reduce_piece(p: Piece) -> Piece | None:
     return Piece(p.lo, p.hi, kept) if kept else None
 
 
-def _merge_once(pieces: list[Piece]) -> list[Piece]:
-    out: list[Piece] = []
-    for p in pieces:
-        if out and out[-1].hi == p.lo and out[-1].levels == p.levels:
-            out[-1] = Piece(out[-1].lo, p.hi, p.levels)
-        else:
-            out.append(p)
-    return out
-
-
 def _least_distinguishing_point(
     lo: Ordinal, hi: Ordinal, fa: frozenset | None, fb: frozenset | None
 ) -> Ordinal | None:
     """Least point of [lo, hi) whose level separates the two filters."""
-    feas = feasible_levels(lo, hi)
-    if fa is None:
-        delta = [xi for xi in feas if fb is not None and xi not in fb]
-    elif fb is None:
-        delta = [xi for xi in feas if xi not in fa]
+    if fa is None or fb is None:
+        # Against a plain piece any level above the filter separates them.
+        # With m the larger of lo's leading exponent and the filter's top
+        # level, w^(m+1) is such a point, so the search may stop below
+        # w^(m+2) even when the plain piece reaches w^w or beyond.
+        f = fb if fa is None else fa
+        m = max((x.as_int() for x in f), default=0)
+        if lo.terms:
+            m = max(m, lo.terms[0][0].as_int())
+        hi = min(hi, omega_power(from_int(m + 2)))
+        delta = [xi for xi in feasible_levels(lo, hi) if xi not in f]
     else:
-        delta = [xi for xi in feas if (xi in fa) != (xi in fb)]
-    best: Ordinal | None = None
-    for xi in delta:
-        cand = least_in_level(xi, lo)
-        if cand < hi and (best is None or cand < best):
-            best = cand
-    return best
-
-
-def _push_junctions(pieces: list[Piece]) -> list[Piece]:
-    """Pin adjacent-piece boundaries: the earlier piece absorbs the prefix
-    of the later one on which the two filters agree, so equal sets get
-    identical junction points regardless of construction history."""
-    if not pieces:
-        return pieces
-    out = [pieces[0]]
-    for p in pieces[1:]:
-        prev = out[-1]
-        if prev.hi == p.lo and prev.levels != p.levels:
-            e = _least_distinguishing_point(p.lo, p.hi, prev.levels, p.levels)
-            if e is None:
-                e = p.hi
-            if e > p.lo:
-                out[-1] = Piece(prev.lo, e, prev.levels)
-                if e < p.hi:
-                    out.append(Piece(e, p.hi, p.levels))
-                continue
-        out.append(p)
-    return out
+        delta = [xi for xi in feasible_levels(lo, hi) if (xi in fa) != (xi in fb)]
+    cands = [c for c in (least_in_level(xi, lo) for xi in delta) if c < hi]
+    return min(cands, default=None)
 
 
 def _normalize(pieces: tuple[Piece, ...]) -> tuple[Piece, ...]:
-    live = [p for p in pieces if not p.is_empty()]
-    if not live:
-        return ()
-    bounds: set[Ordinal] = set()
-    for p in live:
-        bounds.add(p.lo)
-        bounds.add(p.hi)
-    cuts = sorted(bounds)
-    spans: list[Piece] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        covering = [p for p in live if p.lo <= lo and hi <= p.hi]
-        if not covering:
-            continue
-        if any(p.levels is None for p in covering):
-            levels = None
-        else:
-            merged: set[Ordinal] = set()
-            for p in covering:
-                merged |= p.levels  # type: ignore[arg-type]
-            levels = frozenset(merged)
-        spans.append(Piece(lo, hi, levels))
-    return _settle(spans)
+    """Normal form of raw pieces: their union, merged pairwise so that n
+    pieces take O(log n) rounds of sweeps rather than n.  A piece with no
+    interval or no level adds no cuts."""
+    runs: list[Sequence[Piece]] = [
+        (p,) for p in pieces if p.lo < p.hi and (p.levels is None or p.levels)
+    ]
+    while len(runs) > 1:
+        odd = runs[-1:] if len(runs) % 2 else []
+        runs = [_sweep(a, b, "union") for a, b in zip(runs[::2], runs[1::2])] + odd
+    return _settle(runs[0] if runs else ())
 
 
-def _settle(spans: list[Piece]) -> tuple[Piece, ...]:
-    """Normal form of sorted, disjoint pieces: reduce each, then pin
-    junctions, merge and re-reduce (merging widens feasibility, a pushed
-    junction narrows it), dropping emptied pieces, to a fixpoint."""
-    cur = [q for q in map(_reduce_piece, spans) if q is not None]
-    while True:
-        nxt = [q for q in map(_reduce_piece, _merge_once(_push_junctions(cur))) if q is not None]
-        if nxt == cur:
-            return tuple(nxt)
-        cur = nxt
+def _settle(spans: Sequence[Piece], rest: tuple[Piece, ...] = ()) -> tuple[Piece, ...]:
+    """Normal form of the sorted, disjoint `spans` followed by the normal
+    pieces `rest`, in one left-to-right pass (see the module docstring)."""
+    out: list[Piece] = []
+    n = len(spans)
+    for i, p in enumerate((*spans, *rest)):
+        if i < n:
+            p = _reduce_piece(p)
+            if p is None:
+                continue
+        if out and out[-1].hi == p.lo:
+            cur = out[-1]
+            if cur.levels == p.levels:
+                out[-1] = Piece(cur.lo, p.hi, p.levels)
+                continue
+            e = _least_distinguishing_point(p.lo, p.hi, cur.levels, p.levels)
+            if e != p.lo:
+                e = p.hi if e is None else e
+                out[-1] = Piece(cur.lo, e, cur.levels)
+                # The remainder starts at a point of a separating level; it
+                # stays so after reduction, which keeps the junction at e.
+                q = _reduce_piece(Piece(e, p.hi, p.levels)) if e < p.hi else None
+                if q is not None:
+                    out.append(q)
+                continue
+        if i >= n:
+            return (*out, *rest[i - n :])
+        out.append(p)
+    return tuple(out)
 
 
-def _rejoin(head: Piece, rest: tuple[Piece, ...]) -> tuple[Piece, ...]:
-    """Normal form of `head` followed by the normal pieces `rest`, with
-    head below rest[0]: re-reduce head, then re-pin junctions rightward
-    until one still holds; the pieces after it are kept verbatim.
-
-    Extending a reduced piece to the right keeps it reduced (its levels
-    stay feasible and the feasible set only grows), so only the piece
-    starting at a moved junction is reduced again."""
-    done: list[Piece] = []
-    cur = _reduce_piece(head)
-    i = 0
-    while cur is not None:
-        if i == len(rest) or cur.hi != rest[i].lo:
-            break
-        p = rest[i]
-        i += 1
-        if cur.levels == p.levels:
-            cur = _reduce_piece(Piece(cur.lo, p.hi, p.levels))
-            continue
-        e = _least_distinguishing_point(p.lo, p.hi, cur.levels, p.levels)
-        if e == p.lo:
-            return (*done, cur, *rest[i - 1 :])
-        if e is None:
-            e = p.hi
-        cur = Piece(cur.lo, e, cur.levels)
-        if e < p.hi:
-            done.append(cur)
-            cur = _reduce_piece(Piece(e, p.hi, p.levels))
-    if cur is not None:
-        done.append(cur)
-    return (*done, *rest[i:])
+_UNCOVERED: frozenset[Ordinal] = frozenset()
 
 
-def _combine(a: OrdinalSet, b: OrdinalSet, op: str) -> OrdinalSet:
-    """One merge of the two sorted piece lists over their common cuts."""
-    pa, pb = a.pieces, b.pieces
-    cuts = sorted({x for p in pa + pb for x in (p.lo, p.hi)})
+def _sweep(pa: Sequence[Piece], pb: Sequence[Piece], op: str) -> list[Piece]:
+    """One merge of two sorted, disjoint piece lists over their common
+    cuts: the non-empty spans of `op`, not yet in normal form."""
+    cuts = sorted({x for p in (*pa, *pb) for x in (p.lo, p.hi)})
     out: list[Piece] = []
     ia = ib = 0
     for lo, hi in zip(cuts, cuts[1:]):
@@ -611,41 +552,35 @@ def _combine(a: OrdinalSet, b: OrdinalSet, op: str) -> OrdinalSet:
             ia += 1
         while ib < len(pb) and pb[ib].hi <= lo:
             ib += 1
-        la = pa[ia].levels if ia < len(pa) and pa[ia].lo <= lo else "none"
-        lb = pb[ib].levels if ib < len(pb) and pb[ib].lo <= lo else "none"
+        la = pa[ia].levels if ia < len(pa) and pa[ia].lo <= lo else _UNCOVERED
+        lb = pb[ib].levels if ib < len(pb) and pb[ib].lo <= lo else _UNCOVERED
         lvl = _level_op(la, lb, op, lo, hi)
-        if lvl != "none":
-            out.append(Piece(lo, hi, lvl))  # type: ignore[arg-type]
-    return OrdinalSet._of_normal(_settle(out))
+        if lvl is None or lvl:
+            out.append(Piece(lo, hi, lvl))
+    return out
+
+
+def _combine(a: OrdinalSet, b: OrdinalSet, op: str) -> OrdinalSet:
+    return OrdinalSet._of_normal(_settle(_sweep(a.pieces, b.pieces, op)))
 
 
 def _level_op(la, lb, op: str, lo: Ordinal, hi: Ordinal):
+    """The filter of a span from the filters covering it, the empty filter
+    standing for an uncovered span."""
     if op == "union":
-        if la == "none":
-            return lb
-        if lb == "none":
-            return la
-        if la is None or lb is None:
-            return None
-        return frozenset(la | lb)
+        return None if la is None or lb is None else la | lb
     if op == "inter":
-        if la == "none" or lb == "none":
-            return "none"
         if la is None:
             return lb
-        if lb is None:
-            return la
-        return frozenset(la & lb)
+        return la if lb is None else la & lb
     # difference
-    if la == "none":
-        return "none"
-    if lb == "none":
-        return la
     if lb is None:
-        return "none"
+        return _UNCOVERED
+    if not lb:
+        return la
     if la is None:
         la = frozenset(feasible_levels(lo, hi))
-    return frozenset(la - lb)
+    return la - lb
 
 
 # ---------------------------------------------------------------------------

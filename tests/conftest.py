@@ -215,3 +215,24 @@ def ordinal_sets(draw, max_pieces: int = 4) -> OrdinalSet:
         return OrdinalSet(tuple(chain))
     drawn = draw(st.lists(st.tuples(ends, ends, levels), max_size=max_pieces))
     return OrdinalSet(tuple(Piece(min(a, b), max(a, b), lv) for a, b, lv in drawn))
+
+
+@st.composite
+def raw_pieces(draw, max_pieces: int = 5) -> tuple[Piece, ...]:
+    """Raw piece lists as the constructor may be handed them: overlapping,
+    touching, inverted (hi <= lo), unreduced and with empty filters."""
+    dom = small_ordinals_below(SET_TOP, 550)
+    levels = st.none() | st.frozensets(st.integers(0, 3).map(from_int), max_size=3)
+    steps = (nat(1), nat(2), W, add(W, nat(1)), W2)
+    out: list[Piece] = []
+    for _ in range(draw(st.integers(0, max_pieces))):
+        if out and draw(st.booleans()):
+            lo = draw(st.sampled_from((out[-1].lo, out[-1].hi)))
+        else:
+            lo = draw(st.sampled_from(dom))
+        if draw(st.booleans()):
+            hi = add(lo, draw(st.sampled_from(steps)))
+        else:
+            hi = draw(st.sampled_from(dom))
+        out.append(Piece(lo, hi, draw(levels)))
+    return tuple(out)

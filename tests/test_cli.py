@@ -91,6 +91,25 @@ def test_set_union_drops_emptied_piece(capsys):
     assert out.strip() == "[0,w)"
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["set", "diff", "[0,w^w*2)", "[0,w^2)@{1}"], "[0,w^2)@{0} u [w^2,w^w*2)"),
+        (["set", "union", "[0,w^2)@{1}", "[w^2,w^w)"], "[0,w^2)@{1} u [w^2,w^w)"),
+        (["set", "union", "[w,w^2)@{1}", "[w^2,w^w+1)"], "[w,w^2)@{1} u [w^2,w^w + 1)"),
+        # The filter's top level, not lo's exponent, sets the bound: w^3 is
+        # the separating point.
+        (["set", "union", "[0,w)", "[w,w^3+1)@{0,1,2}"], "[0,w^3)"),
+    ],
+)
+def test_junction_between_a_filtered_and_a_plain_piece(argv, expected, capsys):
+    # The junction search stops below w^(m+2) instead of asking for the
+    # levels of the whole plain piece, which may reach w^w.
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert out.strip() == expected
+
+
 def test_set_stratum(uni_doc, capsys):
     code, doc = machine(["set", "stratum", "1", "--universe", uni_doc], capsys)
     assert code == 0

@@ -11,8 +11,11 @@ from ordbench.ordinal import ONE, ZERO, add
 from ordbench.oset import (
     OrdinalSet,
     Piece,
+    _least_distinguishing_point,
     _level_op,
     _normalize,
+    _reduce_piece,
+    feasible_levels,
     format_set,
     least_in_level,
     level_sup_below,
@@ -21,7 +24,7 @@ from ordbench.oset import (
 )
 from ordbench.projection import IndexSet
 
-from conftest import W, W2, W3, nat, o, ordinal_sets, small_ordinals_below
+from conftest import W, W2, W3, nat, o, ordinal_sets, raw_pieces, small_ordinals_below
 
 DOMAIN = small_ordinals_below(o("w^3*3"), 550)
 
@@ -251,6 +254,13 @@ def test_unsupported_region_guard():
     # Plain pieces are fine in arbitrarily high regions ...
     big = OrdinalSet.interval(ZERO, o("w^w*2"))
     assert o("w^w+5") in big.difference(OrdinalSet.interval(W, W2))
+    assert OrdinalSet.of(ZERO, o("w^w*3")).sup() == (o("w^w*3"), True)
+    # ... also where a filtered piece touches them ...
+    assert format_set(big.difference(parse_set("[0,w^2)@{1}"))) == "[0,w^2)@{0} u [w^2,w^w*2)"
+    got = parse_set("[0,w^2)@{1}").union(parse_set("[w^2,w^w)"))
+    assert format_set(got) == "[0,w^2)@{1} u [w^2,w^w)"
+    got = parse_set("[w,w^2)@{1}").union(parse_set("[w^2,w^w+1)"))
+    assert format_set(got) == "[w,w^2)@{1} u [w^2,w^w + 1)"
     # ... but level filters cannot be created there.
     with pytest.raises(UnsupportedRegion):
         OrdinalSet.stratum_piece(ZERO, o("w^w"), nat(1))
@@ -286,7 +296,7 @@ def _old_span_levels(s: OrdinalSet, lo, hi):
     for p in s.pieces:
         if p.lo <= lo and hi <= p.hi:
             return p.levels
-    return "none"
+    return frozenset()
 
 
 def old_combine(a: OrdinalSet, b: OrdinalSet, op: str) -> OrdinalSet:
@@ -294,7 +304,7 @@ def old_combine(a: OrdinalSet, b: OrdinalSet, op: str) -> OrdinalSet:
     out = []
     for lo, hi in zip(cuts, cuts[1:]):
         lvl = _level_op(_old_span_levels(a, lo, hi), _old_span_levels(b, lo, hi), op, lo, hi)
-        if lvl != "none":
+        if lvl != frozenset():
             out.append(Piece(lo, hi, lvl))
     return OrdinalSet(tuple(out))
 
@@ -395,3 +405,142 @@ def test_index_set_walks_match_rebuild(case):
     assert I.pred(g) == old_pred(s, g)
     assert I.clause_pred(g) == old_clause_pred(s, g)
     assert I.min_in_open(g, h) == old_min_in_open(s, g, h)
+
+
+def test_pieces_without_interval_or_level_add_no_cuts():
+    base = parse_set("[0,w^2)@{1}").pieces
+    assert parse_set("[0,w^2)@{1} u [w+1,w)").pieces == base
+    assert parse_set("[0,w^2)@{1} u [w,w+1)@{}").pieces == base
+    assert parse_set("[0,w^w)@{}").is_empty()
+
+
+def test_equal_sets_with_different_layouts():
+    # Both layouts are normal, so the form is not canonical and __eq__
+    # needs its fallback; the hash is semantic.
+    a, b = parse_set("{w} u {w*2}"), parse_set("[w,w*2+1)@{1}")
+    assert a.pieces != b.pieces
+    assert a == b and hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# The fixpoint normaliser the one-pass `_settle` replaced, kept as the
+# oracle: a covering scan over every cut, then junction pushing, merging and
+# re-reducing until nothing changes.
+# ---------------------------------------------------------------------------
+
+
+def _old_is_empty(p: Piece) -> bool:
+    if p.hi <= p.lo:
+        return True
+    if p.levels is None:
+        return False
+    return not any(least_in_level(xi, p.lo) < p.hi for xi in p.levels)
+
+
+def _old_merge_once(pieces):
+    out = []
+    for p in pieces:
+        if out and out[-1].hi == p.lo and out[-1].levels == p.levels:
+            out[-1] = Piece(out[-1].lo, p.hi, p.levels)
+        else:
+            out.append(p)
+    return out
+
+
+def _old_push_junctions(pieces):
+    if not pieces:
+        return pieces
+    out = [pieces[0]]
+    for p in pieces[1:]:
+        prev = out[-1]
+        if prev.hi == p.lo and prev.levels != p.levels:
+            e = _least_distinguishing_point(p.lo, p.hi, prev.levels, p.levels)
+            if e is None:
+                e = p.hi
+            if e > p.lo:
+                out[-1] = Piece(prev.lo, e, prev.levels)
+                if e < p.hi:
+                    out.append(Piece(e, p.hi, p.levels))
+                continue
+        out.append(p)
+    return out
+
+
+def _old_settle(spans):
+    cur = [q for q in map(_reduce_piece, spans) if q is not None]
+    while True:
+        nxt = [
+            q
+            for q in map(_reduce_piece, _old_merge_once(_old_push_junctions(cur)))
+            if q is not None
+        ]
+        if nxt == cur:
+            return tuple(nxt)
+        cur = nxt
+
+
+def old_normalize(pieces):
+    live = [p for p in pieces if not _old_is_empty(p)]
+    cuts = sorted({x for p in live for x in (p.lo, p.hi)})
+    spans = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        covering = [p for p in live if p.lo <= lo and hi <= p.hi]
+        if not covering:
+            continue
+        if any(p.levels is None for p in covering):
+            levels = None
+        else:
+            levels = frozenset().union(*(p.levels for p in covering))
+        spans.append(Piece(lo, hi, levels))
+    return _old_settle(spans)
+
+
+def assert_normal(pieces):
+    """The normal-form invariants of the `oset` module docstring."""
+    for p in pieces:
+        assert p.lo < p.hi
+        # Reduced and non-empty: a proper, non-empty subset of the levels
+        # the piece realizes.
+        assert p.levels is None or p.levels and p.levels < set(feasible_levels(p.lo, p.hi))
+    for p, q in zip(pieces, pieces[1:]):
+        assert p.hi <= q.lo
+        if p.hi == q.lo:
+            lv = olim(q.lo)
+            assert (p.levels is None or lv in p.levels) != (q.levels is None or lv in q.levels)
+
+
+@settings(max_examples=300)
+@given(raw_pieces())
+def test_constructor_matches_old_normalize(raw):
+    s = OrdinalSet(raw)
+    old = OrdinalSet._of_normal(old_normalize(raw))
+    assert s == old
+    assert members(s) == members(old)
+
+
+@settings(max_examples=300)
+@given(raw_pieces())
+# The fixpoint pushed the second junction from the unreduced [w*3,w*3+1)@{0}
+# and printed [w*2 + 1,w*3) u [w*3,w*4)@{0} u {w*4}.
+@example(
+    (
+        Piece(o("w*2+1"), o("w*2+3"), frozenset(map(nat, (0, 1, 3)))),
+        Piece(o("w*2+3"), o("w*3+1"), frozenset((ZERO,))),
+        Piece(o("w*3+1"), o("w*4+1"), frozenset(map(nat, (0, 1, 2)))),
+    )
+)
+def test_constructor_output_is_normal(raw):
+    s = OrdinalSet(raw)
+    assert_normal(s.pieces)
+    assert _normalize(s.pieces) == s.pieces
+
+
+@settings(max_examples=300)
+@given(sets_and_cuts())
+# Cutting at w^2+1 leaves [w^2+1,w^2*2)@{0}, whose junction at w^2*2 no
+# longer separates it from the stored piece after it.
+@example((parse_set("[w^2,w^2*2)@{0,2} u [w^2*2,w^2*3)@{0,1}"), W2))
+def test_restrictions_are_normal(case):
+    s, b = case
+    assert_normal(s.restrict_below(b).pieces)
+    assert_normal(s.restrict_above(b).pieces)

@@ -1,0 +1,32 @@
+"""Rules on the source itself: lemma checks raise `WorkbenchError`s instead
+of using `assert`, so that they still run under `python -O`."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import subprocess
+import sys
+
+import ordbench
+
+SRC = pathlib.Path(ordbench.__file__).parent
+
+
+def test_no_assert_statements_in_src():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
+
+
+def test_self_test_under_optimize():
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "ordbench.cli", "--self-test"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "self-test ok" in out.stdout
