@@ -85,7 +85,3 @@ class PruneBrokeLargeness(WorkbenchError):
 
 class BranchTooShort(WorkbenchError):
     """apply_derivation branch shorter than the largest arity used."""
-
-
-class DepthMismatch(WorkbenchError):
-    """Tree conditions cannot be compared beyond their explicit depths."""

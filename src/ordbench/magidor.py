@@ -5,6 +5,7 @@ types and the coordinate calculus."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AlreadyUnveiled,
@@ -89,18 +90,15 @@ class MagidorCondition:
         """o-value of the 1-based i-th block."""
         return self.universe.o(self.blocks[i - 1].kappa)
 
+    @cached_property
     def gammas(self) -> tuple[Ordinal, ...]:
-        """Coordinates of all blocks (cached; conditions are immutable)."""
-        try:
-            return object.__getattribute__(self, "_gammas")
-        except AttributeError:
-            out = []
-            total = ZERO
-            for i in range(1, len(self.blocks) + 1):
-                total = add(total, omega_power(self.o(i)))
-                out.append(total)
-            object.__setattr__(self, "_gammas", tuple(out))
-            return tuple(out)
+        """Coordinates of all blocks: gammas[i-1] = sum of w^o(t_j), j <= i."""
+        out = []
+        total = ZERO
+        for i in range(1, len(self.blocks) + 1):
+            total = add(total, omega_power(self.o(i)))
+            out.append(total)
+        return tuple(out)
 
 
 def _check_same_universe(p: MagidorCondition, q: MagidorCondition):
@@ -108,53 +106,65 @@ def _check_same_universe(p: MagidorCondition, q: MagidorCondition):
         raise UniverseMismatch("conditions live over different universes")
 
 
-def _set_violations(
-    u: ToyUniverse, b: Block, prev: Ordinal | None, tag: str
-) -> list[str]:
+def _set_violations(u: ToyUniverse, b: Block, prev: Ordinal | None) -> list[str]:
     """The measure-set clause of both forcings: the set of b lies below its
     point and above the previous one, is large at every index (vacuous
     when o(kappa) = 0) and is star-closed."""
     out = []
     B = b.measure_set
     if B.restrict_below(b.kappa) != B:
-        out.append(f"{tag}: measure set not below its point")
+        out.append("measure set not below its point")
     if prev is not None:
         low = B.min_element()
         if low is not None and low <= prev:
-            out.append(f"{tag}: min of measure set not above previous point")
+            out.append("min of measure set not above previous point")
     if not u.is_large_all(B, b.kappa):
-        out.append(f"{tag}: measure set not large at every index")
+        out.append("measure set not large at every index")
     elif u.star_closure(B, b.kappa) != B:
-        out.append(f"{tag}: measure set not in stratified (star-closed) form")
+        out.append("measure set not in stratified (star-closed) form")
+    return out
+
+
+def _block_violations(cond, own) -> list[str]:
+    """The block-shape clauses of both forcings, each block tagged once.
+
+    A point beyond the ground set is reported alone and does not become
+    the previous point; for a point in the ground set the walk checks
+    that the points increase and that the top has positive order, then
+    adds the forcing's own messages `own(i, b, prev)`."""
+    if not cond.blocks:
+        return ["condition has no blocks"]
+    u = cond.universe
+    out: list[str] = []
+    prev: Ordinal | None = None
+    for i, b in enumerate(cond.blocks, start=1):
+        if b.kappa > u.lambda0:
+            found = ["point beyond the ground set"]
+        else:
+            found = []
+            if prev is not None and b.kappa <= prev:
+                found.append("kappas not increasing")
+            if i == len(cond.blocks) and u.o(b.kappa).is_zero:
+                found.append("top block needs positive limit order")
+            found += own(i, b, prev)
+            prev = b.kappa
+        if found:
+            tag = f"block {i} (kappa={b.kappa})"
+            out += [f"{tag}: {m}" for m in found]
     return out
 
 
 def validate(p: MagidorCondition) -> list[str]:
     """All violations of the condition shape; empty means valid."""
     u = p.universe
-    out: list[str] = []
-    if not p.blocks:
-        return ["condition has no blocks"]
-    prev: Ordinal | None = None
-    for i, b in enumerate(p.blocks, start=1):
-        tag = f"block {i} (kappa={b.kappa})"
-        if b.kappa > u.lambda0:
-            out.append(f"{tag}: point beyond the ground set")
-            continue
-        if prev is not None and b.kappa <= prev:
-            out.append(f"{tag}: kappas not increasing")
-        is_top = i == len(p.blocks)
-        ob = u.o(b.kappa)
-        if is_top and ob.is_zero:
-            out.append(f"{tag}: top block needs positive limit order")
-        if ob.is_zero and b.measure_set is not None:
-            out.append(f"{tag}: zero-order point must be bare")
-        if not ob.is_zero and b.measure_set is None:
-            out.append(f"{tag}: positive-order point needs a measure set")
-        if b.measure_set is not None:
-            out.extend(_set_violations(u, b, prev, tag))
-        prev = b.kappa
-    return out
+
+    def own(i: int, b: Block, prev: Ordinal | None) -> list[str]:
+        bare = u.o(b.kappa).is_zero
+        if b.measure_set is None:
+            return [] if bare else ["positive-order point needs a measure set"]
+        return (["zero-order point must be bare"] if bare else []) + _set_violations(u, b, prev)
+
+    return _block_violations(p, own)
 
 
 def _kept_named_points(p, q) -> list[int] | None:
@@ -230,7 +240,7 @@ def gamma_of(p: MagidorCondition, i: int) -> Ordinal:
     """Coordinate of the i-th point in every extension: sum of w^o(t_j), j<=i."""
     if not 1 <= i <= len(p.blocks):
         raise OutOfRange(f"block index {i} out of 1..{len(p.blocks)}")
-    return p.gammas()[i - 1]
+    return p.gammas[i - 1]
 
 
 def _gap_bounds(p: MagidorCondition, i: int) -> tuple[Ordinal | None, Ordinal]:
@@ -349,8 +359,8 @@ def find_type(
 
 def unveil_type(p: MagidorCondition, gamma: Ordinal) -> ExtensionType:
     """The type unveiling gamma as maximal coordinate."""
-    coords = [gamma_of(p, i) for i in range(1, len(p.blocks) + 1)]
-    if any(gamma == c for c in coords):
+    coords = p.gammas
+    if gamma in coords:
         raise AlreadyUnveiled(f"{gamma} is already a block coordinate")
     if gamma.is_zero or gamma > coords[-1]:
         raise OutOfRange(f"{gamma} is not between block coordinates")

@@ -48,6 +48,7 @@ from .ordinal import (
     compare,
     from_int,
     left_subtract,
+    mul_nat,
     mul_omega,
     omega_power,
     parse_ordinal,
@@ -433,12 +434,8 @@ def _g_positive(y: Ordinal, levels: frozenset[Ordinal]) -> Ordinal:
     total = ZERO
     marked_last = False
     for e, c in y.terms:
-        block = _g_omega_power(e, levels)
         mark = e in levels
-        for _ in range(c):
-            total = add(total, block)
-            if mark:
-                total = add(total, ONE)
+        total = add(total, mul_nat(add(_g_omega_power(e, levels), ONE if mark else ZERO), c))
         marked_last = mark
     if marked_last:
         total = total.predecessor()  # the final mark counted y itself
@@ -497,9 +494,12 @@ def _least_distinguishing_point(
 def _normalize(pieces: tuple[Piece, ...]) -> tuple[Piece, ...]:
     """Normal form of raw pieces: their union, merged pairwise so that n
     pieces take O(log n) rounds of sweeps rather than n.  A piece with no
-    interval or no level adds no cuts."""
+    point (no interval, or no level with a point inside it) adds no cuts."""
     runs: list[Sequence[Piece]] = [
-        (p,) for p in pieces if p.lo < p.hi and (p.levels is None or p.levels)
+        (p,)
+        for p in pieces
+        if p.lo < p.hi
+        and (p.levels is None or any(least_in_level(xi, p.lo) < p.hi for xi in p.levels))
     ]
     while len(runs) > 1:
         odd = runs[-1:] if len(runs) % 2 else []
@@ -608,7 +608,7 @@ def parse_set(text: str) -> OrdinalSet:
     if text in ("{}", "empty"):
         return OrdinalSet.empty()
     pieces: list[Piece] = []
-    for chunk in _split_on_u(text):
+    for chunk in text.split("u"):
         chunk = chunk.strip()
         if not chunk:
             raise ParseError("empty set piece")
@@ -628,42 +628,13 @@ def parse_set(text: str) -> OrdinalSet:
             continue
         if len(chunk) < 2 or chunk[0] not in "[(" or chunk[-1] not in ")]":
             raise ParseError(f"bad set piece {chunk!r}")
-        body = chunk[1:-1]
-        depth = 0
-        split = -1
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                split = i
-                break
-        if split < 0:
+        lo, comma, hi = chunk[1:-1].partition(",")
+        if not comma:
             raise ParseError(f"expected comma in {chunk!r}")
-        lo = parse_ordinal(body[:split])
-        hi = parse_ordinal(body[split + 1 :])
+        lo, hi = parse_ordinal(lo), parse_ordinal(hi)
         if chunk[0] == "(":
             lo = lo.successor()
         if chunk[-1] == "]":
             hi = hi.successor()
         pieces.append(Piece(lo, hi, levels))
     return OrdinalSet(tuple(pieces))
-
-
-def _split_on_u(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur: list[str] = []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == "u" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts

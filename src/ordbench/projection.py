@@ -19,6 +19,7 @@ from .errors import (
 from .magidor import (
     Block,
     MagidorCondition,
+    _block_violations,
     _check_same_universe,
     _inherits,
     _kept_named_points,
@@ -27,7 +28,6 @@ from .magidor import (
     _points_in_blocks,
     _set_violations,
     extend_minimal,
-    gamma_of,
     leq,
     unveil_type,
     validate,
@@ -157,24 +157,13 @@ def index_of(cond: AnyCondition, i: int, I: IndexSet) -> Ordinal | None:
     return index_chain(cond, I)[i - 1]
 
 
-def _projected_indices(p: MagidorCondition, I: IndexSet) -> list[int]:
-    """1-based indices of the non-top blocks whose coordinate lies in I."""
-    return [
-        i
-        for i in range(1, len(p.blocks))
-        if gamma_of(p, i) in I
-    ]
-
-
 def pi(p: MagidorCondition, I: IndexSet) -> ICondition:
     """Keep blocks at I-coordinates, strip sets at successor positions."""
-    kept: list[Block] = []
-    for i in _projected_indices(p, I):
-        b = p.blocks[i - 1]
-        if I.in_succ(gamma_of(p, i)):
-            kept.append(Block(b.kappa))
-        else:
-            kept.append(b)
+    kept = [
+        Block(b.kappa) if I.in_succ(c) else b
+        for b, c in zip(p.blocks[:-1], p.gammas)
+        if c in I
+    ]
     kept.append(p.top)
     return ICondition(p.universe, I, tuple(kept))
 
@@ -185,65 +174,50 @@ def pi(p: MagidorCondition, I: IndexSet) -> ICondition:
 
 
 def validate_I(q: ICondition) -> list[str]:
-    """All violations of the subsequence-condition shape."""
+    """All violations of the subsequence-condition shape: the block walk of
+    `magidor.validate` with the top's set clause and, below the top, the
+    clauses of successor (2.a) and limit (2.b) positions."""
     u, I = q.universe, q.index_set
-    out: list[str] = []
-    if not q.blocks:
-        return ["condition has no blocks"]
-    chain = index_chain(q, I)
-    prev_kappa: Ordinal | None = None
-    prev_idx = ZERO
-    for i, b in enumerate(q.blocks, start=1):
-        tag = f"block {i} (kappa={b.kappa})"
-        is_top = i == len(q.blocks)
-        if prev_kappa is not None and b.kappa <= prev_kappa:
-            out.append(f"{tag}: kappas not increasing")
-        if b.kappa > u.lambda0:
-            out.append(f"{tag}: point beyond the ground set")
-            prev_kappa = b.kappa
-            continue
-        if is_top:
-            if u.o(b.kappa).is_zero:
-                out.append(f"{tag}: top block needs positive limit order")
+    idx: Ordinal | None = ZERO  # I(t, q) of the last block walked; None is N/A
+
+    def own(i: int, b: Block, prev_kappa: Ordinal | None) -> list[str]:
+        nonlocal idx
+        if i == len(q.blocks):
             if b.measure_set is None:
-                out.append(f"{tag}: top block needs a measure set")
-            else:
-                out.extend(_set_violations(u, b, prev_kappa, tag))
-            break
-        c = chain[i - 1]
+                return ["top block needs a measure set"]
+            return _set_violations(u, b, prev_kappa)
+        prev_idx = idx
+        c = idx = None if prev_idx is None else I.min_level_above(u.o(b.kappa), prev_idx)
         if c is None:
-            out.append(f"{tag}: index recursion undefined (N/A)")
-            prev_kappa = b.kappa
-            continue
+            return ["index recursion undefined (N/A)"]
+        out = []
         if I.in_succ(c):
             if b.measure_set is not None:
-                out.append(f"{tag}: successor-position block must be bare (2.a.i)")
+                out.append("successor-position block must be bare (2.a.i)")
             pred = I.clause_pred(c)
             if pred is None:
-                out.append(f"{tag}: predecessor of {c} unattained in the index set")
+                out.append(f"predecessor of {c} unattained in the index set")
             elif pred != prev_idx:
                 out.append(
-                    f"{tag}: predecessor linkage fails (2.a.ii): "
+                    f"predecessor linkage fails (2.a.ii): "
                     f"pred({c})={pred} but previous index is {prev_idx}"
                 )
-            else:
-                exps = cnf_difference(pred, c)
-                if _least_witnesses(exps[:-1], prev_kappa, below=b.kappa) is None:
-                    out.append(f"{tag}: no stratum witness tuple (2.a.iii)")
+            elif _least_witnesses(cnf_difference(pred, c)[:-1], prev_kappa, below=b.kappa) is None:
+                out.append("no stratum witness tuple (2.a.iii)")
+            return out
+        if b.measure_set is None:
+            out.append("limit-position block needs a measure set (2.b.i)")
         else:
-            if b.measure_set is None:
-                out.append(f"{tag}: limit-position block needs a measure set (2.b.i)")
-            else:
-                out.extend(_set_violations(u, b, prev_kappa, tag))
-            want = add(prev_idx, omega_power(u.o(b.kappa)))
-            if want != c:
-                out.append(
-                    f"{tag}: gap equation fails (2.b.ii): "
-                    f"{prev_idx} + w^{u.o(b.kappa)} = {want} != {c}"
-                )
-        prev_kappa = b.kappa
-        prev_idx = c
-    return out
+            out += _set_violations(u, b, prev_kappa)
+        want = add(prev_idx, omega_power(u.o(b.kappa)))
+        if want != c:
+            out.append(
+                f"gap equation fails (2.b.ii): "
+                f"{prev_idx} + w^{u.o(b.kappa)} = {want} != {c}"
+            )
+        return out
+
+    return _block_violations(q, own)
 
 
 def leq_I(p: ICondition, q: ICondition) -> bool:
@@ -295,7 +269,7 @@ class DFailure:
 
 def in_D(p: MagidorCondition, I: IndexSet) -> DFailure | None:
     """None when p is correctly linked; otherwise the maximal failure."""
-    coords = [gamma_of(p, i) for i in range(1, len(p.blocks))]
+    coords = p.gammas
     failure: DFailure | None = None
     prev_proj = ZERO
     for i in range(1, len(p.blocks)):
@@ -477,13 +451,8 @@ def correct_computation_check(p: MagidorCondition, I: IndexSet) -> bool:
     """gamma and the index recursion agree on every projected block."""
     if in_D(p, I) is not None:
         return False
-    proj = pi(p, I)
-    chain = index_chain(proj, I)
-    indices = _projected_indices(p, I)
-    for j, i in enumerate(indices):
-        if chain[j] is None or chain[j] != gamma_of(p, i):
-            return False
-    return True
+    chain = index_chain(pi(p, I), I)
+    return chain == [c for c in p.gammas[:-1] if c in I]
 
 
 # ---------------------------------------------------------------------------

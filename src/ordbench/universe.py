@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import ClosureDidNotStabilize
 from .ordinal import ZERO, Ordinal, compare, from_int, omega_power
-from .oset import OrdinalSet, least_in_level, olim
+from .oset import OrdinalSet, olim
 
 __all__ = ["ToyUniverse", "CoreKey", "STAR_CLOSURE_CAP"]
 
@@ -51,14 +51,6 @@ class ToyUniverse:
 
     def __hash__(self):
         return hash((self.lambda0, self.delta0_bound, tuple(sorted(self.cores))))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ToyUniverse)
-            and self.lambda0 == other.lambda0
-            and self.delta0_bound == other.delta0_bound
-            and self.cores == other.cores
-        )
 
     # -- o-function ----------------------------------------------------------
     def o(self, g: Ordinal) -> Ordinal:
@@ -97,52 +89,32 @@ class ToyUniverse:
             raise ValueError(f"xi={xi} not below o({beta})={self.o(beta)}")
         override = self.core(beta, xi)
         if override is not None:
-            return override.restrict_below(beta).difference(B).is_bounded_below(beta)
-        # Default core Y(xi) ∩ beta, tested without materializing the stratum:
-        # the misses are cofinal iff the complement of B has a piece reaching
-        # beta that admits level-xi points (xi < o(beta) makes them cofinal).
-        comp = OrdinalSet.interval(ZERO, beta).difference(B)
-        for p in comp.pieces:
-            if p.hi != beta:
-                continue
-            if p.levels is not None and xi not in p.levels:
-                continue
-            if least_in_level(xi, p.lo) < beta:
-                return False
-        return True
+            return override.difference(B).is_bounded_below(beta)
+        missed = self._missed_levels(B, beta)
+        return missed is not None and xi not in missed
 
     def is_large_all(self, B: OrdinalSet, beta: Ordinal) -> bool:
         """Large at (beta, xi) for every xi < o(beta)."""
         ob = self.o(beta)
-        if ob.is_zero:
-            return True
-        over = {xi for (b, xi) in self.cores if b == beta and compare(xi, ob) < 0}
+        over = {xi for (b, xi) in self.cores if b == beta}
         if any(not self.is_large(B, beta, xi) for xi in over):
             return False
-        comp = OrdinalSet.interval(ZERO, beta).difference(B)
-        for p in comp.pieces:
-            if p.hi != beta:
-                continue
-            if p.levels is None:
-                # Every level below o(beta) is missed cofinally; the override
-                # table is finite, so some non-overridden level fails unless
-                # the (finitely many) levels below o(beta) are all overridden.
-                k = 0
-                while compare(from_int(k), ob) < 0:
-                    if from_int(k) not in over:
-                        return False
-                    k += 1
-                    if k > len(over) + 1:
-                        break
-            else:
-                for xi in p.levels:
-                    if (
-                        compare(xi, ob) < 0
-                        and xi not in over
-                        and least_in_level(xi, p.lo) < beta
-                    ):
-                        return False
-        return True
+        missed = self._missed_levels(B, beta)
+        if missed is None:
+            # Every level below o(beta) is missed, so each must be overridden.
+            return ob.is_finite and len(over) == ob.as_int()
+        return all(xi in over for xi in missed if compare(xi, ob) < 0)
+
+    def _missed_levels(self, B: OrdinalSet, beta: Ordinal) -> frozenset[Ordinal] | None:
+        """The levels of the default cores B misses cofinally below beta:
+        the filter of the complement's last piece, the only one that can
+        reach beta, when it does (None when plain: every level), else none.
+        A reduced filter realizes its levels, and below o(beta) a realized
+        level is cofinal; callers ignore levels at or above o(beta)."""
+        comp = OrdinalSet.interval(ZERO, beta).difference(B).pieces
+        if comp and comp[-1].hi == beta:
+            return comp[-1].levels
+        return frozenset()
 
     # -- star closure ----------------------------------------------------------
     def star_closure(self, B: OrdinalSet, beta: Ordinal) -> OrdinalSet:
@@ -164,13 +136,14 @@ class ToyUniverse:
         self, cur: OrdinalSet, beta: Ordinal, override_points: list[Ordinal]
     ) -> OrdinalSet:
         comp = OrdinalSet.interval(ZERO, beta).difference(cur)
-        if cur.is_plain() and comp.is_plain():
-            # Only right endpoints of complement pieces can both lie in cur
-            # and have the complement cofinal below them.
+        if cur.is_plain():
+            # Only right ends of complement pieces can have the complement
+            # cofinal below them; plain pieces never touch, so those below
+            # beta lie in cur.
             bad = [
                 p.hi
                 for p in comp.pieces
-                if p.hi.is_limit and p.hi in cur and p.hi not in override_points
+                if p.hi.is_limit and p.hi < beta and p.hi not in override_points
             ]
             fail = OrdinalSet.of(*bad) if bad else OrdinalSet.empty()
         else:
@@ -178,9 +151,8 @@ class ToyUniverse:
             if override_points:
                 fail = fail.difference(OrdinalSet.of(*override_points))
         for b in override_points:
-            if b in cur and not self.o(b).is_zero:
-                if not self.is_large_all(cur.restrict_below(b), b):
-                    fail = fail.union(OrdinalSet.singleton(b))
+            if b in cur and not self.is_large_all(cur.restrict_below(b), b):
+                fail = fail.union(OrdinalSet.singleton(b))
         return fail
 
     def stratify(self, B: OrdinalSet, beta: Ordinal) -> dict[Ordinal, OrdinalSet]:

@@ -148,6 +148,18 @@ def test_cond_validate_and_gamma(cond_doc, capsys):
     assert out.strip() == "w"
 
 
+def test_point_beyond_the_ground_set_is_a_violation_in_both_forcings(capsys):
+    doc = json.dumps({
+        "universe": io.universe_to_json(canon_universe("w^2")),
+        "index": "[0,w^2)",
+        "blocks": [{"kappa": "w^3", "B": None}, {"kappa": "w^2", "B": "[w,w^2)"}],
+    })
+    for group in ("cond", "proj"):
+        code, out = run([group, "validate", doc], capsys)
+        assert code == 1
+        assert "block 1 (kappa=w^3): point beyond the ground set" in out
+
+
 def test_cond_unveil(capsys, tmp_path):
     u = canon_universe("w^2")
     p = canonical_condition(u, [o("w"), o("w+1"), o("w*2")])
@@ -189,6 +201,19 @@ def test_gen_otp(capsys):
         ["gen", "otp", "w^2", "0", "w", "--restrict", "{0} u [w,w^2)"], capsys
     )
     assert out.strip() == "0"
+
+
+def test_gen_otp_of_a_filtered_set_with_a_huge_coefficient():
+    # One sum per term of the bound, not one per unit of its coefficient.
+    out = subprocess.run(
+        [sys.executable, "-m", "ordbench.cli", "gen", "otp", "w^3", "0", "w^2*100000000",
+         "--restrict", "[0,w^3)@{1}"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert out.returncode == 0
+    assert out.stdout.strip() == "w*100000000"
 
 
 def test_gen_in_filter(cond_doc, capsys):

@@ -94,6 +94,32 @@ def test_set_clause_in_both_forcings(u3, blocks, violation):
 
 
 @pytest.mark.parametrize(
+    "blocks, violation",
+    [
+        ([], "condition has no blocks"),
+        ([("w^4", None), ("w^3", "[w,w^3)")], "block 1 (kappa=w^4): point beyond the ground set"),
+        ([("w^2", "(w,w^2)"), ("w", "[0,w)"), ("w^3", "(w^2,w^3)")],
+         "block 2 (kappa=w): kappas not increasing"),
+        ([("w+1", None)], "block 1 (kappa=w + 1): top block needs positive limit order"),
+    ],
+    ids=["no-blocks", "beyond-the-ground", "not-increasing", "zero-order-top"],
+)
+def test_shape_clauses_in_both_forcings(u3, blocks, violation):
+    """The block-shape clauses, tagged alike by both validity checks."""
+    bs = _blocks(blocks)
+    assert violation in validate(MagidorCondition(u3, bs))
+    assert violation in validate_I(ICondition(u3, IndexSet(u3.ground()), bs))
+
+
+def test_point_beyond_the_ground_set_is_not_the_previous_point(u3):
+    # w comes after w^4 but is compared with the last point in the ground.
+    bs = _blocks([("w^4", None), ("w", "[0,w)"), ("w^3", "(w,w^3)")])
+    for found in (validate(MagidorCondition(u3, bs)),
+                  validate_I(ICondition(u3, IndexSet(u3.ground()), bs))):
+        assert found == ["block 1 (kappa=w^4): point beyond the ground set"]
+
+
+@pytest.mark.parametrize(
     "p_spec, q_spec",
     [
         ([("w", "[0,w)"), ("w^3", "(w,w^3)")], [("w", "[0,w)"), ("w^3", "[w,w^3)")]),

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ordbench.errors import UnsupportedRegion
-from ordbench.ordinal import ONE, ZERO, add
+from ordbench.errors import ParseError, UnsupportedRegion
+from ordbench.ordinal import ONE, ZERO, Ordinal, add, from_int
 from ordbench.oset import (
     OrdinalSet,
     Piece,
+    _g_omega_power,
+    _g_positive,
     _least_distinguishing_point,
     _level_op,
     _normalize,
@@ -224,6 +226,44 @@ def test_otp_filtered_oracle():
     assert y0.otp() == W2
 
 
+def old_g_positive(y: Ordinal, levels: frozenset[Ordinal]) -> Ordinal:
+    """The loop `_g_positive` replaced: one sum per unit of coefficient."""
+    if y.is_zero or y == ONE:
+        return ZERO
+    total = ZERO
+    marked_last = False
+    for e, c in y.terms:
+        block = _g_omega_power(e, levels)
+        mark = e in levels
+        for _ in range(c):
+            total = add(total, block)
+            if mark:
+                total = add(total, ONE)
+        marked_last = mark
+    if marked_last:
+        total = total.predecessor()
+    return total
+
+
+@settings(max_examples=300)
+@given(
+    st.dictionaries(st.integers(0, 3), st.integers(1, 5), max_size=4),
+    st.frozensets(st.integers(0, 4).map(from_int)),
+)
+def test_g_positive_matches_the_unit_loop(coeffs, levels):
+    y = Ordinal(tuple((nat(e), c) for e, c in sorted(coeffs.items(), reverse=True)))
+    assert _g_positive(y, levels) == old_g_positive(y, levels)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[0,wu)", "[w,w*2u)@{1}", "{wu}", "[0,w,w^2)", "[0,w,)", "(w,w^2,3]", "{1,2}"],
+)
+def test_u_or_extra_comma_inside_brackets_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_set(text)
+
+
 def test_format_parse_roundtrip(rng):
     for _ in range(80):
         a = random_set(rng)
@@ -412,6 +452,10 @@ def test_pieces_without_interval_or_level_add_no_cuts():
     assert parse_set("[0,w^2)@{1} u [w+1,w)").pieces == base
     assert parse_set("[0,w^2)@{1} u [w,w+1)@{}").pieces == base
     assert parse_set("[0,w^w)@{}").is_empty()
+    # Pieces whose levels have no point inside them: [w+1,w+2) holds only
+    # w+1, of level 0, and w^(w+1)'s least level-1 point is w^(w+1)+w.
+    assert parse_set("[0,w^2)@{1} u [w+1,w+2)@{1}").pieces == base
+    assert format_set(parse_set("{w^(w+1)}@{1} u [0,w)")) == "[0,w)"
 
 
 def test_equal_sets_with_different_layouts():

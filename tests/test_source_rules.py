@@ -30,3 +30,17 @@ def test_self_test_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert "self-test ok" in out.stdout
+
+
+def test_every_error_class_is_raised_somewhere():
+    """Each exception class of `errors.py`, other than the base, is
+    constructed somewhere else in `src/`: an error nothing raises is dead."""
+    tree = ast.parse((SRC / "errors.py").read_text())
+    declared = {n.name for n in tree.body if isinstance(n, ast.ClassDef)} - {"WorkbenchError"}
+    called = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "errors.py":
+            for n in ast.walk(ast.parse(path.read_text())):
+                if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                    called.add(n.func.id if isinstance(n.func, ast.Name) else n.func.attr)
+    assert sorted(declared - called) == []

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordbench.ordinal import ZERO, mul_nat
 from ordbench.oset import OrdinalSet, olim, parse_set
 from ordbench.universe import ToyUniverse
 
-from conftest import W, W2, W3, nat, o, small_ordinals_below
+from conftest import W, W2, W3, nat, o, ordinal_sets, small_ordinals_below
 
 
 def uni(lam="w^2", bound="w", cores=None) -> ToyUniverse:
@@ -86,6 +88,62 @@ def test_is_large_all_stratum_union():
     assert u.is_large_all(full, b)
     assert u.is_large_all(full.restrict_above(o("w^2*2")), b)
     assert not u.is_large_all(full.difference(u.stratum(nat(2), b)), b)
+
+
+def _overridden(lam: str, cores: dict[tuple[str, int], str]) -> ToyUniverse:
+    return ToyUniverse(
+        o(lam), W, {(o(beta), nat(xi)): parse_set(core) for (beta, xi), core in cores.items()}
+    )
+
+
+LARGENESS_CASES = [
+    (u, o(beta))
+    for u, betas in [
+        (uni("w^2"), ["w", "w*3", "w^2"]),
+        (uni("w^3"), ["w*2", "w^2", "w^2*2+w", "w^3"]),
+        (uni("w^3*2+w"), ["w^3", "w^3+w^2", "w^3*2", "w^3*2+w"]),
+        (_overridden("w^2", {("w^2", 0): "[0,5)", ("w^2", 1): "[w,w*3)@{1}"}), ["w*4", "w^2"]),
+        (
+            _overridden("w^3", {("w^3", 1): "[w*3,w^2)@{1}", ("w^2", 1): "{w*3}",
+                                ("w^3", 2): "{w^2} u {w^2*2}"}),
+            ["w^2", "w^2*3", "w^3"],
+        ),
+    ]
+    for beta in betas
+]
+
+
+@settings(max_examples=300)
+@given(ordinal_sets(), st.sampled_from(LARGENESS_CASES))
+def test_large_at_all_indices_is_large_at_each(B, case):
+    u, beta = case
+    levels = [nat(k) for k in range(u.o(beta).as_int())]
+    assert u.is_large_all(B, beta) == all(u.is_large(B, beta, xi) for xi in levels)
+
+
+@pytest.mark.parametrize(
+    "u, B, beta, large",
+    [
+        # The plain complement [w*5,w^2) misses every level, each overridden.
+        (_overridden("w^2", {("w^2", 0): "[0,5)", ("w^2", 1): "[w,w*3)@{1}"}),
+         "[0,w*5)", "w^2", True),
+        # Infinitely many levels below o(w^w) = w cannot all be overridden.
+        (uni("w^w", "w+1"), "[0,w^3)", "w^w", False),
+        # The complement [w^2,w^2+w)@{2} reaches w^2+w, but level 2 is not
+        # below o(w^2+w) = 1.
+        (uni("w^3"), "[0,w^2) u [w^2,w^2+w)@{0}", "w^2+w", True),
+    ],
+    ids=["all-levels-overridden", "infinitely-many-levels", "level-above-the-order"],
+)
+def test_is_large_all_reads_the_complements_last_piece(u, B, beta, large):
+    assert u.is_large_all(parse_set(B), o(beta)) is large
+
+
+def test_star_closure_of_a_bounded_plain_set():
+    u = uni("w^2", "w")
+    assert u.star_closure(parse_set("[0,w*3)"), W2) == parse_set("[0,w*3)")
+    # w has nothing of the set below it.
+    assert u.star_closure(parse_set("{w} u [w+1,w*3)"), W2) == parse_set("(w,w*3)")
 
 
 def test_star_closure_full_set():
