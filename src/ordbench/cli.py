@@ -66,10 +66,10 @@ KINDS: dict[str, Callable] = {
     "structure": _document(io.structure_from_json),
     "fn": _document(io.product_fn_from_json),
     "derivation": _document(io.derivation_from_json),
-    "members": _document(set),
-    "family": _document(lambda d: {int(k): set(v) for k, v in d.items()}),
-    "tuples": _document(lambda d: [tuple(t) for t in d]),
-    "tables": _document(lambda d: [{int(k): v for k, v in t.items()} for t in d]),
+    "members": _document(lambda d: set(io._ints(d, "a set"))),
+    "family": _document(lambda d: {int(k): set(io._ints(v, "a set")) for k, v in d.items()}),
+    "tuples": _document(lambda d: [io._ints(t, "a tuple") for t in d]),
+    "tables": _document(lambda d: [{int(k): io.hashable(v) for k, v in t.items()} for t in d]),
     "graph": _document(lambda d: {tuple(e["args"]): io.hashable(e["value"]) for e in d}),
     "target": _document(lambda d: {io.hashable(t) for t in d}),
 }

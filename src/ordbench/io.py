@@ -206,8 +206,8 @@ def _assignment_to_json(ua: UltraAssignment) -> dict:
 def _assignment_from_json(doc: dict) -> UltraAssignment:
     proj = doc.get("pi")
     return UltraAssignment(
-        frozenset(doc["core"]),
-        None if proj is None else tuple(tuple(vw) for vw in proj),
+        frozenset(_ints(doc["core"], "a core")),
+        None if proj is None else tuple(_ints(vw, "a projection pair") for vw in proj),
     )
 
 
@@ -229,13 +229,13 @@ def structure_to_json(u: ToyUltraStructure) -> dict:
 
 def structure_from_json(doc: dict) -> ToyUltraStructure:
     return ToyUltraStructure(
-        tuple(doc["ground"]),
+        _ints(doc["ground"], "the ground"),
         {
-            tuple(entry["node"]): _assignment_from_json(entry)
+            _ints(entry["node"], "a structure node"): _assignment_from_json(entry)
             for entry in doc.get("nodes", [])
         },
         {
-            entry["level"]: _assignment_from_json(entry)
+            _ints([entry["level"]], "a level")[0]: _assignment_from_json(entry)
             for entry in doc.get("levels", [])
         },
         None if doc.get("default") is None else _assignment_from_json(doc["default"]),
@@ -283,7 +283,7 @@ def derivation_from_json(doc: dict) -> Derivation:
         {tuple(entry["args"]): entry["value"] for entry in table}
         for table in doc["tables"]
     )
-    return Derivation(tuple(doc["levels"]), fns)
+    return Derivation(_ints(doc["levels"], "derivation levels"), fns)
 
 
 def load_document(path: str) -> Any:

@@ -10,7 +10,9 @@ for the map that represents the ground in the ultrapower.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BranchTooShort, PruneBrokeLargeness
 
@@ -43,11 +45,12 @@ class UltraAssignment:
     core: frozenset[int]
     proj: tuple[tuple[int, int], ...] | None = None  # None = identity (normal)
 
+    @cached_property
+    def _table(self) -> dict[int, int]:
+        return dict(self.proj or ())
+
     def pi(self, v: int) -> int:
-        if self.proj is None:
-            return v
-        table = dict(self.proj)
-        return table.get(v, v)
+        return self._table.get(v, v)
 
     def is_large(self, s) -> bool:
         return self.core <= set(s)
@@ -79,9 +82,10 @@ class ToyUltraStructure:
             if not ua.core or not ua.core <= gset:
                 raise ValueError("cores must be nonempty subsets of the ground")
             if ua.proj is not None:
-                for v, w in ua.proj:
-                    if w > v:
-                        raise ValueError("projections must be weakly decreasing")
+                if any(w > v for v, w in ua.proj):
+                    raise ValueError("projections must be weakly decreasing")
+                if len(ua._table) != len(ua.proj):
+                    raise ValueError("a projection lists a point twice")
 
     def __hash__(self):
         return hash((self.ground, tuple(sorted(self.nodes)), tuple(sorted(self.levels))))
@@ -149,13 +153,6 @@ def validate_tree(t: TreeCondition, u: ToyUltraStructure) -> list[str]:
     return out
 
 
-def _comparison_nodes(s: TreeCondition, t: TreeCondition) -> set[Node]:
-    nodes = {a for a in s.successors if a[: len(t.trunk)] == t.trunk[: len(a)]}
-    nodes |= set(t.successors)
-    nodes.add(t.trunk)
-    return {a for a in nodes if len(a) >= len(t.trunk) or t.trunk[: len(a)] == a}
-
-
 def leq_tree(s: TreeCondition, t: TreeCondition, u: ToyUltraStructure) -> bool:
     """t extends s: longer trunk through s's tree, smaller successor sets."""
     if t.trunk[: len(s.trunk)] != s.trunk:
@@ -163,14 +160,12 @@ def leq_tree(s: TreeCondition, t: TreeCondition, u: ToyUltraStructure) -> bool:
     for i in range(len(s.trunk), len(t.trunk)):
         if t.trunk[i] not in s.suc(u, t.trunk[:i]):
             return False
-    for a in _comparison_nodes(s, t):
-        if len(a) < len(t.trunk):
-            continue
-        if a[: len(t.trunk)] != t.trunk:
-            continue
-        if not t.suc(u, a) <= s.suc(u, a):
-            return False
-    return True
+    # Off the explicit nodes both successor sets are the node's core.
+    return all(
+        t.suc(u, a) <= s.suc(u, a)
+        for a in {*s.successors, *t.successors}
+        if a[: len(t.trunk)] == t.trunk
+    )
 
 
 def leq_tree_star(s: TreeCondition, t: TreeCondition, u: ToyUltraStructure) -> bool:
@@ -259,30 +254,24 @@ def validate_sequence_condition(
     return out
 
 
+def _diag(u: ToyUltraStructure, family: dict[int, set], bound) -> frozenset[int]:
+    """{v | for all a < bound(v): v in A_a}."""
+    try:
+        return frozenset(
+            v for v in u.ground if all(v in family[a] for a in range(bound(v)))
+        )
+    except KeyError as err:
+        raise ValueError(f"family not total: missing index {err}") from err
+
+
 def modified_diag(u: ToyUltraStructure, family: dict[int, set], k: int) -> frozenset[int]:
     """{v | for all a < pi_k(v): v in A_a}."""
-    pi = u.level_ultra(k).pi
-    out = []
-    for v in u.ground:
-        bound = pi(v)
-        try:
-            if all(v in family[a] for a in range(bound)):
-                out.append(v)
-        except KeyError as err:
-            raise ValueError(f"family not total: missing index {err}") from err
-    return frozenset(out)
+    return _diag(u, family, u.level_ultra(k).pi)
 
 
 def classical_diag(u: ToyUltraStructure, family: dict[int, set]) -> frozenset[int]:
     """{v | for all a < v: v in A_a}."""
-    out = []
-    for v in u.ground:
-        try:
-            if all(v in family[a] for a in range(v)):
-                out.append(v)
-        except KeyError as err:
-            raise ValueError(f"family not total: missing index {err}") from err
-    return frozenset(out)
+    return _diag(u, family, lambda v: v)
 
 
 def _as_tuples(X, n: int) -> set[Node]:
@@ -301,16 +290,25 @@ def limit_ultrafilter_member(
     u: ToyUltraStructure, X, n: int = 2, prefix: Node = ()
 ) -> bool:
     """Iterated section test: X (increasing n-tuples) belongs to the n-fold
-    limit of the node ultrafilters along the given prefix."""
-    tuples = _as_tuples(X, n)
-    if n == 1:
-        return u.node_ultra(prefix).is_large({t[0] for t in tuples})
-    passing = set()
-    for v in u.ground:
-        section = {t[1:] for t in tuples if t[0] == v}
-        if limit_ultrafilter_member(u, section, n - 1, prefix + (v,)):
-            passing.add(v)
-    return u.node_ultra(prefix).is_large(passing)
+    limit of the node ultrafilters along the given prefix, that is, its
+    section X_v is in the limit along prefix + (v,) for U-many v."""
+    if n < 0:
+        raise ValueError(f"tuple length {n} is negative")
+    return _sections_member(u, _as_tuples(X, n), n, prefix)
+
+
+def _sections_member(u: ToyUltraStructure, tuples, n: int, prefix: Node) -> bool:
+    # The node ultrafilter is principal, so U-many means every point of
+    # its core.
+    if n == 0:
+        return () in tuples
+    sections: dict[int, set[Node]] = {}
+    for t in tuples:
+        sections.setdefault(t[0], set()).add(t[1:])
+    return all(
+        _sections_member(u, sections.get(v, ()), n - 1, prefix + (v,))
+        for v in u.node_ultra(prefix).core
+    )
 
 
 def project_ultrafilter(u: ToyUltraStructure, F, n: int):
@@ -337,19 +335,12 @@ def is_p_point(
     """Every non-constant (mod the node ultrafilter) function in the family
     is fiber-bounded on a large set; with principal cores the core itself
     is the minimal large set."""
-    ua = u.node_ultra(a)
+    core = u.node_ultra(a).core
     for f in test_family:
-        get = f.get if hasattr(f, "get") else lambda v, _f=f: _f(v)
-        values = {get(v) for v in ua.core}
-        constant = any(
-            ua.is_large({v for v in u.ground if get(v) == c}) for c in values
-        )
-        if constant:
-            continue
-        fibers: dict[int, int] = {}
-        for v in ua.core:
-            fibers[get(v)] = fibers.get(get(v), 0) + 1
-        if any(c > fiber_bound for c in fibers.values()):
+        get = f.get if hasattr(f, "get") else f
+        # f is constant on a large set exactly when it is constant on the core.
+        fibers = Counter(get(v) for v in core)
+        if len(fibers) > 1 and max(fibers.values()) > fiber_bound:
             return False
     return True
 
@@ -383,12 +374,5 @@ def apply_derivation(d: Derivation, branch: Node) -> tuple:
 
 def derivation_profile(d: Derivation) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Distinct arities in increasing order with their multiplicities."""
-    distinct: list[int] = []
-    counts: list[int] = []
-    for n in d.levels:
-        if distinct and distinct[-1] == n:
-            counts[-1] += 1
-        else:
-            distinct.append(n)
-            counts.append(1)
-    return tuple(distinct), tuple(counts)
+    runs = [(n, len(list(group))) for n, group in itertools.groupby(d.levels)]
+    return tuple(n for n, _ in runs), tuple(c for _, c in runs)

@@ -136,17 +136,19 @@ def _check_compatible(p: ICondition, q: ICondition):
 
 
 def index_chain(cond: AnyCondition, I: IndexSet) -> list[Ordinal | None]:
-    """I(t_i, p) for the non-top blocks; None encodes N/A and propagates."""
+    """I(t_i, p) for the non-top blocks; None encodes N/A and propagates.
+
+    A point beyond the ground set is N/A and leaves the recursion where it
+    was, as `magidor._block_violations` leaves the previous point."""
     u = cond.universe
     vals: list[Ordinal | None] = []
     prev: Ordinal | None = ZERO
     for b in cond.blocks[:-1]:
-        if prev is None:
+        if prev is None or b.kappa > u.lambda0:
             vals.append(None)
             continue
-        v = I.min_level_above(u.o(b.kappa), prev)
-        vals.append(v)
-        prev = v
+        prev = I.min_level_above(u.o(b.kappa), prev)
+        vals.append(prev)
     return vals
 
 
@@ -178,6 +180,7 @@ def validate_I(q: ICondition) -> list[str]:
     `magidor.validate` with the top's set clause and, below the top, the
     clauses of successor (2.a) and limit (2.b) positions."""
     u, I = q.universe, q.index_set
+    chain = index_chain(q, I)
     idx: Ordinal | None = ZERO  # I(t, q) of the last block walked; None is N/A
 
     def own(i: int, b: Block, prev_kappa: Ordinal | None) -> list[str]:
@@ -186,8 +189,8 @@ def validate_I(q: ICondition) -> list[str]:
             if b.measure_set is None:
                 return ["top block needs a measure set"]
             return _set_violations(u, b, prev_kappa)
-        prev_idx = idx
-        c = idx = None if prev_idx is None else I.min_level_above(u.o(b.kappa), prev_idx)
+        prev_idx, c = idx, chain[i - 1]
+        idx = c
         if c is None:
             return ["index recursion undefined (N/A)"]
         out = []

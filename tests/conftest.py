@@ -22,6 +22,7 @@ from ordbench.ordinal import (
     parse_ordinal,
 )
 from ordbench.oset import OrdinalSet, Piece
+from ordbench.prikry import ToyUltraStructure, TreeCondition, UltraAssignment
 from ordbench.universe import ToyUniverse
 
 # Example counts stay per test; no property here has a deadline, and the
@@ -236,3 +237,42 @@ def raw_pieces(draw, max_pieces: int = 5) -> tuple[Piece, ...]:
             hi = draw(st.sampled_from(dom))
         out.append(Piece(lo, hi, draw(levels)))
     return tuple(out)
+
+
+@st.composite
+def ultra_assignments(draw, ground: tuple[int, ...]) -> UltraAssignment:
+    """A nonempty core in the ground, and no projection or one that moves
+    a few points weakly downward, each listed once."""
+    core = frozenset(draw(st.sets(st.sampled_from(ground), min_size=1)))
+    moved = draw(st.none() | st.lists(st.sampled_from(ground), unique=True))
+    if moved is None:
+        return UltraAssignment(core)
+    return UltraAssignment(core, tuple((v, draw(st.integers(0, v))) for v in moved))
+
+
+@st.composite
+def ultra_structures(draw) -> ToyUltraStructure:
+    """A small ground with node and level tables, an optional default and
+    an optional tail default."""
+    ground = tuple(sorted(draw(st.sets(st.integers(0, 7), min_size=1, max_size=6))))
+    nodes = {
+        tuple(sorted(a)): draw(ultra_assignments(ground))
+        for a in draw(st.lists(st.sets(st.sampled_from(ground), max_size=2), max_size=3))
+    }
+    levels = draw(st.dictionaries(st.integers(0, 3), ultra_assignments(ground), max_size=2))
+    default = draw(st.none() | ultra_assignments(ground))
+    return ToyUltraStructure(ground, nodes, levels, default, draw(st.booleans()))
+
+
+@st.composite
+def tree_conditions(draw, ground: tuple[int, ...], trunk=None) -> TreeCondition:
+    """A trunk of at most two increasing points (or the one given), with
+    explicit successor sets at a few nodes above it."""
+    if trunk is None:
+        trunk = tuple(sorted(draw(st.sets(st.sampled_from(ground), max_size=2))))
+    points = st.sampled_from(ground)
+    successors = {
+        trunk + tuple(sorted(a)): frozenset(draw(st.sets(points)))
+        for a in draw(st.lists(st.sets(points, max_size=2), max_size=3))
+    }
+    return TreeCondition(trunk, draw(st.integers(0, 3)), successors)

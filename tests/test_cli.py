@@ -160,6 +160,17 @@ def test_point_beyond_the_ground_set_is_a_violation_in_both_forcings(capsys):
         assert "block 1 (kappa=w^3): point beyond the ground set" in out
 
 
+def test_point_beyond_the_ground_set_extends_itself_in_both_forcings(capsys):
+    # The index recursion gives that block N/A and goes on past it.
+    doc = json.dumps({
+        "universe": io.universe_to_json(canon_universe("w^2")),
+        "index": "[0,w^2)",
+        "blocks": [{"kappa": "w^3", "B": None}, {"kappa": "w^2", "B": "[w,w^2)"}],
+    })
+    for group in ("cond", "proj"):
+        assert run([group, "leq", doc, doc], capsys) == (0, "extends\n")
+
+
 def test_cond_unveil(capsys, tmp_path):
     u = canon_universe("w^2")
     p = canonical_condition(u, [o("w"), o("w+1"), o("w*2")])
@@ -294,6 +305,7 @@ def test_prikry_cli(capsys, tmp_path):
 _STRUCTURE = json.dumps(
     {"ground": [0, 1, 2, 3, 4, 5], "default": {"core": [3, 4, 5], "pi": None}}
 )
+_STRUCTURE5 = json.dumps({"ground": [0, 1, 2, 3, 4], "default": {"core": [1, 2], "pi": None}})
 
 
 @pytest.mark.parametrize(
@@ -322,11 +334,24 @@ _STRUCTURE = json.dumps(
             {"args": [1, 3], "value": 0}]}), "--min-sizes=-1,1"],
         ["ramsey", "important", json.dumps({"factors": [list(range(19))], "table": [
             {"args": [x], "value": 0} for x in range(19)]}), "--min-sizes", "0"],
+        ["prikry", "validate-seq", '{"3": [3, "a"]}', "--trunk", "0,1",
+         "--structure", _STRUCTURE5],
+        ["prikry", "validate-seq", '[3, "a"]', "--trunk", "0,1", "--variant", "single",
+         "--structure", _STRUCTURE5],
+        ["prikry", "limit-member", '[[0, "a"]]', "2", "--structure", _STRUCTURE5],
+        ["prikry", "limit-member", "--structure", _STRUCTURE5, "--", "[]", "-1"],
+        ["prikry", "limit-member", "[]", "1", "--structure", json.dumps(
+            {"ground": [0, 1, 2, 3], "default": {"core": [3], "pi": [[3, 1], [3, 0]]}})],
+        ["prikry", "normalize", '{"trunk": [1], "depth": 2}', "--structure",
+         '{"ground": "a", "default": null}'],
+        ["prikry", "derive", '{"levels": ["a"], "tables": [[]]}', "2,4"],
     ],
     ids=[
         "list-condition", "int-blocks", "gamma-list-condition", "deep-literal", "deep-json",
         "str-trunk", "bool-trunk", "str-depth", "float-node", "str-set-member",
         "object-fn-value", "object-graph-value", "negative-min-size", "oversized-ramsey",
+        "str-family-member", "str-set-member-single", "str-tuple-entry", "negative-arity",
+        "point-projected-twice", "str-ground", "str-derivation-level",
     ],
 )
 def test_malformed_input_exits_2(argv, capsys):
@@ -352,12 +377,35 @@ _json_values = st.recursive(
         (["uni", "check"], []),
         (["prikry", "validate"], ["--structure", _STRUCTURE]),
         (["ramsey", "homog"], ["--min-sizes", "1,1"]),
+        (["prikry", "limit-member"], ["2", "--structure", _STRUCTURE]),
+        (["prikry", "p-point"], ["1", "--structure", _STRUCTURE]),
+        (["prikry", "diag"], ["1", "--structure", _STRUCTURE]),
+        (["prikry", "derive"], ["2,4"]),
+        (["prikry", "validate-seq"], ["--structure", _STRUCTURE, "--trunk", "0,2"]),
+        (["prikry", "validate-seq"], ["--structure", _STRUCTURE, "--trunk", "0,2",
+                                      "--variant", "single"]),
+        (["prikry", "project"], ["[3, 4, 5]", "1", "--structure", _STRUCTURE]),
+        (["prikry", "project", json.dumps([{"args": [a], "value": a} for a in range(6)])],
+         ["1", "--structure", _STRUCTURE]),
+        (["prikry", "validate", '{"trunk": [1], "depth": 2}', "--structure"], []),
     ]),
 )
 def test_document_arguments_never_raise(doc, verb):
     # Any JSON value as a document argument is a verdict or an input error.
     name, flags = verb
     assert main(["--machine", *name, json.dumps(doc), *flags]) in (0, 1, 2)
+
+
+def test_p_point_table_values_may_be_lists(capsys):
+    code, doc = machine(
+        ["prikry", "p-point", '[{"1": [1], "2": [2]}]', "1", "--structure", _STRUCTURE5], capsys
+    )
+    assert (code, doc["result"]) == (0, True)
+
+
+def test_limit_member_of_the_empty_tuple(capsys):
+    for X, code in (("[]", 1), ("[[]]", 0)):
+        assert main(["prikry", "limit-member", X, "0", "--structure", _STRUCTURE5]) == code
 
 
 def test_machine_roundtrip_condition(cond_doc, capsys):

@@ -1,5 +1,6 @@
 """Round trips of the JSON document formats through text: universes,
-conditions, subsequence conditions and sets with level-filtered pieces."""
+conditions, subsequence conditions, sets with level-filtered pieces, and
+the Prikry trees, ultrafilter structures and derivations."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from ordbench import io
 from ordbench.ordinal import from_int
 from ordbench.oset import OrdinalSet, Piece
+from ordbench.prikry import Derivation
 from ordbench.projection import pi
 from ordbench.universe import ToyUniverse
 
@@ -20,6 +22,8 @@ from conftest import (
     gen_projection_condition,
     random_condition,
     small_ordinals_below,
+    tree_conditions,
+    ultra_structures,
 )
 from test_projection import random_iset
 
@@ -87,3 +91,42 @@ def test_icondition_round_trip(lam, seed):
 @given(filtered_sets())
 def test_filtered_set_round_trip(s):
     assert _through_text(io.set_to_json, io.set_from_json, s) == s
+
+
+@_settings
+@given(ultra_structures(), st.data())
+def test_tree_round_trip(u, data):
+    t = data.draw(tree_conditions(u.ground))
+    assert _through_text(io.tree_to_json, io.tree_from_json, t) == t
+
+
+@_settings
+@given(ultra_structures())
+def test_structure_round_trip(u):
+    # Not ==: the document sorts the projection pairs.
+    back = _through_text(io.structure_to_json, io.structure_from_json, u)
+    assert (back.ground, back.tail_default) == (u.ground, u.tail_default)
+    assert (set(back.nodes), set(back.levels)) == (set(u.nodes), set(u.levels))
+    pairs = [(u.default, back.default)]
+    pairs += [(ua, back.nodes[a]) for a, ua in u.nodes.items()]
+    pairs += [(ua, back.levels[n]) for n, ua in u.levels.items()]
+    for ua, ub in pairs:
+        assert (ua is None) == (ub is None)
+        if ua is not None:
+            assert ua.core == ub.core
+            assert [ua.pi(v) for v in u.ground] == [ub.pi(v) for v in u.ground]
+
+
+@st.composite
+def derivations(draw) -> Derivation:
+    """Non-decreasing arities, each with a table on a few increasing tuples."""
+    levels = sorted(draw(st.lists(st.integers(0, 3), max_size=4)))
+    tuples = st.lists(st.integers(0, 7), unique=True).map(lambda a: tuple(sorted(a)))
+    fns = tuple(draw(st.dictionaries(tuples, st.integers(-5, 5), max_size=3)) for _ in levels)
+    return Derivation(tuple(levels), fns)
+
+
+@_settings
+@given(derivations())
+def test_derivation_round_trip(d):
+    assert _through_text(io.derivation_to_json, io.derivation_from_json, d) == d

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordbench.errors import BranchTooShort, PruneBrokeLargeness
 from ordbench.prikry import (
@@ -23,6 +25,8 @@ from ordbench.prikry import (
     validate_sequence_condition,
     validate_tree,
 )
+
+from conftest import tree_conditions, ultra_structures
 
 
 def simple_structure(n: int = 6, core=None) -> ToyUltraStructure:
@@ -218,22 +222,6 @@ def test_limit_ultrafilter_member_full_and_missing():
     assert not limit_ultrafilter_member(u, broken, 2)
 
 
-def brute_member(u: ToyUltraStructure, X, n: int) -> bool:
-    """Direct n-fold loop oracle over cores."""
-    X = {tuple(t) for t in X}
-
-    def ok(prefix):
-        if len(prefix) == n:
-            return prefix in X
-        core = u.node_ultra(prefix).core
-        return all(ok(prefix + (v,)) for v in core if not prefix or v > prefix[-1] or True) or _section(prefix)
-
-    def _section(prefix):
-        return False
-
-    return _recursive(u, X, n, ())
-
-
 def _recursive(u, X, n, prefix):
     if n == 0:
         return () in X
@@ -271,6 +259,25 @@ def test_limit_member_triples_random(rng):
     for _ in range(300):
         X = [t for t in triples if rng.random() < 0.5]
         assert limit_ultrafilter_member(u, X, 3) == _recursive(u, set(X), 3, ())
+
+
+def test_limit_member_negative_length():
+    with pytest.raises(ValueError):
+        limit_ultrafilter_member(simple_structure(), [], -1)
+
+
+_settings = settings(max_examples=100)
+
+
+@_settings
+@given(ultra_structures(), st.integers(0, 3), st.data())
+def test_limit_member_matches_recursive(u, n, data):
+    tuples = list(itertools.combinations(u.ground, n))
+    X = data.draw(st.sets(st.sampled_from(tuples)) if tuples else st.just(set()))
+    if data.draw(st.booleans()):
+        X = set(tuples) - X
+    prefix = data.draw(st.sampled_from([()] + [(v,) for v in u.ground]))
+    assert limit_ultrafilter_member(u, X, n, prefix) == _recursive(u, X, n, prefix)
 
 
 def test_projection_consistency():
@@ -322,6 +329,112 @@ def test_is_p_point():
     u2 = halving_structure(12)
     proj = {v: v // 2 for v in range(12)}
     assert is_p_point(u2, (), fiber_bound=11, test_family=[proj])
+
+
+def old_is_p_point(u, a, fiber_bound, test_family) -> bool:
+    """The test as first written: constancy scans the ground per value."""
+    ua = u.node_ultra(a)
+    for f in test_family:
+        get = f.get if hasattr(f, "get") else lambda v, _f=f: _f(v)
+        values = {get(v) for v in ua.core}
+        constant = any(
+            ua.is_large({v for v in u.ground if get(v) == c}) for c in values
+        )
+        if constant:
+            continue
+        fibers: dict[int, int] = {}
+        for v in ua.core:
+            fibers[get(v)] = fibers.get(get(v), 0) + 1
+        if any(c > fiber_bound for c in fibers.values()):
+            return False
+    return True
+
+
+@_settings
+@given(ultra_structures(), st.data())
+def test_is_p_point_matches_oracle(u, data):
+    node = data.draw(st.sampled_from([()] + [(v,) for v in u.ground]))
+    tables = data.draw(
+        st.lists(st.dictionaries(st.sampled_from(u.ground), st.integers(0, 2)), max_size=3)
+    )
+    # Tables and total functions alike.
+    family = [t if i % 2 else (lambda v, t=t: t.get(v, -1)) for i, t in enumerate(tables)]
+    bound = data.draw(st.integers(0, 3))
+    assert is_p_point(u, node, bound, family) == old_is_p_point(u, node, bound, family)
+
+
+def _comparison_nodes(s, t):
+    nodes = {a for a in s.successors if a[: len(t.trunk)] == t.trunk[: len(a)]}
+    nodes |= set(t.successors)
+    nodes.add(t.trunk)
+    return {a for a in nodes if len(a) >= len(t.trunk) or t.trunk[: len(a)] == a}
+
+
+def old_leq_tree(s, t, u) -> bool:
+    """The order as first written, over the nodes `_comparison_nodes` picks."""
+    if t.trunk[: len(s.trunk)] != s.trunk:
+        return False
+    for i in range(len(s.trunk), len(t.trunk)):
+        if t.trunk[i] not in s.suc(u, t.trunk[:i]):
+            return False
+    for a in _comparison_nodes(s, t):
+        if len(a) < len(t.trunk):
+            continue
+        if a[: len(t.trunk)] != t.trunk:
+            continue
+        if not t.suc(u, a) <= s.suc(u, a):
+            return False
+    return True
+
+
+@_settings
+@given(ultra_structures(), st.data())
+def test_tree_order_matches_oracle(u, data):
+    s = data.draw(tree_conditions(u.ground))
+    above = s.trunk + tuple(data.draw(st.lists(st.sampled_from(u.ground), max_size=2)))
+    t = data.draw(tree_conditions(u.ground, above) | tree_conditions(u.ground))
+    for a, b in ((s, t), (t, s), (s, s)):
+        assert leq_tree(a, b, u) == old_leq_tree(a, b, u)
+        assert leq_tree_star(a, b, u) == (a.trunk == b.trunk and old_leq_tree(a, b, u))
+
+
+def _pointwise_diag(u, family, bound) -> frozenset:
+    out = set()
+    for v in u.ground:
+        for a in range(bound(v)):
+            if a not in family:
+                raise ValueError(f"family not total: missing index {a}")
+            if v not in family[a]:
+                break
+        else:
+            out.add(v)
+    return frozenset(out)
+
+
+@_settings
+@given(ultra_structures(), st.integers(0, 3), st.data())
+def test_diagonals_match_pointwise_oracle(u, k, data):
+    points = st.sets(st.sampled_from(u.ground))
+    family = {a: data.draw(points) for a in range(data.draw(st.integers(0, 8)))}
+    for diag, bound in (
+        (lambda: modified_diag(u, family, k), u.level_ultra(k).pi),
+        (lambda: classical_diag(u, family), lambda v: v),
+    ):
+        try:
+            expect = _pointwise_diag(u, family, bound)
+        except ValueError:
+            with pytest.raises(ValueError, match="family not total"):
+                diag()
+        else:
+            assert diag() == expect
+
+
+def test_projection_listing_a_point_twice_is_rejected():
+    # A dict built from the pairs would keep the last one, and a round
+    # trip through a document, which sorts them, the first.
+    ua = UltraAssignment(frozenset({3}), ((3, 1), (3, 0)))
+    with pytest.raises(ValueError, match="twice"):
+        ToyUltraStructure((0, 1, 2, 3), default=ua)
 
 
 def test_apply_derivation_last_element():

@@ -225,6 +225,19 @@ def test_leq_I_reflexive_and_extension():
     assert leq_I(q, q) and leq_I_star(q, q)
 
 
+def test_point_beyond_the_ground_set_in_the_order_and_the_lift():
+    # The index recursion gives w^3 N/A and leaves the recursion at 0.
+    u = canon_universe("w^2")
+    I = iset("[0,w^2)")
+    q = ICondition(u, I, (Block(o("w^3")), Block(u.lambda0, parse_set("[w,w^2)"))))
+    assert index_chain(q, I) == [None]
+    assert leq_I(q, q)
+    p = canonical_condition(u, [])
+    assert not leq_I(pi(p, I), q)
+    with pytest.raises(NotAnExtension):
+        lift(p, q)
+
+
 def test_order_preservation(rng):
     from conftest import gen_projection_condition
 
