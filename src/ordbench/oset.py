@@ -7,31 +7,26 @@ Plain pieces (levels=None) work anywhere below epsilon_0; filtered pieces
 are confined to regions below w^w, where the set of feasible levels of an
 interval is finite and enumerable.  All operations are exact.
 
-The stored pieces are in normal form, and the queries and restrictions
-walk them in place rather than rebuilding a set.  They rely on these
-invariants:
-
-- the pieces are sorted and pairwise disjoint;
-- each piece is reduced (its filter holds only levels it realizes, and a
-  filter holding all of them is stored as plain) and non-empty;
-- two touching pieces have different filters, and their junction sits at
-  a distinguishing point: the later piece's least point is of a level that
-  one filter allows and the other does not.
+The stored pieces are canonical: equal sets have equal piece tuples, so
+`==` compares pieces and `hash` hashes them.  The rule is greedy maximal
+runs, read left to right.  Each piece starts at the least member not yet
+covered and runs as far as one piece describes the set from there (a
+plain piece anywhere, a filtered one below w^w); it ends just past its
+greatest member, or at its supremum when that is not attained; its filter
+holds exactly the levels it realizes, and is stored as plain when that is
+every feasible level.  Equivalently, no single piece describes S ∩ [p.lo,
+q.lo] for consecutive pieces p and q.
 
 One left-to-right pass, `_settle`, puts sorted, disjoint spans in this
-form.  It reduces each span.  A touching span with the same filter merges
-into the current piece; otherwise the current piece takes the prefix on
-which the two filters agree, up to their least distinguishing point, and
-the remainder is reduced again.  Extending a reduced piece to the right
-keeps it reduced, so no piece the pass has left behind changes again.
-The boolean operations feed the pass the spans of one merge of the two
-sorted piece lists; the constructor, the union of its raw pieces, merges
-them pairwise the same way.  A restriction feeds it only the cut piece,
-followed by the stored pieces after it; once one of those starts a new
-piece unchanged, the pass returns the rest verbatim.
-
-The form is not canonical: `{w} u {w*2}` and `[w,w*2+1)@{1}` are both
-normal, so equality falls back to comparing the two differences.
+form.  It reduces each span and pins it to its least member and tight
+end, then grows the current piece over the gap and the longest prefix of
+the next span that one filter describes together with it (`_run`); the
+rest of that span starts the next piece.  The boolean operations feed
+the pass the spans of one merge of the two sorted piece lists; the
+constructor, the union of its raw pieces, merges them pairwise the same
+way.  A restriction feeds it only the cut piece, followed by the stored
+pieces after it; once one of those starts a new piece unchanged, the
+pass returns the rest verbatim.
 """
 
 from __future__ import annotations
@@ -41,6 +36,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, UnsupportedRegion
 from .ordinal import (
+    OMEGA,
     ONE,
     ZERO,
     Ordinal,
@@ -148,9 +144,6 @@ class Piece:
             return False
         return self.levels is None or olim(g) in self.levels
 
-    def min_element(self) -> Ordinal | None:
-        return self.least_from(self.lo)
-
     def least_from(self, x: Ordinal) -> Ordinal | None:
         """Least element >= x."""
         lo = x if x > self.lo else self.lo
@@ -198,7 +191,7 @@ class Piece:
 
 
 class OrdinalSet:
-    """Finite union of (optionally level-filtered) intervals, in normal form."""
+    """Finite union of (optionally level-filtered) intervals, in canonical form."""
 
     __slots__ = ("pieces",)
 
@@ -207,7 +200,7 @@ class OrdinalSet:
 
     @classmethod
     def _of_normal(cls, pieces: tuple[Piece, ...]) -> "OrdinalSet":
-        """Wrap pieces that are already in normal form."""
+        """Wrap pieces that are already in canonical form."""
         s = object.__new__(cls)
         object.__setattr__(s, "pieces", pieces)
         return s
@@ -238,20 +231,12 @@ class OrdinalSet:
 
     # -- basics ------------------------------------------------------------
     def __eq__(self, other) -> bool:
-        """Semantic equality.  Equal sets usually have identical piece
-        lists, but the normal form is not canonical (see the module
-        docstring); the fallback compares the two differences."""
         if not isinstance(other, OrdinalSet):
             return NotImplemented
-        if self.pieces == other.pieces:
-            return True
-        return (
-            self.difference(other).is_empty() and other.difference(self).is_empty()
-        )
+        return self.pieces == other.pieces
 
     def __hash__(self):
-        # A semantic invariant, so hashing agrees with semantic equality.
-        return hash((self.min_element(), self.sup()))
+        return hash(self.pieces)
 
     def __bool__(self) -> bool:
         return bool(self.pieces)
@@ -292,8 +277,8 @@ class OrdinalSet:
             if p.hi > b:
                 if p.lo >= b:
                     return OrdinalSet._of_normal(pieces[:i])
-                # Re-reducing the cut piece keeps its junction pinned: the
-                # junction's point lies below b, so its level stays feasible.
+                # The pieces before p stay: what ended each lies at or
+                # below p.lo, which stays a member.
                 return OrdinalSet._of_normal(
                     pieces[:i] + _settle((Piece(p.lo, b, p.levels),))
                 )
@@ -314,7 +299,7 @@ class OrdinalSet:
 
     # -- queries -----------------------------------------------------------
     def min_element(self) -> Ordinal | None:
-        return self.pieces[0].min_element() if self.pieces else None
+        return self.pieces[0].lo if self.pieces else None
 
     def min_above(self, floor: Ordinal) -> Ordinal | None:
         """Least element strictly above floor."""
@@ -392,7 +377,7 @@ class OrdinalSet:
         """First `limit` elements in increasing order."""
         out: list[Ordinal] = []
         for p in self.pieces:
-            cur = p.min_element()
+            cur: Ordinal | None = p.lo
             while cur is not None:
                 if len(out) >= limit:
                     return out
@@ -470,30 +455,53 @@ def _reduce_piece(p: Piece) -> Piece | None:
     return Piece(p.lo, p.hi, kept) if kept else None
 
 
-def _least_distinguishing_point(
-    lo: Ordinal, hi: Ordinal, fa: frozenset | None, fb: frozenset | None
-) -> Ordinal | None:
-    """Least point of [lo, hi) whose level separates the two filters."""
-    if fa is None or fb is None:
-        # Against a plain piece any level above the filter separates them.
-        # With m the larger of lo's leading exponent and the filter's top
-        # level, w^(m+1) is such a point, so the search may stop below
-        # w^(m+2) even when the plain piece reaches w^w or beyond.
-        f = fb if fa is None else fa
-        m = max((x.as_int() for x in f), default=0)
-        if lo.terms:
-            m = max(m, lo.terms[0][0].as_int())
-        hi = min(hi, omega_power(from_int(m + 2)))
-        delta = [xi for xi in feasible_levels(lo, hi) if xi not in f]
-    else:
-        delta = [xi for xi in feasible_levels(lo, hi) if (xi in fa) != (xi in fb)]
-    cands = [c for c in (least_in_level(xi, lo) for xi in delta) if c < hi]
-    return min(cands, default=None)
+def _pin(p: Piece) -> Piece | None:
+    """p reduced, then running from its least member to just past its
+    greatest member, or to its supremum when that is not attained; None
+    when p is empty."""
+    p = _reduce_piece(p)
+    if p is None or p.levels is None:
+        return p
+    top, attained = p.sup()
+    return _reduce_piece(Piece(p.least_from(p.lo), top.successor() if attained else top, p.levels))
+
+
+_W_W = omega_power(OMEGA)
+
+
+def _run(cur: Piece, p: Piece) -> Piece | None:
+    """`cur` grown over the gap before the span `p` and over the longest
+    prefix of p that one filter describes together with it; None when p
+    starts the next piece.  With f the levels cur realizes, the run stops
+    at the first (a) gap point of a level in f, (b) point of p of a level
+    in f that p leaves out, or (c) member of p of a level not in f that
+    has a point, left out, in [cur.lo, p.lo)."""
+    if cur.hi == p.lo and cur.levels == p.levels:
+        return Piece(cur.lo, p.hi, p.levels)
+    if not cur.hi < _W_W:
+        return None  # no filter reaches w^w
+    f = frozenset(feasible_levels(cur.lo, cur.hi)) if cur.levels is None else cur.levels
+    if any(least_in_level(xi, cur.hi) < p.lo for xi in f):
+        return None
+    seen = frozenset(feasible_levels(cur.lo, p.lo))
+    g = p.levels
+    stops = [xi for xi in seen - f if g is None or xi in g]
+    if g is not None:
+        stops += f - g
+    # A plain p follows a left-out point (touching plain pieces merged
+    # above), so stops is non-empty and the run ends below w^w.
+    end = min((least_in_level(xi, p.lo) for xi in stops), default=p.hi)
+    if end == p.lo:
+        return None
+    end = min(end, p.hi)
+    if g is None:
+        g = frozenset(feasible_levels(p.lo, end))
+    return _pin(Piece(cur.lo, end, f | (g - seen)))
 
 
 def _normalize(pieces: tuple[Piece, ...]) -> tuple[Piece, ...]:
-    """Normal form of raw pieces: their union, merged pairwise so that n
-    pieces take O(log n) rounds of sweeps rather than n.  A piece with no
+    """Canonical form of raw pieces: their union, merged pairwise so that
+    n pieces take O(log n) rounds of sweeps rather than n.  A piece with no
     point (no interval, or no level with a point inside it) adds no cuts."""
     runs: list[Sequence[Piece]] = [
         (p,)
@@ -508,31 +516,24 @@ def _normalize(pieces: tuple[Piece, ...]) -> tuple[Piece, ...]:
 
 
 def _settle(spans: Sequence[Piece], rest: tuple[Piece, ...] = ()) -> tuple[Piece, ...]:
-    """Normal form of the sorted, disjoint `spans` followed by the normal
-    pieces `rest`, in one left-to-right pass (see the module docstring)."""
+    """Canonical form of the sorted, disjoint `spans` followed by the
+    canonical pieces `rest`, in one left-to-right pass (see the module
+    docstring)."""
     out: list[Piece] = []
     n = len(spans)
     for i, p in enumerate((*spans, *rest)):
         if i < n:
-            p = _reduce_piece(p)
+            p = _pin(p)
             if p is None:
                 continue
-        if out and out[-1].hi == p.lo:
-            cur = out[-1]
-            if cur.levels == p.levels:
-                out[-1] = Piece(cur.lo, p.hi, p.levels)
+        run = _run(out[-1], p) if out else None
+        if run is not None:
+            out[-1] = run
+            if run.hi == p.hi:
                 continue
-            e = _least_distinguishing_point(p.lo, p.hi, cur.levels, p.levels)
-            if e != p.lo:
-                e = p.hi if e is None else e
-                out[-1] = Piece(cur.lo, e, cur.levels)
-                # The remainder starts at a point of a separating level; it
-                # stays so after reduction, which keeps the junction at e.
-                q = _reduce_piece(Piece(e, p.hi, p.levels)) if e < p.hi else None
-                if q is not None:
-                    out.append(q)
-                continue
-        if i >= n:
+            # The rest of p starts the next piece.
+            p = _pin(Piece(run.hi, p.hi, p.levels))
+        elif i >= n:
             return (*out, *rest[i - n :])
         out.append(p)
     return tuple(out)

@@ -366,9 +366,12 @@ def apply_derivation(d: Derivation, branch: Node) -> tuple:
             f"branch of length {len(branch)} shorter than arity {max(d.levels)}"
         )
     out = []
-    for n_k, f in zip(d.levels, d.fns):
+    for k, (n_k, f) in enumerate(zip(d.levels, d.fns)):
         args = branch[:n_k]
-        out.append(f[args] if hasattr(f, "__getitem__") else f(*args))
+        table = hasattr(f, "__getitem__")
+        if table and args not in f:
+            raise ValueError(f"derivation table {k} has no entry for {args}")
+        out.append(f[args] if table else f(*args))
     return tuple(out)
 
 

@@ -518,9 +518,8 @@ def _succ_gap_candidates(I: IndexSet, lo: Ordinal, hi: Ordinal) -> list[Ordinal]
     out = []
     window = I.points.restrict_above(lo).restrict_below(hi)
     for p in window.pieces:
-        m = p.min_element()
-        if I.in_succ(m):
-            out.append(m)
+        if I.in_succ(p.lo):
+            out.append(p.lo)
     return out
 
 

@@ -192,30 +192,53 @@ def small_ordinals_below(bound: Ordinal, count: int) -> list[Ordinal]:
 
 
 SET_TOP = parse_ordinal("w^3*3")
+W_W = omega_power(OMEGA)
+# Ends of plain pieces at and above w^w, where no filter reaches, and the
+# points around them that a pointwise oracle needs.
+HIGH_ENDS = tuple(map(parse_ordinal, ("w^w", "w^w+1", "w^w+w", "w^w*2", "w^(w+1)")))
+HIGH_POINTS = tuple(
+    map(
+        parse_ordinal,
+        ("w^4", "w^5+w*2+1", "w^w", "w^w+1", "w^w+5", "w^w+w", "w^w+w+1",
+         "w^w*2", "w^w*2+1", "w^(w+1)", "w^(w+1)+w"),
+    )
+)
 
 
 @st.composite
-def ordinal_sets(draw, max_pieces: int = 4) -> OrdinalSet:
+def ordinal_sets(draw, max_pieces: int = 4, high: bool = False) -> OrdinalSet:
     """Unions of a few plain and level-filtered pieces below w^3*3, drawn
     piece by piece so that a failure shrinks to few pieces.
 
     Half the draws chain short pieces end to end instead, so that
     different filters meet at junctions that normalisation has to move,
     and a moved junction can empty the piece after it.
+
+    With `high`, plain pieces may also end at or above w^w (`HIGH_ENDS`),
+    and a chain may end in one, so that filtered runs meet pieces that no
+    filter can describe whole.
     """
     dom = small_ordinals_below(SET_TOP, 550)
-    ends = st.sampled_from(dom)
+    low = st.sampled_from(dom)
+    ends = low | st.sampled_from(HIGH_ENDS) if high else low
     levels = st.none() | st.frozensets(st.integers(0, 3).map(from_int), max_size=3)
     if draw(st.booleans()):
         steps = st.sampled_from((nat(1), nat(2), W, add(W, nat(1)), W2))
-        cut, chain = draw(ends), []
+        cut, chain = draw(low), []
         for lv in draw(st.lists(levels, min_size=1, max_size=max_pieces)):
             nxt = add(cut, draw(steps))
             chain.append(Piece(cut, nxt, lv))
             cut = nxt
+        if high and draw(st.booleans()):
+            chain.append(Piece(cut, draw(st.sampled_from(HIGH_ENDS))))
         return OrdinalSet(tuple(chain))
     drawn = draw(st.lists(st.tuples(ends, ends, levels), max_size=max_pieces))
-    return OrdinalSet(tuple(Piece(min(a, b), max(a, b), lv) for a, b, lv in drawn))
+    return OrdinalSet(
+        tuple(
+            Piece(min(a, b), max(a, b), None if max(a, b) >= W_W else lv)
+            for a, b, lv in drawn
+        )
+    )
 
 
 @st.composite

@@ -94,17 +94,34 @@ def test_set_union_drops_emptied_piece(capsys):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["set", "diff", "[0,w^w*2)", "[0,w^2)@{1}"], "[0,w^2)@{0} u [w^2,w^w*2)"),
-        (["set", "union", "[0,w^2)@{1}", "[w^2,w^w)"], "[0,w^2)@{1} u [w^2,w^w)"),
-        (["set", "union", "[w,w^2)@{1}", "[w^2,w^w+1)"], "[w,w^2)@{1} u [w^2,w^w + 1)"),
-        # The filter's top level, not lo's exponent, sets the bound: w^3 is
-        # the separating point.
+        # A filtered run takes in the start of a plain piece reaching w^w,
+        # up to the first point whose level it left out before.
+        pytest.param(
+            ["set", "diff", "[0,w^w*2)", "[0,w^2)@{1}"],
+            "[0,w^2 + w)@{0,2} u [w^2 + w,w^w*2)",
+            id="diff-run-into-w^w*2",
+        ),
+        pytest.param(
+            ["set", "union", "[0,w^2)@{1}", "[w^2,w^w)"],
+            "[w,w^2 + 1)@{1,2} u [w^2 + 1,w^w)",
+            id="union-run-into-w^w",
+        ),
+        pytest.param(
+            ["set", "union", "[w,w^2)@{1}", "[w^2,w^w+1)"],
+            "[w,w^2 + 1)@{1,2} u [w^2 + 1,w^w + 1)",
+            id="union-run-into-w^w+1",
+        ),
+        # The filter leaves out w^3, of level 3, and nothing before it.
         (["set", "union", "[0,w)", "[w,w^3+1)@{0,1,2}"], "[0,w^3)"),
+        # The gap holds only a level-0 point, so the stratum stays one piece.
+        pytest.param(
+            ["set", "diff", "[0,w^2)@{1}", "[w+1,w+2)"], "[w,w^2)@{1}", id="gap-inside-a-stratum"
+        ),
     ],
 )
 def test_junction_between_a_filtered_and_a_plain_piece(argv, expected, capsys):
-    # The junction search stops below w^(m+2) instead of asking for the
-    # levels of the whole plain piece, which may reach w^w.
+    # No junction next to a plain piece that reaches w^w asks for the
+    # levels of that whole piece.
     code, out = run(argv, capsys)
     assert code == 0
     assert out.strip() == expected
@@ -358,6 +375,23 @@ def test_malformed_input_exits_2(argv, capsys):
     for mode in ([], ["--machine"]):
         assert main(mode + argv) == 2
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prikry", "project", '[{"args": [0], "value": 0}]', "[0]", "1",
+          "--structure", _STRUCTURE5], "fn has no entry for (1,)"),
+        (["prikry", "derive", '{"levels": [1], "tables": [[]]}', "2,4"],
+         "derivation table 0 has no entry for (2,)"),
+    ],
+    ids=["fn", "derivation-table"],
+)
+def test_missing_table_entry_names_the_table_and_tuple(argv, message, capsys):
+    for mode in ([], ["--machine"]):
+        assert main(mode + argv) == 2
+        got = capsys.readouterr()
+        assert got.out == "" and got.err == f"input error: {message}\n"
 
 
 _json_values = st.recursive(

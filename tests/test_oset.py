@@ -7,13 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordbench.errors import ParseError, UnsupportedRegion
-from ordbench.ordinal import ONE, ZERO, Ordinal, add, from_int
+from ordbench.ordinal import ONE, ZERO, Ordinal, add, from_int, omega_power
 from ordbench.oset import (
     OrdinalSet,
     Piece,
     _g_omega_power,
     _g_positive,
-    _least_distinguishing_point,
     _level_op,
     _normalize,
     _reduce_piece,
@@ -26,9 +25,21 @@ from ordbench.oset import (
 )
 from ordbench.projection import IndexSet
 
-from conftest import W, W2, W3, nat, o, ordinal_sets, raw_pieces, small_ordinals_below
+from conftest import (
+    HIGH_POINTS,
+    W,
+    W2,
+    W3,
+    W_W,
+    nat,
+    o,
+    ordinal_sets,
+    raw_pieces,
+    small_ordinals_below,
+)
 
 DOMAIN = small_ordinals_below(o("w^3*3"), 550)
+DOMAIN_HIGH = sorted((*DOMAIN, *HIGH_POINTS))
 
 
 def members(s: OrdinalSet, domain=DOMAIN):
@@ -295,12 +306,14 @@ def test_unsupported_region_guard():
     big = OrdinalSet.interval(ZERO, o("w^w*2"))
     assert o("w^w+5") in big.difference(OrdinalSet.interval(W, W2))
     assert OrdinalSet.of(ZERO, o("w^w*3")).sup() == (o("w^w*3"), True)
-    # ... also where a filtered piece touches them ...
-    assert format_set(big.difference(parse_set("[0,w^2)@{1}"))) == "[0,w^2)@{0} u [w^2,w^w*2)"
+    # ... also where a filtered piece touches them, and a filtered run
+    # takes in the start of one ...
+    got = big.difference(parse_set("[0,w^2)@{1}"))
+    assert format_set(got) == "[0,w^2 + w)@{0,2} u [w^2 + w,w^w*2)"
     got = parse_set("[0,w^2)@{1}").union(parse_set("[w^2,w^w)"))
-    assert format_set(got) == "[0,w^2)@{1} u [w^2,w^w)"
+    assert format_set(got) == "[w,w^2 + 1)@{1,2} u [w^2 + 1,w^w)"
     got = parse_set("[w,w^2)@{1}").union(parse_set("[w^2,w^w+1)"))
-    assert format_set(got) == "[w,w^2)@{1} u [w^2,w^w + 1)"
+    assert format_set(got) == "[w,w^2 + 1)@{1,2} u [w^2 + 1,w^w + 1)"
     # ... but level filters cannot be created there.
     with pytest.raises(UnsupportedRegion):
         OrdinalSet.stratum_piece(ZERO, o("w^w"), nat(1))
@@ -390,13 +403,14 @@ def old_min_in_open(points: OrdinalSet, lo, hi):
 
 
 @st.composite
-def sets_and_cuts(draw, cuts: int = 1):
+def sets_and_cuts(draw, cuts: int = 1, high: bool = False):
     """A set with cut points drawn from the grid or from its own piece
     bounds and their neighbours, where the junction cases live."""
-    s = draw(ordinal_sets())
+    s = draw(ordinal_sets(high=high))
     near = [g for p in s.pieces for x in (p.lo, p.hi) for g in (x, x.successor())]
     near += [p.lo.predecessor() for p in s.pieces if p.lo.is_successor]
-    point = st.sampled_from(DOMAIN) | (st.sampled_from(near) if near else st.nothing())
+    grid = DOMAIN_HIGH if high else DOMAIN
+    point = st.sampled_from(grid) | (st.sampled_from(near) if near else st.nothing())
     return (s, *(draw(point) for _ in range(cuts)))
 
 
@@ -459,18 +473,37 @@ def test_pieces_without_interval_or_level_add_no_cuts():
 
 
 def test_equal_sets_with_different_layouts():
-    # Both layouts are normal, so the form is not canonical and __eq__
-    # needs its fallback; the hash is semantic.
+    # The greedy run from w takes w*2 in: the level-0 points between them
+    # are left out, and w*2 is of the run's level 1.
     a, b = parse_set("{w} u {w*2}"), parse_set("[w,w*2+1)@{1}")
-    assert a.pieces != b.pieces
+    assert a.pieces == b.pieces == (Piece(W, o("w*2+1"), frozenset((nat(1),))),)
     assert a == b and hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------
-# The fixpoint normaliser the one-pass `_settle` replaced, kept as the
-# oracle: a covering scan over every cut, then junction pushing, merging and
-# re-reducing until nothing changes.
+# The fixpoint normaliser that the one-pass `_settle` replaced, kept as the
+# oracle of the old, non-canonical normal form: a covering scan over every
+# cut, then junction pushing, merging and re-reducing until nothing changes.
 # ---------------------------------------------------------------------------
+
+
+def _least_distinguishing_point(lo, hi, fa, fb):
+    """Least point of [lo, hi) whose level separates the two filters."""
+    if fa is None or fb is None:
+        # Against a plain piece any level above the filter separates them.
+        # With m the larger of lo's leading exponent and the filter's top
+        # level, w^(m+1) is such a point, so the search may stop below
+        # w^(m+2) even when the plain piece reaches w^w or beyond.
+        f = fb if fa is None else fa
+        m = max((x.as_int() for x in f), default=0)
+        if lo.terms:
+            m = max(m, lo.terms[0][0].as_int())
+        hi = min(hi, omega_power(nat(m + 2)))
+        delta = [xi for xi in feasible_levels(lo, hi) if xi not in f]
+    else:
+        delta = [xi for xi in feasible_levels(lo, hi) if (xi in fa) != (xi in fb)]
+    cands = [c for c in (least_in_level(xi, lo) for xi in delta) if c < hi]
+    return min(cands, default=None)
 
 
 def _old_is_empty(p: Piece) -> bool:
@@ -539,28 +572,38 @@ def old_normalize(pieces):
     return _old_settle(spans)
 
 
+def _joinable(p: Piece, q: Piece) -> bool:
+    """Whether one piece describes the set on [p.lo, q.lo]: p's members
+    and q.lo."""
+    if not q.lo < W_W:
+        return p.levels is None and p.hi == q.lo
+    f = frozenset(feasible_levels(p.lo, p.hi)) if p.levels is None else p.levels
+    one = OrdinalSet._of_normal((Piece(p.lo, q.lo.successor(), f | {olim(q.lo)}),))
+    two = OrdinalSet((p, Piece(q.lo, q.lo.successor())))
+    return one.difference(two).is_empty()
+
+
 def assert_normal(pieces):
-    """The normal-form invariants of the `oset` module docstring."""
+    """The canonical invariants of the `oset` module docstring."""
     for p in pieces:
-        assert p.lo < p.hi
-        # Reduced and non-empty: a proper, non-empty subset of the levels
-        # the piece realizes.
+        assert p.lo < p.hi and p.contains(p.lo)
+        top, attained = p.sup()
+        assert p.hi == (top.successor() if attained else top)
+        # Reduced: a proper, non-empty subset of the levels the piece realizes.
         assert p.levels is None or p.levels and p.levels < set(feasible_levels(p.lo, p.hi))
     for p, q in zip(pieces, pieces[1:]):
         assert p.hi <= q.lo
-        if p.hi == q.lo:
-            lv = olim(q.lo)
-            assert (p.levels is None or lv in p.levels) != (q.levels is None or lv in q.levels)
+        assert not _joinable(p, q), (p, q)
 
 
 @settings(max_examples=300)
 @given(raw_pieces())
 def test_constructor_matches_old_normalize(raw):
+    # The old form is not canonical, so the two are compared as sets.
     s = OrdinalSet(raw)
     old = OrdinalSet._of_normal(old_normalize(raw))
-    assert s == old
+    assert s.difference(old).is_empty() and old.difference(s).is_empty()
     assert members(s) == members(old)
-
 
 @settings(max_examples=300)
 @given(raw_pieces())
@@ -588,3 +631,154 @@ def test_restrictions_are_normal(case):
     s, b = case
     assert_normal(s.restrict_below(b).pieces)
     assert_normal(s.restrict_above(b).pieces)
+
+
+# ---------------------------------------------------------------------------
+# The canonical form, read off membership and `least_in_level` alone.
+# ---------------------------------------------------------------------------
+
+
+def greedy_reference(member, bounds) -> tuple[Piece, ...]:
+    """The canonical pieces of the set that `member` decides, by the greedy
+    rule of the `oset` module docstring, scanned point by point.
+
+    `bounds` holds every bound of the pieces the set was built from, so
+    between two consecutive bounds the points of one level are all members
+    or all not, and at or above w^w all points are.  The scan therefore
+    visits only the first point of each level in each span: a run from its
+    least member stops at the first such point that is (a/b) left out and
+    of a level the run realizes, or (c) a member of a level whose earlier
+    point was left out; at or above w^w it stops at any point once one has
+    been left out.  Each level's first point at or above the start is
+    looked up again whenever a run starts, since a run may start mid-span.
+    """
+    cuts = sorted({ZERO, W_W, *bounds})
+    top_level = 2 + max((c.terms[0][0].as_int() for c in cuts if ZERO < c < W_W), default=0)
+
+    def events(x):
+        out = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi <= x:
+                continue
+            lo = max(lo, x)
+            if lo >= W_W:
+                out.append((lo, None, member(lo)))
+                continue
+            for k in range(top_level + 1):
+                g = least_in_level(nat(k), lo)
+                if g < hi:
+                    out.append((g, k, member(g)))
+        return sorted(out, key=lambda e: e[0])
+
+    out, x = [], ZERO
+    while True:
+        start = next((g for g, _, m in events(x) if m), None)
+        if start is None:
+            return tuple(out)
+        realized, left_out, high, stop = set(), set(), False, cuts[-1]
+        for g, k, m in events(start):
+            if k is None:
+                if not m or left_out:
+                    stop = g
+                    break
+                high = True
+            elif (m and k in left_out) or (not m and k in realized):
+                stop = g
+                break
+            else:
+                (realized if m else left_out).add(k)
+        if high:
+            end = stop
+        else:
+            sups = (level_sup_below(nat(k), stop) for k in realized)
+            end = max(v.successor() if attained else v for v, attained in sups)
+        feasible = {k for k in range(top_level + 1) if least_in_level(nat(k), start) < end}
+        plain = high or not end < W_W or feasible <= realized
+        out.append(Piece(start, end, None if plain else frozenset(map(nat, realized))))
+        x = stop
+
+
+def _bounds(*piece_lists):
+    return [x for ps in piece_lists for p in ps for x in (p.lo, p.hi)]
+
+
+def test_greedy_reference_examples():
+    cases = [
+        ("[0,w^2)@{1}", "[w,w^2)@{1}"),
+        ("{w} u {w*2}", "[w,w*2 + 1)@{1}"),
+        ("[0,w) u [w+1,w^2)", "[0,w*2)@{0} u [w*2,w^2)"),
+        ("[0,w^2)@{0} u [w^2,w^w*2)", "[0,w^2 + w)@{0,2} u [w^2 + w,w^w*2)"),
+        ("[0,w^w) u [w^w+1,w^w*2)", "[0,w^w) u [w^w + 1,w^w*2)"),
+        # Rule (c): the run from w left w+1 out, so w+2, of the same level,
+        # starts the next piece.
+        ("{w} u [w+2,w*3)@{0}", "{w} u [w + 2,w*3)@{0}"),
+    ]
+    for text, canonical in cases:
+        s = parse_set(text)
+        got = greedy_reference(s.__contains__, _bounds(s.pieces))
+        assert format_set(OrdinalSet._of_normal(got)) == canonical
+        assert s.pieces == got
+
+
+STRATEGIES = pytest.mark.parametrize("high", [False, True], ids=["below-w^3*3", "to-w^(w+1)"])
+
+
+@settings(max_examples=300)
+@given(raw_pieces())
+def test_constructor_matches_greedy_reference(raw):
+    def member(g):
+        return any(p.contains(g) for p in raw)
+
+    assert OrdinalSet(raw).pieces == greedy_reference(member, _bounds(raw))
+
+
+@STRATEGIES
+@settings(max_examples=300)
+@given(data=st.data())
+def test_algebra_matches_greedy_reference(high, data):
+    a, b = data.draw(ordinal_sets(high=high)), data.draw(ordinal_sets(high=high))
+    bounds = _bounds(a.pieces, b.pieces)
+    dom = DOMAIN_HIGH if high else DOMAIN
+    ma, mb = set(members(a, dom)), set(members(b, dom))
+    for got, op, expect in (
+        (a.union(b), lambda g: g in a or g in b, ma | mb),
+        (a.intersect(b), lambda g: g in a and g in b, ma & mb),
+        (a.difference(b), lambda g: g in a and g not in b, ma - mb),
+    ):
+        assert set(members(got, dom)) == expect
+        assert got.pieces == greedy_reference(op, bounds)
+
+
+@STRATEGIES
+@settings(max_examples=300)
+@given(data=st.data())
+def test_restrictions_match_greedy_reference(high, data):
+    s, b = data.draw(sets_and_cuts(high=high))
+    dom = DOMAIN_HIGH if high else DOMAIN
+    bounds = _bounds(s.pieces) + [b, b.successor()]
+    below, above = s.restrict_below(b), s.restrict_above(b)
+    assert members(below, dom) == [g for g in members(s, dom) if g < b]
+    assert members(above, dom) == [g for g in members(s, dom) if g > b]
+    assert below.pieces == greedy_reference(lambda g: g < b and g in s, bounds)
+    assert above.pieces == greedy_reference(lambda g: g > b and g in s, bounds)
+    assert_normal(below.pieces)
+    assert_normal(above.pieces)
+
+
+@STRATEGIES
+@settings(max_examples=300)
+@given(data=st.data())
+def test_equal_sets_have_identical_pieces(high, data):
+    a, b = data.draw(ordinal_sets(high=high)), data.draw(ordinal_sets(high=high))
+    x = data.draw(st.sampled_from(DOMAIN_HIGH if high else DOMAIN))
+    for one, two in (
+        (a.union(b), b.union(a)),
+        (a.union(b), a.difference(b).union(b)),
+        (a.intersect(b), b.intersect(a)),
+        (a.restrict_above(x), a.difference(OrdinalSet.interval(ZERO, x.successor()))),
+        (a.restrict_below(x), a.intersect(OrdinalSet.interval(ZERO, x))),
+        (a, OrdinalSet(a.pieces[::-1] + b.intersect(a).pieces)),
+    ):
+        assert one.pieces == two.pieces
+        assert one == two and hash(one) == hash(two)
+    assert_normal(a.pieces)
