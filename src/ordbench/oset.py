@@ -257,9 +257,6 @@ class OrdinalSet:
     def __repr__(self):
         return f"OrdinalSet({format_set(self)!r})"
 
-    def is_plain(self) -> bool:
-        return all(p.levels is None for p in self.pieces)
-
     # -- boolean algebra ---------------------------------------------------
     def union(self, other: "OrdinalSet") -> "OrdinalSet":
         return _combine(self, other, "union")
@@ -372,6 +369,19 @@ class OrdinalSet:
             )
             out.append(Piece(span_lo, span_hi, allowed))
         return OrdinalSet(tuple(out)).restrict_below(top.successor())
+
+    def missing_limits(self, top: Ordinal) -> "OrdinalSet":
+        """{a < top | a not in self, sup(self ∩ a) = a}.
+
+        A plain piece adds only its end, which is never a member (the piece
+        would run past it), so a plain piece reaching w^w needs no filter.
+        """
+        ends = [p.hi for p in self.pieces if p.levels is None and p.hi.is_limit and p.hi < top]
+        filtered = tuple(p for p in self.pieces if p.levels is not None)
+        if not filtered:
+            return OrdinalSet.of(*ends)
+        limits = OrdinalSet(filtered).closure_points(top).restrict_below(top)
+        return limits.difference(self).union(OrdinalSet.of(*ends))
 
     def enumerate(self, limit: int) -> list[Ordinal]:
         """First `limit` elements in increasing order."""

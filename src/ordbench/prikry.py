@@ -311,16 +311,21 @@ def _sections_member(u: ToyUltraStructure, tuples, n: int, prefix: Node) -> bool
     )
 
 
+def _apply(f, args: tuple, name: str):
+    """f(*args) for a function; f[args] for a table, which must hold args."""
+    if not hasattr(f, "__getitem__"):
+        return f(*args)
+    if args not in f:
+        raise ValueError(f"{name} has no entry for {args}")
+    return f[args]
+
+
 def project_ultrafilter(u: ToyUltraStructure, F, n: int):
-    """Membership test for the image of the n-fold limit under F."""
+    """Membership test for the image of the n-fold limit under F (a function or a table)."""
 
     def member(Y) -> bool:
         targets = set(Y)
-        pre = [
-            t
-            for t in itertools.combinations(u.ground, n)
-            if F(*t) in targets
-        ]
+        pre = [t for t in itertools.combinations(u.ground, n) if _apply(F, t, "fn") in targets]
         return limit_ultrafilter_member(u, pre, n)
 
     return member
@@ -365,14 +370,10 @@ def apply_derivation(d: Derivation, branch: Node) -> tuple:
         raise BranchTooShort(
             f"branch of length {len(branch)} shorter than arity {max(d.levels)}"
         )
-    out = []
-    for k, (n_k, f) in enumerate(zip(d.levels, d.fns)):
-        args = branch[:n_k]
-        table = hasattr(f, "__getitem__")
-        if table and args not in f:
-            raise ValueError(f"derivation table {k} has no entry for {args}")
-        out.append(f[args] if table else f(*args))
-    return tuple(out)
+    return tuple(
+        _apply(f, branch[:n_k], f"derivation table {k}")
+        for k, (n_k, f) in enumerate(zip(d.levels, d.fns))
+    )
 
 
 def derivation_profile(d: Derivation) -> tuple[tuple[int, ...], tuple[int, ...]]:

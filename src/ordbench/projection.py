@@ -512,14 +512,19 @@ def refine_to_clubs(roots: list[Ordinal], cstar: OrdinalSet) -> list[Ordinal]:
 
 
 def _succ_gap_candidates(I: IndexSet, lo: Ordinal, hi: Ordinal) -> list[Ordinal]:
-    """Successor-position members of I in (lo, hi) whose predecessor gap can
-    demand witnesses: first members of the index-set pieces (interior
-    consecutive members differ by a single power and demand nothing)."""
+    """Successor-position members of I in (lo, hi) on which clause (c) can
+    fail: first members of the index-set pieces (consecutive members inside
+    a piece differ by a single power), and the least member above the least
+    limit I lacks, whose predecessors have no greatest element."""
     out = []
     window = I.points.restrict_above(lo).restrict_below(hi)
     for p in window.pieces:
         if I.in_succ(p.lo):
             out.append(p.lo)
+    lacking = window.missing_limits(hi).min_element()
+    g = window.min_above(lacking) if lacking is not None else None
+    if g is not None and g not in out:
+        out.append(g)
     return out
 
 

@@ -136,20 +136,10 @@ class ToyUniverse:
         self, cur: OrdinalSet, beta: Ordinal, override_points: list[Ordinal]
     ) -> OrdinalSet:
         comp = OrdinalSet.interval(ZERO, beta).difference(cur)
-        if cur.is_plain():
-            # Only right ends of complement pieces can have the complement
-            # cofinal below them; plain pieces never touch, so those below
-            # beta lie in cur.
-            bad = [
-                p.hi
-                for p in comp.pieces
-                if p.hi.is_limit and p.hi < beta and p.hi not in override_points
-            ]
-            fail = OrdinalSet.of(*bad) if bad else OrdinalSet.empty()
-        else:
-            fail = comp.closure_points(beta).intersect(cur)
-            if override_points:
-                fail = fail.difference(OrdinalSet.of(*override_points))
+        # a point of cur fails when the complement is cofinal below it
+        fail = comp.missing_limits(beta)
+        if override_points:
+            fail = fail.difference(OrdinalSet.of(*override_points))
         for b in override_points:
             if b in cur and not self.is_large_all(cur.restrict_below(b), b):
                 fail = fail.union(OrdinalSet.singleton(b))

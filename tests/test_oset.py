@@ -141,8 +141,7 @@ def test_stratum_pieces_and_filters():
     assert members(y1, DOMAIN) == [g for g in DOMAIN if g < W2 and olim(g) == nat(1) ]
     # Filter covering every feasible level collapses to a plain piece.
     y01 = OrdinalSet((Piece(ZERO, W2, frozenset((ZERO, nat(1)))),))
-    assert y01 == OrdinalSet.interval(ZERO, W2)
-    assert y01.is_plain()
+    assert y01 == OrdinalSet.interval(ZERO, W2)  # equal pieces: one plain piece
 
 
 def test_filtered_boolean_pointwise(rng):
@@ -782,3 +781,16 @@ def test_equal_sets_have_identical_pieces(high, data):
         assert one.pieces == two.pieces
         assert one == two and hash(one) == hash(two)
     assert_normal(a.pieces)
+
+
+@STRATEGIES
+@settings(max_examples=300)
+@given(data=st.data())
+def test_missing_limits_pointwise(high, data):
+    s = data.draw(ordinal_sets(high=high))
+    dom = DOMAIN_HIGH if high else DOMAIN
+    top = data.draw(st.sampled_from(dom))
+    got = s.missing_limits(top)
+    for g in dom[1:]:
+        lacking = g < top and g not in s and not s.restrict_below(g).is_bounded_below(g)
+        assert (g in got) == lacking, str(g)

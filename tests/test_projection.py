@@ -516,6 +516,23 @@ def test_quotient_witness_demands():
     assert not quotient_member(poor, seq)  # its gap witnesses are gone
 
 
+def test_quotient_member_fails_on_a_member_without_a_greatest_predecessor():
+    # w+1 is a successor-position member of I whose predecessors 0, 1, ...
+    # have no greatest element: clause (c) fails, although w+1 lies inside
+    # the one piece [0,w*2)@{0} and the index set has no other piece.
+    u = canon_universe("w^2")
+    I = parse_set("[0,w) u [w+1,w*2)")
+    assert I == parse_set("[0,w*2)@{0}") and len(I.pieces) == 1
+    assert IndexSet(I).in_succ(o("w+1")) and IndexSet(I).clause_pred(o("w+1")) is None
+    from ordbench.projection import _succ_gap_candidates
+
+    assert o("w+1") in _succ_gap_candidates(IndexSet(I), ZERO, o("w^2"))
+    rich = MagidorCondition(u, (Block(u.lambda0, u.ground()),))
+    assert not quotient_member(rich, CanonicalSequence(u.lambda0, I))
+    closed = parse_set("[0,w*2)")
+    assert quotient_member(rich, CanonicalSequence(u.lambda0, closed))
+
+
 def test_quotient_member_random(rng):
     u = canon_universe("w^2")
     I = SEC41_I

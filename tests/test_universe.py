@@ -144,6 +144,20 @@ def test_star_closure_of_a_bounded_plain_set():
     assert u.star_closure(parse_set("[0,w*3)"), W2) == parse_set("[0,w*3)")
     # w has nothing of the set below it.
     assert u.star_closure(parse_set("{w} u [w+1,w*3)"), W2) == parse_set("(w,w*3)")
+    # The complement [0,w*2)@{0} u [w*2,w*5) is not plain although B is;
+    # w*2 is a limit of it that B lacks.
+    assert u.star_closure(parse_set("{w} u [w*5,w^2)"), W2) == parse_set("(w*5,w^2)")
+
+
+def test_star_closure_at_w_to_the_w():
+    # The complement holds a plain piece reaching w^w next to filtered ones;
+    # only the filtered pieces go through closure_points.
+    u = uni("w^w", "w+1")
+    top = o("w^w")
+    B = parse_set("[w,w^2)@{0}")
+    assert u.star_closure(B, top) == B
+    B = parse_set("{0} u [5,w+2)@{0} u [w*2,w^2+1)")
+    assert u.star_closure(B, top) == parse_set("{0} u [5,w+2)@{0} u (w*2,w^2]")
 
 
 def test_star_closure_full_set():
