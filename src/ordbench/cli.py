@@ -100,6 +100,8 @@ class Report:
         """Decode one argument; a document of the wrong shape is a ParseError."""
         try:
             value = KINDS[kind](text)
+        except KeyError as err:
+            raise ParseError(f"malformed {kind} argument: missing field {err}") from err
         except (TypeError, AttributeError, IndexError, RecursionError) as err:
             raise ParseError(f"malformed {kind} argument: {err}") from err
         if kind in ECHOED:

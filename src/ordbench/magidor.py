@@ -82,10 +82,6 @@ class MagidorCondition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def kappas(self) -> list[Ordinal]:
-        """kappa(p): the named points excluding the top."""
-        return [b.kappa for b in self.blocks[:-1]]
-
     def o(self, i: int) -> Ordinal:
         """o-value of the 1-based i-th block."""
         return self.universe.o(self.blocks[i - 1].kappa)

@@ -4,6 +4,7 @@ the projection lemma."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Union
 
@@ -12,6 +13,8 @@ from .errors import (
     LargenessViolated,
     NonTermination,
     NotAnExtension,
+    NotIncreasing,
+    PointNotInMeasureSet,
     RepairImpossible,
     WitnessUnavailable,
     WorkbenchError,
@@ -27,6 +30,7 @@ from .magidor import (
     _new_blocks_admitted,
     _points_in_blocks,
     _set_violations,
+    extend,
     extend_minimal,
     leq,
     unveil_type,
@@ -103,9 +107,6 @@ class IndexSet:
             return ZERO
         return s[0] if s[1] else None
 
-    def min_level_above(self, xi: Ordinal, floor: Ordinal) -> Ordinal | None:
-        return self.points.min_in_level_above(xi, floor)
-
     def min_in_open(self, lo: Ordinal, hi: Ordinal) -> Ordinal | None:
         m = self.points.min_above(lo)
         return m if m is not None and m < hi else None
@@ -147,7 +148,7 @@ def index_chain(cond: AnyCondition, I: IndexSet) -> list[Ordinal | None]:
         if prev is None or b.kappa > u.lambda0:
             vals.append(None)
             continue
-        prev = I.min_level_above(u.o(b.kappa), prev)
+        prev = I.points.min_in_level_above(u.o(b.kappa), prev)
         vals.append(prev)
     return vals
 
@@ -331,22 +332,17 @@ def densify(p: MagidorCondition, I: IndexSet) -> MagidorCondition:
 
 
 def _witness_blocks(
-    u: ToyUniverse, levels, floor: Ordinal | None, point: Ordinal,
-    within: OrdinalSet | None, missing,
+    u: ToyUniverse, levels, floor: Ordinal | None, point: Ordinal, missing,
 ) -> list[Block]:
     """Blocks at the least stratum witnesses of `levels` between floor and
-    point (drawn from `within`, default the ground), then at point itself.
+    point, then at point itself.
 
     Each positive-order block carries the canonical large set at its point:
-    the inherited interval above the block before it (the whole open
-    interval when unconstrained)."""
+    the whole open interval above the block before it."""
     out: list[Block] = []
-    for w in _least_witnesses(levels, floor, within, point, missing) + [point]:
-        if u.o(w).is_zero:
-            out.append(Block(w))
-        else:
-            B = OrdinalSet.interval(ZERO, w) if within is None else within.restrict_below(w)
-            out.append(Block(w, B if floor is None else B.restrict_above(floor)))
+    for w in _least_witnesses(levels, floor, None, point, missing) + [point]:
+        lo = ZERO if floor is None else floor.successor()
+        out.append(Block(w) if u.o(w).is_zero else Block(w, OrdinalSet.interval(lo, w)))
         floor = w
     return out
 
@@ -365,7 +361,7 @@ def onto_construct(q: ICondition) -> MagidorCondition:
         c = chain[i - 1]
         if I.in_succ(c):
             new_blocks += _witness_blocks(
-                u, cnf_difference(prev_idx, c)[:-1], prev_kappa, b.kappa, None,
+                u, cnf_difference(prev_idx, c)[:-1], prev_kappa, b.kappa,
                 lambda xi, floor: WitnessUnavailable(
                     f"no level-{xi} witness below {b.kappa} above {floor}"),
             )
@@ -386,66 +382,44 @@ def onto_construct(q: ICondition) -> MagidorCondition:
 
 
 def lift(p: MagidorCondition, q: ICondition) -> MagidorCondition:
-    """Some p' extending p with pi(p') = q, for q extending pi(p)."""
+    """Some p' extending p with pi(p') = q, for q extending pi(p).
+
+    p' is p extended by the points q adds, each successor position of I
+    preceded by its least stratum witnesses from the enclosing set, with
+    q's sets at q's limit positions, at the points of p it keeps and at
+    the top."""
     I = q.index_set
     _check_same_universe(p, q)
     base = pi(p, I)
     if not leq_I(base, q):
         raise NotAnExtension("q does not extend the projection of p")
-    u = p.universe
-    base_kappas = {b.kappa for b in base.blocks[:-1]}
-    chain = index_chain(q, I)
-    inserted: dict[Ordinal, tuple[Ordinal | None, Ordinal | None]] = {}
-    for j, qb in enumerate(q.blocks[:-1]):
-        if qb.kappa in base_kappas:
-            continue
-        prev_idx = chain[j - 1] if j >= 1 else ZERO
-        inserted[qb.kappa] = (prev_idx, chain[j])
-    # Merge q's new blocks (plus stratum witnesses for successor positions)
-    # into p, drawing sets from the enclosing p-block.
-    q_sets = {b.kappa: b.measure_set for b in q.blocks[:-1]}
-    new_blocks: list[Block] = []
-    pending = sorted(inserted)
-    prev_point: Ordinal | None = None
-    for pb in p.blocks:
-        while pending and pending[0] < pb.kappa:
-            kappa = pending.pop(0)
-            prev_idx, c = inserted[kappa]
-            B = pb.measure_set
-            if B is None or kappa not in B:
-                raise WitnessUnavailable(
-                    f"inserted point {kappa} is not admissible below {pb.kappa}"
-                )
+    kept = {b.kappa for b in base.blocks[:-1]}
+    kappas = [b.kappa for b in p.blocks]
+    gaps: list[list[Ordinal]] = [[] for _ in p.blocks]
+    prev_idx = ZERO
+    for qb, c in zip(q.blocks[:-1], index_chain(q, I)):
+        if qb.kappa not in kept:
+            # The gap of p below the first point at or above qb; a point
+            # beyond the top lands in the top's gap, where `extend` refuses it.
+            i = bisect_left(kappas, qb.kappa, 0, len(kappas) - 1)
+            pts = gaps[i]
+            floor = pts[-1] if pts else kappas[i - 1] if i else None
             if I.in_succ(c):
-                new_blocks += _witness_blocks(
-                    u, cnf_difference(prev_idx, c)[:-1], prev_point, kappa, B,
-                    lambda xi, floor: WitnessUnavailable(
-                        f"no level-{xi} witness below {kappa} in the block set"),
+                pts += _least_witnesses(
+                    cnf_difference(prev_idx, c)[:-1], floor, p.blocks[i].measure_set,
+                    qb.kappa, lambda xi, floor: WitnessUnavailable(
+                        f"no level-{xi} witness below {qb.kappa} in the block set"),
                 )
-            else:
-                new_blocks.append(Block(kappa, q_sets[kappa]))
-            prev_point = kappa
-        # The p-block itself; matched projected blocks adopt q's sets at
-        # limit positions, and the top adopts q's top set.
-        if pb is p.top:
-            new_blocks.append(Block(pb.kappa, q.top.measure_set))
-        elif pb.kappa in q_sets and q_sets[pb.kappa] is not None:
-            new_blocks.append(Block(pb.kappa, q_sets[pb.kappa]))
-        else:
-            if pb.measure_set is not None and prev_point is not None:
-                trimmed = pb.measure_set.restrict_above(prev_point)
-                new_blocks.append(Block(pb.kappa, trimmed))
-            else:
-                new_blocks.append(pb)
-        prev_point = pb.kappa
-    out = MagidorCondition(u, tuple(new_blocks))
-    bad = validate(out)
-    if bad:
-        raise WitnessUnavailable("; ".join(bad))
+            pts.append(qb.kappa)
+        prev_idx = c
+    shrink = {b.kappa: b.measure_set for b in q.blocks if b.measure_set is not None}
+    try:
+        out = extend(p, tuple(map(tuple, gaps)), shrink)
+    except (NotIncreasing, PointNotInMeasureSet, LargenessViolated) as err:
+        raise WitnessUnavailable(str(err)) from err
     if not leq(p, out):
         raise WitnessUnavailable("lift does not extend the base condition")
-    got = pi(out, I)
-    if got != q:
+    if pi(out, I) != q:
         raise WitnessUnavailable("projection of the lift differs from the target")
     return out
 
@@ -472,34 +446,23 @@ def refine_to_clubs(roots: list[Ordinal], cstar: OrdinalSet) -> list[Ordinal]:
     if not roots or any(b <= a for a, b in zip(roots, roots[1:])):
         raise ValueError("roots must be strictly increasing and nonempty")
     s = cstar.sup()
-    if s is not None:
-        limits = cstar.closure_points(roots[-1]).restrict_below(s[0])
-        if not limits.difference(cstar).is_empty():
-            raise ValueError("the set is not closed below its supremum")
+    if s is not None and cstar.missing_limits(min(s[0], roots[-1].successor())):
+        raise ValueError("the set is not closed below its supremum")
     fence = list(roots)
     prev_bad_top: Ordinal | None = None
     for _ in range(CLUB_REFINE_CAP):
-        bad_i = None
-        for i in range(len(fence), 0, -1):
-            lo = fence[i - 2] if i >= 2 else ZERO
-            hi = fence[i - 1]
-            seg = cstar.restrict_above(lo).restrict_below(hi)
-            if seg.is_empty():
-                continue
-            sup = seg.sup()
-            if sup[0] == hi:
-                continue
-            bad_i = i
-            break
-        if bad_i is None:
+        # The highest gap that the set meets without being unbounded in it.
+        for i in range(len(fence) - 1, -1, -1):
+            lo, hi = fence[i - 1] if i else ZERO, fence[i]
+            gap_sup = cstar.restrict_above(lo).sup_below(hi)
+            if gap_sup is not None and gap_sup[0] != hi:
+                break
+        else:
             return fence
-        lo = fence[bad_i - 2] if bad_i >= 2 else ZERO
-        hi = fence[bad_i - 1]
         if prev_bad_top is not None and compare(hi, prev_bad_top) >= 0:
             raise NonTermination("maximal bad interval did not move down")
         prev_bad_top = hi
-        seg = cstar.restrict_above(lo).restrict_below(hi)
-        sup_val, attained = seg.sup()
+        sup_val, attained = gap_sup
         if not attained:
             raise ValueError("segment supremum unattained; the set is not closed")
         acc = lo
@@ -507,7 +470,7 @@ def refine_to_clubs(roots: list[Ordinal], cstar: OrdinalSet) -> list[Ordinal]:
         for e in cnf_difference(lo, sup_val):
             acc = add(acc, omega_power(e))
             addition.append(acc)
-        fence = fence[: bad_i - 1] + addition + fence[bad_i - 1 :]
+        fence = fence[:i] + addition + fence[i:]
     raise NonTermination(f"club refinement did not stabilize in {CLUB_REFINE_CAP} passes")
 
 

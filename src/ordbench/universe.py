@@ -78,16 +78,12 @@ class ToyUniverse:
             raise ValueError(f"stratum index {xi} not below delta0_bound")
         return OrdinalSet.stratum_piece(ZERO, below, xi)
 
-    def core(self, beta: Ordinal, xi: Ordinal) -> OrdinalSet | None:
-        """Override core at (beta, xi), or None when the default applies."""
-        return self.cores.get((beta, xi))
-
     # -- largeness ---------------------------------------------------------------
     def is_large(self, B: OrdinalSet, beta: Ordinal, xi: Ordinal) -> bool:
         """Tail containment: Core(beta,xi) ∖ B is bounded strictly below beta."""
         if compare(xi, self.o(beta)) >= 0:
             raise ValueError(f"xi={xi} not below o({beta})={self.o(beta)}")
-        override = self.core(beta, xi)
+        override = self.cores.get((beta, xi))
         if override is not None:
             return override.difference(B).is_bounded_below(beta)
         missed = self._missed_levels(B, beta)

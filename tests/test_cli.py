@@ -222,6 +222,24 @@ def test_proj_in_d_and_densify(capsys, tmp_path):
     assert main(["proj", "in-d", json.dumps(doc["result"]), "--index", I]) == 0
 
 
+def test_proj_refine_clubs_on_a_plain_set_reaching_w_to_the_w(capsys):
+    assert run(["proj", "refine-clubs", "[0,w^w)", "--roots", "w^w"], capsys) == (0, "w^w\n")
+
+
+def test_proj_lift_failing_after_the_gate_exits_2(capsys):
+    from test_projection import lift_failing_after_the_gate
+
+    p, q = lift_failing_after_the_gate()
+    argv = ["proj", "lift", json.dumps(io.condition_to_json(p)),
+            json.dumps(io.icondition_to_json(q))]
+    assert main(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == (
+        "error: WitnessUnavailable: projection of the lift differs from the target\n"
+    )
+
+
 def test_gen_otp(capsys):
     code, out = run(["gen", "otp", "w^3", "w", "w^2"], capsys)
     assert out.strip() == "w^2"
@@ -392,6 +410,33 @@ def test_missing_table_entry_names_the_table_and_tuple(argv, message, capsys):
         assert main(mode + argv) == 2
         got = capsys.readouterr()
         assert got.out == "" and got.err == f"input error: {message}\n"
+
+
+_UNI = {"lambda0": "w^2", "delta0_bound": "w"}
+
+
+@pytest.mark.parametrize(
+    "argv, kind, field",
+    [
+        (["cond", "validate", '{"blocks": []}'], "cond", "universe"),
+        (["cond", "validate", json.dumps({"universe": _UNI})], "cond", "blocks"),
+        (["cond", "validate", json.dumps({"universe": _UNI, "blocks": [{"B": None}]})],
+         "cond", "kappa"),
+        (["cond", "validate", json.dumps({"universe": {"lambda0": "w^2"}, "blocks": []})],
+         "cond", "delta0_bound"),
+        (["proj", "validate", json.dumps({"universe": _UNI, "blocks": []})], "icond", "index"),
+        (["ramsey", "homog", '{"factors": [[1], [3]]}', "--min-sizes", "1,1"], "fn", "table"),
+        (["prikry", "validate", '{"trunk": []}', "--structure", _STRUCTURE], "tree", "depth"),
+        (["prikry", "derive", '{"levels": [1]}', "2,4"], "derivation", "tables"),
+    ],
+    ids=["universe", "blocks", "kappa", "delta0_bound", "index", "table", "depth", "tables"],
+)
+def test_missing_field_names_the_argument_and_field(argv, kind, field, capsys):
+    for mode in ([], ["--machine"]):
+        assert main(mode + argv) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == f"parse error: malformed {kind} argument: missing field '{field}'\n"
 
 
 _json_values = st.recursive(

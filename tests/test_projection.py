@@ -4,15 +4,27 @@ import random
 
 import pytest
 
-from ordbench.errors import NotAnExtension, WorkbenchError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordbench.errors import (
+    NonTermination,
+    NotAnExtension,
+    RepairImpossible,
+    WitnessUnavailable,
+    WorkbenchError,
+)
 from ordbench.magidor import (
     Block,
     MagidorCondition,
+    _check_same_universe,
+    _least_witnesses,
     gamma_of,
     leq,
     leq_star,
     validate,
 )
+from ordbench.ordinal import add, cnf_difference, omega_power
 from ordbench.oset import OrdinalSet, parse_set
 from ordbench.projection import (
     ICondition,
@@ -36,12 +48,16 @@ from ordbench.universe import ToyUniverse
 from ordbench.ordinal import ZERO
 
 from conftest import (
+    HIGH_ENDS,
+    SET_TOP,
     canon_universe,
     canonical_condition,
     nat,
     o,
+    ordinal_sets,
     random_condition,
     random_extension,
+    small_ordinals_below,
 )
 
 
@@ -423,6 +439,180 @@ def test_lift_requires_related_target():
         lift(p, other)
 
 
+# ---------------------------------------------------------------------------
+# The block-merge lift that the one call to `magidor.extend` replaced, kept
+# as the oracle: q's new points are merged into p's blocks by hand, each
+# block's set is chosen from q, from p, or p's trimmed above the previous
+# point, and the result is validated on its own.
+# ---------------------------------------------------------------------------
+
+
+def _old_witness_blocks(u, levels, floor, point, within, missing):
+    out = []
+    for w in _least_witnesses(levels, floor, within, point, missing) + [point]:
+        if u.o(w).is_zero:
+            out.append(Block(w))
+        else:
+            B = within.restrict_below(w)
+            out.append(Block(w, B if floor is None else B.restrict_above(floor)))
+        floor = w
+    return out
+
+
+def old_lift(p: MagidorCondition, q: ICondition) -> MagidorCondition:
+    I = q.index_set
+    _check_same_universe(p, q)
+    base = pi(p, I)
+    if not leq_I(base, q):
+        raise NotAnExtension("q does not extend the projection of p")
+    u = p.universe
+    base_kappas = {b.kappa for b in base.blocks[:-1]}
+    chain = index_chain(q, I)
+    inserted = {}
+    for j, qb in enumerate(q.blocks[:-1]):
+        if qb.kappa in base_kappas:
+            continue
+        prev_idx = chain[j - 1] if j >= 1 else ZERO
+        inserted[qb.kappa] = (prev_idx, chain[j])
+    q_sets = {b.kappa: b.measure_set for b in q.blocks[:-1]}
+    new_blocks = []
+    pending = sorted(inserted)
+    prev_point = None
+    for pb in p.blocks:
+        while pending and pending[0] < pb.kappa:
+            kappa = pending.pop(0)
+            prev_idx, c = inserted[kappa]
+            B = pb.measure_set
+            if B is None or kappa not in B:
+                raise WitnessUnavailable(
+                    f"inserted point {kappa} is not admissible below {pb.kappa}"
+                )
+            if I.in_succ(c):
+                new_blocks += _old_witness_blocks(
+                    u, cnf_difference(prev_idx, c)[:-1], prev_point, kappa, B,
+                    lambda xi, floor: WitnessUnavailable(
+                        f"no level-{xi} witness below {kappa} in the block set"),
+                )
+            else:
+                new_blocks.append(Block(kappa, q_sets[kappa]))
+            prev_point = kappa
+        if pb is p.top:
+            new_blocks.append(Block(pb.kappa, q.top.measure_set))
+        elif pb.kappa in q_sets and q_sets[pb.kappa] is not None:
+            new_blocks.append(Block(pb.kappa, q_sets[pb.kappa]))
+        elif pb.measure_set is not None and prev_point is not None:
+            new_blocks.append(Block(pb.kappa, pb.measure_set.restrict_above(prev_point)))
+        else:
+            new_blocks.append(pb)
+        prev_point = pb.kappa
+    out = MagidorCondition(u, tuple(new_blocks))
+    bad = validate(out)
+    if bad:
+        raise WitnessUnavailable("; ".join(bad))
+    if not leq(p, out):
+        raise WitnessUnavailable("lift does not extend the base condition")
+    if pi(out, I) != q:
+        raise WitnessUnavailable("projection of the lift differs from the target")
+    return out
+
+
+def outcome(f, *args):
+    """The result of f, or the class of the WorkbenchError it raises."""
+    try:
+        return f(*args)
+    except WorkbenchError as err:
+        return type(err)
+
+
+def lift_pairs(u: ToyUniverse, rng: random.Random, count: int):
+    """(p, q) pairs: densified bases with a projected extension, bases that
+    are not densified, and unrelated bases."""
+    from conftest import gen_projection_condition
+
+    for k in range(count):
+        I = random_iset(u, rng)
+        try:
+            if k % 4 == 0:
+                p = gen_projection_condition(u, I, rng, steps=2)
+                r = densify(random_extension(p, rng, max_points=2), I)
+            elif k % 4 == 1:
+                p = densify(random_condition(u, rng), I)
+                r = densify(random_extension(random_extension(p, rng), rng), I)
+            elif k % 4 == 2:
+                p = random_condition(u, rng)
+                r = densify(random_extension(p, rng, max_points=3), I)
+            else:
+                p = random_condition(u, rng)
+                r = densify(random_condition(u, rng), I)
+        except RepairImpossible:
+            continue
+        yield p, pi(r, I)
+
+
+def test_lift_matches_the_block_merge(rng):
+    seen = set()
+    for lam in ("w^2", "w^3", "w^3*2+w"):
+        for p, q in lift_pairs(canon_universe(lam), rng, 100):
+            want = outcome(old_lift, p, q)
+            assert outcome(lift, p, q) == want
+            seen.add(want if isinstance(want, type) else "ok")
+    # Both refusals occur: the gate, and a lift that fails after it.
+    assert seen == {"ok", NotAnExtension, WitnessUnavailable}
+
+
+def test_lift_draws_witnesses_above_the_points_before_them_in_a_gap():
+    # All of q's points fall into p's one gap; each successor position
+    # needs witnesses above the points inserted before it: 0 before 3,
+    # then 4, 5, 6, 7 before 8, then w, w+1, w+2 before w+6.
+    u = canon_universe("w^2")
+    I = iset("{2} u {7} u [w+3,w*5+3)")
+    p = MagidorCondition(u, (Block(u.lambda0, u.ground()),))
+    q = ICondition(u, I, (
+        Block(nat(3)),
+        Block(nat(8)),
+        Block(o("w+6")),
+        Block(o("w*3"), parse_set("[w+7,w*3)")),
+        Block(o("w*3+2")),
+        Block(u.lambda0, parse_set("[w*3+3,w^2)")),
+    ))
+    assert validate_I(q) == []
+    got = lift(p, q)
+    assert [str(b.kappa) for b in got.blocks[:-1]] == [
+        "0", "3", "4", "5", "6", "7", "8", "w", "w + 1", "w + 2", "w + 6", "w*3", "w*3 + 2"
+    ]
+    assert got == old_lift(p, q)
+
+
+def lift_failing_after_the_gate() -> tuple[MagidorCondition, ICondition]:
+    """A base that is not densified: q extends pi(p), but extending p by
+    q's points moves the coordinates, so the lift projects elsewhere."""
+    u = canon_universe("w^2")
+    I = iset("{0} u [4,w*5+6)")
+    p = MagidorCondition(u, (
+        Block(ZERO),
+        Block(o("w"), parse_set("[1,w)")),
+        Block(u.lambda0, parse_set("[w+1,w^2)")),
+    ))
+    q = ICondition(u, I, (
+        Block(nat(4)),
+        Block(o("w"), parse_set("[5,w)")),
+        Block(o("w*2"), parse_set("[w+1,w*2)")),
+        Block(o("w*2+1")),
+        Block(o("w*2+3")),
+        Block(u.lambda0, parse_set("[w*2+4,w^2)")),
+    ))
+    return p, q
+
+
+def test_lift_fails_after_the_gate_like_the_block_merge():
+    p, q = lift_failing_after_the_gate()
+    assert validate(p) == [] and validate_I(q) == []
+    assert leq_I(pi(p, q.index_set), q)
+    assert outcome(old_lift, p, q) is WitnessUnavailable
+    with pytest.raises(WitnessUnavailable, match="projection of the lift differs"):
+        lift(p, q)
+
+
 def test_correct_computation(rng):
     p, I = first_counterexample()
     pd = densify(p, I)
@@ -470,6 +660,94 @@ def test_refine_to_clubs_random(rng):
         for lo, hi in zip([ZERO] + got, got):
             seg = cstar.restrict_above(lo).restrict_below(hi)
             assert seg.is_empty() or seg.sup()[0] == hi
+
+
+# The closedness check and gap scan that `missing_limits` and one supremum
+# per gap replaced, kept as the oracle on sets below w^w, where
+# `closure_points` is defined.
+
+
+def old_refine_to_clubs(roots, cstar):
+    if not roots or any(b <= a for a, b in zip(roots, roots[1:])):
+        raise ValueError("roots must be strictly increasing and nonempty")
+    s = cstar.sup()
+    if s is not None:
+        limits = cstar.closure_points(roots[-1]).restrict_below(s[0])
+        if not limits.difference(cstar).is_empty():
+            raise ValueError("the set is not closed below its supremum")
+    fence = list(roots)
+    prev_bad_top = None
+    for _ in range(200):
+        bad_i = None
+        for i in range(len(fence), 0, -1):
+            lo = fence[i - 2] if i >= 2 else ZERO
+            seg = cstar.restrict_above(lo).restrict_below(fence[i - 1])
+            if not seg.is_empty() and seg.sup()[0] != fence[i - 1]:
+                bad_i = i
+                break
+        if bad_i is None:
+            return fence
+        lo = fence[bad_i - 2] if bad_i >= 2 else ZERO
+        hi = fence[bad_i - 1]
+        if prev_bad_top is not None and hi >= prev_bad_top:
+            raise NonTermination("maximal bad interval did not move down")
+        prev_bad_top = hi
+        sup_val, attained = cstar.restrict_above(lo).restrict_below(hi).sup()
+        if not attained:
+            raise ValueError("segment supremum unattained; the set is not closed")
+        acc = lo
+        addition = []
+        for e in cnf_difference(lo, sup_val):
+            acc = add(acc, omega_power(e))
+            addition.append(acc)
+        fence = fence[: bad_i - 1] + addition + fence[bad_i - 1 :]
+    raise NonTermination("club refinement did not stabilize")
+
+
+def refine_outcome(f, roots, cstar):
+    try:
+        return f(roots, cstar)
+    except (ValueError, WorkbenchError) as err:
+        return type(err), str(err)
+
+
+@st.composite
+def fence_roots(draw, high: bool = False):
+    pool = st.sampled_from(small_ordinals_below(SET_TOP, 550))
+    tops = pool | st.sampled_from(HIGH_ENDS) if high else pool
+    picked = draw(st.lists(tops, min_size=1, max_size=4, unique=True))
+    return sorted(pick for pick in picked if not pick.is_zero) or [SET_TOP]
+
+
+@settings(max_examples=300)
+@given(ordinal_sets(high=True), fence_roots(high=True))
+def test_refine_to_clubs_fences_every_gap(cstar, roots):
+    got = refine_outcome(refine_to_clubs, roots, cstar)
+    if isinstance(got, tuple):
+        assert got[0] is ValueError and "not closed" in got[1]
+        return
+    assert set(roots) <= set(got) and got == sorted(set(got))
+    for lo, hi in zip([ZERO] + got, got):
+        seg = cstar.restrict_above(lo).restrict_below(hi)
+        assert seg.is_empty() or seg.sup()[0] == hi
+
+
+@settings(max_examples=300)
+@given(ordinal_sets(), fence_roots())
+def test_refine_to_clubs_matches_the_closure_points_check(cstar, roots):
+    assert refine_outcome(refine_to_clubs, roots, cstar) == refine_outcome(
+        old_refine_to_clubs, roots, cstar
+    )
+
+
+def test_refine_to_clubs_reaching_w_to_the_w():
+    w_w = o("w^w")
+    assert refine_to_clubs([w_w], parse_set("[0,w^w)")) == [w_w]
+    assert refine_to_clubs([o("w^2"), w_w], parse_set("{w} u [w^3,w^w)")) == [
+        o("w"), o("w^2"), w_w
+    ]
+    with pytest.raises(ValueError, match="not closed"):
+        refine_to_clubs([o("w^w*2")], parse_set("[0,w^w) u [w^w+1,w^w*2)"))
 
 
 def test_quotient_member():
