@@ -27,10 +27,6 @@ class UnsupportedRegion(WorkbenchError):
     """Stratified set algebra requested in a region at or above w^w."""
 
 
-class ClosureDidNotStabilize(WorkbenchError):
-    """star_closure iteration cap exceeded; the largeness oracle is malformed."""
-
-
 class UniverseMismatch(WorkbenchError):
     """Operands bound to different toy universes."""
 

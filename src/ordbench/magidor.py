@@ -19,7 +19,7 @@ from .errors import (
     WitnessUnavailable,
     WorkbenchError,
 )
-from .ordinal import ZERO, Ordinal, add, cnf_difference, compare, omega_power
+from .ordinal import ZERO, Ordinal, add, cnf_difference, omega_power
 from .oset import OrdinalSet, least_in_level
 from .universe import ToyUniverse
 
@@ -219,7 +219,7 @@ def leq(p: MagidorCondition, q: MagidorCondition) -> bool:
     o = p.universe.o
 
     def admits(j: int, qb: Block, enclosing: Block) -> bool:
-        if compare(o(qb.kappa), o(enclosing.kappa)) >= 0:
+        if o(qb.kappa) >= o(enclosing.kappa):
             return False
         return qb.measure_set is None or _inherits(qb, enclosing)
 
@@ -265,7 +265,7 @@ def _check_alphas(p: MagidorCondition, alphas: Alphas) -> None:
                 raise NotIncreasing(f"gap {i}: point {a} not below {hi}")
             if a not in B:
                 raise PointNotInMeasureSet(f"gap {i}: point {a} outside the block set")
-            if compare(p.universe.o(a), p.universe.o(hi)) >= 0:
+            if p.universe.o(a) >= p.universe.o(hi):
                 raise LargenessViolated(
                     f"gap {i}: point {a} has order >= o({hi})"
                 )
@@ -366,7 +366,7 @@ def unveil_type(p: MagidorCondition, gamma: Ordinal) -> ExtensionType:
         raise OutOfRange(f"{gamma} is below the preceding coordinate")
     exponents = tuple(cnf_difference(base, gamma))
     limit = p.o(slot + 1)
-    if any(compare(e, limit) >= 0 for e in exponents):
+    if any(e >= limit for e in exponents):
         raise WorkbenchError(f"unveiling {gamma} needs an exponent at or above o = {limit}")
     per = [()] * len(p.blocks)
     per[slot] = exponents

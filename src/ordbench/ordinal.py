@@ -19,6 +19,7 @@ keys, and build terms only on a miss.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import weakref
 
@@ -424,63 +425,31 @@ def format_ordinal(a: Ordinal) -> str:
     return " + ".join(parts)
 
 
-@functools.lru_cache(maxsize=None)
-def ordinal_enumeration(flat: int = 2000, nested: int = 100) -> tuple[Ordinal, ...]:
-    """Frozen test enumeration: `flat` ordinals below w^w plus `nested` ones.
+@functools.cache
+def ordinal_enumeration() -> tuple[Ordinal, ...]:
+    """Frozen test enumeration: 2,000 ordinals below w^w plus 100 nested ones.
 
     The flat part walks term counts, exponents and coefficients in a fixed
     order; the nested part reuses small flat ordinals as exponents.
     """
-    flat_pool: list[Ordinal] = []
-    seen: set[Ordinal] = set()
-
-    def emit(o: Ordinal, pool: list[Ordinal], cap: int) -> bool:
-        if o not in seen:
-            seen.add(o)
-            pool.append(o)
-        return len(pool) >= cap
-
-    emit(ZERO, flat_pool, flat)
-    coeffs = (1, 2, 3, 5)
     exps = [from_int(k) for k in range(7)]
-    done = False
-    for nterms in (1, 2, 3):
-        if done:
-            break
-        for shape in _descending_tuples(exps, nterms):
-            if done:
-                break
-            for cs in _coeff_tuples(coeffs, nterms):
-                o = Ordinal(tuple((e, c) for e, c in zip(shape, cs)))
-                if emit(o, flat_pool, flat):
-                    done = True
-                    break
-
-    nested_pool: list[Ordinal] = []
-    heads = [o for o in flat_pool[:40] if not o.is_zero and not o.is_finite]
-    tails = flat_pool[:12]
+    terms = (
+        Ordinal(tuple(zip(shape[::-1], cs)))
+        for n in (1, 2, 3)
+        for shape in itertools.combinations(exps, n)
+        for cs in itertools.product((1, 2, 3, 5), repeat=n)
+    )
+    flat = (ZERO, *itertools.islice(terms, 1999))
+    seen = set(flat)
+    nested: list[Ordinal] = []
+    heads = [o for o in flat[:40] if not o.is_zero and not o.is_finite]
     for head in heads:
         for c in (1, 2):
-            for tail in tails:
+            for tail in flat[:12]:
                 o = add(mul_nat(omega_power(head), c), tail)
-                if o in seen:
-                    continue
-                seen.add(o)
-                nested_pool.append(o)
-                if len(nested_pool) >= nested:
-                    return tuple(flat_pool) + tuple(nested_pool)
-    return tuple(flat_pool) + tuple(nested_pool)
-
-
-def _descending_tuples(exps: list[Ordinal], n: int):
-    """Strictly descending n-tuples of exponents, largest-first order."""
-    import itertools
-
-    for combo in itertools.combinations(exps, n):
-        yield tuple(sorted(combo, key=lambda o: o, reverse=True))
-
-
-def _coeff_tuples(coeffs, n: int):
-    import itertools
-
-    return itertools.product(coeffs, repeat=n)
+                if o not in seen:
+                    seen.add(o)
+                    nested.append(o)
+                    if len(nested) == 100:
+                        return flat + tuple(nested)
+    return flat + tuple(nested)

@@ -111,7 +111,7 @@ def level_sup_below(xi: Ordinal, bound: Ordinal) -> tuple[Ordinal, bool] | None:
             b = head
             continue
         # lo < xi: strip trailing terms with exponents below xi.
-        head_terms = tuple(t for t in b.terms if compare(t[0], xi) >= 0)
+        head_terms = tuple(t for t in b.terms if t[0] >= xi)
         h = Ordinal(head_terms)
         if head_terms and head_terms[-1][0] == xi:
             return h, True
@@ -303,9 +303,8 @@ class OrdinalSet:
         cut = floor.successor()
         for p in self.pieces:
             if p.hi > cut:
-                m = p.least_from(cut)
-                if m is not None:
-                    return m
+                # p ends just past its greatest member or at its supremum.
+                return p.least_from(cut)
         return None
 
     def min_in_level_above(self, xi: Ordinal, floor: Ordinal) -> Ordinal | None:
@@ -346,10 +345,8 @@ class OrdinalSet:
             if p.lo >= b:
                 break
             if p.hi > b:
-                s = p.sup(b)
-                if s is not None:
-                    return s
-                break
+                # p.lo < b is a member of p, so p.sup(b) is not None.
+                return p.sup(b)
             last = p
         return None if last is None else last.sup()
 
@@ -365,7 +362,7 @@ class OrdinalSet:
             span_lo, span_hi = p.lo.successor(), p.hi.successor()
             floor = ZERO if p.levels is None else min(p.levels)
             allowed = frozenset(
-                xi for xi in feasible_levels(span_lo, span_hi) if compare(xi, floor) > 0
+                xi for xi in feasible_levels(span_lo, span_hi) if xi > floor
             )
             out.append(Piece(span_lo, span_hi, allowed))
         return OrdinalSet(tuple(out)).restrict_below(top.successor())
@@ -453,11 +450,16 @@ def _g_omega_power(e: Ordinal, levels: frozenset[Ordinal]) -> Ordinal:
 # ---------------------------------------------------------------------------
 
 
+_W_W = omega_power(OMEGA)
+
+
 def _reduce_piece(p: Piece) -> Piece | None:
     """p with its filter cut to the levels it realizes, plain when that is
     every feasible level; None when p is empty."""
     if p.levels is None:
         return p
+    if not p.hi < _W_W and p.least_from(p.lo) is None:
+        return None  # an empty span needs no feasible levels, so may reach w^w
     feas = set(feasible_levels(p.lo, p.hi))
     kept = frozenset(xi for xi in p.levels if xi in feas)
     if kept == feas:
@@ -474,9 +476,6 @@ def _pin(p: Piece) -> Piece | None:
         return p
     top, attained = p.sup()
     return _reduce_piece(Piece(p.least_from(p.lo), top.successor() if attained else top, p.levels))
-
-
-_W_W = omega_power(OMEGA)
 
 
 def _run(cur: Piece, p: Piece) -> Piece | None:

@@ -36,7 +36,7 @@ from .magidor import (
     unveil_type,
     validate,
 )
-from .ordinal import ZERO, Ordinal, add, cnf_difference, compare, omega_power
+from .ordinal import ZERO, Ordinal, add, cnf_difference, omega_power
 from .oset import OrdinalSet
 from .universe import ToyUniverse
 
@@ -309,7 +309,7 @@ def densify(p: MagidorCondition, I: IndexSet) -> MagidorCondition:
         failure = in_D(cur, I)
         if failure is None:
             return cur
-        if prev_measure is not None and compare(failure.coordinate, prev_measure) >= 0:
+        if prev_measure is not None and failure.coordinate >= prev_measure:
             raise NonTermination(
                 f"failing coordinate did not decrease: {failure.coordinate}"
             )
@@ -459,7 +459,7 @@ def refine_to_clubs(roots: list[Ordinal], cstar: OrdinalSet) -> list[Ordinal]:
                 break
         else:
             return fence
-        if prev_bad_top is not None and compare(hi, prev_bad_top) >= 0:
+        if prev_bad_top is not None and hi >= prev_bad_top:
             raise NonTermination("maximal bad interval did not move down")
         prev_bad_top = hi
         sup_val, attained = gap_sup

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ClosureDidNotStabilize
-from .ordinal import ZERO, Ordinal, compare, from_int, omega_power
+from .ordinal import ZERO, Ordinal, from_int, omega_power
 from .oset import OrdinalSet, olim
 
-__all__ = ["ToyUniverse", "CoreKey", "STAR_CLOSURE_CAP"]
+__all__ = ["ToyUniverse", "CoreKey"]
 
 CoreKey = tuple[Ordinal, Ordinal]
-
-STAR_CLOSURE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -36,13 +33,13 @@ class ToyUniverse:
     def __post_init__(self):
         if not self.lambda0.is_limit:
             raise ValueError(f"lambda0 must be a limit ordinal, got {self.lambda0}")
-        if compare(self.max_o_value(), self.delta0_bound) >= 0:
+        if self.max_o_value() >= self.delta0_bound:
             raise ValueError(
                 f"delta0_bound {self.delta0_bound} does not dominate the "
                 f"o-values below {self.lambda0}"
             )
         for (beta, xi), core in self.cores.items():
-            if compare(xi, self.o(beta)) >= 0:
+            if xi >= self.o(beta):
                 raise ValueError(f"core index {xi} not below o({beta})")
             if not core.difference(self.stratum(xi, beta)).is_empty():
                 raise ValueError(
@@ -66,7 +63,7 @@ class ToyUniverse:
         cand = lead
         if omega_power(lead) == self.lambda0:
             cand = lead.predecessor() if lead.is_successor else lead
-        return best if compare(best, cand) >= 0 else cand
+        return max(best, cand)
 
     def ground(self) -> OrdinalSet:
         return OrdinalSet.interval(ZERO, self.lambda0)
@@ -74,14 +71,14 @@ class ToyUniverse:
     # -- strata ----------------------------------------------------------------
     def stratum(self, xi: Ordinal, below: Ordinal) -> OrdinalSet:
         """Y(xi) ∩ [0, below) = {g < below | o(g) = xi}."""
-        if compare(xi, self.delta0_bound) >= 0:
+        if xi >= self.delta0_bound:
             raise ValueError(f"stratum index {xi} not below delta0_bound")
         return OrdinalSet.stratum_piece(ZERO, below, xi)
 
     # -- largeness ---------------------------------------------------------------
     def is_large(self, B: OrdinalSet, beta: Ordinal, xi: Ordinal) -> bool:
         """Tail containment: Core(beta,xi) ∖ B is bounded strictly below beta."""
-        if compare(xi, self.o(beta)) >= 0:
+        if xi >= self.o(beta):
             raise ValueError(f"xi={xi} not below o({beta})={self.o(beta)}")
         override = self.cores.get((beta, xi))
         if override is not None:
@@ -99,7 +96,7 @@ class ToyUniverse:
         if missed is None:
             # Every level below o(beta) is missed, so each must be overridden.
             return ob.is_finite and len(over) == ob.as_int()
-        return all(xi in over for xi in missed if compare(xi, ob) < 0)
+        return all(xi in over for xi in missed if xi < ob)
 
     def _missed_levels(self, B: OrdinalSet, beta: Ordinal) -> frozenset[Ordinal] | None:
         """The levels of the default cores B misses cofinally below beta:
@@ -116,30 +113,40 @@ class ToyUniverse:
     def star_closure(self, B: OrdinalSet, beta: Ordinal) -> OrdinalSet:
         """Greatest fixpoint of the pointwise sub-largeness filter.
 
-        Keeps a in B when o(a) = 0 or B ∩ a is large at (a, xi) for every
-        xi < o(a); iterates to stabilization (cap STAR_CLOSURE_CAP).
+        Keeps a in B when o(a) = 0 or B★ ∩ a is large at (a, xi) for every
+        xi < o(a); one call to `_failing_points` finds every point it drops.
         """
         cur = B.restrict_below(beta)
         override_points = sorted({b for (b, _) in self.cores if b < beta})
-        for _ in range(STAR_CLOSURE_CAP):
-            fail = self._failing_points(cur, beta, override_points)
-            if fail.is_empty():
-                return cur
-            cur = cur.difference(fail)
-        raise ClosureDidNotStabilize(f"no fixpoint within {STAR_CLOSURE_CAP} passes")
+        fail = self._failing_points(cur, beta, override_points)
+        return cur.difference(fail) if fail else cur
 
     def _failing_points(
         self, cur: OrdinalSet, beta: Ordinal, override_points: list[Ordinal]
     ) -> OrdinalSet:
+        """The points of cur outside its star closure, in one pass.
+
+        A point with no overridden core fails exactly when the complement
+        C = [0,beta) ∖ cur is cofinal below it; call those points F.  Each
+        point of F is a limit of C, so where C ∪ F is cofinal below some a,
+        C already is and a is in F: removing F makes no new default
+        failure.  The override points are finitely many limits, each
+        tested against cur ∖ F; largeness is monotone, so a point failing
+        there fails against every subset of cur ∖ F as well.  Dropping
+        finitely many points changes no tail below any limit, so neither
+        test changes once the failing override points are gone too.
+        """
         comp = OrdinalSet.interval(ZERO, beta).difference(cur)
-        # a point of cur fails when the complement is cofinal below it
         fail = comp.missing_limits(beta)
-        if override_points:
-            fail = fail.difference(OrdinalSet.of(*override_points))
-        for b in override_points:
-            if b in cur and not self.is_large_all(cur.restrict_below(b), b):
-                fail = fail.union(OrdinalSet.singleton(b))
-        return fail
+        if not override_points:
+            return fail
+        fail = fail.difference(OrdinalSet.of(*override_points))
+        kept = cur.difference(fail)
+        starved = [
+            b for b in override_points
+            if b in kept and not self.is_large_all(kept.restrict_below(b), b)
+        ]
+        return fail.union(OrdinalSet.of(*starved)) if starved else fail
 
     def stratify(self, B: OrdinalSet, beta: Ordinal) -> dict[Ordinal, OrdinalSet]:
         """Per-stratum pieces Y(xi) ∩ B★ for xi < o(beta)."""

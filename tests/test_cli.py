@@ -127,6 +127,22 @@ def test_junction_between_a_filtered_and_a_plain_piece(argv, expected, capsys):
     assert out.strip() == expected
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # The filtered pieces hold no point at or above w^w: there the
+        # first has only w^w, of level w, and the second w^w and points of
+        # level 0.
+        (["set", "union", "[w^3,w^w+1)@{6} u [0,w^w)", "{}"], (0, "[0,w^w)\n")),
+        (["set", "member", "[w^2,w^w+w)@{3} u [0,w^w)", "w^4"], (0, "member\n")),
+        # w^w+1, of level 0, cannot be stored in a filtered piece.
+        (["set", "member", "[w^w,w^w*2)@{0}", "w^4"], (2, "")),
+    ],
+)
+def test_filtered_piece_reaching_past_w_to_the_w(argv, expected, capsys):
+    assert run(argv, capsys) == expected
+
+
 def test_set_stratum(uni_doc, capsys):
     code, doc = machine(["set", "stratum", "1", "--universe", uni_doc], capsys)
     assert code == 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import functools
 import gc
+import itertools
 import os
 import pickle
 import random
@@ -164,6 +165,33 @@ def test_enumeration_shape():
     assert len(set(pool)) == 2100
     assert all(not a.terms or a.terms[0][0].is_finite for a in pool[:2000])
     assert any(a.terms and not a.terms[0][0].is_finite for a in pool[2000:])
+
+
+def _reference_enumeration() -> tuple[Ordinal, ...]:
+    """The pool as a plain loop: zero, then 1- to 3-term ordinals below w^7
+    (exponent sets in lexicographic order, coefficients from 1, 2, 3, 5)
+    up to 2,000, then w^h*c + t for c = 1, 2 over the first 40 (h, not
+    finite) and 12 (t) of those, skipping repeats, up to 100."""
+    flat = [ZERO]
+    for n in (1, 2, 3):
+        for shape in itertools.combinations(range(7), n):
+            for cs in itertools.product((1, 2, 3, 5), repeat=n):
+                if len(flat) < 2000:
+                    flat.append(Ordinal(tuple((nat(e), c) for e, c in zip(shape[::-1], cs))))
+    nested = []
+    for head in flat[:40]:
+        for c in (1, 2):
+            for tail in flat[:12]:
+                g = add(mul_nat(omega_power(head), c), tail)
+                if head.is_finite or g in flat or g in nested or len(nested) == 100:
+                    continue
+                nested.append(g)
+    return tuple(flat + nested)
+
+
+def test_enumeration_is_frozen():
+    # `ordinal-laws` draws its triples from this pool.
+    assert ordinal_enumeration() == _reference_enumeration()
 
 
 def test_add_laws_small_sweep():

@@ -1,9 +1,11 @@
 """Rules on the source itself: lemma checks raise `WorkbenchError`s instead
-of using `assert`, so that they still run under `python -O`."""
+of using `assert`, so that they still run under `python -O`; nothing dead
+is left behind by a deletion."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -44,3 +46,14 @@ def test_every_error_class_is_raised_somewhere():
                 if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
                     called.add(n.func.id if isinstance(n.func, ast.Name) else n.func.attr)
     assert sorted(declared - called) == []
+
+
+def test_every_export_is_defined():
+    """Each name in a module's `__all__` is an attribute of that module: a
+    deleted definition does not leave its export behind."""
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "ordbench" if path.stem == "__init__" else f"ordbench.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

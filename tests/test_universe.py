@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordbench.ordinal import ZERO, mul_nat
-from ordbench.oset import OrdinalSet, olim, parse_set
+from ordbench.oset import OrdinalSet, Piece, olim, parse_set
 from ordbench.universe import ToyUniverse
 
 from conftest import W, W2, W3, nat, o, ordinal_sets, small_ordinals_below
@@ -233,6 +235,96 @@ def test_star_closure_with_override_core():
     got_default = default_u.star_closure(B, W3)
     assert W2 in got_override
     assert W2 not in got_default
+
+
+def _iterated_star_closure(u: ToyUniverse, B: OrdinalSet, beta) -> tuple[OrdinalSet, int]:
+    """Reference B★: remove every point that fails against the current set
+    until none fails.  Also returns the number of removal passes."""
+    cur = B.restrict_below(beta)
+    override = sorted({b for (b, _) in u.cores if b < beta})
+    passes = 0
+    while True:
+        comp = OrdinalSet.interval(ZERO, beta).difference(cur)
+        fail = comp.missing_limits(beta).difference(OrdinalSet.of(*override))
+        for b in override:
+            if b in cur and not u.is_large_all(cur.restrict_below(b), b):
+                fail = fail.union(OrdinalSet.singleton(b))
+        if fail.is_empty():
+            return cur, passes
+        cur = cur.difference(fail)
+        passes += 1
+
+
+def _random_core(rng: random.Random, u: ToyUniverse, beta, xi, dom) -> OrdinalSet:
+    """A finite, tail or holed subset of Y(xi) below beta."""
+    y = u.stratum(xi, beta)
+    pts = [g for g in dom if g < beta and g in y]
+    kind = rng.randrange(4)
+    if kind == 0 or not pts:
+        return OrdinalSet.of(*rng.sample(pts, min(len(pts), rng.randrange(3))))
+    if kind == 1:
+        return y.restrict_above(rng.choice(pts))
+    if kind == 2:
+        return y.difference(OrdinalSet.of(*rng.sample(pts, min(len(pts), rng.randrange(1, 4)))))
+    return y.difference(OrdinalSet.interval(*sorted(rng.sample(dom, 2))))
+
+
+def _random_star_case(rng: random.Random):
+    """A universe with up to 8 override cores, mostly at points of limit
+    order 2 or more, and a set holding some of the override points."""
+    lam = o(rng.choice(["w^2", "w^3", "w^3*2+w"]))
+    dom = small_ordinals_below(lam, 400)
+    limits = [g for g in dom if g.is_limit] + [lam]
+    base = ToyUniverse(lam, W)
+    high = [g for g in limits if base.o(g) > nat(1)]
+    cores = {}
+    for _ in range(rng.randrange(9)):
+        beta = rng.choice(high if rng.random() < 0.7 else limits)
+        xi = nat(rng.randrange(base.o(beta).as_int()))
+        cores[(beta, xi)] = _random_core(rng, base, beta, xi, dom)
+    pieces = []
+    for _ in range(rng.randrange(1, 5)):
+        a, b = sorted(rng.sample(dom + limits, 2))
+        floor = rng.randrange(2)
+        levels = frozenset(nat(k) for k in rng.sample(range(floor, 4), rng.randrange(1, 3)))
+        pieces.append(Piece(a, b, None if rng.random() < 0.3 else levels))
+    B = OrdinalSet(tuple(pieces))
+    keys = [b for (b, _) in cores]
+    if keys and rng.random() < 0.5:
+        B = B.union(OrdinalSet.of(*rng.sample(keys, rng.randrange(1, len(keys) + 1))))
+    return ToyUniverse(lam, W, cores), B, rng.choice(limits)
+
+
+def test_star_closure_matches_the_iterated_closure():
+    rng = random.Random(20261018)
+    passes = []
+    for _ in range(400):
+        u, B, beta = _random_star_case(rng)
+        want, n = _iterated_star_closure(u, B, beta)
+        assert u.star_closure(B, beta) == want, (u.lambda0, u.cores, B, beta)
+        passes.append(n)
+    # Some override point fails only once the starved points below it are
+    # gone, which takes the iteration a second removal pass.
+    assert 2 in passes
+
+
+def test_star_closure_needs_one_pass(monkeypatch):
+    # The level-1 core of w^2 is inside B, but every point of it starves
+    # (B holds no successor), so w^2 fails only against B without them.
+    u = ToyUniverse(
+        W3, W, {(W2, ZERO): OrdinalSet.empty(), (W2, nat(1)): parse_set("[0,w^2)@{1}")}
+    )
+    B = parse_set("[w,w^2+1)@{1,2}")
+    assert _iterated_star_closure(u, B, W3) == (OrdinalSet.empty(), 2)
+    calls = []
+    failing_points = ToyUniverse._failing_points
+    monkeypatch.setattr(
+        ToyUniverse,
+        "_failing_points",
+        lambda self, *args: calls.append(args) or failing_points(self, *args),
+    )
+    assert u.star_closure(B, W3) == OrdinalSet.empty()
+    assert len(calls) == 1
 
 
 def test_stratify_partitions_star():
