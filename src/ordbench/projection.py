@@ -5,7 +5,7 @@ the projection lemma."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import (
@@ -65,35 +65,50 @@ CLUB_REFINE_CAP = 200
 AnyCondition = Union[MagidorCondition, "ICondition"]
 
 
+_ABSENT = object()  # the point fact of a non-member
+
+
 @dataclass(frozen=True)
 class IndexSet:
-    """A subset of the ground order type, with limit/successor queries."""
+    """A subset of the ground order type, with limit/successor queries.
+
+    The projection asks one index set the same questions many times, so
+    it keeps its answers: `_facts` maps a point to `points.sup_below(g)`
+    when g is a member and to `_ABSENT` when it is not, and `_chains` maps
+    the o-values of a block sequence to its index chain. Neither takes
+    part in `==`, `hash` or `repr`."""
 
     points: OrdinalSet
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _fact(self, g: Ordinal):
+        try:
+            return self._facts[g]
+        except KeyError:
+            fact = self.points.sup_below(g) if g in self.points else _ABSENT
+            self._facts[g] = fact
+            return fact
 
     def __contains__(self, g: Ordinal) -> bool:
-        return g in self.points
+        return self._fact(g) is not _ABSENT
 
     def in_lim(self, g: Ordinal) -> bool:
         """Member whose predecessors in the set are cofinal below it."""
-        p = self.points.piece_at(g)
-        if p is None:
-            return False
-        if g.is_zero:
-            return True  # sup of the empty set is 0
-        if p.levels is None and p.lo < g:
-            # All of [p.lo, g) is in the set: its sup is g exactly when g
-            # is a limit.
-            return g.is_limit
-        s = self.points.sup_below(g)
-        return s is not None and s[0] >= g
+        s = self._fact(g)
+        return s is not _ABSENT and _cofinal(g, s)
 
     def in_succ(self, g: Ordinal) -> bool:
-        return g in self.points and not self.in_lim(g)
+        s = self._fact(g)
+        return s is not _ABSENT and not _cofinal(g, s)
+
+    def _sup_below(self, g: Ordinal) -> tuple[Ordinal, bool] | None:
+        s = self._fact(g)
+        return self.points.sup_below(g) if s is _ABSENT else s
 
     def pred(self, g: Ordinal) -> Ordinal | None:
         """Greatest member strictly below g, when attained."""
-        s = self.points.sup_below(g)
+        s = self._sup_below(g)
         return s[0] if s is not None and s[1] else None
 
     def clause_pred(self, g: Ordinal) -> Ordinal | None:
@@ -102,7 +117,7 @@ class IndexSet:
         None means the members below g have an unattained supremum, which
         only happens for index sets that are not closed below their sup.
         """
-        s = self.points.sup_below(g)
+        s = self._sup_below(g)
         if s is None:
             return ZERO
         return s[0] if s[1] else None
@@ -110,6 +125,12 @@ class IndexSet:
     def min_in_open(self, lo: Ordinal, hi: Ordinal) -> Ordinal | None:
         m = self.points.min_above(lo)
         return m if m is not None and m < hi else None
+
+
+def _cofinal(g: Ordinal, s: tuple[Ordinal, bool] | None) -> bool:
+    """Whether the members below g, with supremum fact s, reach g; below
+    0 the empty set's sup is 0."""
+    return g.is_zero if s is None else s[0] >= g
 
 
 @dataclass(frozen=True)
@@ -142,15 +163,20 @@ def index_chain(cond: AnyCondition, I: IndexSet) -> list[Ordinal | None]:
     A point beyond the ground set is N/A and leaves the recursion where it
     was, as `magidor._block_violations` leaves the previous point."""
     u = cond.universe
-    vals: list[Ordinal | None] = []
-    prev: Ordinal | None = ZERO
-    for b in cond.blocks[:-1]:
-        if prev is None or b.kappa > u.lambda0:
-            vals.append(None)
-            continue
-        prev = I.points.min_in_level_above(u.o(b.kappa), prev)
-        vals.append(prev)
-    return vals
+    # The recursion reads only the o-values, so they key I's memo.
+    key = tuple(None if b.kappa > u.lambda0 else u.o(b.kappa) for b in cond.blocks[:-1])
+    chain = I._chains.get(key)
+    if chain is None:
+        vals: list[Ordinal | None] = []
+        prev: Ordinal | None = ZERO
+        for xi in key:
+            if prev is None or xi is None:
+                vals.append(None)
+                continue
+            prev = I.points.min_in_level_above(xi, prev)
+            vals.append(prev)
+        chain = I._chains[key] = tuple(vals)
+    return list(chain)
 
 
 def index_of(cond: AnyCondition, i: int, I: IndexSet) -> Ordinal | None:

@@ -460,6 +460,33 @@ def test_index_set_walks_match_rebuild(case):
     assert I.min_in_open(g, h) == old_min_in_open(s, g, h)
 
 
+@settings(max_examples=200)
+@given(sets_and_cuts(cuts=6), st.randoms(use_true_random=False))
+def test_a_warmed_index_set_answers_like_a_fresh_one(case, rnd):
+    """IndexSet keeps its point facts; asked again, in another order, it
+    answers as a fresh index set and as the rebuilt oracles do."""
+    s, *points = case
+    points.append(s.pieces[-1].hi if s.pieces else ZERO)  # never a member
+    oracles = {
+        "__contains__": lambda g: g in s,
+        "in_lim": lambda g: old_in_lim(s, g),
+        "in_succ": lambda g: g in s and not old_in_lim(s, g),
+        "pred": lambda g: old_pred(s, g),
+        "clause_pred": lambda g: old_clause_pred(s, g),
+    }
+    asks = [(name, g) for name in oracles for g in points]
+    want = {(name, g): oracles[name](g) for name, g in asks}
+
+    def answers(I: IndexSet):
+        rnd.shuffle(asks)
+        return {(name, g): getattr(I, name)(g) for name, g in asks}
+
+    warm = IndexSet(s)
+    assert answers(warm) == want
+    assert answers(warm) == want
+    assert answers(IndexSet(s)) == want
+
+
 def test_pieces_without_interval_or_level_add_no_cuts():
     base = parse_set("[0,w^2)@{1}").pieces
     assert parse_set("[0,w^2)@{1} u [w+1,w)").pieces == base

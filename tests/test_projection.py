@@ -336,6 +336,68 @@ def test_index_invariance_under_extension(rng):
             assert ca[i] == cb[positions[blk.kappa]]
 
 
+def old_index_chain(cond, I: IndexSet) -> list:
+    """The block walk that `index_chain` memoizes on the index set."""
+    u = cond.universe
+    vals = []
+    prev = ZERO
+    for b in cond.blocks[:-1]:
+        if prev is None or b.kappa > u.lambda0:
+            vals.append(None)
+            continue
+        prev = I.points.min_in_level_above(u.o(b.kappa), prev)
+        vals.append(prev)
+    return vals
+
+
+def test_index_chain_matches_the_block_walk(rng):
+    """One index set serves conditions over w^2 and w^3 whose blocks may lie
+    beyond the ground set; the same blocks get each universe's chain, and a
+    caller that edits a returned chain does not edit the next one."""
+    u2, u3 = canon_universe("w^2"), canon_universe("w^3")
+    beyond = [o("w^2"), o("w^2+1"), o("w^2*2"), o("w^3"), o("w^3+w")]
+    na = differs = 0
+    for _ in range(40):
+        I = random_iset(rng.choice((u2, u3)), rng)
+        for _ in range(4):
+            blocks = list(random_condition(rng.choice((u2, u3)), rng).blocks[:-1])
+            for _ in range(rng.randrange(3)):
+                blocks.insert(rng.randrange(len(blocks) + 1), Block(rng.choice(beyond)))
+            chains = []
+            for u in (u2, u3):
+                cond = MagidorCondition(u, (*blocks, Block(u.lambda0)))
+                want = old_index_chain(cond, I)
+                got = index_chain(cond, I)
+                assert got == want
+                got.append(ZERO)
+                got[:1] = [o("w")]
+                assert index_chain(cond, I) == want
+                na += None in want
+                chains.append(want)
+            differs += chains[0] != chains[1]
+    assert na and differs
+
+
+def test_the_memo_is_invisible():
+    """Equality, hashing, printing and serialisation see only the points,
+    before and after an index set has answered queries."""
+    from ordbench.io import icondition_to_json
+    from ordbench.projection import _check_compatible
+
+    p, I = first_counterexample()
+    q = pi(p, I)
+    before = (hash(I), repr(I), icondition_to_json(q))
+    onto_construct(pi(densify(p, I), I))
+    validate_I(q)
+    assert I._facts and I._chains
+    assert (hash(I), repr(I), icondition_to_json(q)) == before
+    fresh = IndexSet(OrdinalSet(FIRST_I.pieces))
+    assert fresh == I and hash(fresh) == hash(I) and repr(fresh) == repr(I)
+    twin = ICondition(q.universe, fresh, q.blocks)
+    _check_compatible(q, twin)
+    assert leq_I(q, twin) and leq_I(twin, q)
+
+
 def test_onto_sec41():
     u = canon_universe("w^2")
     q = ICondition(

@@ -57,3 +57,34 @@ def test_every_export_is_defined():
         module = importlib.import_module(name)
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _unbounded_cache(decorator: ast.expr) -> bool:
+    """`cache`, a bare `lru_cache`, or `lru_cache(maxsize=None)`."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache":
+        return False
+    if call is None:
+        return True
+    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+def test_no_unbounded_cache_on_a_function_with_parameters():
+    """A process-wide cache keyed by arguments grows for the life of the
+    process; what a value learns about itself is kept on that value."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = n.args
+            if not (a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg):
+                continue
+            if any(_unbounded_cache(d) for d in n.decorator_list):
+                found.append(f"{path.name}:{n.lineno} {n.name}")
+    assert found == []
