@@ -141,8 +141,8 @@ def condition_to_json(p: MagidorCondition) -> dict:
     }
 
 
-def condition_from_json(doc: dict, universe: ToyUniverse | None = None) -> MagidorCondition:
-    u = universe or _resolve_universe(doc["universe"])
+def condition_from_json(doc: dict) -> MagidorCondition:
+    u = _resolve_universe(doc["universe"])
     return MagidorCondition(u, _blocks_from_json(doc["blocks"]))
 
 
@@ -154,8 +154,8 @@ def icondition_to_json(q: ICondition) -> dict:
     }
 
 
-def icondition_from_json(doc: dict, universe: ToyUniverse | None = None) -> ICondition:
-    u = universe or _resolve_universe(doc["universe"])
+def icondition_from_json(doc: dict) -> ICondition:
+    u = _resolve_universe(doc["universe"])
     return ICondition(
         u, IndexSet(set_from_json(doc["index"])), _blocks_from_json(doc["blocks"])
     )

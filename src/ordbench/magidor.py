@@ -163,58 +163,48 @@ def validate(p: MagidorCondition) -> list[str]:
     return _block_violations(p, own)
 
 
-def _kept_named_points(p, q) -> list[int] | None:
-    """The order clauses on what p already names, shared by both forcings:
-    the same top with a shrunk top set, and each named point of p kept in
-    q, bare or not as in p, with a shrunk set.  The positions in q of p's
-    named points, or None when a clause fails."""
-    if p.top.kappa != q.top.kappa:
-        return None
-    if not q.top.measure_set.difference(p.top.measure_set).is_empty():
-        return None
-    positions = {b.kappa: j for j, b in enumerate(q.blocks[:-1])}
-    matched: list[int] = []
-    for b in p.blocks[:-1]:
-        j = positions.get(b.kappa)
-        if j is None:
-            return None
-        matched.append(j)
-        qb = q.blocks[j]
-        if (b.measure_set is None) != (qb.measure_set is None):
-            return None
-        if b.measure_set is not None:
-            if not qb.measure_set.difference(b.measure_set).is_empty():
-                return None
-    return matched
+def _within(small: OrdinalSet, big: OrdinalSet) -> bool:
+    """Whether small is a subset of big: the one inclusion test of L3."""
+    return small.difference(big).is_empty()
 
 
-def _new_blocks_admitted(p, q, matched: list[int], admits) -> bool:
-    """Each block of q that p does not name lies in the set of its
-    enclosing p-block (the first named point above it, else the top) and
-    passes `admits(j, qb, enclosing)`."""
-    matched_set = set(matched)
+def _order_walk(p, q, admits) -> list[list[Ordinal]] | None:
+    """The order clauses both forcings share, in one pass over q's non-top
+    blocks with a pointer on p's blocks.  q keeps p's top with a shrunk set.
+    A q block at the pointer's named point keeps it, bare or not as in p,
+    with a shrunk set, and moves the pointer on; any other q block is new:
+    it lies in the set of the block under the pointer (the first point of p
+    above it) and passes `admits(j, qb, enclosing)`.  The points q adds in
+    each gap of p, or None when a clause fails or a named point of p is
+    never reached."""
+    if p.top.kappa != q.top.kappa or not _within(q.top.measure_set, p.top.measure_set):
+        return None
+    named = len(p.blocks) - 1
+    added: list[list[Ordinal]] = [[] for _ in p.blocks]
+    r = 0
     for j, qb in enumerate(q.blocks[:-1]):
-        if j in matched_set:
-            continue
-        enclosing = next(
-            (p.blocks[r] for r, mj in enumerate(matched) if mj > j), p.top
-        )
-        B = enclosing.measure_set
-        if B is None or qb.kappa not in B:
-            return False
-        if not admits(j, qb, enclosing):
-            return False
-    return True
+        b = p.blocks[r]
+        if r < named and qb.kappa == b.kappa:
+            if (b.measure_set is None) != (qb.measure_set is None):
+                return None
+            if b.measure_set is not None and not _within(qb.measure_set, b.measure_set):
+                return None
+            r += 1
+        elif b.measure_set is None or qb.kappa not in b.measure_set or not admits(j, qb, b):
+            return None
+        else:
+            added[r].append(qb.kappa)
+    return added if r == named else None
 
 
 def _inherits(qb: Block, enclosing: Block) -> bool:
     """The set of a new block is drawn from its enclosing set below it."""
-    allowed = enclosing.measure_set.restrict_below(qb.kappa)
-    return qb.measure_set.difference(allowed).is_empty()
+    return _within(qb.measure_set, enclosing.measure_set.restrict_below(qb.kappa))
 
 
-def leq(p: MagidorCondition, q: MagidorCondition) -> bool:
-    """Forcing order: q extends p."""
+def _added_points(p: MagidorCondition, q: MagidorCondition) -> list[list[Ordinal]] | None:
+    """The Magidor order: the points q adds in each gap of p, or None when
+    q does not extend p."""
     _check_same_universe(p, q)
     o = p.universe.o
 
@@ -223,8 +213,12 @@ def leq(p: MagidorCondition, q: MagidorCondition) -> bool:
             return False
         return qb.measure_set is None or _inherits(qb, enclosing)
 
-    matched = _kept_named_points(p, q)
-    return matched is not None and _new_blocks_admitted(p, q, matched, admits)
+    return _order_walk(p, q, admits)
+
+
+def leq(p: MagidorCondition, q: MagidorCondition) -> bool:
+    """Forcing order: q extends p."""
+    return _added_points(p, q) is not None
 
 
 def leq_star(p: MagidorCondition, q: MagidorCondition) -> bool:
@@ -319,7 +313,7 @@ def extend(
                 S = shrink[b.kappa]
                 if b.measure_set is None:
                     raise LargenessViolated(f"cannot shrink bare block {b.kappa}")
-                if not S.difference(b.measure_set).is_empty():
+                if not _within(S, b.measure_set):
                     raise LargenessViolated(f"shrink at {b.kappa} is not a subset")
                 shrunk.append(Block(b.kappa, S))
             else:
@@ -336,20 +330,10 @@ def find_type(
     p: MagidorCondition, q: MagidorCondition
 ) -> tuple[ExtensionType, Alphas]:
     """The unique (type, assignment) with extend(p, assignment) <=* q."""
-    if not leq(p, q):
+    added = _added_points(p, q)
+    if added is None:
         raise NotAnExtension("q does not extend p")
-    p_kappas = {b.kappa for b in p.blocks[:-1]}
-    gaps: list[list[Ordinal]] = [[] for _ in p.blocks]
-    gap = 0
-    boundaries = [b.kappa for b in p.blocks]
-    for qb in q.blocks[:-1]:
-        while qb.kappa > boundaries[gap]:
-            gap += 1
-        if qb.kappa in p_kappas:
-            gap += 1
-            continue
-        gaps[gap].append(qb.kappa)
-    alphas = tuple(tuple(g) for g in gaps)
+    alphas = tuple(map(tuple, added))
     return type_of(p, alphas), alphas
 
 
@@ -410,7 +394,7 @@ def _points_in_blocks(blocks, pts: OrdinalSet) -> bool:
         if b.measure_set is None:
             if not seg.is_empty():
                 return False
-        elif not seg.difference(b.measure_set).is_empty():
+        elif not _within(seg, b.measure_set):
             return False
         prev = b.kappa
     return True

@@ -25,9 +25,8 @@ from .magidor import (
     _block_violations,
     _check_same_universe,
     _inherits,
-    _kept_named_points,
     _least_witnesses,
-    _new_blocks_admitted,
+    _order_walk,
     _points_in_blocks,
     _set_violations,
     extend,
@@ -253,9 +252,6 @@ def validate_I(q: ICondition) -> list[str]:
 def leq_I(p: ICondition, q: ICondition) -> bool:
     """Order of the subsequence forcing: q extends p."""
     _check_compatible(p, q)
-    matched = _kept_named_points(p, q)
-    if matched is None:
-        return False
     I = p.index_set
     chain = index_chain(q, I)
 
@@ -275,7 +271,7 @@ def leq_I(p: ICondition, q: ICondition) -> bool:
             )
         return qb.measure_set is not None and _inherits(qb, enclosing)
 
-    return _new_blocks_admitted(p, q, matched, admits)
+    return _order_walk(p, q, admits) is not None
 
 
 def leq_I_star(p: ICondition, q: ICondition) -> bool:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ordbench.errors import UniverseMismatch
+from ordbench.errors import UniverseMismatch, WorkbenchError
 from ordbench.generic import (
     CanonicalSequence,
     filter_pair_compatible,
@@ -20,10 +20,10 @@ from ordbench.magidor import (
     unveil_type,
     validate,
 )
-from ordbench.ordinal import ZERO, omega_power
+from ordbench.ordinal import ZERO, add, mul_nat, omega_power
 from ordbench.oset import OrdinalSet, parse_set
 
-from conftest import canon_universe, nat, o, root_condition
+from conftest import W, W2, canon_universe, nat, o, root_condition
 
 
 def canonical_chain(u, rng: random.Random, steps: int = 3) -> MagidorCondition:
@@ -181,6 +181,68 @@ def test_filter_pair_compatible(rng):
         a = canonical_chain(u, rng)
         b = canonical_chain(u, rng)
         assert filter_pair_compatible(a, b, seq)
+
+
+# Coordinates w^2*a + w*b + c: unlike the first 60 coordinates, which are
+# all finite, they unveil points of positive order.
+HIGH_COORDS = sorted(
+    {
+        add(add(mul_nat(W2, a), mul_nat(W, b)), nat(c))
+        for a in range(3)
+        for b in range(3)
+        for c in range(3)
+    }
+    - {ZERO}
+)
+
+
+def high_chain(u, rng: random.Random, steps: int = 3) -> MagidorCondition:
+    """Random in-filter condition unveiling coordinates from HIGH_COORDS."""
+    p = root_condition(u)
+    for _ in range(steps):
+        top_coord = gamma_of(p, len(p.blocks))
+        pool = [g for g in HIGH_COORDS if g < top_coord and g not in p.gammas]
+        try:
+            p, _ = extend_minimal(p, unveil_type(p, pool[rng.randrange(len(pool))]))
+        except WorkbenchError:
+            continue
+    return p
+
+
+def test_filter_pair_compatible_over_positive_order_points(rng):
+    """Directedness when the two conditions name different positive-order
+    points, so each side's set at such a point comes from the other's
+    enclosing block."""
+    differ = 0
+    for lam in ("w^3", "w^3*2+w"):
+        u = canon_universe(lam)
+        seq = CanonicalSequence(u.lambda0)
+        for _ in range(15):
+            a, b = high_chain(u, rng), high_chain(u, rng)
+            assert validate(a) == [] and in_filter(a, seq) and in_filter(b, seq)
+            assert filter_pair_compatible(a, b, seq)
+            named = [
+                {x.kappa for x in c.blocks[:-1] if not u.o(x.kappa).is_zero} for c in (a, b)
+            ]
+            differ += named[0] != named[1]
+    assert differ >= 10
+
+
+def test_filter_pair_incompatible():
+    u = canon_universe("w^3")
+    seq = CanonicalSequence(u.lambda0)
+    root = root_condition(u)
+    # Different tops, both in the filter.
+    low = MagidorCondition(u, (Block(W2, parse_set("[0,w^2)")),))
+    assert validate(low) == [] and in_filter(low, seq)
+    assert not filter_pair_compatible(root, low, seq)
+    # One side not in the filter: its top set misses a canonical point.
+    holed = MagidorCondition(
+        u, (Block(u.lambda0, u.ground().difference(OrdinalSet.singleton(o("w*2")))),)
+    )
+    assert validate(holed) == [] and not in_filter(holed, seq)
+    assert not filter_pair_compatible(root, holed, seq)
+    assert not filter_pair_compatible(holed, root, seq)
 
 
 def test_filter_pair_compatible_with_shrunk_top(rng):

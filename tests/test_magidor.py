@@ -39,6 +39,7 @@ from conftest import (
     random_condition,
     random_extension,
 )
+from test_projection import outcome
 
 
 @pytest.fixture
@@ -410,6 +411,131 @@ def test_derived_order_matches_leq(rng):
         assert _leq_derived(p, q) == leq(p, q) == True  # noqa: E712
         assert _leq_derived(p, r) == leq(p, r)
         assert _leq_derived(q, p) == leq(q, p)
+
+
+def old_kept_named_points(p, q):
+    """The order clauses on p's top and named points, as a separate pass:
+    the positions in q of p's named points, or None."""
+    if p.top.kappa != q.top.kappa:
+        return None
+    if not q.top.measure_set.difference(p.top.measure_set).is_empty():
+        return None
+    positions = {b.kappa: j for j, b in enumerate(q.blocks[:-1])}
+    matched = []
+    for b in p.blocks[:-1]:
+        j = positions.get(b.kappa)
+        if j is None:
+            return None
+        matched.append(j)
+        qb = q.blocks[j]
+        if (b.measure_set is None) != (qb.measure_set is None):
+            return None
+        if b.measure_set is not None:
+            if not qb.measure_set.difference(b.measure_set).is_empty():
+                return None
+    return matched
+
+
+def old_new_blocks_admitted(p, q, matched, admits) -> bool:
+    """Each block of q that p does not name lies in the set of the first
+    matched block after it, else the top, and passes admits."""
+    matched_set = set(matched)
+    for j, qb in enumerate(q.blocks[:-1]):
+        if j in matched_set:
+            continue
+        enclosing = next((p.blocks[r] for r, mj in enumerate(matched) if mj > j), p.top)
+        B = enclosing.measure_set
+        if B is None or qb.kappa not in B:
+            return False
+        if not admits(j, qb, enclosing):
+            return False
+    return True
+
+
+def old_inherits(qb, enclosing) -> bool:
+    allowed = enclosing.measure_set.restrict_below(qb.kappa)
+    return qb.measure_set.difference(allowed).is_empty()
+
+
+def old_leq(p, q) -> bool:
+    """The Magidor order read by the two passes above."""
+    o_ = p.universe.o
+
+    def admits(j, qb, enclosing):
+        if o_(qb.kappa) >= o_(enclosing.kappa):
+            return False
+        return qb.measure_set is None or old_inherits(qb, enclosing)
+
+    matched = old_kept_named_points(p, q)
+    return matched is not None and old_new_blocks_admitted(p, q, matched, admits)
+
+
+def old_find_type(p, q):
+    """`old_leq`, then a second walk that groups q's new points by gap."""
+    if not old_leq(p, q):
+        raise NotAnExtension("q does not extend p")
+    p_kappas = {b.kappa for b in p.blocks[:-1]}
+    gaps = [[] for _ in p.blocks]
+    gap = 0
+    boundaries = [b.kappa for b in p.blocks]
+    for qb in q.blocks[:-1]:
+        while qb.kappa > boundaries[gap]:
+            gap += 1
+        if qb.kappa in p_kappas:
+            gap += 1
+            continue
+        gaps[gap].append(qb.kappa)
+    alphas = tuple(tuple(g) for g in gaps)
+    return type_of(p, alphas), alphas
+
+
+def without_a_point_of(p, q, rng):
+    """The direct extension of p whose set no longer holds one point that
+    q adds, or p when that set would not stay valid."""
+    named = {b.kappa for b in p.blocks}
+    added = [b.kappa for b in q.blocks[:-1] if b.kappa not in named]
+    if not added:
+        return p
+    x = rng.choice(added)
+    b = next(b for b in p.blocks if b.kappa > x)
+    smaller = b.measure_set.difference(OrdinalSet.singleton(x))
+    try:
+        return extend(p, ((),) * len(p.blocks), {b.kappa: smaller})
+    except LargenessViolated:
+        return p
+
+
+def order_pairs(u, rng, count: int):
+    """Pairs of valid conditions, both ways round: an extension, an
+    extension of an extension, a weakening that keeps some of q's named
+    points with full sets, a direct extension that drops a point q adds,
+    and an unrelated condition."""
+    for _ in range(count):
+        p = random_condition(u, rng)
+        q = random_extension(p, rng)
+        r = random_extension(q, rng)
+        w = canonical_condition(u, [b.kappa for b in q.blocks[:-1] if rng.random() < 0.6])
+        d = without_a_point_of(p, r, rng)
+        s = random_condition(u, rng)
+        for a, b in (
+            (p, q), (q, p), (p, r), (r, p), (w, q), (q, w), (d, r), (p, d), (d, p), (p, s), (s, p)
+        ):
+            if not validate(a) and not validate(b):
+                yield a, b
+
+
+def test_order_walk_matches_the_two_passes(rng):
+    """On valid pairs `leq` and `find_type` answer as the two-pass order
+    did, through both refusals: a named point of p that q drops or grows,
+    and a new point of q that its enclosing set does not admit."""
+    seen = set()
+    for lam in ("w^2", "w^3", "w^3*2+w"):
+        for p, q in order_pairs(canon_universe(lam), rng, 25):
+            want = old_leq(p, q)
+            assert leq(p, q) == want
+            assert outcome(find_type, p, q) == outcome(old_find_type, p, q)
+            seen.add((old_kept_named_points(p, q) is not None, want))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_gamma_invariant_under_extension(rng):

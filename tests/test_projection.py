@@ -318,6 +318,70 @@ def random_iset(u: ToyUniverse, rng: random.Random) -> IndexSet:
     return IndexSet(s.restrict_below(u.lambda0))
 
 
+def old_leq_I(p: ICondition, q: ICondition) -> bool:
+    """The subsequence order read by the two passes of `old_leq`."""
+    from test_magidor import old_inherits, old_kept_named_points, old_new_blocks_admitted
+
+    matched = old_kept_named_points(p, q)
+    if matched is None:
+        return False
+    I = p.index_set
+    chain = index_chain(q, I)
+
+    def admits(j, qb, enclosing):
+        c = chain[j]
+        if c is None:
+            return False
+        if I.in_succ(c):
+            prev_idx = chain[j - 1] if j >= 1 else ZERO
+            if prev_idx is None:
+                return False
+            prev_kappa = q.blocks[j - 1].kappa if j >= 1 else None
+            exps = cnf_difference(prev_idx, c)
+            return (
+                _least_witnesses(exps[:-1], prev_kappa, enclosing.measure_set, qb.kappa)
+                is not None
+            )
+        return qb.measure_set is not None and old_inherits(qb, enclosing)
+
+    return old_new_blocks_admitted(p, q, matched, admits)
+
+
+def iorder_pairs(u: ToyUniverse, rng: random.Random, count: int):
+    """Pairs of valid projected conditions over one random index set, both
+    ways round: a densified extension, a further one, and an unrelated
+    densified condition."""
+    from conftest import gen_projection_condition
+
+    for _ in range(count):
+        I = random_iset(u, rng)
+        try:
+            p = gen_projection_condition(u, I, rng, steps=2)
+            q = densify(random_extension(p, rng), I)
+            r = densify(random_extension(q, rng), I)
+            s = densify(random_condition(u, rng), I)
+        except RepairImpossible:
+            continue
+        a, b, c, d = (pi(x, I) for x in (p, q, r, s))
+        for x, y in ((a, b), (b, a), (a, c), (c, b), (a, d), (d, a), (b, d)):
+            if not validate_I(x) and not validate_I(y):
+                yield x, y
+
+
+def test_leq_I_matches_the_two_passes(rng):
+    """Both refusals occur: at p's named points, and at a new point of q
+    that the index-chain clauses do not admit."""
+    from test_magidor import old_kept_named_points
+
+    seen = set()
+    for lam in ("w^2", "w^3", "w^3*2+w"):
+        for p, q in iorder_pairs(canon_universe(lam), rng, 12):
+            want = old_leq_I(p, q)
+            assert leq_I(p, q) == want
+            seen.add((old_kept_named_points(p, q) is not None, want))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 def test_index_invariance_under_extension(rng):
     # matched blocks keep their computed indices across the order
     from conftest import gen_projection_condition

@@ -88,3 +88,28 @@ def test_no_unbounded_cache_on_a_function_with_parameters():
             if any(_unbounded_cache(d) for d in n.decorator_list):
                 found.append(f"{path.name}:{n.lineno} {n.name}")
     assert found == []
+
+
+def test_every_private_helper_is_used():
+    """Each undecorated private module-level function is named somewhere in
+    `src/` (a call, a reference or an attribute; an import does not
+    count): a helper whose last caller is deleted goes with it."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+    helpers = [
+        (name, n)
+        for name, tree in trees.items()
+        for n in tree.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and n.name.startswith("_")
+        and not n.name.startswith("__")
+        and not n.decorator_list
+    ]
+    assert helpers
+    assert [f"{name}:{n.lineno} {n.name}" for name, n in helpers if n.name not in named] == []
