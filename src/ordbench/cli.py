@@ -48,6 +48,10 @@ def _document(decode: Callable) -> Callable:
     return lambda text: decode(_load_json(text))
 
 
+def _family(d) -> dict[int, set[int]]:
+    return {int(k): set(io._ints(v, "a set")) for k, v in d.items()}
+
+
 # Argument kind -> decoder from the command-line text.
 KINDS: dict[str, Callable] = {
     "ord": parse_ordinal,
@@ -66,8 +70,9 @@ KINDS: dict[str, Callable] = {
     "structure": _document(io.structure_from_json),
     "fn": _document(io.product_fn_from_json),
     "derivation": _document(io.derivation_from_json),
-    "members": _document(lambda d: set(io._ints(d, "a set"))),
-    "family": _document(lambda d: {int(k): set(io._ints(v, "a set")) for k, v in d.items()}),
+    "family": _document(_family),
+    # One set per level (an object), or the one set of the constant sequence (a list).
+    "sets": _document(lambda d: _family(d) if isinstance(d, dict) else set(io._ints(d, "a set"))),
     "tuples": _document(lambda d: [io._ints(t, "a tuple") for t in d]),
     "tables": _document(lambda d: [{int(k): io.hashable(v) for k, v in t.items()} for t in d]),
     "graph": _document(lambda d: {tuple(e["args"]): io.hashable(e["value"]) for e in d}),
@@ -81,6 +86,9 @@ ECHOED = {
     "cond": ("condition", io.condition_to_json),
     "icond": ("icondition", io.icondition_to_json),
 }
+# Kinds whose verb arguments are refused as malformed unless valid -> the check.
+# The validity verbs take their document as a string and decode it unchecked.
+CHECKED = {"cond": magidor.validate, "icond": projection.validate_I}
 
 
 def _gaps(gaps) -> list:
@@ -153,7 +161,7 @@ class Report:
 #
 # An argument spec is "name:kind" for a positional, "--flag:kind" for an
 # optional flag (None when left out or empty), "--flag:kind!" for a required
-# one, "--flag:kind=default", or a bare "--flag" for a store-true switch.
+# one, or a bare "--flag" for a store-true switch.
 # The handler gets the report and the decoded values in spec order.
 # ---------------------------------------------------------------------------
 
@@ -240,8 +248,8 @@ def _uni_stratify(rep, u, B, beta):
     rep.set("result", doc, "; ".join(f"{k}: {format_set(v)}" for k, v in pairs))
 
 
-verb("cond", "validate", "magidor.validate", "c1:cond")(
-    lambda r, p: r.violations(magidor.validate(p)))
+verb("cond", "validate", "magidor.validate", "c1:str")(
+    lambda r, text: r.violations(magidor.validate(r.decode("cond", text))))
 verb("cond", "leq", "magidor.leq", "c1:cond c2:cond --star")(_order(magidor.leq, magidor.leq_star))
 verb("cond", "gamma", "magidor.gamma_of", "c1:cond index:int")(
     lambda r, p, i: r.ordinal(magidor.gamma_of(p, i)))
@@ -284,8 +292,8 @@ def _proj_index(rep, p, i, S):
 
 verb("proj", "pi", "projection.pi", "c1:cond --index:set!")(
     lambda r, p, S: r.blocks(projection.pi(p, IndexSet(S))))
-verb("proj", "validate", "projection.validate_I", "c1:icond")(
-    lambda r, q: r.violations(projection.validate_I(q)))
+verb("proj", "validate", "projection.validate_I", "c1:str")(
+    lambda r, text: r.violations(projection.validate_I(r.decode("icond", text))))
 verb("proj", "leq", "projection.leq_I", "c1:icond c2:icond --star")(
     _order(projection.leq_I, projection.leq_I_star))
 
@@ -365,12 +373,9 @@ def _prikry_normalize(rep, t, u):
     rep.set("result", io.tree_to_json(out), f"depth {out.depth} tree")
 
 
-@verb("prikry", "validate-seq", "prikry.validate_sequence_condition",
-      "a:str --structure:structure! --trunk:ints --variant:str=omega_sequence")
-def _prikry_validate_seq(rep, text, u, trunk, variant):
-    # The single variant takes one set; the omega-sequence one a set per level.
-    sets = rep.decode("members" if variant == "single" else "family", text)
-    rep.violations(prikry.validate_sequence_condition(trunk or (), sets, u, variant))
+verb("prikry", "validate-seq", "prikry.validate_sequence_condition",
+     "a:sets --structure:structure! --trunk:ints")(
+    lambda r, sets, u, trunk: r.violations(prikry.validate_sequence_condition(trunk or (), sets, u)))
 
 
 @verb("prikry", "diag", "prikry.modified_diag", "a:family k:int --structure:structure!")
@@ -426,7 +431,6 @@ def _verb_parser(group: str, name: str):
     fields = []
     for spec in VERBS[group, name].args.split():
         flag, _, kind = spec.partition(":")
-        kind, _, default = kind.partition("=")
         if not flag.startswith("--"):
             parser.add_argument(flag)
             fields.append((flag, kind, False))
@@ -435,7 +439,7 @@ def _verb_parser(group: str, name: str):
         dest = "index_set" if flag == "--index" else flag[2:].replace("-", "_")
         required = kind.endswith("!")
         if kind:
-            parser.add_argument(flag, dest=dest, required=required, default=default or None)
+            parser.add_argument(flag, dest=dest, required=required)
         else:
             parser.add_argument(flag, action="store_true")
         fields.append((dest, kind.rstrip("!"), not required))
@@ -500,6 +504,9 @@ def main(argv=None) -> int:
             value = getattr(ns, dest)
             if kind:  # a store-true switch has no kind
                 value = None if optional and not value else rep.decode(kind, value)
+            found = value is not None and kind in CHECKED and CHECKED[kind](value)
+            if found:
+                raise ParseError(f"invalid {kind} argument {dest}: {found[0]}")
             values.append(value)
         VERBS[group, name].run(rep, *values)
     except ParseError as err:

@@ -79,9 +79,6 @@ class MagidorCondition:
     def top(self) -> Block:
         return self.blocks[-1]
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     def o(self, i: int) -> Ordinal:
         """o-value of the 1-based i-th block."""
         return self.universe.o(self.blocks[i - 1].kappa)

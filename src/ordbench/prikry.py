@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -140,16 +141,25 @@ class TreeCondition:
         return u.node_ultra(a).core
 
 
-def validate_tree(t: TreeCondition, u: ToyUltraStructure) -> list[str]:
+def _trunk_violations(trunk: Node) -> list[str]:
+    return [] if list(trunk) == sorted(set(trunk)) else ["trunk is not strictly increasing"]
+
+
+def _set_violations(where: str, s, ua: UltraAssignment, ground: set[int]) -> list[str]:
+    """The ground and core clauses of one set, reported at `where`."""
     out = []
-    if list(t.trunk) != sorted(set(t.trunk)):
-        out.append("trunk is not strictly increasing")
+    if not s <= ground:
+        out.append(f"{where} leaves the ground")
+    if not ua.is_large(s):
+        out.append(f"{where} misses its core")
+    return out
+
+
+def validate_tree(t: TreeCondition, u: ToyUltraStructure) -> list[str]:
+    out = _trunk_violations(t.trunk)
     gset = set(u.ground)
     for a, s in sorted(t.successors.items()):
-        if not s <= gset:
-            out.append(f"successor set at {a} leaves the ground")
-        if not u.node_ultra(a).is_large(s):
-            out.append(f"successor set at {a} misses its core")
+        out += _set_violations(f"successor set at {a}", s, u.node_ultra(a), gset)
     return out
 
 
@@ -197,58 +207,34 @@ def normalize_dense(t: TreeCondition, u: ToyUltraStructure) -> TreeCondition:
     return TreeCondition(t.trunk, t.depth, new)
 
 
-def validate_sequence_condition(
-    trunk: Node,
-    sets,
-    u: ToyUltraStructure,
-    variant: str,
-) -> list[str]:
-    """Clause checks for the sequence-of-ultrafilters and single-ultrafilter
-    forcings.
+def validate_sequence_condition(trunk: Node, sets, u: ToyUltraStructure) -> list[str]:
+    """Clause checks for a condition of the sequence-of-ultrafilters forcing.
 
-    For the omega-sequence variant, `sets` maps levels (1-based, above
-    len(trunk)) to sets; the minimum clause is checked at every supplied
-    level and reported per level.  For the single variant, `sets` is one
-    set.
+    `sets` maps levels (1-based, above len(trunk)) to sets, each checked
+    against its level's ultrafilter; the minimum clause is checked and
+    reported at every supplied level.  A single set is a condition of the
+    single-ultrafilter forcing, which is the constant sequence: U_0 at
+    every level, with that set at the first level above the trunk.
     """
-    out = []
-    gset = set(u.ground)
-    if list(trunk) != sorted(set(trunk)):
-        out.append("trunk is not strictly increasing")
-    if variant == "single":
-        ua = u.level_ultra(0)
-        for j, i in itertools.combinations(range(len(trunk)), 2):
-            if not trunk[j] < ua.pi(trunk[i]):
-                out.append(
-                    f"cross inequality fails: {trunk[j]} !< pi({trunk[i]})"
-                )
-        A = set(sets)
-        if not A <= gset:
-            out.append("the set leaves the ground")
-        if not ua.is_large(A):
-            out.append("the set misses its core")
-        if A and trunk and not ua.pi(min(A)) > max(trunk):
-            out.append("min clause fails: pi(min(A)) <= max(trunk)")
-        return out
-    if variant != "omega_sequence":
-        raise ValueError(f"unknown variant {variant!r}")
+    ultra = u.level_ultra
+    if not isinstance(sets, Mapping):
+        ultra = lambda n: u.level_ultra(0)
+        sets = {len(trunk) + 1: sets}
+    out = _trunk_violations(trunk)
     for j, i in itertools.combinations(range(1, len(trunk) + 1), 2):
-        pi_i = u.level_ultra(i).pi
-        if not trunk[j - 1] < pi_i(trunk[i - 1]):
+        if not trunk[j - 1] < ultra(i).pi(trunk[i - 1]):
             out.append(
                 f"cross inequality fails at levels {j}<{i}: "
                 f"{trunk[j - 1]} !< pi_{i}({trunk[i - 1]})"
             )
+    gset = set(u.ground)
     for n in sorted(sets):
         A = set(sets[n])
         if n <= len(trunk):
             out.append(f"level {n}: set supplied at a trunk level")
             continue
-        ua = u.level_ultra(n)
-        if not A <= gset:
-            out.append(f"level {n}: set leaves the ground")
-        if not ua.is_large(A):
-            out.append(f"level {n}: set misses its core")
+        ua = ultra(n)
+        out += _set_violations(f"level {n}: set", A, ua, gset)
         if A and trunk and not ua.pi(min(A)) > max(trunk):
             out.append(f"level {n}: min clause fails")
     return out

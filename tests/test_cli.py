@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordbench import io
-from ordbench.cli import REGISTRY, main
+from ordbench import io, magidor, projection
+from ordbench.cli import REGISTRY, VERBS, main
 from ordbench.ordinal import parse_ordinal
 from ordbench.oset import parse_set
 
@@ -193,15 +193,16 @@ def test_point_beyond_the_ground_set_is_a_violation_in_both_forcings(capsys):
         assert "block 1 (kappa=w^3): point beyond the ground set" in out
 
 
-def test_point_beyond_the_ground_set_extends_itself_in_both_forcings(capsys):
-    # The index recursion gives that block N/A and goes on past it.
-    doc = json.dumps({
+def test_point_beyond_the_ground_set_extends_itself_in_both_forcings():
+    # The index recursion gives that block N/A and goes on past it.  The
+    # CLI refuses the document as invalid, so the order is asked directly.
+    doc = {
         "universe": io.universe_to_json(canon_universe("w^2")),
         "index": "[0,w^2)",
         "blocks": [{"kappa": "w^3", "B": None}, {"kappa": "w^2", "B": "[w,w^2)"}],
-    })
-    for group in ("cond", "proj"):
-        assert run([group, "leq", doc, doc], capsys) == (0, "extends\n")
+    }
+    p, q = io.condition_from_json(doc), io.icondition_from_json(doc)
+    assert magidor.leq(p, p) and projection.leq_I(q, q)
 
 
 def test_cond_unveil(capsys, tmp_path):
@@ -387,8 +388,7 @@ _STRUCTURE5 = json.dumps({"ground": [0, 1, 2, 3, 4], "default": {"core": [1, 2],
             {"args": [x], "value": 0} for x in range(19)]}), "--min-sizes", "0"],
         ["prikry", "validate-seq", '{"3": [3, "a"]}', "--trunk", "0,1",
          "--structure", _STRUCTURE5],
-        ["prikry", "validate-seq", '[3, "a"]', "--trunk", "0,1", "--variant", "single",
-         "--structure", _STRUCTURE5],
+        ["prikry", "validate-seq", '[3, "a"]', "--trunk", "0,1", "--structure", _STRUCTURE5],
         ["prikry", "limit-member", '[[0, "a"]]', "2", "--structure", _STRUCTURE5],
         ["prikry", "limit-member", "--structure", _STRUCTURE5, "--", "[]", "-1"],
         ["prikry", "limit-member", "[]", "1", "--structure", json.dumps(
@@ -477,8 +477,6 @@ _json_values = st.recursive(
         (["prikry", "diag"], ["1", "--structure", _STRUCTURE]),
         (["prikry", "derive"], ["2,4"]),
         (["prikry", "validate-seq"], ["--structure", _STRUCTURE, "--trunk", "0,2"]),
-        (["prikry", "validate-seq"], ["--structure", _STRUCTURE, "--trunk", "0,2",
-                                      "--variant", "single"]),
         (["prikry", "project"], ["[3, 4, 5]", "1", "--structure", _STRUCTURE]),
         (["prikry", "project", json.dumps([{"args": [a], "value": a} for a in range(6)])],
          ["1", "--structure", _STRUCTURE]),
@@ -489,6 +487,83 @@ def test_document_arguments_never_raise(doc, verb):
     # Any JSON value as a document argument is a verdict or an input error.
     name, flags = verb
     assert main(["--machine", *name, json.dumps(doc), *flags]) in (0, 1, 2)
+
+
+_W2 = canon_universe("w^2")
+# p = [w, w, w^2] names w twice; q is a projected condition with its first
+# block listed twice.
+_TWICE = {
+    "universe": io.universe_to_json(_W2),
+    "blocks": [{"kappa": "w", "B": [["0", "w"]]}, {"kappa": "w", "B": [["0", "w"]]},
+               {"kappa": "w^2", "B": [["w+1", "w^2"]]}],
+}
+_VALID_P = canonical_condition(_W2, [o("w")])
+_I41 = "{0} u [w,w^2)"
+_VALID_Q = projection.pi(_VALID_P, projection.IndexSet(parse_set(_I41)))
+_VALID_ARGS = {
+    "cond": json.dumps(io.condition_to_json(_VALID_P)),
+    "icond": json.dumps(io.icondition_to_json(_VALID_Q)),
+    "int": "1", "ord": "w+3", "set": _I41, "alphas": "[[],[]]",
+}
+
+
+_TWICE_I = io.icondition_to_json(_VALID_Q)
+_TWICE_I["blocks"] = _TWICE_I["blocks"][:1] + _TWICE_I["blocks"]
+# Kind -> (its validity verb's group, the invalid document, its violations).
+_INVALID = {
+    "cond": ("cond", json.dumps(_TWICE), magidor.validate(io.condition_from_json(_TWICE))),
+    "icond": ("proj", json.dumps(_TWICE_I),
+              projection.validate_I(io.icondition_from_json(_TWICE_I))),
+}
+
+
+def _condition_arguments():
+    """argv with an invalid document at one condition or I-condition
+    argument of a verb, valid values at the other required arguments."""
+    for (group, name), v in VERBS.items():
+        specs = [spec.partition(":") for spec in v.args.split()]
+        for target, _, kind in specs:
+            if kind not in _INVALID:
+                continue
+            argv = [group, name]
+            for flag, _, k in specs:
+                if flag == target:
+                    value = _INVALID[kind][1]
+                elif flag.startswith("--") and not k.endswith("!"):
+                    continue  # optional flags and switches are left out
+                else:
+                    value = _VALID_ARGS[k.rstrip("!")]
+                argv += [flag, value] if flag.startswith("--") else [value]
+            arg = target.lstrip("-")
+            yield pytest.param(argv, arg, kind, id=f"{group}-{name}-{arg}")
+
+
+def test_the_invalid_documents_decode_and_are_violations(capsys):
+    for group, doc, found in _INVALID.values():
+        assert found
+        assert run([group, "validate", doc], capsys) == (
+            1, "".join(f"{m}\n" for m in found) + f"{len(found)} violation(s)\n")
+
+
+@pytest.mark.parametrize("argv, arg, kind", _condition_arguments())
+def test_an_invalid_condition_argument_exits_2(argv, arg, kind, capsys):
+    first = _INVALID[kind][2][0]
+    for mode in ([], ["--machine"]):
+        assert main(mode + argv) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == f"parse error: invalid {kind} argument {arg}: {first}\n"
+
+
+def test_validate_seq_reads_the_forcing_from_the_document(capsys):
+    # A list is the single-ultrafilter condition, an object one set per level.
+    flags = ["--trunk", "0,2", "--structure", _STRUCTURE]
+    assert run(["prikry", "validate-seq", "[3, 4, 5]", *flags], capsys) == (0, "ok\n")
+    assert run(["prikry", "validate-seq", '{"3": [3, 4, 5]}', *flags], capsys) == (0, "ok\n")
+    code, doc = machine(["prikry", "validate-seq", "[1, 3, 4, 5]", *flags], capsys)
+    assert (code, doc["violations"]) == (1, ["level 3: min clause fails"])
+    code, doc = machine(["prikry", "validate-seq", '{"2": [3, 4, 5]}', *flags], capsys)
+    assert (code, doc["violations"]) == (1, ["level 2: set supplied at a trunk level"])
 
 
 def test_p_point_table_values_may_be_lists(capsys):

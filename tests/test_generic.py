@@ -245,6 +245,20 @@ def test_filter_pair_incompatible():
     assert not filter_pair_compatible(holed, root, seq)
 
 
+def test_filter_pair_of_invalid_conditions_with_no_set_at_a_named_point():
+    """The set guard in `filter_pair_compatible` runs on invalid input: p
+    names w and w*2 bare although both have positive order, so neither p
+    nor its enclosing block has a set at w, and the pair is refused
+    instead of raising."""
+    u = canon_universe("w^2")
+    seq = CanonicalSequence(u.lambda0, parse_set("{w} u {w*2} u [w*2+1,w^2)"))
+    p = MagidorCondition(u, (Block(W), Block(o("w*2")), Block(W2, parse_set("[w*2+1,w^2)"))))
+    q = MagidorCondition(u, (Block(W2, parse_set("{w} u [w*2,w^2)")),))
+    assert validate(p) and in_filter(p, seq) and in_filter(q, seq)
+    assert not u.o(W).is_zero and p.blocks[0].measure_set is p.blocks[1].measure_set is None
+    assert filter_pair_compatible(p, q, seq) is False
+
+
 def test_filter_pair_compatible_with_shrunk_top(rng):
     u = canon_universe("w^2")
     seq = CanonicalSequence(u.lambda0)

@@ -150,20 +150,16 @@ def test_normalize_dense_can_break_largeness():
 def test_validate_sequence_condition_omega():
     # default core is the whole ground, so a shrunken level set misses it
     u = simple_structure()
-    bad_core = validate_sequence_condition(
-        (0, 2), {3: {3, 4, 5}}, u, "omega_sequence"
-    )
+    bad_core = validate_sequence_condition((0, 2), {3: {3, 4, 5}}, u)
     assert any("misses its core" in v for v in bad_core)
     u2 = ToyUltraStructure(
         tuple(range(6)), default=UltraAssignment(frozenset({4, 5}))
     )
-    assert validate_sequence_condition((0, 2), {3: {4, 5}}, u2, "omega_sequence") == []
-    bad = validate_sequence_condition((0, 2), {3: {1, 4, 5}}, u2, "omega_sequence")
+    assert validate_sequence_condition((0, 2), {3: {4, 5}}, u2) == []
+    bad = validate_sequence_condition((0, 2), {3: {1, 4, 5}}, u2)
     assert any("min clause" in v for v in bad)
     # the minimum clause is checked and reported at every supplied level
-    bad_levels = validate_sequence_condition(
-        (0, 2), {3: {1, 4, 5}, 4: {2, 4, 5}}, u2, "omega_sequence"
-    )
+    bad_levels = validate_sequence_condition((0, 2), {3: {1, 4, 5}, 4: {2, 4, 5}}, u2)
     assert sum("min clause" in v for v in bad_levels) == 2
 
 
@@ -171,8 +167,8 @@ def test_validate_sequence_condition_single():
     u = ToyUltraStructure(
         tuple(range(8)), default=UltraAssignment(frozenset({6, 7}))
     )
-    assert validate_sequence_condition((1, 3), {6, 7}, u, "single") == []
-    bad = validate_sequence_condition((1, 3), {2, 6, 7}, u, "single")
+    assert validate_sequence_condition((1, 3), {6, 7}, u) == []
+    bad = validate_sequence_condition((1, 3), {2, 6, 7}, u)
     assert any("min clause" in v for v in bad)
     # cross inequality with a halving projection
     u2 = ToyUltraStructure(
@@ -181,8 +177,143 @@ def test_validate_sequence_condition_single():
             frozenset({10, 11}), tuple((v, v // 2) for v in range(12))
         ),
     )
-    bad2 = validate_sequence_condition((3, 5), {10, 11}, u2, "single")
+    bad2 = validate_sequence_condition((3, 5), {10, 11}, u2)
     assert any("cross inequality" in v for v in bad2)  # pi(5)=2 < 3
+
+
+def old_validate_tree(t, u) -> list[str]:
+    """`validate_tree` as it was before the clauses were shared."""
+    out = []
+    if list(t.trunk) != sorted(set(t.trunk)):
+        out.append("trunk is not strictly increasing")
+    gset = set(u.ground)
+    for a, s in sorted(t.successors.items()):
+        if not s <= gset:
+            out.append(f"successor set at {a} leaves the ground")
+        if not u.node_ultra(a).is_large(s):
+            out.append(f"successor set at {a} misses its core")
+    return out
+
+
+def old_validate_sequence_condition(trunk, sets, u, variant) -> list[str]:
+    """The two sequence forcings as separate branches, chosen by `variant`."""
+    out = []
+    gset = set(u.ground)
+    if list(trunk) != sorted(set(trunk)):
+        out.append("trunk is not strictly increasing")
+    if variant == "single":
+        ua = u.level_ultra(0)
+        for j, i in itertools.combinations(range(len(trunk)), 2):
+            if not trunk[j] < ua.pi(trunk[i]):
+                out.append(f"cross inequality fails: {trunk[j]} !< pi({trunk[i]})")
+        A = set(sets)
+        if not A <= gset:
+            out.append("the set leaves the ground")
+        if not ua.is_large(A):
+            out.append("the set misses its core")
+        if A and trunk and not ua.pi(min(A)) > max(trunk):
+            out.append("min clause fails: pi(min(A)) <= max(trunk)")
+        return out
+    for j, i in itertools.combinations(range(1, len(trunk) + 1), 2):
+        pi_i = u.level_ultra(i).pi
+        if not trunk[j - 1] < pi_i(trunk[i - 1]):
+            out.append(
+                f"cross inequality fails at levels {j}<{i}: "
+                f"{trunk[j - 1]} !< pi_{i}({trunk[i - 1]})"
+            )
+    for n in sorted(sets):
+        A = set(sets[n])
+        if n <= len(trunk):
+            out.append(f"level {n}: set supplied at a trunk level")
+            continue
+        ua = u.level_ultra(n)
+        if not A <= gset:
+            out.append(f"level {n}: set leaves the ground")
+        if not ua.is_large(A):
+            out.append(f"level {n}: set misses its core")
+        if A and trunk and not ua.pi(min(A)) > max(trunk):
+            out.append(f"level {n}: min clause fails")
+    return out
+
+
+SEQUENCE_CLAUSES = (
+    "trunk is not strictly increasing", "cross inequality", "leaves the ground",
+    "misses its core", "min clause",
+)
+
+
+def _clause(message: str) -> str:
+    (found,) = [c for c in SEQUENCE_CLAUSES if c in message]
+    return found
+
+
+def _random_structure(rng) -> ToyUltraStructure:
+    """Ground 0..n-1 with a default and a few level assignments, each with the
+    identity, the halving or a random weakly decreasing projection."""
+    ground = tuple(range(rng.randrange(4, 10)))
+
+    def assignment():
+        core = frozenset(v for v in ground if rng.random() < 0.4) or frozenset(ground[-1:])
+        proj = rng.choice([
+            None,
+            tuple((v, v // 2) for v in ground),
+            tuple((v, rng.randrange(v + 1)) for v in ground if rng.random() < 0.5),
+        ])
+        return UltraAssignment(core, proj)
+
+    levels = {n: assignment() for n in range(5) if rng.random() < 0.3}
+    default = assignment() if rng.random() < 0.7 else None
+    return ToyUltraStructure(ground, {}, levels, default, rng.random() < 0.5)
+
+
+def _random_points(rng, u, k: int) -> list[int]:
+    """k points, now and then one outside the ground."""
+    return [rng.randrange(len(u.ground) + 2) for _ in range(k)]
+
+
+def test_sequence_forcings_match_the_separate_branches(rng):
+    seen = {"omega": set(), "single": set()}
+    for _ in range(600):
+        u = _random_structure(rng)
+        trunk = tuple(_random_points(rng, u, rng.randrange(4)))
+        if rng.random() < 0.7:
+            trunk = tuple(sorted(set(trunk)))
+        levels = {
+            n: set(_random_points(rng, u, rng.randrange(6)))
+            for n in range(1, 6)
+            if rng.random() < 0.4
+        }
+        got = validate_sequence_condition(trunk, levels, u)
+        assert got == old_validate_sequence_condition(trunk, levels, u, "omega_sequence")
+        seen["omega"].update(_clause(m) for m in got if "trunk level" not in m)
+        A = set(_random_points(rng, u, rng.randrange(6)))
+        got = validate_sequence_condition(trunk, A, u)
+        want = old_validate_sequence_condition(trunk, A, u, "single")
+        assert [_clause(m) for m in got] == [_clause(m) for m in want]
+        # The one set sits at the first level above the trunk.
+        level = f"level {len(trunk) + 1}: set "
+        assert all(m.startswith(level) for m in got if _clause(m) in SEQUENCE_CLAUSES[2:4])
+        seen["single"].update(_clause(m) for m in got)
+    assert seen == {"omega": set(SEQUENCE_CLAUSES), "single": set(SEQUENCE_CLAUSES)}
+
+
+def test_validate_tree_matches_the_unshared_clauses(rng):
+    seen = set()
+    for _ in range(300):
+        u = _random_structure(rng)
+        trunk = tuple(_random_points(rng, u, rng.randrange(3)))
+        if rng.random() < 0.7:
+            trunk = tuple(sorted(set(trunk)))
+        successors = {
+            trunk + tuple(sorted(set(_random_points(rng, u, rng.randrange(3))))):
+            frozenset(_random_points(rng, u, rng.randrange(6)))
+            for _ in range(rng.randrange(4))
+        }
+        t = TreeCondition(trunk, rng.randrange(3), successors)
+        got = validate_tree(t, u)
+        assert got == old_validate_tree(t, u)
+        seen.update(_clause(m) for m in got)
+    assert seen == {"trunk is not strictly increasing", "leaves the ground", "misses its core"}
 
 
 def test_modified_diag_all_ground():

@@ -113,3 +113,17 @@ def test_every_private_helper_is_used():
     ]
     assert helpers
     assert [f"{name}:{n.lineno} {n.name}" for name, n in helpers if n.name not in named] == []
+
+
+def test_every_cli_kind_is_used():
+    """Each argument kind of `cli.KINDS` is named by a verb spec or by a
+    string literal passed to `Report.decode`: a kind whose last user is
+    deleted goes with it."""
+    from ordbench import cli
+
+    named = {s.partition(":")[2].rstrip("!") for v in cli.VERBS.values() for s in v.args.split()}
+    for n in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "decode" and n.args:
+            # The kind may be chosen by an expression; each literal in it counts.
+            named |= {c.value for c in ast.walk(n.args[0]) if isinstance(c, ast.Constant)}
+    assert sorted(set(cli.KINDS) - named) == []
