@@ -13,13 +13,15 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from . import generic, io, magidor, ordinal, prikry, projection, ramsey
+from . import _lazy, ordinal
 from .errors import ParseError, WorkbenchError
-from .magidor import ExtensionType
 from .ordinal import format_ordinal, parse_ordinal
-from .oset import format_set, parse_set
-from .projection import ICondition, IndexSet
-from .universe import ToyUniverse
+
+# The other layers run on first use, so a call loads only what its verb needs.
+# Module-level tables below therefore name library functions inside lambdas:
+# reading an attribute here would load its module when the CLI is imported.
+generic, io, magidor, oset, prikry, projection, ramsey = map(
+    _lazy, ("generic", "io", "magidor", "oset", "prikry", "projection", "ramsey"))
 
 
 def _load_json(text: str):
@@ -35,7 +37,7 @@ def _set_literal(text: str):
     if os.path.exists(text):
         return io.set_from_json(io.load_document(text))
     try:
-        return parse_set(text)
+        return oset.parse_set(text)
     except ParseError:
         try:
             return io.set_from_json(json.loads(text))
@@ -56,9 +58,9 @@ def _family(d) -> dict[int, set[int]]:
 KINDS: dict[str, Callable] = {
     "ord": parse_ordinal,
     "set": _set_literal,
-    "uni": _document(io.universe_from_json),
-    "cond": _document(io.condition_from_json),
-    "icond": _document(io.icondition_from_json),
+    "uni": _document(lambda d: io.universe_from_json(d)),
+    "cond": _document(lambda d: io.condition_from_json(d)),
+    "icond": _document(lambda d: io.icondition_from_json(d)),
     "int": int,
     "ints": lambda text: tuple(int(x) for x in text.split(",")),
     "str": str,
@@ -66,10 +68,10 @@ KINDS: dict[str, Callable] = {
     "shrink": _document(
         lambda d: {parse_ordinal(e["kappa"]): io.set_from_json(e["B"]) for e in d}
     ),
-    "tree": _document(io.tree_from_json),
-    "structure": _document(io.structure_from_json),
-    "fn": _document(io.product_fn_from_json),
-    "derivation": _document(io.derivation_from_json),
+    "tree": _document(lambda d: io.tree_from_json(d)),
+    "structure": _document(lambda d: io.structure_from_json(d)),
+    "fn": _document(lambda d: io.product_fn_from_json(d)),
+    "derivation": _document(lambda d: io.derivation_from_json(d)),
     "family": _document(_family),
     # One set per level (an object), or the one set of the constant sequence (a list).
     "sets": _document(lambda d: _family(d) if isinstance(d, dict) else set(io._ints(d, "a set"))),
@@ -81,14 +83,14 @@ KINDS: dict[str, Callable] = {
 # Kinds echoed in machine mode -> (input kind, canonical JSON rendering).
 ECHOED = {
     "ord": ("ordinal", format_ordinal),
-    "set": ("set", io.set_to_json),
-    "uni": ("universe", io.universe_to_json),
-    "cond": ("condition", io.condition_to_json),
-    "icond": ("icondition", io.icondition_to_json),
+    "set": ("set", lambda s: io.set_to_json(s)),
+    "uni": ("universe", lambda u: io.universe_to_json(u)),
+    "cond": ("condition", lambda p: io.condition_to_json(p)),
+    "icond": ("icondition", lambda q: io.icondition_to_json(q)),
 }
 # Kinds whose verb arguments are refused as malformed unless valid -> the check.
 # The validity verbs take their document as a string and decode it unchecked.
-CHECKED = {"cond": magidor.validate, "icond": projection.validate_I}
+CHECKED = {"cond": lambda p: magidor.validate(p), "icond": lambda q: projection.validate_I(q)}
 
 
 def _gaps(gaps) -> list:
@@ -135,13 +137,14 @@ class Report:
         return self.text(format_ordinal(g))
 
     def oset(self, s):
-        return self.set("result", io.set_to_json(s), format_set(s))
+        return self.set("result", io.set_to_json(s), oset.format_set(s))
 
     def blocks(self, cond, key: str = "result", label: str = ""):
-        to_json = io.icondition_to_json if isinstance(cond, ICondition) else io.condition_to_json
+        to_json = (io.icondition_to_json if isinstance(cond, projection.ICondition)
+                   else io.condition_to_json)
         return self.set(key, to_json(cond), f"{label}{len(cond.blocks)} blocks")
 
-    def extension_type(self, x: ExtensionType, key: str = "result"):
+    def extension_type(self, x: magidor.ExtensionType, key: str = "result"):
         return self.set(key, _gaps(x.per_block), str(x))
 
     def check(self, ok: bool, yes: str, no: str):
@@ -187,9 +190,15 @@ def _sequence(p, restriction):
     return generic.CanonicalSequence(p.universe.lambda0, restriction)
 
 
-def _order(leq: Callable, leq_star: Callable) -> Callable:
-    """The handler of a `leq` verb; its last value is the --star switch."""
-    return lambda r, *args: r.extends((leq_star if args[-1] else leq)(*args[:-1]))
+def _order(module, leq: str) -> Callable:
+    """The handler of a `leq` verb: `module.<leq>`, or `module.<leq>_star` when
+    its last value (the --star switch) is set."""
+
+    def run(rep, *args):
+        decide = getattr(module, f"{leq}_star" if args[-1] else leq)
+        return rep.extends(decide(*args[:-1]))
+
+    return run
 
 
 verb("ord", "add", "ordinal.add", "a:ord b:ord")(lambda r, a, b: r.ordinal(a + b))
@@ -245,12 +254,12 @@ def _uni_stratify(rep, u, B, beta):
     parts = u.stratify(B, beta)
     doc = {format_ordinal(k): io.set_to_json(v) for k, v in parts.items()}
     pairs = sorted((str(k), v) for k, v in parts.items())
-    rep.set("result", doc, "; ".join(f"{k}: {format_set(v)}" for k, v in pairs))
+    rep.set("result", doc, "; ".join(f"{k}: {oset.format_set(v)}" for k, v in pairs))
 
 
 verb("cond", "validate", "magidor.validate", "c1:str")(
     lambda r, text: r.violations(magidor.validate(r.decode("cond", text))))
-verb("cond", "leq", "magidor.leq", "c1:cond c2:cond --star")(_order(magidor.leq, magidor.leq_star))
+verb("cond", "leq", "magidor.leq", "c1:cond c2:cond --star")(_order(magidor, "leq"))
 verb("cond", "gamma", "magidor.gamma_of", "c1:cond index:int")(
     lambda r, p, i: r.ordinal(magidor.gamma_of(p, i)))
 verb("cond", "type-of", "magidor.type_of", "c1:cond alphas:alphas")(
@@ -285,22 +294,21 @@ verb("cond", "join", "magidor.join", "c1:cond --c2:cond")(
 
 @verb("proj", "index", "projection.index_of", "c1:cond index:int --index:set!")
 def _proj_index(rep, p, i, S):
-    out = projection.index_of(p, i, IndexSet(S))
+    out = projection.index_of(p, i, projection.IndexSet(S))
     text = None if out is None else format_ordinal(out)
     rep.set("result", text, "NA" if text is None else text)
 
 
 verb("proj", "pi", "projection.pi", "c1:cond --index:set!")(
-    lambda r, p, S: r.blocks(projection.pi(p, IndexSet(S))))
+    lambda r, p, S: r.blocks(projection.pi(p, projection.IndexSet(S))))
 verb("proj", "validate", "projection.validate_I", "c1:str")(
     lambda r, text: r.violations(projection.validate_I(r.decode("icond", text))))
-verb("proj", "leq", "projection.leq_I", "c1:icond c2:icond --star")(
-    _order(projection.leq_I, projection.leq_I_star))
+verb("proj", "leq", "projection.leq_I", "c1:icond c2:icond --star")(_order(projection, "leq_I"))
 
 
 @verb("proj", "in-d", "projection.in_D", "c1:cond --index:set!")
 def _proj_in_d(rep, p, S):
-    bad = projection.in_D(p, IndexSet(S))
+    bad = projection.in_D(p, projection.IndexSet(S))
     if bad is None:
         return rep.set("result", None).verdict(True, "in D", "")
     repair = None if bad.repair is None else format_ordinal(bad.repair)
@@ -314,13 +322,13 @@ def _proj_in_d(rep, p, S):
 
 
 verb("proj", "densify", "projection.densify", "c1:cond --index:set!")(
-    lambda r, p, S: r.blocks(projection.densify(p, IndexSet(S))))
+    lambda r, p, S: r.blocks(projection.densify(p, projection.IndexSet(S))))
 verb("proj", "onto", "projection.onto_construct", "c1:icond")(
     lambda r, q: r.blocks(projection.onto_construct(q)))
 verb("proj", "lift", "projection.lift", "c1:cond c2:icond")(
     lambda r, p, q: r.blocks(projection.lift(p, q)))
 verb("proj", "check-correct", "projection.correct_computation_check", "c1:cond --index:set!")(
-    lambda r, p, S: r.check(projection.correct_computation_check(p, IndexSet(S)),
+    lambda r, p, S: r.check(projection.correct_computation_check(p, projection.IndexSet(S)),
                             "computes the index set correctly", "mismatch"))
 
 
@@ -364,7 +372,7 @@ verb("ramsey", "important", "ramsey.important_coordinates", "fn:fn --min-sizes:i
 verb("prikry", "validate", "prikry.validate_tree", "a:tree --structure:structure!")(
     lambda r, t, u: r.violations(prikry.validate_tree(t, u)))
 verb("prikry", "leq", "prikry.leq_tree", "a:tree b:tree --structure:structure! --star")(
-    _order(prikry.leq_tree, prikry.leq_tree_star))
+    _order(prikry, "leq_tree"))
 
 
 @verb("prikry", "normalize", "prikry.normalize_dense", "a:tree --structure:structure!")
@@ -451,7 +459,8 @@ def self_test() -> int:
     import random
 
     from .generic import CanonicalSequence, in_filter
-    from .magidor import Block, MagidorCondition, extend_minimal, find_type, leq
+    from .magidor import Block, ExtensionType, MagidorCondition, extend_minimal, find_type, leq
+    from .universe import ToyUniverse
 
     seed = int(os.environ.get("WORKBENCH_SEED", "7"))
     rng = random.Random(seed)

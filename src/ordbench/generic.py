@@ -31,7 +31,11 @@ class CanonicalSequence:
 
 def in_filter(p: MagidorCondition, seq: CanonicalSequence) -> bool:
     """Reconstruction predicate: the named points lie on the sequence and
-    the remaining sequence points fall into the block sets, blockwise."""
+    the remaining sequence points fall into the block sets, blockwise.
+
+    Precondition: `p` must pass `validate`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
+    """
     if p.universe.lambda0 != seq.lambda0:
         raise UniverseMismatch("sequence and condition ground sets differ")
     pts = seq.points()

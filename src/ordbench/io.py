@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from . import _lazy
 from .errors import ParseError
-from .magidor import Block, MagidorCondition
 from .ordinal import Ordinal, format_ordinal, parse_ordinal
-from .oset import OrdinalSet, Piece, parse_set
-from .prikry import Derivation, ToyUltraStructure, TreeCondition, UltraAssignment
-from .projection import ICondition, IndexSet
-from .ramsey import FiniteProductFn
-from .universe import ToyUniverse
+
+# The layers run on first use, so decoding one kind loads only its own.
+magidor, oset, prikry, projection, ramsey, universe = map(
+    _lazy, ("magidor", "oset", "prikry", "projection", "ramsey", "universe"))
 
 __all__ = [
     "set_to_json",
@@ -48,7 +47,7 @@ def _ord(text: Any) -> Ordinal:
     return parse_ordinal(text)
 
 
-def set_to_json(s: OrdinalSet) -> list:
+def set_to_json(s: oset.OrdinalSet) -> list:
     out: list[Any] = []
     for p in s.pieces:
         if p.levels is not None:
@@ -66,27 +65,27 @@ def set_to_json(s: OrdinalSet) -> list:
     return out
 
 
-def set_from_json(doc: Any) -> OrdinalSet:
+def set_from_json(doc: Any) -> oset.OrdinalSet:
     if isinstance(doc, str):
-        return parse_set(doc)
+        return oset.parse_set(doc)
     if not isinstance(doc, list):
         raise ParseError(f"expected a set literal, got {doc!r}")
     pieces = []
     for item in doc:
         if isinstance(item, str):
             g = _ord(item)
-            pieces.append(Piece(g, g.successor()))
+            pieces.append(oset.Piece(g, g.successor()))
         elif isinstance(item, list) and len(item) == 2:
-            pieces.append(Piece(_ord(item[0]), _ord(item[1])))
+            pieces.append(oset.Piece(_ord(item[0]), _ord(item[1])))
         elif isinstance(item, dict):
             levels = frozenset(_ord(x) for x in item.get("levels", []))
-            pieces.append(Piece(_ord(item["lo"]), _ord(item["hi"]), levels))
+            pieces.append(oset.Piece(_ord(item["lo"]), _ord(item["hi"]), levels))
         else:
             raise ParseError(f"bad set piece {item!r}")
-    return OrdinalSet(tuple(pieces))
+    return oset.OrdinalSet(tuple(pieces))
 
 
-def universe_to_json(u: ToyUniverse) -> dict:
+def universe_to_json(u: universe.ToyUniverse) -> dict:
     return {
         "lambda0": format_ordinal(u.lambda0),
         "delta0_bound": format_ordinal(u.delta0_bound),
@@ -101,12 +100,12 @@ def universe_to_json(u: ToyUniverse) -> dict:
     }
 
 
-def universe_from_json(doc: dict) -> ToyUniverse:
+def universe_from_json(doc: dict) -> universe.ToyUniverse:
     cores = {}
     for entry in doc.get("cores", []):
         key = (_ord(entry["beta"]), _ord(entry["xi"]))
         cores[key] = set_from_json(entry["core"])
-    return ToyUniverse(_ord(doc["lambda0"]), _ord(doc["delta0_bound"]), cores)
+    return universe.ToyUniverse(_ord(doc["lambda0"]), _ord(doc["delta0_bound"]), cores)
 
 
 def _blocks_to_json(blocks) -> list:
@@ -119,34 +118,34 @@ def _blocks_to_json(blocks) -> list:
     ]
 
 
-def _blocks_from_json(doc: list) -> tuple[Block, ...]:
+def _blocks_from_json(doc: list) -> tuple[magidor.Block, ...]:
     out = []
     for entry in doc:
         B = entry.get("B")
-        out.append(Block(_ord(entry["kappa"]), None if B is None else set_from_json(B)))
+        out.append(magidor.Block(_ord(entry["kappa"]), None if B is None else set_from_json(B)))
     return tuple(out)
 
 
-def _resolve_universe(spec: Any) -> ToyUniverse:
+def _resolve_universe(spec: Any) -> universe.ToyUniverse:
     """The "universe" field is a path or an inline document."""
     if isinstance(spec, str):
         return universe_from_json(load_document(spec))
     return universe_from_json(spec)
 
 
-def condition_to_json(p: MagidorCondition) -> dict:
+def condition_to_json(p: magidor.MagidorCondition) -> dict:
     return {
         "universe": universe_to_json(p.universe),
         "blocks": _blocks_to_json(p.blocks),
     }
 
 
-def condition_from_json(doc: dict) -> MagidorCondition:
+def condition_from_json(doc: dict) -> magidor.MagidorCondition:
     u = _resolve_universe(doc["universe"])
-    return MagidorCondition(u, _blocks_from_json(doc["blocks"]))
+    return magidor.MagidorCondition(u, _blocks_from_json(doc["blocks"]))
 
 
-def icondition_to_json(q: ICondition) -> dict:
+def icondition_to_json(q: projection.ICondition) -> dict:
     return {
         "universe": universe_to_json(q.universe),
         "index": set_to_json(q.index_set.points),
@@ -154,14 +153,14 @@ def icondition_to_json(q: ICondition) -> dict:
     }
 
 
-def icondition_from_json(doc: dict) -> ICondition:
+def icondition_from_json(doc: dict) -> projection.ICondition:
     u = _resolve_universe(doc["universe"])
-    return ICondition(
-        u, IndexSet(set_from_json(doc["index"])), _blocks_from_json(doc["blocks"])
+    return projection.ICondition(
+        u, projection.IndexSet(set_from_json(doc["index"])), _blocks_from_json(doc["blocks"])
     )
 
 
-def tree_to_json(t: TreeCondition) -> dict:
+def tree_to_json(t: prikry.TreeCondition) -> dict:
     return {
         "trunk": list(t.trunk),
         "depth": t.depth,
@@ -180,11 +179,11 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return out
 
 
-def tree_from_json(doc: dict) -> TreeCondition:
+def tree_from_json(doc: dict) -> prikry.TreeCondition:
     depth = doc["depth"]
     if type(depth) is not int:
         raise ParseError(f"tree depth must be an integer, got {depth!r}")
-    return TreeCondition(
+    return prikry.TreeCondition(
         _ints(doc["trunk"], "tree trunk"),
         depth,
         {
@@ -196,22 +195,22 @@ def tree_from_json(doc: dict) -> TreeCondition:
     )
 
 
-def _assignment_to_json(ua: UltraAssignment) -> dict:
+def _assignment_to_json(ua: prikry.UltraAssignment) -> dict:
     return {
         "core": sorted(ua.core),
         "pi": None if ua.proj is None else [list(vw) for vw in sorted(ua.proj)],
     }
 
 
-def _assignment_from_json(doc: dict) -> UltraAssignment:
+def _assignment_from_json(doc: dict) -> prikry.UltraAssignment:
     proj = doc.get("pi")
-    return UltraAssignment(
+    return prikry.UltraAssignment(
         frozenset(_ints(doc["core"], "a core")),
         None if proj is None else tuple(_ints(vw, "a projection pair") for vw in proj),
     )
 
 
-def structure_to_json(u: ToyUltraStructure) -> dict:
+def structure_to_json(u: prikry.ToyUltraStructure) -> dict:
     return {
         "ground": list(u.ground),
         "nodes": [
@@ -227,8 +226,8 @@ def structure_to_json(u: ToyUltraStructure) -> dict:
     }
 
 
-def structure_from_json(doc: dict) -> ToyUltraStructure:
-    return ToyUltraStructure(
+def structure_from_json(doc: dict) -> prikry.ToyUltraStructure:
+    return prikry.ToyUltraStructure(
         _ints(doc["ground"], "the ground"),
         {
             _ints(entry["node"], "a structure node"): _assignment_from_json(entry)
@@ -243,7 +242,7 @@ def structure_from_json(doc: dict) -> ToyUltraStructure:
     )
 
 
-def product_fn_to_json(F: FiniteProductFn) -> dict:
+def product_fn_to_json(F: ramsey.FiniteProductFn) -> dict:
     return {
         "factors": [list(f) for f in F.factors],
         "table": [
@@ -262,14 +261,14 @@ def hashable(value: Any) -> Any:
     return value
 
 
-def product_fn_from_json(doc: dict) -> FiniteProductFn:
-    return FiniteProductFn(
+def product_fn_from_json(doc: dict) -> ramsey.FiniteProductFn:
+    return ramsey.FiniteProductFn(
         tuple(tuple(f) for f in doc["factors"]),
         {tuple(entry["args"]): hashable(entry["value"]) for entry in doc["table"]},
     )
 
 
-def derivation_to_json(d: Derivation) -> dict:
+def derivation_to_json(d: prikry.Derivation) -> dict:
     tables = []
     for f in d.fns:
         if not hasattr(f, "items"):
@@ -278,12 +277,12 @@ def derivation_to_json(d: Derivation) -> dict:
     return {"levels": list(d.levels), "tables": tables}
 
 
-def derivation_from_json(doc: dict) -> Derivation:
+def derivation_from_json(doc: dict) -> prikry.Derivation:
     fns = tuple(
         {tuple(entry["args"]): entry["value"] for entry in table}
         for table in doc["tables"]
     )
-    return Derivation(_ints(doc["levels"], "derivation levels"), fns)
+    return prikry.Derivation(_ints(doc["levels"], "derivation levels"), fns)
 
 
 def load_document(path: str) -> Any:

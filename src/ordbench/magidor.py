@@ -214,7 +214,11 @@ def _added_points(p: MagidorCondition, q: MagidorCondition) -> list[list[Ordinal
 
 
 def leq(p: MagidorCondition, q: MagidorCondition) -> bool:
-    """Forcing order: q extends p."""
+    """Forcing order: q extends p.
+
+    Precondition: `p` and `q` must pass `validate`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
+    """
     return _added_points(p, q) is not None
 
 
@@ -224,7 +228,11 @@ def leq_star(p: MagidorCondition, q: MagidorCondition) -> bool:
 
 
 def gamma_of(p: MagidorCondition, i: int) -> Ordinal:
-    """Coordinate of the i-th point in every extension: sum of w^o(t_j), j<=i."""
+    """Coordinate of the i-th point in every extension: sum of w^o(t_j), j<=i.
+
+    Precondition: `p` must pass `validate`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
+    """
     if not 1 <= i <= len(p.blocks):
         raise OutOfRange(f"block index {i} out of 1..{len(p.blocks)}")
     return p.gammas[i - 1]
@@ -264,7 +272,11 @@ def _check_alphas(p: MagidorCondition, alphas: Alphas) -> None:
 
 
 def type_of(p: MagidorCondition, alphas: Alphas) -> ExtensionType:
-    """The extension type determined by an interleaving assignment."""
+    """The extension type determined by an interleaving assignment.
+
+    Precondition: `p` must pass `validate`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
+    """
     _check_alphas(p, alphas)
     return ExtensionType(
         tuple(tuple(p.universe.o(a) for a in pts) for pts in alphas)
@@ -326,7 +338,11 @@ def extend(
 def find_type(
     p: MagidorCondition, q: MagidorCondition
 ) -> tuple[ExtensionType, Alphas]:
-    """The unique (type, assignment) with extend(p, assignment) <=* q."""
+    """The unique (type, assignment) with extend(p, assignment) <=* q.
+
+    Precondition: `p` and `q` must pass `validate`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
+    """
     added = _added_points(p, q)
     if added is None:
         raise NotAnExtension("q does not extend p")
@@ -335,7 +351,11 @@ def find_type(
 
 
 def unveil_type(p: MagidorCondition, gamma: Ordinal) -> ExtensionType:
-    """The type unveiling gamma as maximal coordinate."""
+    """The type unveiling gamma as maximal coordinate.
+
+    Precondition: `p` must pass `validate`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
+    """
     coords = p.gammas
     if gamma in coords:
         raise AlreadyUnveiled(f"{gamma} is already a block coordinate")
@@ -424,7 +444,11 @@ def extend_minimal(
 def split_at(
     p: MagidorCondition, i: int
 ) -> tuple[MagidorCondition, MagidorCondition | None]:
-    """Lower part up to block i (as its top) and the part above it."""
+    """Lower part up to block i (as its top) and the part above it.
+
+    Precondition: `p` must pass `validate`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
+    """
     if not 1 <= i <= len(p.blocks):
         raise BadCut(f"block index {i} out of range")
     if p.o(i).is_zero:

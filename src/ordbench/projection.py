@@ -186,7 +186,11 @@ def index_of(cond: AnyCondition, i: int, I: IndexSet) -> Ordinal | None:
 
 
 def pi(p: MagidorCondition, I: IndexSet) -> ICondition:
-    """Keep blocks at I-coordinates, strip sets at successor positions."""
+    """Keep blocks at I-coordinates, strip sets at successor positions.
+
+    Precondition: `p` must pass `validate`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
+    """
     kept = [
         Block(b.kappa) if I.in_succ(c) else b
         for b, c in zip(p.blocks[:-1], p.gammas)
@@ -250,7 +254,11 @@ def validate_I(q: ICondition) -> list[str]:
 
 
 def leq_I(p: ICondition, q: ICondition) -> bool:
-    """Order of the subsequence forcing: q extends p."""
+    """Order of the subsequence forcing: q extends p.
+
+    Precondition: `p` and `q` must pass `validate_I`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
+    """
     _check_compatible(p, q)
     I = p.index_set
     chain = index_chain(q, I)
@@ -294,7 +302,11 @@ class DFailure:
 
 
 def in_D(p: MagidorCondition, I: IndexSet) -> DFailure | None:
-    """None when p is correctly linked; otherwise the maximal failure."""
+    """None when p is correctly linked; otherwise the maximal failure.
+
+    Precondition: `p` must pass `validate`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
+    """
     coords = p.gammas
     failure: DFailure | None = None
     prev_proj = ZERO
@@ -324,6 +336,9 @@ def densify(p: MagidorCondition, I: IndexSet) -> MagidorCondition:
     the least index-set element below the failing coordinate, a successor
     failure unveils the predecessor; the failing coordinate must strictly
     decrease between passes.
+
+    Precondition: `p` must pass `validate`; on an invalid condition the
+    answer is undefined, and the CLI refuses one with exit 2.
     """
     cur = p
     prev_measure: Ordinal | None = None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -593,6 +594,52 @@ def test_entrypoint_subprocess():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "equal"
+
+
+# Runs one verb, then prints on its last line the modules that have run: a
+# module bound by `ordbench._lazy` but never touched is a stub, not a module.
+_LOADED = """
+import sys, types
+from ordbench.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(n for n, m in sys.modules.items() if type(m) is types.ModuleType))
+"""
+_MODULES = {p.stem for p in pathlib.Path(io.__file__).parent.glob("*.py")} - {"__init__"}
+_W2_COND = json.dumps(io.condition_to_json(canonical_condition(canon_universe("w^2"), [o("w")])))
+_FN = json.dumps({"factors": [[1, 2], [3, 4]],
+                  "table": [{"args": [a, b], "value": a} for a in (1, 2) for b in (3, 4)]})
+
+
+def _ours(names) -> set[str]:
+    return {f"ordbench.{n}" for n in names}
+
+
+_CONDITION_SIDE = _ours(["oset", "universe", "magidor", "projection", "generic"])
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["ord", "add", "w", "1"],
+         _ours(_MODULES - {"errors", "ordinal", "cli"}) | {"dataclasses"}),
+        (["set", "union", "[0,w)", "{w*2}"], _ours(["prikry", "ramsey"])),
+        (["uni", "check", json.dumps(io.universe_to_json(canon_universe("w^2")))],
+         _ours(["prikry", "ramsey"])),
+        (["cond", "leq", _W2_COND, _W2_COND], _ours(["prikry", "ramsey"])),
+        (["proj", "pi", _W2_COND, "--index", "{0} u [w,w^2)"], _ours(["prikry", "ramsey"])),
+        (["gen", "otp", "w^2", "w", "w*2"], _ours(["prikry", "ramsey"])),
+        (["ramsey", "homog", _FN, "--min-sizes", "1,2"], _CONDITION_SIDE | _ours(["prikry"])),
+        (["prikry", "validate", json.dumps({"trunk": [0, 2], "depth": 2}),
+          "--structure", _STRUCTURE], _CONDITION_SIDE | _ours(["ramsey"])),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_a_call_loads_only_the_layers_its_verb_runs(argv, absent):
+    out = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
+                         text=True, timeout=60)
+    code, *loaded = out.stdout.splitlines()[-1].split()
+    assert code == "0", out.stderr
+    assert sorted(absent.intersection(loaded)) == []
 
 
 def test_self_test_env_seed():

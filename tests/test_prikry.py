@@ -603,3 +603,42 @@ def test_derivation_profile_grouping_consistency(rng):
 def test_derivation_validation():
     with pytest.raises(ValueError):
         Derivation((2, 1), (dict(), dict()))
+
+
+def _structure(node_order, level_order, core=(3, 4, 5)) -> ToyUltraStructure:
+    ground = tuple(range(6))
+    nodes = {(0,): UltraAssignment(frozenset(core)), (1,): UltraAssignment(frozenset({4, 5}))}
+    levels = {1: UltraAssignment(frozenset({2, 3})), 2: UltraAssignment(frozenset(ground))}
+    return ToyUltraStructure(
+        ground,
+        {a: nodes[a] for a in node_order},
+        {n: levels[n] for n in level_order},
+        UltraAssignment(frozenset(ground)),
+    )
+
+
+def _tree(order, last=frozenset({4, 5})) -> TreeCondition:
+    successors = {(0,): frozenset({1, 2, 3}), (0, 1): frozenset({2, 3}), (0, 2): last}
+    return TreeCondition((0,), 3, {a: successors[a] for a in order})
+
+
+def test_equal_structures_and_trees_hash_equal_whatever_their_dict_order():
+    pairs = [
+        (_structure([(0,), (1,)], [1, 2]), _structure([(1,), (0,)], [2, 1])),
+        (_tree([(0,), (0, 1), (0, 2)]), _tree([(0, 2), (0, 1), (0,)])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+        assert len({a, b}) == 1
+
+
+def test_structures_and_trees_differing_in_one_set_are_distinct_keys():
+    order = [(0,), (0, 1), (0, 2)]
+    t, t2 = _tree(order), _tree(order, frozenset({5}))
+    # The structures differ only in one node's core, which the hash leaves out.
+    u, u2 = _structure([(0,), (1,)], [1, 2]), _structure([(0,), (1,)], [1, 2], core=(4, 5))
+    for a, b in ((t, t2), (u, u2)):
+        assert a != b
+        assert len({a, b}) == 2
+        assert {a: 1, b: 2}[b] == 2
