@@ -528,19 +528,10 @@ def _succ_gap_candidates(I: IndexSet, lo: Ordinal, hi: Ordinal) -> list[Ordinal]
     return out
 
 
-def quotient_member(p: MagidorCondition, witness) -> bool:
-    """Whether the projection of p joins the simulated subsequence filter.
-
-    `witness` is a canonical sequence restricted to the index set (see the
-    generic module); membership follows the reconstruction clauses.
-    """
-    from .generic import CanonicalSequence
-
-    if not isinstance(witness, CanonicalSequence):
-        raise TypeError(f"the witness must be a CanonicalSequence, not {type(witness).__name__}")
-    if witness.restriction is None:
-        raise ValueError("quotient membership needs a restricted sequence")
-    I = IndexSet(witness.restriction)
+def quotient_member(p: MagidorCondition, I: IndexSet) -> bool:
+    """Whether the projection of p joins the simulated subsequence filter,
+    the canonical sequence restricted to I; membership follows the
+    reconstruction clauses."""
     q = pi(p, I)
     if validate_I(q):
         return False

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -518,6 +519,24 @@ _INVALID = {
 }
 
 
+def _scrambled(doc: dict) -> list[str]:
+    """`doc` with its blocks permuted (seed 4), the identity left out."""
+    rng = random.Random(4)
+    n = len(doc["blocks"])
+    perms = {tuple(rng.sample(range(n), n)) for _ in range(8)} - {tuple(range(n))}
+    return [json.dumps(dict(doc, blocks=[doc["blocks"][i] for i in perm]))
+            for perm in sorted(perms)]
+
+
+# A valid condition with three blocks and its projection, scrambled.
+_P3 = canonical_condition(_W2, [o("w"), o("w*2")])
+_SCRAMBLED = {
+    "cond": _scrambled(io.condition_to_json(_P3)),
+    "icond": _scrambled(io.icondition_to_json(
+        projection.pi(_P3, projection.IndexSet(parse_set(_I41))))),
+}
+
+
 def _condition_arguments():
     """argv with an invalid document at one condition or I-condition
     argument of a verb, valid values at the other required arguments."""
@@ -554,6 +573,13 @@ def test_an_invalid_condition_argument_exits_2(argv, arg, kind, capsys):
         got = capsys.readouterr()
         assert got.out == ""
         assert got.err == f"parse error: invalid {kind} argument {arg}: {first}\n"
+    at = argv.index(_INVALID[kind][1])
+    for doc in _SCRAMBLED[kind]:
+        for mode in ([], ["--machine"]):
+            assert main(mode + argv[:at] + [doc] + argv[at + 1:]) == 2
+            got = capsys.readouterr()
+            assert got.out == ""
+            assert got.err.startswith(f"parse error: invalid {kind} argument {arg}: ")
 
 
 def test_validate_seq_reads_the_forcing_from_the_document(capsys):
@@ -642,18 +668,15 @@ def test_a_call_loads_only_the_layers_its_verb_runs(argv, absent):
     assert sorted(absent.intersection(loaded)) == []
 
 
-def test_self_test_env_seed():
-    import os
-
-    env = dict(os.environ, WORKBENCH_SEED="12345")
-    out = subprocess.run(
-        [sys.executable, "-m", "ordbench.cli", "--self-test"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0
-    assert "12345" in out.stdout
+def test_a_call_without_a_verb_gets_the_top_level_help(capsys):
+    for argv in ([], ["--machine"], ["cond"], ["--machine", "proj"]):
+        assert main(argv) == 2
+        got = capsys.readouterr()
+        assert got.out.startswith("usage: ordbench [-h] [--machine]") and got.err == ""
+    with pytest.raises(SystemExit) as done:
+        main(["--self-test"])
+    assert done.value.code == 2
+    assert "unrecognized arguments: --self-test" in capsys.readouterr().err
 
 
 def test_registry_covers_public_operations():

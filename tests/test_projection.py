@@ -27,6 +27,7 @@ from ordbench.magidor import (
 from ordbench.ordinal import add, cnf_difference, omega_power
 from ordbench.oset import OrdinalSet, parse_set
 from ordbench.projection import (
+    DFailure,
     ICondition,
     IndexSet,
     densify,
@@ -43,7 +44,6 @@ from ordbench.projection import (
     refine_to_clubs,
     validate_I,
 )
-from ordbench.generic import CanonicalSequence
 from ordbench.universe import ToyUniverse
 from ordbench.ordinal import ZERO
 
@@ -232,6 +232,28 @@ def test_validate_I_violations():
     )
     assert index_chain(bad2, I2) == [o("w"), o("w*4+1")]
     assert any("2.a.ii" in v for v in validate_I(bad2))
+
+
+@pytest.mark.parametrize(
+    "index_set, first, violation",
+    [
+        # no member of level 1 in I: the recursion is N/A
+        ("{0}", Block(o("w")), "index recursion undefined (N/A)"),
+        # w*2 is a successor position whose predecessors [0,w) have no greatest
+        ("[0,w) u {w*2}", Block(o("w")), "predecessor of w*2 unattained in the index set"),
+        # the gap from 0 to w*2 needs a level-1 point below w, and there is none
+        ("{0} u {w*2}", Block(o("w")), "no stratum witness tuple (2.a.iii)"),
+        # w*2 is a limit position of I, but 0 + w^1 = w
+        ("[0,w) u [w+1,w*3)", Block(o("w"), parse_set("[0,w)")),
+         "gap equation fails (2.b.ii): 0 + w^1 = w != w*2"),
+    ],
+    ids=["n/a", "unattained-predecessor", "no-stratum-witness", "gap-equation"],
+)
+def test_validate_I_clause_alone(index_set, first, violation):
+    """One block at w, the top above it: each index set breaks one clause."""
+    u = canon_universe("w^2")
+    q = ICondition(u, iset(index_set), (first, Block(u.lambda0, parse_set("(w,w^2)"))))
+    assert validate_I(q) == [f"block 1 (kappa=w): {violation}"]
 
 
 def test_leq_I_reflexive_and_extension():
@@ -749,6 +771,11 @@ def test_correct_computation(rng):
         J = random_iset(u, rng)
         pd = densify(random_condition(u, rng), J)
         assert correct_computation_check(pd, J)
+    # Off D: w is not in K, and the limit position w*2 is not linked to it.
+    K = iset("[0,w) u [w+1,w^2)")
+    p = canonical_condition(canon_universe("w^2"), [o("w"), o("w*2")])
+    assert validate(p) == [] and in_D(p, K) == DFailure(2, o("w*2"), 1, o("w+1"))
+    assert not correct_computation_check(p, K)
 
 
 def test_refine_to_clubs_already_fine():
@@ -879,31 +906,37 @@ def test_refine_to_clubs_reaching_w_to_the_w():
 def test_quotient_member():
     u = canon_universe("w^2")
     I = SEC41_I
-    seq = CanonicalSequence(u.lambda0, I.points)
     # canonical: block at value w = its own coordinate
     p = canonical_condition(u, [o("w")])
     pd = densify(p, I)
-    assert quotient_member(pd, seq)
+    assert quotient_member(pd, I)
     # misplaced: the block's kappa is not the coordinate it unveils
     bad = canonical_condition(u, [o("w*2")])
-    assert not quotient_member(bad, seq)
+    assert not quotient_member(bad, I)
+    # the projection is not an I-condition
+    J = iset("[0,w) u {w*2}")
+    p2 = canonical_condition(u, [o("w"), o("w*2")])
+    assert validate(p2) == []
+    assert validate_I(pi(p2, J)) == [
+        "block 1 (kappa=w*2): predecessor of w*2 unattained in the index set"
+    ]
+    assert not quotient_member(p2, J)
 
 
 def test_quotient_witness_demands():
     # A successor member of I whose predecessor gap spans several powers
     # demands stratum witnesses inside the enclosing block set.
     u = canon_universe("w^2")
-    I = parse_set("{5} u {w*2+3} u [w*3,w^2)")
-    seq = CanonicalSequence(u.lambda0, I)
+    I = iset("{5} u {w*2+3} u [w*3,w^2)")
     from ordbench.projection import _succ_gap_candidates
 
-    cands = _succ_gap_candidates(IndexSet(I), ZERO, o("w^2"))
+    cands = _succ_gap_candidates(I, ZERO, o("w^2"))
     assert o("w*2+3") in cands
     # diff(5, w*2+3) = <1,1,0,0,0>: the gap needs two limit points and two
     # successors inside the top set between the two sequence values
     rich = MagidorCondition(u, (Block(u.lambda0, u.ground()),))
     assert validate(rich) == []
-    assert quotient_member(rich, seq)
+    assert quotient_member(rich, I)
     poor = MagidorCondition(
         u,
         (
@@ -917,7 +950,7 @@ def test_quotient_witness_demands():
     )
     assert validate(poor) == []
     assert o("w*2+3") in poor.top.measure_set  # the member itself is kept
-    assert not quotient_member(poor, seq)  # its gap witnesses are gone
+    assert not quotient_member(poor, I)  # its gap witnesses are gone
 
 
 def test_quotient_member_fails_on_a_member_without_a_greatest_predecessor():
@@ -932,19 +965,17 @@ def test_quotient_member_fails_on_a_member_without_a_greatest_predecessor():
 
     assert o("w+1") in _succ_gap_candidates(IndexSet(I), ZERO, o("w^2"))
     rich = MagidorCondition(u, (Block(u.lambda0, u.ground()),))
-    assert not quotient_member(rich, CanonicalSequence(u.lambda0, I))
-    closed = parse_set("[0,w*2)")
-    assert quotient_member(rich, CanonicalSequence(u.lambda0, closed))
+    assert not quotient_member(rich, IndexSet(I))
+    assert quotient_member(rich, iset("[0,w*2)"))
 
 
 def test_quotient_member_random(rng):
     u = canon_universe("w^2")
     I = SEC41_I
-    seq = CanonicalSequence(u.lambda0, I.points)
     hits = 0
     for _ in range(20):
         p = random_condition(u, rng)
-        got = quotient_member(p, seq)
+        got = quotient_member(p, I)
         q = pi(p, I)
         chain = index_chain(q, I)
         coherent = validate_I(q) == [] and all(

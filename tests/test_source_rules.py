@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import pathlib
 import subprocess
 import sys
@@ -13,6 +14,10 @@ import sys
 import pytest
 
 import ordbench
+from ordbench import io, projection
+from ordbench.oset import parse_set
+
+from conftest import canon_universe, canonical_condition, o
 
 SRC = pathlib.Path(ordbench.__file__).parent
 
@@ -25,15 +30,42 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
-def test_self_test_under_optimize():
-    out = subprocess.run(
-        [sys.executable, "-O", "-m", "ordbench.cli", "--self-test"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert "self-test ok" in out.stdout
+def _cli(flags: list[str], argv: list[str]) -> tuple[int, str, str]:
+    out = subprocess.run([sys.executable, *flags, "-m", "ordbench.cli", *argv],
+                         capture_output=True, text=True, timeout=60)
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_lemma_checking_verbs_under_optimize():
+    """`python -O` strips `assert`s; the lemma checks behind these verbs
+    still run, so each call prints the same and exits alike."""
+    u = canon_universe("w^2")
+    p, p2 = canonical_condition(u, [o("w")]), canonical_condition(u, [o("w"), o("w*2")])
+    index = projection.IndexSet(parse_set("{0} u [w,w^2)"))
+    doc = lambda c: json.dumps(io.condition_to_json(c))
+    idoc = lambda c: json.dumps(io.icondition_to_json(projection.pi(c, index)))
+    for argv, code in [
+        (["proj", "onto", idoc(p2)], 0),
+        (["proj", "lift", doc(p), idoc(p2)], 0),
+        (["cond", "find-type", doc(p), doc(p2)], 0),
+        (["cond", "find-type", doc(p2), doc(p)], 2),  # NotAnExtension
+    ]:
+        plain = _cli([], argv)
+        assert plain[0] == code, plain
+        assert _cli(["-O"], argv) == plain, argv
+
+
+def test_no_module_reads_the_environment():
+    """No module reads `os.environ` or `os.getenv`: every switch of a call is
+    an argument, so it shows in the call."""
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in n.names] if isinstance(n, ast.ImportFrom)
+                     else [getattr(n, "attr", getattr(n, "id", None))])
+            found += [f"{path.name}:{n.lineno} {m}" for m in names if m in reads]
+    assert found == []
 
 
 def test_every_error_class_is_raised_somewhere():
