@@ -1,5 +1,6 @@
-"""JSON document formats for universes, conditions, index sets, trees,
-ultrafilter structures, product functions and derivations.
+"""JSON document formats: readers for universes, conditions, index sets,
+trees, ultrafilter structures, product functions and derivations, and
+writers for the documents a verb prints.
 
 Set literals appear in two interchangeable forms: the compact string
 grammar ("{0} u [w,w^2)") and the JSON list form (["0", ["w","w^2"]],
@@ -30,12 +31,9 @@ __all__ = [
     "icondition_from_json",
     "tree_to_json",
     "tree_from_json",
-    "structure_to_json",
     "structure_from_json",
-    "product_fn_to_json",
     "product_fn_from_json",
     "hashable",
-    "derivation_to_json",
     "derivation_from_json",
     "load_document",
 ]
@@ -195,35 +193,12 @@ def tree_from_json(doc: dict) -> prikry.TreeCondition:
     )
 
 
-def _assignment_to_json(ua: prikry.UltraAssignment) -> dict:
-    return {
-        "core": sorted(ua.core),
-        "pi": None if ua.proj is None else [list(vw) for vw in sorted(ua.proj)],
-    }
-
-
 def _assignment_from_json(doc: dict) -> prikry.UltraAssignment:
     proj = doc.get("pi")
     return prikry.UltraAssignment(
         frozenset(_ints(doc["core"], "a core")),
         None if proj is None else tuple(_ints(vw, "a projection pair") for vw in proj),
     )
-
-
-def structure_to_json(u: prikry.ToyUltraStructure) -> dict:
-    return {
-        "ground": list(u.ground),
-        "nodes": [
-            {"node": list(a), **_assignment_to_json(ua)}
-            for a, ua in sorted(u.nodes.items())
-        ],
-        "levels": [
-            {"level": n, **_assignment_to_json(ua)}
-            for n, ua in sorted(u.levels.items())
-        ],
-        "default": None if u.default is None else _assignment_to_json(u.default),
-        "tail_default": u.tail_default,
-    }
 
 
 def structure_from_json(doc: dict) -> prikry.ToyUltraStructure:
@@ -242,15 +217,6 @@ def structure_from_json(doc: dict) -> prikry.ToyUltraStructure:
     )
 
 
-def product_fn_to_json(F: ramsey.FiniteProductFn) -> dict:
-    return {
-        "factors": [list(f) for f in F.factors],
-        "table": [
-            {"args": list(t), "value": v} for t, v in sorted(F.table.items())
-        ],
-    }
-
-
 def hashable(value: Any) -> Any:
     """A JSON value made fit to be a dict key or a set member: lists freeze
     to tuples, recursively, and an object is a ParseError."""
@@ -266,15 +232,6 @@ def product_fn_from_json(doc: dict) -> ramsey.FiniteProductFn:
         tuple(tuple(f) for f in doc["factors"]),
         {tuple(entry["args"]): hashable(entry["value"]) for entry in doc["table"]},
     )
-
-
-def derivation_to_json(d: prikry.Derivation) -> dict:
-    tables = []
-    for f in d.fns:
-        if not hasattr(f, "items"):
-            raise ParseError("only table-backed derivations are serializable")
-        tables.append([{"args": list(t), "value": v} for t, v in sorted(f.items())])
-    return {"levels": list(d.levels), "tables": tables}
 
 
 def derivation_from_json(doc: dict) -> prikry.Derivation:

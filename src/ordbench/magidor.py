@@ -57,12 +57,6 @@ class ExtensionType:
 
     per_block: tuple[tuple[Ordinal, ...], ...]
 
-    def total_length(self) -> int:
-        return sum(len(x) for x in self.per_block)
-
-    def is_empty(self) -> bool:
-        return self.total_length() == 0
-
     def __str__(self) -> str:
         gaps = ",".join("<" + ",".join(str(x) for x in xs) + ">" for xs in self.per_block)
         return f"<{gaps}>"

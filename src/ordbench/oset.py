@@ -245,14 +245,10 @@ class OrdinalSet:
         return not self.pieces
 
     def __contains__(self, g: Ordinal) -> bool:
-        return self.piece_at(g) is not None
-
-    def piece_at(self, g: Ordinal) -> Piece | None:
-        """The piece holding g; None when g is not a member."""
         for p in self.pieces:
             if g < p.hi:
-                return p if p.contains(g) else None
-        return None
+                return p.contains(g)
+        return False
 
     def __repr__(self):
         return f"OrdinalSet({format_set(self)!r})"
@@ -333,10 +329,6 @@ class OrdinalSet:
     def sup(self) -> tuple[Ordinal, bool] | None:
         """(sup, attained) over the whole set; None when empty."""
         return self.pieces[-1].sup() if self.pieces else None
-
-    def max_element(self) -> Ordinal | None:
-        s = self.sup()
-        return s[0] if s is not None and s[1] else None
 
     def sup_below(self, b: Ordinal) -> tuple[Ordinal, bool] | None:
         """(sup, attained) of self ∩ [0, b); None when that is empty."""

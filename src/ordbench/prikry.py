@@ -297,17 +297,16 @@ def _sections_member(u: ToyUltraStructure, tuples, n: int, prefix: Node) -> bool
     )
 
 
-def _apply(f, args: tuple, name: str):
-    """f(*args) for a function; f[args] for a table, which must hold args."""
-    if not hasattr(f, "__getitem__"):
-        return f(*args)
+def _apply(f: Mapping, args: tuple, name: str):
+    """f[args]; the table must hold args."""
     if args not in f:
         raise ValueError(f"{name} has no entry for {args}")
     return f[args]
 
 
-def project_ultrafilter(u: ToyUltraStructure, F, n: int):
-    """Membership test for the image of the n-fold limit under F (a function or a table)."""
+def project_ultrafilter(u: ToyUltraStructure, F: Mapping, n: int):
+    """Membership test for the image of the n-fold limit under the table F,
+    which maps each increasing n-tuple of the ground to its value."""
 
     def member(Y) -> bool:
         targets = set(Y)
@@ -323,14 +322,13 @@ def is_p_point(
     fiber_bound: int,
     test_family,
 ) -> bool:
-    """Every non-constant (mod the node ultrafilter) function in the family
+    """Every non-constant (mod the node ultrafilter) table in the family
     is fiber-bounded on a large set; with principal cores the core itself
-    is the minimal large set."""
+    is the minimal large set.  A point a table leaves out has value None."""
     core = u.node_ultra(a).core
     for f in test_family:
-        get = f.get if hasattr(f, "get") else f
         # f is constant on a large set exactly when it is constant on the core.
-        fibers = Counter(get(v) for v in core)
+        fibers = Counter(f.get(v) for v in core)
         if len(fibers) > 1 and max(fibers.values()) > fiber_bound:
             return False
     return True
@@ -338,7 +336,8 @@ def is_p_point(
 
 @dataclass(frozen=True)
 class Derivation:
-    """Non-decreasing arities with per-step functions on initial segments."""
+    """Non-decreasing arities with per-step tables on initial segments: the
+    k-th maps tuples of the k-th arity to values."""
 
     levels: tuple[int, ...]
     fns: tuple

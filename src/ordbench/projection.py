@@ -101,22 +101,15 @@ class IndexSet:
         s = self._fact(g)
         return s is not _ABSENT and not _cofinal(g, s)
 
-    def _sup_below(self, g: Ordinal) -> tuple[Ordinal, bool] | None:
-        s = self._fact(g)
-        return self.points.sup_below(g) if s is _ABSENT else s
-
-    def pred(self, g: Ordinal) -> Ordinal | None:
-        """Greatest member strictly below g, when attained."""
-        s = self._sup_below(g)
-        return s[0] if s is not None and s[1] else None
-
     def clause_pred(self, g: Ordinal) -> Ordinal | None:
         """Predecessor for the linkage clauses; 0 stands in below the minimum.
 
         None means the members below g have an unattained supremum, which
         only happens for index sets that are not closed below their sup.
         """
-        s = self._sup_below(g)
+        s = self._fact(g)
+        if s is _ABSENT:
+            s = self.points.sup_below(g)
         if s is None:
             return ZERO
         return s[0] if s[1] else None

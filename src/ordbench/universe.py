@@ -70,9 +70,11 @@ class ToyUniverse:
 
     # -- strata ----------------------------------------------------------------
     def stratum(self, xi: Ordinal, below: Ordinal) -> OrdinalSet:
-        """Y(xi) ∩ [0, below) = {g < below | o(g) = xi}."""
+        """Y(xi) ∩ [0, below) = {g < below | o(g) = xi}; below <= lambda0."""
         if xi >= self.delta0_bound:
             raise ValueError(f"stratum index {xi} not below delta0_bound")
+        if below > self.lambda0:
+            raise ValueError(f"{below} is beyond the ground set")
         return OrdinalSet.stratum_piece(ZERO, below, xi)
 
     # -- largeness ---------------------------------------------------------------
@@ -115,7 +117,10 @@ class ToyUniverse:
 
         Keeps a in B when o(a) = 0 or B★ ∩ a is large at (a, xi) for every
         xi < o(a); one call to `_failing_points` finds every point it drops.
+        beta <= lambda0, as for `o`.
         """
+        if beta > self.lambda0:
+            raise ValueError(f"{beta} is beyond the ground set")
         cur = B.restrict_below(beta)
         override_points = sorted({b for (b, _) in self.cores if b < beta})
         fail = self._failing_points(cur, beta, override_points)

@@ -176,6 +176,17 @@ def test_uni_star(uni_doc, capsys):
     assert io.set_from_json(doc["result"]) == parse_set("(w,w^2)")
 
 
+def test_a_bound_beyond_the_ground_set_exits_2(capsys):
+    U = json.dumps({"lambda0": "w^2", "delta0_bound": "w"})
+    for argv in (["uni", "star", U, "[0,w^3)", "w^3"],
+                 ["set", "stratum", "--universe", U, "1", "--below", "w^3"],
+                 ["uni", "large", U, "[0,w^3)", "w^3", "1"],
+                 ["uni", "stratify", U, "[0,w^3)", "w^3"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "input error: w^3 is beyond the ground set\n")
+
+
 def test_cond_validate_and_gamma(cond_doc, capsys):
     code, out = run(["cond", "validate", cond_doc], capsys)
     assert code == 0
@@ -239,6 +250,18 @@ def test_proj_in_d_and_densify(capsys, tmp_path):
     assert code == 0
     out = io.condition_from_json(doc["result"])
     assert main(["proj", "in-d", json.dumps(doc["result"]), "--index", I]) == 0
+
+
+def test_proj_in_d_and_densify_at_an_unattained_predecessor(capsys):
+    # I = [0,w) u {w+1} has no greatest member below w+1, a block's coordinate.
+    p = canonical_condition(canon_universe("w^2"), [o("w"), o("w+1")])
+    argv = [json.dumps(io.condition_to_json(p)), "--index", "[0,w) u {w+1}"]
+    assert run(["proj", "in-d", *argv], capsys) == (
+        1, "fails clause 2 at block 2 (coordinate w + 1)\n")
+    assert main(["proj", "densify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RepairImpossible: no repair coordinate for the failure at block 2" in captured.err
 
 
 def test_proj_refine_clubs_on_a_plain_set_reaching_w_to_the_w(capsys):
@@ -610,6 +633,38 @@ def test_machine_roundtrip_condition(cond_doc, capsys):
     assert code == 0
     back = io.condition_from_json(doc["result"])
     assert io.condition_to_json(back) == doc["result"]
+
+
+def test_machine_inputs_echo_each_decoded_argument(capsys):
+    """`inputs` holds one entry per ordinal, set, universe, condition and
+    I-condition argument, in argument order, each re-parsing to the
+    argument; other kinds, such as an int, add none."""
+    u = canon_universe("w^2")
+    p = canonical_condition(u, [o("w")])
+    q = projection.pi(p, projection.IndexSet(parse_set("{0} u [w,w^2)")))
+    uni, cond, icond = (json.dumps(x) for x in (
+        io.universe_to_json(u), io.condition_to_json(p), io.icondition_to_json(q)))
+    reparse = {  # kind -> (reader of the echoed value, reader of the argument)
+        "ordinal": (parse_ordinal, parse_ordinal),
+        "set": (io.set_from_json, parse_set),
+        "universe": (io.universe_from_json, lambda a: io.universe_from_json(json.loads(a))),
+        "condition": (io.condition_from_json, lambda a: io.condition_from_json(json.loads(a))),
+        "icondition": (io.icondition_from_json, lambda a: io.icondition_from_json(json.loads(a))),
+    }
+    for argv, kinds in [
+        (["ord", "add", "w", "1"], [("ordinal", "w"), ("ordinal", "1")]),
+        (["set", "union", "[0,w)", "{w*2}"], [("set", "[0,w)"), ("set", "{w*2}")]),
+        (["uni", "star", uni, "[w,w^2)", "w^2"],
+         [("universe", uni), ("set", "[w,w^2)"), ("ordinal", "w^2")]),
+        (["cond", "gamma", cond, "1"], [("condition", cond)]),
+        (["proj", "leq", icond, icond], [("icondition", icond), ("icondition", icond)]),
+    ]:
+        code, out = machine(argv, capsys)
+        assert code == 0, argv
+        assert [e["kind"] for e in out["inputs"]] == [k for k, _ in kinds]
+        for entry, (kind, arg) in zip(out["inputs"], kinds):
+            from_value, from_arg = reparse[kind]
+            assert from_value(entry["value"]) == from_arg(arg), (argv, kind)
 
 
 def test_entrypoint_subprocess():

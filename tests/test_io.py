@@ -1,6 +1,7 @@
 """Round trips of the JSON document formats through text: universes,
-conditions, subsequence conditions, sets with level-filtered pieces, and
-the Prikry trees, ultrafilter structures and derivations."""
+conditions, subsequence conditions, sets with level-filtered pieces and
+Prikry trees; and the documents that are only read, ultrafilter
+structures and derivations, decoded from literals."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from ordbench import io
 from ordbench.ordinal import from_int
 from ordbench.oset import OrdinalSet, Piece
-from ordbench.prikry import Derivation
+from ordbench.prikry import Derivation, ToyUltraStructure, UltraAssignment
 from ordbench.projection import pi
 from ordbench.universe import ToyUniverse
 
@@ -100,33 +101,34 @@ def test_tree_round_trip(u, data):
     assert _through_text(io.tree_to_json, io.tree_from_json, t) == t
 
 
-@_settings
-@given(ultra_structures())
-def test_structure_round_trip(u):
-    # Not ==: the document sorts the projection pairs.
-    back = _through_text(io.structure_to_json, io.structure_from_json, u)
-    assert (back.ground, back.tail_default) == (u.ground, u.tail_default)
-    assert (set(back.nodes), set(back.levels)) == (set(u.nodes), set(u.levels))
-    pairs = [(u.default, back.default)]
-    pairs += [(ua, back.nodes[a]) for a, ua in u.nodes.items()]
-    pairs += [(ua, back.levels[n]) for n, ua in u.levels.items()]
-    for ua, ub in pairs:
-        assert (ua is None) == (ub is None)
-        if ua is not None:
-            assert ua.core == ub.core
-            assert [ua.pi(v) for v in u.ground] == [ub.pi(v) for v in u.ground]
+def test_structure_round_trip():
+    # Node and level tables, a default with a projection, a tail default;
+    # then the fields a document may leave out.
+    text = """{"ground": [0, 2, 3, 5],
+               "nodes": [{"node": [0, 2], "core": [3, 5], "pi": [[5, 3], [3, 0]]},
+                         {"node": [], "core": [0, 2], "pi": null}],
+               "levels": [{"level": 1, "core": [5], "pi": [[5, 2]]}],
+               "default": {"core": [2, 3], "pi": null},
+               "tail_default": true}"""
+    assert io.structure_from_json(json.loads(text)) == ToyUltraStructure(
+        (0, 2, 3, 5),
+        {(0, 2): UltraAssignment(frozenset({3, 5}), ((5, 3), (3, 0))),
+         (): UltraAssignment(frozenset({0, 2}))},
+        {1: UltraAssignment(frozenset({5}), ((5, 2),))},
+        UltraAssignment(frozenset({2, 3})),
+        True,
+    )
+    assert io.structure_from_json(json.loads('{"ground": [1]}')) == ToyUltraStructure((1,))
 
 
-@st.composite
-def derivations(draw) -> Derivation:
-    """Non-decreasing arities, each with a table on a few increasing tuples."""
-    levels = sorted(draw(st.lists(st.integers(0, 3), max_size=4)))
-    tuples = st.lists(st.integers(0, 7), unique=True).map(lambda a: tuple(sorted(a)))
-    fns = tuple(draw(st.dictionaries(tuples, st.integers(-5, 5), max_size=3)) for _ in levels)
-    return Derivation(tuple(levels), fns)
-
-
-@_settings
-@given(derivations())
-def test_derivation_round_trip(d):
-    assert _through_text(io.derivation_to_json, io.derivation_from_json, d) == d
+def test_derivation_round_trip():
+    # Non-decreasing arities (0 among them), each with a table on a few
+    # increasing tuples, one of them empty.
+    text = """{"levels": [0, 1, 1, 3],
+               "tables": [[{"args": [], "value": 4}],
+                          [{"args": [2], "value": -5}, {"args": [7], "value": 0}],
+                          [],
+                          [{"args": [0, 3, 6], "value": 1}]]}"""
+    assert io.derivation_from_json(json.loads(text)) == Derivation(
+        (0, 1, 1, 3), ({(): 4}, {(2,): -5, (7,): 0}, {}, {(0, 3, 6): 1})
+    )

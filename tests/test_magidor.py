@@ -256,7 +256,7 @@ def test_type_of_section2_example():
 def test_type_of_empty_assignment():
     p = section2_condition()
     empty = ((),) * 5
-    assert type_of(p, empty).is_empty()
+    assert type_of(p, empty) == ExtensionType(empty)
     assert extend(p, empty) == p
 
 

@@ -172,7 +172,6 @@ def test_sup_and_boundedness():
     assert not a.is_bounded_below(W)
     b = parse_set("[0,w) u {w*2}")
     assert b.sup() == (o("w*2"), True)
-    assert b.max_element() == o("w*2")
     assert OrdinalSet.empty().is_bounded_below(W)
 
 
@@ -388,13 +387,9 @@ def old_in_lim(points: OrdinalSet, g) -> bool:
     return not (s is None or s[0] < g)
 
 
-def old_pred(points: OrdinalSet, g):
-    return old_restrict_below(points, g).max_element()
-
-
 def old_clause_pred(points: OrdinalSet, g):
-    below = old_restrict_below(points, g)
-    return ZERO if below.is_empty() else below.max_element()
+    s = old_restrict_below(points, g).sup()
+    return ZERO if s is None else s[0] if s[1] else None
 
 
 def old_min_in_open(points: OrdinalSet, lo, hi):
@@ -455,7 +450,6 @@ def test_index_set_walks_match_rebuild(case):
     s, g, h = case
     I = IndexSet(s)
     assert I.in_lim(g) == old_in_lim(s, g)
-    assert I.pred(g) == old_pred(s, g)
     assert I.clause_pred(g) == old_clause_pred(s, g)
     assert I.min_in_open(g, h) == old_min_in_open(s, g, h)
 
@@ -471,7 +465,6 @@ def test_a_warmed_index_set_answers_like_a_fresh_one(case, rnd):
         "__contains__": lambda g: g in s,
         "in_lim": lambda g: old_in_lim(s, g),
         "in_succ": lambda g: g in s and not old_in_lim(s, g),
-        "pred": lambda g: old_pred(s, g),
         "clause_pred": lambda g: old_clause_pred(s, g),
     }
     asks = [(name, g) for name in oracles for g in points]

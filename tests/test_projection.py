@@ -79,7 +79,7 @@ def test_index_set_classification():
     assert I.in_lim(ZERO)
     assert I.in_succ(o("w"))  # only 0 sits below it
     assert I.in_lim(o("w*2"))
-    assert I.pred(o("w")) == ZERO
+    assert I.points.sup_below(o("w")) == (ZERO, True)  # 0 is a member
     assert I.clause_pred(o("w")) == ZERO
     J = iset("[w,w^2)")
     assert J.clause_pred(o("w")) == ZERO  # virtual zero below the minimum
@@ -197,6 +197,21 @@ def test_densify_second_counterexample():
     kappas = [b.kappa for b in q.blocks]
     assert o("w*2+1") in kappas  # the least index-set element above w*2
     assert o("w+3") in kappas
+
+
+def unattained_predecessor():
+    """p = [w, w+1] over w^2 (gammas w, w+1, w^2) and I = [0,w) u {w+1}:
+    w+1 is a successor point of I whose members below have the unattained
+    supremum w, so the clause-2 predecessor does not exist."""
+    return canonical_condition(canon_universe("w^2"), [o("w"), o("w+1")]), iset("[0,w) u {w+1}")
+
+
+def test_an_unattained_predecessor_fails_clause_2_with_no_repair():
+    p, I = unattained_predecessor()
+    assert I.clause_pred(o("w+1")) is None
+    assert in_D(p, I) == DFailure(2, o("w+1"), 2, None)
+    with pytest.raises(RepairImpossible, match="no repair coordinate for the failure at block 2"):
+        densify(p, I)
 
 
 def test_densify_idempotent_on_D():

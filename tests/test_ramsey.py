@@ -90,17 +90,15 @@ def _scan_important(F, min_sizes):
 
 
 @st.composite
-def product_fns(draw, values=None):
-    """0-3 factors, each overlapping the next, and a table of `values`, or
-    of 1-5 colours: random, or one coordinate's value mod 1-5 with random
-    noise, so that non-empty coordinate sets are found too."""
+def product_fns(draw):
+    """0-3 factors, each overlapping the next, and a table of 1-5 colours:
+    random, or one coordinate's value mod 1-5 with random noise, so that
+    non-empty coordinate sets are found too."""
     factors = []
     for i in range(draw(st.integers(0, 3))):
         size = draw(st.integers(0, 4))
         elements = st.integers(2 * i + 1, 2 * i + 5)
         factors.append(sorted(draw(st.lists(elements, min_size=size, max_size=size, unique=True))))
-    if values is not None:
-        return build_product_fn(factors, lambda *t: draw(values))
     colours = st.integers(0, draw(st.integers(1, 5)) - 1)
     coord = draw(st.integers(-1, len(factors) - 1))
     if coord < 0:
@@ -151,15 +149,20 @@ def test_scan_oracle_on_grid_and_near_projections():
         assert important_coordinates(F, [2, 2, 2]) == _scan_important(F, [2, 2, 2])
 
 
-_json_values = st.recursive(
-    st.integers() | st.text(max_size=3), lambda inner: st.lists(inner, max_size=3), max_leaves=6
-).map(io.hashable)
-
-
-@settings(max_examples=150)
-@given(product_fns(_json_values))
-def test_product_fn_json_round_trip(F):
-    doc = io.product_fn_to_json(F)
+def test_product_fn_json_round_trip():
+    # A list value is frozen to a tuple, recursively, so that it can be a
+    # dict key or a set member; integers and strings are kept.
+    doc = {
+        "factors": [[1, 2], [3, 4]],
+        "table": [
+            {"args": [1, 3], "value": [1, ["a", []]]},
+            {"args": [1, 4], "value": "b"},
+            {"args": [2, 3], "value": -7},
+            {"args": [2, 4], "value": []},
+        ],
+    }
+    values = {(1, 3): (1, ("a", ())), (1, 4): "b", (2, 3): -7, (2, 4): ()}
+    F = build_product_fn([[1, 2], [3, 4]], lambda a, b: values[a, b])
     assert io.product_fn_from_json(doc) == F
     assert io.product_fn_from_json(json.loads(json.dumps(doc))) == F
 

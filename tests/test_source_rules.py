@@ -149,6 +149,50 @@ def test_every_private_helper_is_used():
     assert [f"{name}:{n.lineno} {n.name}" for name, n in helpers if n.name not in named] == []
 
 
+# Public names that nothing in `src/` or `bench/` names, each for a reason.
+CALLED_ELSEWHERE = {
+    # The classical diagonal intersection is the reference that
+    # `test_acceptance` compares `modified_diag` against.
+    "classical_diag",
+    # `cli._order` reaches the direct-extension orders by
+    # `getattr(module, f"{leq}_star")`.
+    "leq_I_star",
+    "leq_tree_star",
+}
+
+
+def test_every_public_name_has_a_caller():
+    """Each public module-level function and class, and each public method,
+    of `src/ordbench` is named somewhere in `src/ordbench` or `bench/*.py`
+    (an `ast.Name` or `ast.Attribute`; the strings of `__all__` do not
+    count): what only its own tests call is deleted.
+
+    Any attribute of the same name counts as a use, whatever its object,
+    so the rule misses a method that shares its name with another class's
+    (as `is_empty` did on `ExtensionType` and `OrdinalSet`) or whose only
+    caller is itself test-only (as `total_length` was of that
+    `is_empty`)."""
+    paths = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "bench").glob("*.py"))
+    named = set()
+    for path in paths:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    public = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.parse(path.read_text()).body:
+            members = n.body if isinstance(n, ast.ClassDef) else []
+            public += [(path.name, d) for d in [n, *members]
+                       if isinstance(d, defs) and not d.name.startswith("_")]
+    assert public
+    unused = [f"{name}:{d.lineno} {d.name}" for name, d in public
+              if d.name not in named and d.name not in CALLED_ELSEWHERE]
+    assert unused == []
+
+
 def test_every_cli_kind_is_used():
     """Each argument kind of `cli.KINDS` is named by a verb spec or by a
     string literal passed to `Report.decode`: a kind whose last user is

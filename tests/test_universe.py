@@ -30,6 +30,18 @@ def test_universe_validation():
     assert u.o(o("w^3")) == nat(3)
 
 
+def test_star_closure_and_stratum_refuse_a_bound_beyond_the_ground():
+    u = uni("w^2", "w")
+    B = parse_set("[0,w^3)")
+    for call in (lambda: u.star_closure(B, W3), lambda: u.stratum(nat(1), W3),
+                 lambda: u.is_large(B, W3, nat(1)), lambda: u.stratify(B, W3)):
+        with pytest.raises(ValueError, match="w\\^3 is beyond the ground set"):
+            call()
+    # lambda0 itself is a valid bound.
+    assert u.star_closure(B, W2) == parse_set("[0,w^2)")
+    assert u.stratum(nat(1), W2) == parse_set("[w,w^2)@{1}")
+
+
 def test_stratum_matches_limit_order_oracle():
     u = uni("w^3", "w")
     dom = small_ordinals_below(o("w^3"), 300)
