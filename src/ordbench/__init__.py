@@ -47,3 +47,38 @@ def _lazy(name: str):
         sys.modules[full] = globals()[name] = module
         loader.exec_module(module)
     return sys.modules[full]
+
+
+_set = object.__setattr__  # how an `__init__` sets a slot past the frozen `__setattr__`
+
+
+class _Record:
+    """Frozen value record.  A record class lists its fields in `__slots__`
+    in constructor order (a slot whose name starts with `_` is a memo, not a
+    field), sets them in `__init__` with `_set`, and reads the fields that
+    `==` and `hash` compare, as a tuple, in its `_key` property.  `Ordinal`
+    and `OrdinalSet` keep their own `==` and `hash`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __reduce__(self):
+        # Unpickling and copying go through `__init__`, not `__setattr__`.
+        return type(self), tuple(getattr(self, n) for n in self.__slots__ if n[0] != "_")
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")

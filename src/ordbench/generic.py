@@ -5,8 +5,7 @@ so every membership and order-type question is decidable."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import _Record, _set
 from .errors import UniverseMismatch
 from .magidor import Block, MagidorCondition, _check_same_universe, _points_in_blocks, leq, validate
 from .ordinal import ZERO, Ordinal
@@ -15,12 +14,15 @@ from .oset import OrdinalSet
 __all__ = ["CanonicalSequence", "in_filter", "interval_otp", "filter_pair_compatible"]
 
 
-@dataclass(frozen=True)
-class CanonicalSequence:
+class CanonicalSequence(_Record):
     """C(g) = g for g < lambda0, optionally restricted to an index set."""
 
-    lambda0: Ordinal
-    restriction: OrdinalSet | None = None
+    __slots__ = ("lambda0", "restriction")
+    _key = property(lambda r: (r.lambda0, r.restriction))
+
+    def __init__(self, lambda0: Ordinal, restriction: OrdinalSet | None = None):
+        _set(self, "lambda0", lambda0)
+        _set(self, "restriction", restriction)
 
     def points(self) -> OrdinalSet:
         base = OrdinalSet.interval(ZERO, self.lambda0)

@@ -4,9 +4,9 @@ types and the coordinate calculus."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from . import _Record, _set
 from .errors import (
     AlreadyUnveiled,
     BadCut,
@@ -43,31 +43,40 @@ __all__ = [
 Alphas = tuple[tuple[Ordinal, ...], ...]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Record):
     """A named point with its candidate set (present iff o(kappa) > 0)."""
 
-    kappa: Ordinal
-    measure_set: OrdinalSet | None = None
+    __slots__ = ("kappa", "measure_set")
+    _key = property(lambda r: (r.kappa, r.measure_set))
+
+    def __init__(self, kappa: Ordinal, measure_set: OrdinalSet | None = None):
+        _set(self, "kappa", kappa)
+        _set(self, "measure_set", measure_set)
 
 
-@dataclass(frozen=True)
-class ExtensionType:
+class ExtensionType(_Record):
     """Per-gap finite sequences of measure indices governing an extension."""
 
-    per_block: tuple[tuple[Ordinal, ...], ...]
+    __slots__ = ("per_block",)
+    _key = property(lambda r: (r.per_block,))
+
+    def __init__(self, per_block: tuple[tuple[Ordinal, ...], ...]):
+        _set(self, "per_block", per_block)
 
     def __str__(self) -> str:
         gaps = ",".join("<" + ",".join(str(x) for x in xs) + ">" for xs in self.per_block)
         return f"<{gaps}>"
 
 
-@dataclass(frozen=True)
-class MagidorCondition:
+class MagidorCondition(_Record):
     """Blocks in increasing kappa order; the last block is the top pair."""
 
-    universe: ToyUniverse
-    blocks: tuple[Block, ...]
+    __slots__ = ("universe", "blocks", "__dict__")  # `gammas` is cached in `__dict__`
+    _key = property(lambda r: (r.universe, r.blocks))
+
+    def __init__(self, universe: ToyUniverse, blocks: tuple[Block, ...]):
+        _set(self, "universe", universe)
+        _set(self, "blocks", blocks)
 
     @property
     def top(self) -> Block:

@@ -23,6 +23,7 @@ import itertools
 import re
 import weakref
 
+from . import _Record
 from .errors import DifferenceUndefined, ParseError
 
 __all__ = [
@@ -77,7 +78,7 @@ def _make(terms: tuple | None, key: tuple) -> "Ordinal":
     return self
 
 
-class Ordinal:
+class Ordinal(_Record):
     """CNF ordinal: tuple of (exponent, coefficient) terms, exponents descending.
 
     `key` is ((e1.key, c1), ..., (ek.key, ck)).  Tuple order, where a proper
@@ -94,17 +95,13 @@ class Ordinal:
         terms = tuple(terms)
         return _make(terms, tuple([(e.key, c) for e, c in terms]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Ordinal is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Ordinal is immutable: cannot delete {name!r}")
-
     def __reduce__(self):
         # Unpickling and deep-copying go through the intern table.
         return (Ordinal, (self.terms,))
 
-    # Equality is identity (object.__eq__); the order is the key order.
+    __eq__ = object.__eq__  # hash-consed, so equality is identity
+
+    # The order is the key order.
     def __lt__(self, other: "Ordinal") -> bool:
         return self.key < other.key
 

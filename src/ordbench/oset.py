@@ -32,8 +32,8 @@ pass returns the rest verbatim.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
+from . import _Record, _set
 from .errors import ParseError, UnsupportedRegion
 from .ordinal import (
     OMEGA,
@@ -133,11 +133,14 @@ def feasible_levels(lo: Ordinal, hi: Ordinal) -> list[Ordinal]:
     return out
 
 
-@dataclass(frozen=True)
-class Piece:
-    lo: Ordinal
-    hi: Ordinal
-    levels: frozenset[Ordinal] | None = None  # None = all levels
+class Piece(_Record):
+    __slots__ = ("lo", "hi", "levels")
+    _key = property(lambda r: (r.lo, r.hi, r.levels))
+
+    def __init__(self, lo: Ordinal, hi: Ordinal, levels: frozenset[Ordinal] | None = None):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "levels", levels)  # None = all levels
 
     def contains(self, g: Ordinal) -> bool:
         if not (self.lo <= g < self.hi):
@@ -190,7 +193,7 @@ class Piece:
         return best
 
 
-class OrdinalSet:
+class OrdinalSet(_Record):
     """Finite union of (optionally level-filtered) intervals, in canonical form."""
 
     __slots__ = ("pieces",)
@@ -204,9 +207,6 @@ class OrdinalSet:
         s = object.__new__(cls)
         object.__setattr__(s, "pieces", pieces)
         return s
-
-    def __setattr__(self, name, value):  # immutability
-        raise AttributeError("OrdinalSet is immutable")
 
     # -- constructors ------------------------------------------------------
     @staticmethod

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import _Record, _set
 from .errors import BranchTooShort, PruneBrokeLargeness
 
 __all__ = [
@@ -39,12 +39,15 @@ __all__ = [
 Node = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class UltraAssignment:
+class UltraAssignment(_Record):
     """Core of a principal toy ultrafilter, with its downward projection."""
 
-    core: frozenset[int]
-    proj: tuple[tuple[int, int], ...] | None = None  # None = identity (normal)
+    __slots__ = ("core", "proj", "__dict__")  # `_table` is cached in `__dict__`
+    _key = property(lambda r: (r.core, r.proj))
+
+    def __init__(self, core: frozenset[int], proj: tuple[tuple[int, int], ...] | None = None):
+        _set(self, "core", core)
+        _set(self, "proj", proj)  # None = identity (normal)
 
     @cached_property
     def _table(self) -> dict[int, int]:
@@ -57,8 +60,7 @@ class UltraAssignment:
         return self.core <= set(s)
 
 
-@dataclass(frozen=True)
-class ToyUltraStructure:
+class ToyUltraStructure(_Record):
     """Ground set with per-node, per-level and single ultrafilter tables.
 
     With tail_default, a node without an explicit entry gets the core of
@@ -67,13 +69,17 @@ class ToyUltraStructure:
     sets concentrate above the node, as the dense normalization assumes.
     """
 
-    ground: tuple[int, ...]
-    nodes: dict[Node, UltraAssignment] = field(default_factory=dict)
-    levels: dict[int, UltraAssignment] = field(default_factory=dict)
-    default: UltraAssignment | None = None
-    tail_default: bool = False
+    __slots__ = ("ground", "nodes", "levels", "default", "tail_default")
+    _key = property(lambda r: (r.ground, r.nodes, r.levels, r.default, r.tail_default))
 
-    def __post_init__(self):
+    def __init__(self, ground: tuple[int, ...], nodes: dict[Node, UltraAssignment] | None = None,
+                 levels: dict[int, UltraAssignment] | None = None,
+                 default: UltraAssignment | None = None, tail_default: bool = False):
+        _set(self, "ground", ground)
+        _set(self, "nodes", {} if nodes is None else nodes)
+        _set(self, "levels", {} if levels is None else levels)
+        _set(self, "default", default)
+        _set(self, "tail_default", tail_default)
         if list(self.ground) != sorted(set(self.ground)):
             raise ValueError("ground must be strictly increasing")
         gset = set(self.ground)
@@ -113,8 +119,7 @@ class ToyUltraStructure:
         return self.levels.get(n, self._fallback())
 
 
-@dataclass(frozen=True)
-class TreeCondition:
+class TreeCondition(_Record):
     """Trunk plus successor sets, explicit to a declared depth.
 
     Beyond the explicit entries the successor set of a node defaults to the
@@ -122,11 +127,14 @@ class TreeCondition:
     check needs.
     """
 
-    trunk: Node
-    depth: int
-    successors: dict[Node, frozenset[int]] = field(default_factory=dict)
+    __slots__ = ("trunk", "depth", "successors")
+    _key = property(lambda r: (r.trunk, r.depth, r.successors))
 
-    def __post_init__(self):
+    def __init__(self, trunk: Node, depth: int,
+                 successors: dict[Node, frozenset[int]] | None = None):
+        _set(self, "trunk", trunk)
+        _set(self, "depth", depth)
+        _set(self, "successors", {} if successors is None else successors)
         for a in self.successors:
             if a[: len(self.trunk)] != self.trunk:
                 raise ValueError(f"successor node {a} does not extend the trunk")
@@ -324,25 +332,25 @@ def is_p_point(
 ) -> bool:
     """Every non-constant (mod the node ultrafilter) table in the family
     is fiber-bounded on a large set; with principal cores the core itself
-    is the minimal large set.  A point a table leaves out has value None."""
+    is the minimal large set.  Each table must hold every point of the
+    core: one that leaves a point out is refused with a ValueError."""
     core = u.node_ultra(a).core
-    for f in test_family:
-        # f is constant on a large set exactly when it is constant on the core.
-        fibers = Counter(f.get(v) for v in core)
-        if len(fibers) > 1 and max(fibers.values()) > fiber_bound:
-            return False
-    return True
+    fibers = [Counter(_apply(f, v, f"test table {k}") for v in core)
+              for k, f in enumerate(test_family)]
+    # A table is constant on a large set exactly when it is constant on the core.
+    return all(len(c) <= 1 or max(c.values()) <= fiber_bound for c in fibers)
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_Record):
     """Non-decreasing arities with per-step tables on initial segments: the
     k-th maps tuples of the k-th arity to values."""
 
-    levels: tuple[int, ...]
-    fns: tuple
+    __slots__ = ("levels", "fns")
+    _key = property(lambda r: (r.levels, r.fns))
 
-    def __post_init__(self):
+    def __init__(self, levels: tuple[int, ...], fns: tuple):
+        _set(self, "levels", levels)
+        _set(self, "fns", fns)
         if any(a > b for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("arities must be non-decreasing")
         if len(self.levels) != len(self.fns):

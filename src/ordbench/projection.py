@@ -5,9 +5,9 @@ the projection lemma."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Union
 
+from . import _Record, _set
 from .errors import (
     IndexSetMismatch,
     LargenessViolated,
@@ -67,8 +67,7 @@ AnyCondition = Union[MagidorCondition, "ICondition"]
 _ABSENT = object()  # the point fact of a non-member
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(_Record):
     """A subset of the ground order type, with limit/successor queries.
 
     The projection asks one index set the same questions many times, so
@@ -77,9 +76,13 @@ class IndexSet:
     the o-values of a block sequence to its index chain. Neither takes
     part in `==`, `hash` or `repr`."""
 
-    points: OrdinalSet
-    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("points", "_facts", "_chains")
+    _key = property(lambda r: (r.points,))
+
+    def __init__(self, points: OrdinalSet):
+        _set(self, "points", points)
+        _set(self, "_facts", {})
+        _set(self, "_chains", {})
 
     def _fact(self, g: Ordinal):
         try:
@@ -125,13 +128,16 @@ def _cofinal(g: Ordinal, s: tuple[Ordinal, bool] | None) -> bool:
     return g.is_zero if s is None else s[0] >= g
 
 
-@dataclass(frozen=True)
-class ICondition:
+class ICondition(_Record):
     """Same block shape as a plain condition; sets live at Lim positions."""
 
-    universe: ToyUniverse
-    index_set: IndexSet
-    blocks: tuple[Block, ...]
+    __slots__ = ("universe", "index_set", "blocks")
+    _key = property(lambda r: (r.universe, r.index_set, r.blocks))
+
+    def __init__(self, universe: ToyUniverse, index_set: IndexSet, blocks: tuple[Block, ...]):
+        _set(self, "universe", universe)
+        _set(self, "index_set", index_set)
+        _set(self, "blocks", blocks)
 
     @property
     def top(self) -> Block:
@@ -284,14 +290,17 @@ def leq_I_star(p: ICondition, q: ICondition) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DFailure:
+class DFailure(_Record):
     """Maximal failing projected block, the violated clause, and the repair."""
 
-    block_index: int
-    coordinate: Ordinal
-    clause: int  # 1 = limit linkage, 2 = successor linkage
-    repair: Ordinal | None
+    __slots__ = ("block_index", "coordinate", "clause", "repair")
+    _key = property(lambda r: (r.block_index, r.coordinate, r.clause, r.repair))
+
+    def __init__(self, block_index: int, coordinate: Ordinal, clause: int, repair: Ordinal | None):
+        _set(self, "block_index", block_index)
+        _set(self, "coordinate", coordinate)
+        _set(self, "clause", clause)  # 1 = limit linkage, 2 = successor linkage
+        _set(self, "repair", repair)
 
 
 def in_D(p: MagidorCondition, I: IndexSet) -> DFailure | None:

@@ -19,8 +19,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Hashable
+
+from . import _Record, _set
 
 __all__ = ["FiniteProductFn", "homogenize", "important_coordinates"]
 
@@ -106,19 +107,20 @@ def _subfactors(factors, mask: int) -> tuple[tuple, ...]:
     return tuple(tuple(x for bit, x in bits if mask & bit) for bits in _bits(factors))
 
 
-@dataclass(frozen=True)
-class FiniteProductFn:
+class FiniteProductFn(_Record):
     """A total function on increasing tuples drawn from finite factors."""
 
-    factors: tuple[tuple[int, ...], ...]
-    table: dict[tuple[int, ...], Hashable]
+    __slots__ = ("factors", "table")
+    _key = property(lambda r: (r.factors, r.table))
 
-    def __post_init__(self):
-        for f in self.factors:
+    def __init__(self, factors: tuple[tuple[int, ...], ...],
+                 table: dict[tuple[int, ...], Hashable]):
+        for f in factors:
             if list(f) != sorted(set(f)):
                 raise ValueError("factors must be strictly increasing")
         # A hashable key for the tuple and ranking caches.
-        object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
+        _set(self, "factors", tuple(tuple(f) for f in factors))
+        _set(self, "table", table)
         for t in self.domain():
             if t not in self.table:
                 raise ValueError(f"table missing the tuple {t}")

@@ -12,8 +12,7 @@ make every nontrivial condition invalid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from . import _Record, _set
 from .ordinal import ZERO, Ordinal, from_int, omega_power
 from .oset import OrdinalSet, olim
 
@@ -22,15 +21,17 @@ __all__ = ["ToyUniverse", "CoreKey"]
 CoreKey = tuple[Ordinal, Ordinal]
 
 
-@dataclass(frozen=True)
-class ToyUniverse:
+class ToyUniverse(_Record):
     """Ground order type, o-value bound, and core overrides."""
 
-    lambda0: Ordinal
-    delta0_bound: Ordinal
-    cores: dict[CoreKey, OrdinalSet] = field(default_factory=dict)
+    __slots__ = ("lambda0", "delta0_bound", "cores")
+    _key = property(lambda r: (r.lambda0, r.delta0_bound, r.cores))
 
-    def __post_init__(self):
+    def __init__(self, lambda0: Ordinal, delta0_bound: Ordinal,
+                 cores: dict[CoreKey, OrdinalSet] | None = None):
+        _set(self, "lambda0", lambda0)
+        _set(self, "delta0_bound", delta0_bound)
+        _set(self, "cores", {} if cores is None else cores)
         if not self.lambda0.is_limit:
             raise ValueError(f"lambda0 must be a limit ordinal, got {self.lambda0}")
         if self.max_o_value() >= self.delta0_bound:

@@ -443,8 +443,10 @@ def test_malformed_input_exits_2(argv, capsys):
           "--structure", _STRUCTURE5], "fn has no entry for (1,)"),
         (["prikry", "derive", '{"levels": [1], "tables": [[]]}', "2,4"],
          "derivation table 0 has no entry for (2,)"),
+        (["prikry", "p-point", '[{"3": 0, "4": 0, "5": 1}, {"3": 0}]', "1",
+          "--structure", _STRUCTURE], "test table 1 has no entry for 4"),
     ],
-    ids=["fn", "derivation-table"],
+    ids=["fn", "derivation-table", "p-point-table"],
 )
 def test_missing_table_entry_names_the_table_and_tuple(argv, message, capsys):
     for mode in ([], ["--machine"]):
@@ -696,13 +698,15 @@ def _ours(names) -> set[str]:
 
 
 _CONDITION_SIDE = _ours(["oset", "universe", "magidor", "projection", "generic"])
+# `dataclasses` pulls in `inspect` and its own imports: no verb needs either.
+_STDLIB_UNUSED = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
     "argv, absent",
     [
         (["ord", "add", "w", "1"],
-         _ours(_MODULES - {"errors", "ordinal", "cli"}) | {"dataclasses"}),
+         _ours(_MODULES - {"errors", "ordinal", "cli"})),
         (["set", "union", "[0,w)", "{w*2}"], _ours(["prikry", "ramsey"])),
         (["uni", "check", json.dumps(io.universe_to_json(canon_universe("w^2")))],
          _ours(["prikry", "ramsey"])),
@@ -720,7 +724,7 @@ def test_a_call_loads_only_the_layers_its_verb_runs(argv, absent):
                          text=True, timeout=60)
     code, *loaded = out.stdout.splitlines()[-1].split()
     assert code == "0", out.stderr
-    assert sorted(absent.intersection(loaded)) == []
+    assert sorted((absent | _STDLIB_UNUSED).intersection(loaded)) == []
 
 
 def test_a_call_without_a_verb_gets_the_top_level_help(capsys):

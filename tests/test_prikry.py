@@ -485,13 +485,22 @@ def old_is_p_point(u, a, fiber_bound, test_family) -> bool:
 @given(ultra_structures(), st.data())
 def test_is_p_point_matches_oracle(u, data):
     node = data.draw(st.sampled_from([()] + [(v,) for v in u.ground]))
+    core = u.node_ultra(node).core
     tables = data.draw(
         st.lists(st.dictionaries(st.sampled_from(u.ground), st.integers(0, 2)), max_size=3)
     )
-    # Partial tables, and tables total on the ground, alike.
-    family = [t if i % 2 else {v: t.get(v, -1) for v in u.ground} for i, t in enumerate(tables)]
+    # Tables total on the core only, and tables total on the ground, alike.
+    family = [{**dict.fromkeys(core, -1), **t} if i % 2 else {v: t.get(v, -1) for v in u.ground}
+              for i, t in enumerate(tables)]
     bound = data.draw(st.integers(0, 3))
     assert is_p_point(u, node, bound, family) == old_is_p_point(u, node, bound, family)
+    # A table that leaves out a point of the core is refused, wherever it stands.
+    if family and core:
+        at = data.draw(st.integers(0, len(family) - 1))
+        gap = data.draw(st.sampled_from(sorted(core)))
+        family[at] = {v: x for v, x in family[at].items() if v != gap}
+        with pytest.raises(ValueError, match=rf"^test table {at} has no entry for {gap}$"):
+            is_p_point(u, node, bound, family)
 
 
 def _comparison_nodes(s, t):

@@ -1,0 +1,95 @@
+"""Value semantics of the frozen record classes: construction, `==`,
+`hash`, `repr`, immutability, pickling and copying."""
+
+from __future__ import annotations
+
+import copy
+import inspect
+import pickle
+
+import pytest
+
+from ordbench.generic import CanonicalSequence
+from ordbench.magidor import Block, ExtensionType, MagidorCondition
+from ordbench.ordinal import ONE, OMEGA, ZERO, parse_ordinal
+from ordbench.oset import OrdinalSet, Piece
+from ordbench.prikry import Derivation, ToyUltraStructure, TreeCondition, UltraAssignment
+from ordbench.projection import DFailure, ICondition, IndexSet
+from ordbench.ramsey import FiniteProductFn
+from ordbench.universe import ToyUniverse
+
+W2 = parse_ordinal("w^2")
+S = OrdinalSet.interval(ZERO, OMEGA)
+
+
+def _universe():
+    return ToyUniverse(W2, OMEGA)
+
+
+# class -> (fresh field values in constructor order, how many are required,
+# one field and a value that differs from it).  Each optional field takes
+# its default.
+CASES = {
+    Piece: (lambda: [ZERO, OMEGA, None], 2, ("hi", ONE)),
+    ToyUniverse: (lambda: [W2, OMEGA, {}], 2, ("delta0_bound", parse_ordinal("w+1"))),
+    Block: (lambda: [ONE, None], 1, ("kappa", OMEGA)),
+    ExtensionType: (lambda: [((ZERO,), ())], 1, ("per_block", ((ZERO,),))),
+    MagidorCondition: (lambda: [_universe(), (Block(W2),)], 2, ("blocks", (Block(OMEGA),))),
+    CanonicalSequence: (lambda: [W2, None], 1, ("restriction", S)),
+    IndexSet: (lambda: [OrdinalSet.interval(ZERO, OMEGA)], 1, ("points", OrdinalSet.of(ONE))),
+    ICondition: (lambda: [_universe(), IndexSet(S), (Block(W2),)], 3,
+                 ("index_set", IndexSet(OrdinalSet.of(ONE)))),
+    DFailure: (lambda: [1, OMEGA, 2, None], 4, ("clause", 1)),
+    FiniteProductFn: (lambda: [((1, 2),), {(1,): 0, (2,): 1}], 2, ("table", {(1,): 0, (2,): 0})),
+    UltraAssignment: (lambda: [frozenset({1, 2}), None], 1, ("proj", ((2, 1),))),
+    ToyUltraStructure: (lambda: [(0, 1, 2), {}, {}, None, False], 1, ("tail_default", True)),
+    TreeCondition: (lambda: [(0,), 1, {}], 2, ("depth", 2)),
+    Derivation: (lambda: [(1, 2), ("F1", "F2")], 2, ("levels", (1, 1))),
+}
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda c: c.__name__)
+def test_records_are_frozen_values(cls):
+    values, required, (changed, other) = CASES[cls]
+    names = list(inspect.signature(cls).parameters)
+    a, b = cls(*values()), cls(**dict(zip(names, values())))
+    assert a == b and not a != b
+    if cls is FiniteProductFn:
+        # Its table is a dict, as with a dataclass.
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        if "__hash__" not in vars(cls):
+            assert hash(a) == hash(tuple(values()))
+    fields = dict(zip(names, values()))
+    assert a != cls(**{**fields, changed: other})
+    assert a != tuple(values()) and a.__eq__(tuple(values())) is NotImplemented
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in fields.items())})"
+    for name in [*names, "other"]:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    # The defaults, and a fresh dict for each dict default.
+    x, y = cls(*values()[:required]), cls(*values()[:required])
+    assert x == y == a
+    for n in names:
+        if isinstance(getattr(x, n), dict):
+            assert getattr(x, n) is not getattr(y, n)
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+
+
+def test_a_warmed_index_set_keeps_its_value():
+    warmed, fresh = (IndexSet(OrdinalSet.interval(ZERO, W2)) for _ in range(2))
+    assert warmed.in_lim(OMEGA) and warmed.in_succ(ONE) and W2 not in warmed
+    assert warmed._facts
+    assert warmed == fresh and hash(warmed) == hash(fresh) and repr(warmed) == repr(fresh)
+
+
+def test_ordinal_sets_are_frozen_and_copy():
+    s = OrdinalSet.of(ONE, OMEGA)
+    for change in (lambda: setattr(s, "pieces", ()), lambda: delattr(s, "pieces")):
+        with pytest.raises(AttributeError):
+            change()
+    assert s.pieces and pickle.loads(pickle.dumps(s)) == s and copy.deepcopy(s) == s
