@@ -17,18 +17,17 @@ __all__ = ["CanonicalSequence", "in_filter", "interval_otp", "filter_pair_compat
 class CanonicalSequence(_Record):
     """C(g) = g for g < lambda0, optionally restricted to an index set."""
 
-    __slots__ = ("lambda0", "restriction")
+    __slots__ = ("lambda0", "restriction", "_points")
     _key = property(lambda r: (r.lambda0, r.restriction))
 
     def __init__(self, lambda0: Ordinal, restriction: OrdinalSet | None = None):
         _set(self, "lambda0", lambda0)
         _set(self, "restriction", restriction)
+        base = OrdinalSet.interval(ZERO, lambda0)
+        _set(self, "_points", base if restriction is None else base.intersect(restriction))
 
     def points(self) -> OrdinalSet:
-        base = OrdinalSet.interval(ZERO, self.lambda0)
-        if self.restriction is None:
-            return base
-        return base.intersect(self.restriction)
+        return self._points
 
 
 def in_filter(p: MagidorCondition, seq: CanonicalSequence) -> bool:
@@ -48,7 +47,7 @@ def interval_otp(seq: CanonicalSequence, a: Ordinal, b: Ordinal) -> Ordinal:
     """Order type of the sequence points strictly between a and b."""
     if not a < b <= seq.lambda0:
         raise ValueError(f"need a < b <= {seq.lambda0}")
-    return seq.points().restrict_above(a).restrict_below(b).otp()
+    return seq.points().between(a, b).otp()
 
 
 def filter_pair_compatible(
@@ -79,9 +78,8 @@ def filter_pair_compatible(
             sq = q_sets.get(kappa) or enclosing(q, kappa).measure_set
             if sp is None or sq is None:
                 return False
-            s = sp.intersect(sq).restrict_below(kappa)
-            if prev is not None:
-                s = s.restrict_above(prev)
+            s = sp.intersect(sq)
+            s = s.restrict_below(kappa) if prev is None else s.between(prev, kappa)
             blocks.append(Block(kappa, s))
         prev = kappa
     top_set = p.top.measure_set.intersect(q.top.measure_set)

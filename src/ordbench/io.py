@@ -93,7 +93,7 @@ def universe_to_json(u: universe.ToyUniverse) -> dict:
                 "xi": format_ordinal(xi),
                 "core": set_to_json(core),
             }
-            for (beta, xi), core in sorted(u.cores.items())
+            for (beta, xi), core in u.cores
         ],
     }
 

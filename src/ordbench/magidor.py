@@ -108,7 +108,7 @@ def _set_violations(u: ToyUniverse, b: Block, prev: Ordinal | None) -> list[str]
     when o(kappa) = 0) and is star-closed."""
     out = []
     B = b.measure_set
-    if B.restrict_below(b.kappa) != B:
+    if not B.is_below(b.kappa):
         out.append("measure set not below its point")
     if prev is not None:
         low = B.min_element()
@@ -116,7 +116,7 @@ def _set_violations(u: ToyUniverse, b: Block, prev: Ordinal | None) -> list[str]
             out.append("min of measure set not above previous point")
     if not u.is_large_all(B, b.kappa):
         out.append("measure set not large at every index")
-    elif u.star_closure(B, b.kappa) != B:
+    elif not u.is_star_closed(B, b.kappa):
         out.append("measure set not in stratified (star-closed) form")
     return out
 
@@ -163,11 +163,6 @@ def validate(p: MagidorCondition) -> list[str]:
     return _block_violations(p, own)
 
 
-def _within(small: OrdinalSet, big: OrdinalSet) -> bool:
-    """Whether small is a subset of big: the one inclusion test of L3."""
-    return small.difference(big).is_empty()
-
-
 def _order_walk(p, q, admits) -> list[list[Ordinal]] | None:
     """The order clauses both forcings share, in one pass over q's non-top
     blocks with a pointer on p's blocks.  q keeps p's top with a shrunk set.
@@ -177,7 +172,7 @@ def _order_walk(p, q, admits) -> list[list[Ordinal]] | None:
     above it) and passes `admits(j, qb, enclosing)`.  The points q adds in
     each gap of p, or None when a clause fails or a named point of p is
     never reached."""
-    if p.top.kappa != q.top.kappa or not _within(q.top.measure_set, p.top.measure_set):
+    if p.top.kappa != q.top.kappa or not q.top.measure_set.issubset(p.top.measure_set):
         return None
     named = len(p.blocks) - 1
     added: list[list[Ordinal]] = [[] for _ in p.blocks]
@@ -187,7 +182,7 @@ def _order_walk(p, q, admits) -> list[list[Ordinal]] | None:
         if r < named and qb.kappa == b.kappa:
             if (b.measure_set is None) != (qb.measure_set is None):
                 return None
-            if b.measure_set is not None and not _within(qb.measure_set, b.measure_set):
+            if b.measure_set is not None and not qb.measure_set.issubset(b.measure_set):
                 return None
             r += 1
         elif b.measure_set is None or qb.kappa not in b.measure_set or not admits(j, qb, b):
@@ -199,7 +194,7 @@ def _order_walk(p, q, admits) -> list[list[Ordinal]] | None:
 
 def _inherits(qb: Block, enclosing: Block) -> bool:
     """The set of a new block is drawn from its enclosing set below it."""
-    return _within(qb.measure_set, enclosing.measure_set.restrict_below(qb.kappa))
+    return qb.measure_set.is_below(qb.kappa) and qb.measure_set.issubset(enclosing.measure_set)
 
 
 def _added_points(p: MagidorCondition, q: MagidorCondition) -> list[list[Ordinal]] | None:
@@ -259,6 +254,7 @@ def _check_alphas(p: MagidorCondition, alphas: Alphas) -> None:
         B = p.blocks[i - 1].measure_set
         if B is None:
             raise PointNotInMeasureSet(f"gap {i} lies below a bare block")
+        ohi = p.universe.o(hi)
         prev = lo
         for a in pts:
             if prev is not None and a <= prev:
@@ -267,7 +263,7 @@ def _check_alphas(p: MagidorCondition, alphas: Alphas) -> None:
                 raise NotIncreasing(f"gap {i}: point {a} not below {hi}")
             if a not in B:
                 raise PointNotInMeasureSet(f"gap {i}: point {a} outside the block set")
-            if p.universe.o(a) >= p.universe.o(hi):
+            if p.universe.o(a) >= ohi:
                 raise LargenessViolated(
                     f"gap {i}: point {a} has order >= o({hi})"
                 )
@@ -309,9 +305,8 @@ def extend(
             if u.o(a).is_zero:
                 new_blocks.append(Block(a))
             else:
-                inherited = b.measure_set.restrict_below(a)
-                if prev is not None:
-                    inherited = inherited.restrict_above(prev)
+                inherited = (b.measure_set.restrict_below(a) if prev is None
+                             else b.measure_set.between(prev, a))
                 new_blocks.append(Block(a, inherited))
             prev = a
         if pts and b.measure_set is not None:
@@ -325,7 +320,7 @@ def extend(
                 S = shrink[b.kappa]
                 if b.measure_set is None:
                     raise LargenessViolated(f"cannot shrink bare block {b.kappa}")
-                if not _within(S, b.measure_set):
+                if not S.issubset(b.measure_set):
                     raise LargenessViolated(f"shrink at {b.kappa} is not a subset")
                 shrunk.append(Block(b.kappa, S))
             else:
@@ -410,11 +405,11 @@ def _points_in_blocks(blocks, pts: OrdinalSet) -> bool:
     admits none."""
     prev = ZERO
     for b in blocks:
-        seg = pts.restrict_above(prev).restrict_below(b.kappa)
         if b.measure_set is None:
-            if not seg.is_empty():
+            low = pts.min_above(prev)
+            if low is not None and low < b.kappa:
                 return False
-        elif not _within(seg, b.measure_set):
+        elif not pts.issubset(b.measure_set, prev.successor(), b.kappa):
             return False
         prev = b.kappa
     return True

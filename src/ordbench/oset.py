@@ -26,7 +26,18 @@ the pass the spans of one merge of the two sorted piece lists; the
 constructor, the union of its raw pieces, merges them pairwise the same
 way.  A restriction feeds it only the cut piece, followed by the stored
 pieces after it; once one of those starts a new piece unchanged, the
-pass returns the rest verbatim.
+pass returns the rest verbatim.  `between` cuts both ends that way and
+keeps the stored pieces inside.
+
+The queries answer from the stored pieces without building a set.
+`issubset` merges the two piece lists, optionally inside a window, and
+stops at the first point the other set does not cover; a span counts
+only if it has a point (`_has_point`, the test `_normalize` drops empty
+pieces by).  `is_below` reads the supremum.  `complement_limits` finds
+the members at which the complement is cofinal: a filtered piece holds
+them where a level under a point's own is left out, and a piece's least
+member is one when a gap, or a filtered piece leaving such a level out,
+comes right before it.
 """
 
 from __future__ import annotations
@@ -290,7 +301,65 @@ class OrdinalSet(_Record):
                 )
         return OrdinalSet._of_normal(())
 
+    def between(self, a: Ordinal, b: Ordinal) -> "OrdinalSet":
+        """self ∩ (a, b).  The stored pieces inside the window stay; the
+        piece cut at b is settled as in `restrict_below`, then the one cut
+        just above a as in `restrict_above`."""
+        cut = a.successor()
+        pieces = self.pieces
+        i = 0
+        while i < len(pieces) and pieces[i].hi <= cut:
+            i += 1
+        k = i
+        while k < len(pieces) and pieces[k].hi <= b:
+            k += 1
+        inner = pieces[i:k]
+        if k < len(pieces) and pieces[k].lo < b:
+            inner += _settle((Piece(pieces[k].lo, b, pieces[k].levels),))
+        if inner and inner[0].lo < cut:
+            head, rest = inner[0], inner[1:]
+            # The settled cut at b may end at or below the cut above a.
+            inner = _settle((Piece(cut, head.hi, head.levels),), rest) if head.hi > cut else rest
+        return OrdinalSet._of_normal(inner)
+
     # -- queries -----------------------------------------------------------
+    def issubset(self, other: "OrdinalSet", lo: Ordinal | None = None,
+                 hi: Ordinal | None = None) -> bool:
+        """Whether self ∩ [lo, hi) ⊆ other (unbounded where None): one merge
+        of the two piece lists that stops at the first uncovered point."""
+        theirs = other.pieces
+        j = 0
+        for p in self.pieces:
+            if hi is not None and p.lo >= hi:
+                break
+            a = p.lo if lo is None or p.lo > lo else lo
+            end = p.hi if hi is None or p.hi < hi else hi
+            levels = p.levels
+            # [a, end) is the part of p still to cover.
+            while _has_point(a, end, levels):
+                while j < len(theirs) and theirs[j].hi <= a:
+                    j += 1
+                q = theirs[j] if j < len(theirs) else None
+                if q is None or q.lo > a:
+                    gap = end if q is None or q.lo > end else q.lo
+                    if _has_point(a, gap, levels):
+                        return False
+                    a = gap
+                    continue
+                stop = q.hi if q.hi < end else end
+                if q.levels is not None:
+                    seen = (feasible_levels(a, stop) if levels is None
+                            else [xi for xi in levels if least_in_level(xi, a) < stop])
+                    if any(xi not in q.levels for xi in seen):
+                        return False
+                a = stop
+        return True
+
+    def is_below(self, b: Ordinal) -> bool:
+        """Whether every member is below b, read from the supremum."""
+        s = self.sup()
+        return s is None or s[0] < b or (s[0] == b and not s[1])
+
     def min_element(self) -> Ordinal | None:
         return self.pieces[0].lo if self.pieces else None
 
@@ -371,6 +440,31 @@ class OrdinalSet(_Record):
             return OrdinalSet.of(*ends)
         limits = OrdinalSet(filtered).closure_points(top).restrict_below(top)
         return limits.difference(self).union(OrdinalSet.of(*ends))
+
+    def complement_limits(self) -> "OrdinalSet":
+        """{a in self | sup(C ∩ a) = a} for the complement C of self: the
+        members at which C is cofinal, read from the pieces.
+
+        Below a limit a the levels cofinal are those under o(a).  So a
+        point inside a filtered piece fails when some level under its own
+        is left out of the filter, and a plain piece has none inside.  The
+        least point of a piece fails when it is a limit after a gap, or
+        where a filtered piece ending at it leaves out a level under its
+        order."""
+        out: list[Piece] = []
+        prev: Piece | None = None
+        for p in self.pieces:
+            a = p.lo
+            if a.is_limit and (prev is None or prev.hi < a or prev.levels is not None
+                               and _least_missing(prev.levels) < olim(a)):
+                out.append(Piece(a, a.successor()))
+            if p.levels is not None:
+                floor = _least_missing(p.levels)
+                high = frozenset(xi for xi in p.levels if xi > floor)
+                if high:
+                    out.append(Piece(a.successor(), p.hi, high))
+            prev = p
+        return OrdinalSet._of_normal(_settle(out))
 
     def enumerate(self, limit: int) -> list[Ordinal]:
         """First `limit` elements in increasing order."""
@@ -500,16 +594,25 @@ def _run(cur: Piece, p: Piece) -> Piece | None:
     return _pin(Piece(cur.lo, end, f | (g - seen)))
 
 
+def _has_point(lo: Ordinal, hi: Ordinal, levels: frozenset[Ordinal] | None) -> bool:
+    """Whether [lo, hi) holds a point of one of the levels (any point when
+    None)."""
+    return lo < hi and (levels is None or any(least_in_level(xi, lo) < hi for xi in levels))
+
+
+def _least_missing(levels: frozenset[Ordinal]) -> Ordinal:
+    """The least finite level a filter leaves out."""
+    k = 0
+    while from_int(k) in levels:
+        k += 1
+    return from_int(k)
+
+
 def _normalize(pieces: tuple[Piece, ...]) -> tuple[Piece, ...]:
     """Canonical form of raw pieces: their union, merged pairwise so that
     n pieces take O(log n) rounds of sweeps rather than n.  A piece with no
     point (no interval, or no level with a point inside it) adds no cuts."""
-    runs: list[Sequence[Piece]] = [
-        (p,)
-        for p in pieces
-        if p.lo < p.hi
-        and (p.levels is None or any(least_in_level(xi, p.lo) < p.hi for xi in p.levels))
-    ]
+    runs: list[Sequence[Piece]] = [(p,) for p in pieces if _has_point(p.lo, p.hi, p.levels)]
     while len(runs) > 1:
         odd = runs[-1:] if len(runs) % 2 else []
         runs = [_sweep(a, b, "union") for a, b in zip(runs[::2], runs[1::2])] + odd

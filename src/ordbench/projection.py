@@ -241,11 +241,12 @@ def validate_I(q: ICondition) -> list[str]:
             out.append("limit-position block needs a measure set (2.b.i)")
         else:
             out += _set_violations(u, b, prev_kappa)
-        want = add(prev_idx, omega_power(u.o(b.kappa)))
+        ob = u.o(b.kappa)
+        want = add(prev_idx, omega_power(ob))
         if want != c:
             out.append(
                 f"gap equation fails (2.b.ii): "
-                f"{prev_idx} + w^{u.o(b.kappa)} = {want} != {c}"
+                f"{prev_idx} + w^{ob} = {want} != {c}"
             )
         return out
 
@@ -519,7 +520,7 @@ def _succ_gap_candidates(I: IndexSet, lo: Ordinal, hi: Ordinal) -> list[Ordinal]
     a piece differ by a single power), and the least member above the least
     limit I lacks, whose predecessors have no greatest element."""
     out = []
-    window = I.points.restrict_above(lo).restrict_below(hi)
+    window = I.points.between(lo, hi)
     for p in window.pieces:
         if I.in_succ(p.lo):
             out.append(p.lo)

@@ -12,9 +12,12 @@ make every nontrivial condition invalid.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from operator import itemgetter
+
 from . import _Record, _set
 from .ordinal import ZERO, Ordinal, from_int, omega_power
-from .oset import OrdinalSet, olim
+from .oset import OrdinalSet, feasible_levels, olim
 
 __all__ = ["ToyUniverse", "CoreKey"]
 
@@ -22,16 +25,25 @@ CoreKey = tuple[Ordinal, Ordinal]
 
 
 class ToyUniverse(_Record):
-    """Ground order type, o-value bound, and core overrides."""
+    """Ground order type, o-value bound, and core overrides.
 
-    __slots__ = ("lambda0", "delta0_bound", "cores")
+    `cores` is stored as a tuple of ((beta, xi), core) pairs sorted by key,
+    built from whatever mapping (or pairs) the caller passes: a copy the
+    caller cannot change, and canonical for `==` and `hash`."""
+
+    __slots__ = ("lambda0", "delta0_bound", "cores", "_at")
     _key = property(lambda r: (r.lambda0, r.delta0_bound, r.cores))
 
     def __init__(self, lambda0: Ordinal, delta0_bound: Ordinal,
-                 cores: dict[CoreKey, OrdinalSet] | None = None):
+                 cores: Mapping[CoreKey, OrdinalSet] | None = None):
         _set(self, "lambda0", lambda0)
         _set(self, "delta0_bound", delta0_bound)
-        _set(self, "cores", {} if cores is None else cores)
+        given = dict(cores or ())
+        _set(self, "cores", tuple(sorted(given.items(), key=itemgetter(0))))
+        at: dict[Ordinal, dict[Ordinal, OrdinalSet]] = {}
+        for (beta, xi), core in self.cores:
+            at.setdefault(beta, {})[xi] = core
+        _set(self, "_at", at)  # the override cores by point, in increasing order
         if not self.lambda0.is_limit:
             raise ValueError(f"lambda0 must be a limit ordinal, got {self.lambda0}")
         if self.max_o_value() >= self.delta0_bound:
@@ -39,16 +51,13 @@ class ToyUniverse(_Record):
                 f"delta0_bound {self.delta0_bound} does not dominate the "
                 f"o-values below {self.lambda0}"
             )
-        for (beta, xi), core in self.cores.items():
+        for (beta, xi), core in given.items():
             if xi >= self.o(beta):
                 raise ValueError(f"core index {xi} not below o({beta})")
-            if not core.difference(self.stratum(xi, beta)).is_empty():
+            if not core.issubset(self.stratum(xi, beta)):
                 raise ValueError(
                     f"core at ({beta},{xi}) is not a subset of Y({xi}) below {beta}"
                 )
-
-    def __hash__(self):
-        return hash((self.lambda0, self.delta0_bound, tuple(sorted(self.cores))))
 
     # -- o-function ----------------------------------------------------------
     def o(self, g: Ordinal) -> Ordinal:
@@ -83,7 +92,7 @@ class ToyUniverse(_Record):
         """Tail containment: Core(beta,xi) ∖ B is bounded strictly below beta."""
         if xi >= self.o(beta):
             raise ValueError(f"xi={xi} not below o({beta})={self.o(beta)}")
-        override = self.cores.get((beta, xi))
+        override = self._at.get(beta, {}).get(xi)
         if override is not None:
             return override.difference(B).is_bounded_below(beta)
         missed = self._missed_levels(B, beta)
@@ -92,8 +101,8 @@ class ToyUniverse(_Record):
     def is_large_all(self, B: OrdinalSet, beta: Ordinal) -> bool:
         """Large at (beta, xi) for every xi < o(beta)."""
         ob = self.o(beta)
-        over = {xi for (b, xi) in self.cores if b == beta}
-        if any(not self.is_large(B, beta, xi) for xi in over):
+        over = self._at.get(beta, {})
+        if any(not core.difference(B).is_bounded_below(beta) for core in over.values()):
             return False
         missed = self._missed_levels(B, beta)
         if missed is None:
@@ -101,16 +110,24 @@ class ToyUniverse(_Record):
             return ob.is_finite and len(over) == ob.as_int()
         return all(xi in over for xi in missed if xi < ob)
 
-    def _missed_levels(self, B: OrdinalSet, beta: Ordinal) -> frozenset[Ordinal] | None:
-        """The levels of the default cores B misses cofinally below beta:
-        the filter of the complement's last piece, the only one that can
-        reach beta, when it does (None when plain: every level), else none.
-        A reduced filter realizes its levels, and below o(beta) a realized
-        level is cofinal; callers ignore levels at or above o(beta)."""
-        comp = OrdinalSet.interval(ZERO, beta).difference(B).pieces
-        if comp and comp[-1].hi == beta:
-            return comp[-1].levels
-        return frozenset()
+    @staticmethod
+    def _missed_levels(B: OrdinalSet, beta: Ordinal) -> frozenset[Ordinal] | None:
+        """The levels of the default cores B misses cofinally below beta
+        (None: every level), read from B's last piece starting below beta.
+        After a gap up to beta, B misses every level; a plain piece reaching
+        beta misses none; a filtered one misses the levels of [lo, beta)
+        it leaves out.  Levels at or above o(beta) may be in the answer
+        without being cofinal; callers ignore them."""
+        last = None
+        for p in B.pieces:
+            if p.lo >= beta:
+                break
+            last = p
+        if last is None or last.hi < beta:
+            return None
+        if last.levels is None:
+            return frozenset()
+        return frozenset(feasible_levels(last.lo, beta)) - last.levels
 
     # -- star closure ----------------------------------------------------------
     def star_closure(self, B: OrdinalSet, beta: Ordinal) -> OrdinalSet:
@@ -123,27 +140,30 @@ class ToyUniverse(_Record):
         if beta > self.lambda0:
             raise ValueError(f"{beta} is beyond the ground set")
         cur = B.restrict_below(beta)
-        override_points = sorted({b for (b, _) in self.cores if b < beta})
-        fail = self._failing_points(cur, beta, override_points)
+        fail = self._failing_points(cur, [b for b in self._at if b < beta])
         return cur.difference(fail) if fail else cur
 
-    def _failing_points(
-        self, cur: OrdinalSet, beta: Ordinal, override_points: list[Ordinal]
-    ) -> OrdinalSet:
+    def is_star_closed(self, B: OrdinalSet, beta: Ordinal) -> bool:
+        """Whether star_closure(B, beta) == B, without building the closure:
+        B lies below beta and none of its points fails."""
+        if beta > self.lambda0:
+            raise ValueError(f"{beta} is beyond the ground set")
+        return B.is_below(beta) and not self._failing_points(B, [b for b in self._at if b < beta])
+
+    def _failing_points(self, cur: OrdinalSet, override_points: list[Ordinal]) -> OrdinalSet:
         """The points of cur outside its star closure, in one pass.
 
         A point with no overridden core fails exactly when the complement
-        C = [0,beta) ∖ cur is cofinal below it; call those points F.  Each
-        point of F is a limit of C, so where C ∪ F is cofinal below some a,
-        C already is and a is in F: removing F makes no new default
-        failure.  The override points are finitely many limits, each
-        tested against cur ∖ F; largeness is monotone, so a point failing
-        there fails against every subset of cur ∖ F as well.  Dropping
-        finitely many points changes no tail below any limit, so neither
-        test changes once the failing override points are gone too.
+        C of cur is cofinal below it; call those points F.  Each point of F
+        is a limit of C, so where C ∪ F is cofinal below some a, C already
+        is and a is in F: removing F makes no new default failure.  The
+        override points are finitely many limits, each tested against
+        cur ∖ F; largeness is monotone, so a point failing there fails
+        against every subset of cur ∖ F as well.  Dropping finitely many
+        points changes no tail below any limit, so neither test changes
+        once the failing override points are gone too.
         """
-        comp = OrdinalSet.interval(ZERO, beta).difference(cur)
-        fail = comp.missing_limits(beta)
+        fail = cur.complement_limits()
         if not override_points:
             return fail
         fail = fail.difference(OrdinalSet.of(*override_points))

@@ -814,3 +814,48 @@ def test_missing_limits_pointwise(high, data):
     for g in dom[1:]:
         lacking = g < top and g not in s and not s.restrict_below(g).is_bounded_below(g)
         assert (g in got) == lacking, str(g)
+
+
+def old_window(s: OrdinalSet, lo, hi) -> OrdinalSet:
+    """s ∩ [lo, hi), built; None is unbounded."""
+    if lo is not None:
+        s = s.difference(OrdinalSet.interval(ZERO, lo))
+    return s if hi is None else s.restrict_below(hi)
+
+
+@STRATEGIES
+@settings(max_examples=300)
+@given(data=st.data())
+def test_issubset_matches_the_built_difference(high, data):
+    a, b = data.draw(sets_and_cuts(cuts=2, high=high)), data.draw(ordinal_sets(high=high))
+    a, x, y = a
+    lo, hi = data.draw(st.sampled_from([(None, None), (x, None), (None, y), (x, y)]))
+    # Pairs where inclusion holds, fails by a little, or fails at a junction.
+    for small, big in (
+        (a, b),
+        (a, a.union(b)),
+        (a.intersect(b), b),
+        (a, a.difference(OrdinalSet.singleton(x))),
+        (a, a.difference(b)),
+        (a.restrict_above(x), a.restrict_below(y)),
+    ):
+        want = old_window(small, lo, hi).difference(big).is_empty()
+        assert small.issubset(big, lo, hi) == want, (small, big, lo, hi)
+
+
+@STRATEGIES
+@settings(max_examples=300)
+@given(data=st.data())
+def test_between_matches_the_chain(high, data):
+    s, a, b = data.draw(sets_and_cuts(cuts=2, high=high))
+    got = s.between(a, b)
+    assert got.pieces == s.restrict_above(a).restrict_below(b).pieces
+    assert_normal(got.pieces)
+
+
+@STRATEGIES
+@settings(max_examples=300)
+@given(data=st.data())
+def test_is_below_matches_the_restriction(high, data):
+    s, b = data.draw(sets_and_cuts(high=high))
+    assert s.is_below(b) == (s.restrict_below(b) == s)

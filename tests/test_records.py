@@ -31,7 +31,8 @@ def _universe():
 # its default.
 CASES = {
     Piece: (lambda: [ZERO, OMEGA, None], 2, ("hi", ONE)),
-    ToyUniverse: (lambda: [W2, OMEGA, {}], 2, ("delta0_bound", parse_ordinal("w+1"))),
+    # A universe stores its cores as a sorted tuple of ((beta, xi), core) pairs.
+    ToyUniverse: (lambda: [W2, OMEGA, ()], 2, ("delta0_bound", parse_ordinal("w+1"))),
     Block: (lambda: [ONE, None], 1, ("kappa", OMEGA)),
     ExtensionType: (lambda: [((ZERO,), ())], 1, ("per_block", ((ZERO,),))),
     MagidorCondition: (lambda: [_universe(), (Block(W2),)], 2, ("blocks", (Block(OMEGA),))),

@@ -93,6 +93,29 @@ def test_every_export_is_defined():
     assert missing == []
 
 
+def _chained(n: ast.AST, outer: str, inner: str) -> bool:
+    """Whether `n` is a call `<x>.<inner>(...).<outer>(...)`."""
+    return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == outer and isinstance(n.func.value, ast.Call)
+            and getattr(n.func.value.func, "attr", None) == inner)
+
+
+def test_set_questions_are_asked_without_building_sets():
+    """Outside `oset.py`, no module tests inclusion by building a
+    difference (`issubset` answers that) or cuts an open interval by a
+    chain of restrictions (`between` does): each builds a set to throw it
+    away."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "oset.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if (_chained(n, "is_empty", "difference")
+                    or _chained(n, "restrict_below", "restrict_above")):
+                found.append(f"{path.name}:{n.lineno}")
+    assert found == []
+
+
 def _unbounded_cache(decorator: ast.expr) -> bool:
     """`cache`, a bare `lru_cache`, or `lru_cache(maxsize=None)`."""
     call = decorator if isinstance(decorator, ast.Call) else None

@@ -1,16 +1,29 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordbench.magidor import Block, _set_violations
 from ordbench.ordinal import ZERO, mul_nat
 from ordbench.oset import OrdinalSet, Piece, olim, parse_set
 from ordbench.universe import ToyUniverse
 
-from conftest import W, W2, W3, nat, o, ordinal_sets, small_ordinals_below
+from conftest import (
+    HIGH_ENDS,
+    SET_TOP,
+    W,
+    W2,
+    W3,
+    nat,
+    o,
+    ordinal_sets,
+    small_ordinals_below,
+)
 
 
 def uni(lam="w^2", bound="w", cores=None) -> ToyUniverse:
@@ -34,7 +47,8 @@ def test_star_closure_and_stratum_refuse_a_bound_beyond_the_ground():
     u = uni("w^2", "w")
     B = parse_set("[0,w^3)")
     for call in (lambda: u.star_closure(B, W3), lambda: u.stratum(nat(1), W3),
-                 lambda: u.is_large(B, W3, nat(1)), lambda: u.stratify(B, W3)):
+                 lambda: u.is_large(B, W3, nat(1)), lambda: u.stratify(B, W3),
+                 lambda: u.is_star_closed(B, W3)):
         with pytest.raises(ValueError, match="w\\^3 is beyond the ground set"):
             call()
     # lambda0 itself is a valid bound.
@@ -253,7 +267,7 @@ def _iterated_star_closure(u: ToyUniverse, B: OrdinalSet, beta) -> tuple[Ordinal
     """Reference B★: remove every point that fails against the current set
     until none fails.  Also returns the number of removal passes."""
     cur = B.restrict_below(beta)
-    override = sorted({b for (b, _) in u.cores if b < beta})
+    override = sorted({b for (b, _), _ in u.cores if b < beta})
     passes = 0
     while True:
         comp = OrdinalSet.interval(ZERO, beta).difference(cur)
@@ -357,3 +371,117 @@ def test_stratify_partitions_star():
         u.stratum(ZERO, b).union(u.stratum(nat(1), b)).union(u.stratum(nat(2), b))
     )
     assert union == low
+
+
+def test_a_universe_keeps_its_cores_when_the_callers_dict_changes():
+    cores = {(W2, nat(1)): parse_set("{w*3}"), (o("w*2"), ZERO): parse_set("[w+1,w*2)")}
+    u = ToyUniverse(W2, W, cores)
+    # The same cores, given in another order or as the stored pairs.
+    same = [ToyUniverse(W2, W, dict(reversed(cores.items()))), ToyUniverse(W2, W, u.cores)]
+    B = parse_set("[1,w^2)")
+    large = u.is_large_all(B, W2)
+    cores[(W2, nat(5))] = parse_set("[0,w)")
+    del cores[(o("w*2"), ZERO)]
+    assert u.cores == (
+        ((o("w*2"), ZERO), parse_set("[w+1,w*2)")), ((W2, nat(1)), parse_set("{w*3}"))
+    )
+    for v in same:
+        assert u == v and hash(u) == hash(v)
+    assert u.is_large_all(B, W2) == large
+    assert pickle.loads(pickle.dumps(u)) == u and copy.deepcopy(u) == u
+
+
+# Limit bounds below SET_TOP, and those of the sets that reach past w^w.
+BETAS = [g for g in small_ordinals_below(SET_TOP, 550) if g.is_limit] + [
+    g for g in HIGH_ENDS if g.is_limit
+]
+HIGH_UNIVERSE = ToyUniverse(o("w^(w+2)"), o("w+3"))
+
+
+def old_missed_levels(B: OrdinalSet, beta) -> frozenset | None:
+    """The filter of the last piece of [0,beta) ∖ B when it reaches beta."""
+    comp = OrdinalSet.interval(ZERO, beta).difference(B).pieces
+    if comp and comp[-1].hi == beta:
+        return comp[-1].levels
+    return frozenset()
+
+
+def _levels_below(missed, ob):
+    """The missed levels under ob; None (every level) spelled out when ob is
+    finite."""
+    if missed is None:
+        return frozenset(map(nat, range(ob.as_int()))) if ob.is_finite else None
+    return frozenset(x for x in missed if x < ob)
+
+
+@pytest.mark.parametrize("high", [False, True], ids=["below-w^3*3", "to-w^(w+1)"])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_missed_levels_match_the_complements_last_piece(high, data):
+    B, beta = data.draw(ordinal_sets(high=high)), data.draw(st.sampled_from(BETAS))
+    ob = olim(beta)
+    got = ToyUniverse._missed_levels(B, beta)
+    assert _levels_below(got, ob) == _levels_below(old_missed_levels(B, beta), ob)
+
+
+@pytest.mark.parametrize("high", [False, True], ids=["below-w^3*3", "to-w^(w+1)"])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_failing_points_match_the_complement_built_form(high, data):
+    B, beta = data.draw(ordinal_sets(high=high)), data.draw(st.sampled_from(BETAS))
+    cur = B.restrict_below(beta)
+    comp = OrdinalSet.interval(ZERO, beta).difference(cur)
+    assert HIGH_UNIVERSE._failing_points(cur, []) == comp.missing_limits(beta)
+    assert HIGH_UNIVERSE.is_star_closed(B, beta) == (HIGH_UNIVERSE.star_closure(B, beta) == B)
+
+
+def old_is_large_all(u: ToyUniverse, B: OrdinalSet, beta) -> bool:
+    ob = u.o(beta)
+    over = {xi for (b, xi), _ in u.cores if b == beta}
+    if any(not u.is_large(B, beta, xi) for xi in over):
+        return False
+    missed = old_missed_levels(B, beta)
+    if missed is None:
+        return ob.is_finite and len(over) == ob.as_int()
+    return all(xi in over for xi in missed if xi < ob)
+
+
+def old_set_violations(u: ToyUniverse, b: Block, prev) -> list[str]:
+    """The measure-set clause as it read with built sets."""
+    out = []
+    B = b.measure_set
+    if B.restrict_below(b.kappa) != B:
+        out.append("measure set not below its point")
+    if prev is not None:
+        low = B.min_element()
+        if low is not None and low <= prev:
+            out.append("min of measure set not above previous point")
+    if not old_is_large_all(u, B, b.kappa):
+        out.append("measure set not large at every index")
+    elif _iterated_star_closure(u, B, b.kappa)[0] != B:
+        out.append("measure set not in stratified (star-closed) form")
+    return out
+
+
+def test_set_violations_match_the_built_sets():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(300):
+        u, B, beta = _random_star_case(rng)
+        if rng.random() < 0.3:
+            u = ToyUniverse(u.lambda0, u.delta0_bound)
+        star = u.star_closure(B, beta)
+        prev = rng.choice([None, *small_ordinals_below(beta, 40)])
+        whole = OrdinalSet.interval(ZERO, beta)
+        for S in (B, star, star.union(OrdinalSet.singleton(beta)), whole):
+            want = old_set_violations(u, Block(beta, S), prev)
+            assert _set_violations(u, Block(beta, S), prev) == want, (u, S, beta, prev)
+            seen.add(tuple(want))
+    # Each message, and a set with none, comes up.
+    assert {m for ms in seen for m in ms} == {
+        "measure set not below its point",
+        "min of measure set not above previous point",
+        "measure set not large at every index",
+        "measure set not in stratified (star-closed) form",
+    }
+    assert () in seen
