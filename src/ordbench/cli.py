@@ -27,10 +27,7 @@ generic, io, magidor, oset, prikry, projection, ramsey = map(
 def _load_json(text: str):
     if os.path.exists(text):
         return io.load_document(text)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"not a file and not JSON: {text[:40]!r}") from err
+    return io.parse_json(text, f"not a file and not JSON: {text[:40]!r}")
 
 
 def _set_literal(text: str):
@@ -39,10 +36,7 @@ def _set_literal(text: str):
     try:
         return oset.parse_set(text)
     except ParseError:
-        try:
-            return io.set_from_json(json.loads(text))
-        except json.JSONDecodeError as err:
-            raise ParseError(f"not a set literal: {text[:40]!r}") from err
+        return io.set_from_json(io.parse_json(text, f"not a set literal: {text[:40]!r}"))
 
 
 def _document(decode: Callable) -> Callable:

@@ -35,6 +35,7 @@ __all__ = [
     "product_fn_from_json",
     "hashable",
     "derivation_from_json",
+    "parse_json",
     "load_document",
 ]
 
@@ -242,10 +243,24 @@ def derivation_from_json(doc: dict) -> prikry.Derivation:
     return prikry.Derivation(_ints(doc["levels"], "derivation levels"), fns)
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+def parse_json(text: str | bytes, what: str) -> Any:
+    """The JSON value of `text` (bytes are UTF-8). Anything else is a
+    ParseError that begins with `what`, and so are `NaN`, `Infinity` and
+    `-Infinity`, which Python's decoder takes but JSON does not have
+    (RFC 8259 section 6)."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text, parse_constant=_refuse_constant)
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError among them
+        raise ParseError(f"{what}: {err}") from err
+
+
 def load_document(path: str) -> Any:
     """The JSON document in a file; text that is not JSON is a ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ParseError(f"{path}: not a JSON document: {err}") from err
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), f"{path}: not a JSON document")

@@ -1,12 +1,13 @@
 """Finite analogues of the homogenization and important-coordinate lemmas,
-by a conflict-learning search over sub-products of increasing tuples.
+by a ranked search over sub-products of increasing tuples.
 
 Sub-products are tried in one fixed rank order: decreasing total size,
-then lexicographic. Both properties are closed under shrinking the
-sub-product, so a failed check yields one conflicting pair of tuples, and
-every later sub-product holding both tuples is skipped unchecked (clause
-learning, as in Marques-Silva and Sakallah's GRASP). The answer is the
-first sub-product of the rank order that passes, as if all were checked.
+then lexicographic; the answer is the first that passes. The rows of the
+product (its increasing tuples, in product order) are the bits of an int,
+so each ranked sub-product carries its rows as one int, and each check is
+a few ANDs of it with F's value classes (the rows sharing a value) and
+with the projection classes of a coordinate set (the rows sharing those
+coordinates).
 
 NotFound is a legitimate outcome: the measure-theoretic guarantees do not
 transfer to arbitrary finite functions, so the module certifies rather
@@ -19,7 +20,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Hashable
+from typing import Hashable, Mapping, Sequence
 
 from . import _Record, _set
 
@@ -30,8 +31,9 @@ __all__ = ["FiniteProductFn", "homogenize", "important_coordinates"]
 # share their factors, and across the coordinate sets of one
 # `important_coordinates` call. A sweep that alternates between two factor
 # tuples, as the benchmark's `ramsey-search` does, keeps both; one would
-# rebuild a ranking at every switch. A ranking has one mask per sub-product,
-# so the cache never holds more than two calls' worth of masks.
+# rebuild a ranking at every switch. A ranking has one mask and one row set
+# per sub-product, so the cache never holds more than two calls' worth of
+# them.
 _CACHE_SIZE = 2
 
 # The most sub-products one search may rank. Ranking materialises and
@@ -41,43 +43,45 @@ _CACHE_SIZE = 2
 MAX_SUBPRODUCTS = 2**18
 
 
-def _bits(factors) -> list[list[tuple[int, object]]]:
-    """Each factor's elements with their bits: `factors[i][j]` has bit
-    `offset(i) + j`, so a set of (factor, element) choices is one int mask."""
-    out, offset = [], 0
-    for f in factors:
-        out.append([(1 << (offset + j), x) for j, x in enumerate(f)])
-        offset += len(f)
-    return out
+def _classes(keys: Sequence) -> list[int]:
+    """For each key, the bits of the positions whose keys are equal to it,
+    as dict keys are: by hash, then identity or `==`."""
+    bits: dict = {}
+    for r, key in enumerate(keys):
+        bits[key] = bits.get(key, 0) | 1 << r
+    return [bits[key] for key in keys]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _positions(factors: tuple[tuple, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The increasing tuples of the product, in product order, as one index
-    per factor, each with its mask.
+def _positions(factors: tuple[tuple, ...]):
+    """The increasing tuples of the product, in product order: as one index
+    per factor; for each factor, each row's class (the bits of the rows with
+    the same index there); and each tuple's row, by the tuple.
 
     Factors that compare equal (1 and 1.0 alike) share an entry, as dict keys
-    do, so an entry holds positions only and never a caller's values.
+    do, so an entry's tuples only find rows and never reach an answer.
     """
-    offsets = list(itertools.accumulate(map(len, factors), initial=0))
-    out = []
+    rows, index = [], {}
     for js in itertools.product(*(range(len(f)) for f in factors)):
         t = tuple(map(operator.getitem, factors, js))
         if all(a < b for a, b in zip(t, t[1:])):
-            out.append((js, sum(1 << (o + j) for o, j in zip(offsets, js))))
-    return tuple(out)
+            index[t] = len(rows)
+            rows.append(js)
+    classes = tuple(tuple(_classes([js[i] for js in rows])) for i in range(len(factors)))
+    return tuple(rows), classes, index
 
 
-def _tuples(factors: tuple[tuple, ...]) -> list[tuple[tuple, int]]:
-    """The increasing tuples of the product, in product order, with masks,
-    built from these factors' own values."""
-    return [(tuple(map(operator.getitem, factors, js)), mask) for js, mask in _positions(factors)]
+def _domain(factors: tuple[tuple, ...]) -> list[tuple]:
+    """The increasing tuples of the product, in product order, built from
+    these factors' own values."""
+    return [tuple(map(operator.getitem, factors, js)) for js in _positions(factors)[0]]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _ranked(factors: tuple[tuple, ...], min_sizes: tuple[int, ...]) -> tuple[int, ...]:
-    """Masks of the sub-products with at least `min_sizes` elements per
-    factor, by decreasing total size, then lexicographic sub-factors."""
+def _ranked(factors: tuple[tuple, ...], min_sizes: tuple[int, ...]):
+    """The sub-products with at least `min_sizes` elements per factor, by
+    decreasing total size, then lexicographic sub-factors: their masks
+    (`factors[i][j]` is bit `offset(i) + j`) and, in parallel, their rows."""
     count = math.prod(
         sum(math.comb(len(f), k) for k in range(m, len(f) + 1))
         for f, m in zip(factors, min_sizes)
@@ -86,97 +90,107 @@ def _ranked(factors: tuple[tuple, ...], min_sizes: tuple[int, ...]) -> tuple[int
         raise ValueError(
             f"{count} sub-products to search, more than the cap of {MAX_SUBPRODUCTS}"
         )
-    options = [
-        [
-            (sum(bit for bit, _ in c), tuple(x for _, x in c))
-            for size in range(len(bits), m - 1, -1)
-            for c in itertools.combinations(bits, size)
-        ]
-        for bits, m in zip(_bits(factors), min_sizes)
-    ]
-    ranked = sorted(
-        itertools.product(*options),
-        key=lambda s: (-sum(len(h) for _, h in s), tuple(h for _, h in s)),
-    )
-    return tuple(sum(mask for mask, _ in s) for s in ranked)
+    rows, shared, _ = _positions(factors)
+    # Lexicographic: the product of each factor's choices in their own order.
+    masks, rowsets, offset = [0], [(1 << len(rows)) - 1], 0
+    for i, (f, m) in enumerate(zip(factors, min_sizes)):
+        column = dict(zip((js[i] for js in rows), shared[i]))  # rows by their index here
+        choices = sorted(
+            c for size in range(m, len(f) + 1) for c in itertools.combinations(range(len(f)), size)
+        )
+        bits = [sum(1 << offset + j for j in c) for c in choices]
+        ors = [functools.reduce(operator.or_, (column.get(j, 0) for j in c), 0) for c in choices]
+        masks = [a | b for a in masks for b in bits]
+        rowsets = [a & b for a in rowsets for b in ors]
+        offset += len(f)
+    # The sort is stable, so equal sizes keep their lexicographic order.
+    order = sorted(range(len(masks)), key=lambda k: masks[k].bit_count(), reverse=True)
+    return tuple(map(masks.__getitem__, order)), tuple(map(rowsets.__getitem__, order))
 
 
 def _subfactors(factors, mask: int) -> tuple[tuple, ...]:
     """The sub-factors a mask keeps, taken from the caller's own factors
-    (a ranked entry may be shared by equal factors, as in `_positions`)."""
-    return tuple(tuple(x for bit, x in bits if mask & bit) for bits in _bits(factors))
+    (a ranking may be shared by equal factors, as in `_positions`)."""
+    out = []
+    for f in factors:
+        out.append(tuple(x for j, x in enumerate(f) if mask >> j & 1))
+        mask >>= len(f)
+    return tuple(out)
 
 
 class FiniteProductFn(_Record):
-    """A total function on increasing tuples drawn from finite factors."""
+    """A total function on increasing tuples drawn from finite factors.
 
-    __slots__ = ("factors", "table")
+    `table` holds its values in the product order of the increasing tuples.
+    It is given so, or built from any mapping that covers those tuples
+    (entries outside the product are dropped).
+    """
+
+    __slots__ = ("factors", "table", "_rows")  # `_rows`: each tuple's place in `table`
     _key = property(lambda r: (r.factors, r.table))
 
     def __init__(self, factors: tuple[tuple[int, ...], ...],
-                 table: dict[tuple[int, ...], Hashable]):
+                 table: Mapping[tuple[int, ...], Hashable] | tuple):
         for f in factors:
             if list(f) != sorted(set(f)):
                 raise ValueError("factors must be strictly increasing")
-        # A hashable key for the tuple and ranking caches.
+        # A hashable key for the position and ranking caches.
         _set(self, "factors", tuple(tuple(f) for f in factors))
+        _set(self, "_rows", _positions(self.factors)[2])
+        if not isinstance(table, tuple):
+            try:
+                table = tuple(table[t] for t in _domain(self.factors))
+            except KeyError as err:
+                raise ValueError(f"table missing the tuple {err.args[0]}") from None
+        elif len(table) != len(self._rows):
+            raise ValueError(f"table has {len(table)} values for {len(self._rows)} tuples")
         _set(self, "table", table)
-        for t in self.domain():
-            if t not in self.table:
-                raise ValueError(f"table missing the tuple {t}")
-
-    def domain(self) -> list[tuple[int, ...]]:
-        return [t for t, _ in _tuples(self.factors)]
 
     def __call__(self, t: tuple[int, ...]):
-        return self.table[t]
+        return self.table[self._rows[t]]
 
 
 def build_product_fn(factors, fn) -> FiniteProductFn:
     """Tabulate a callable on the increasing-tuple product."""
     factors = tuple(tuple(sorted(set(f))) for f in factors)
-    return FiniteProductFn(factors, {t: fn(*t) for t, _ in _tuples(factors)})
+    return FiniteProductFn(factors, tuple(fn(*t) for t in _domain(factors)))
 
 
-def _search(F: FiniteProductFn, min_sizes: list[int], witness):
-    """The first sub-product in rank order whose rows the witness accepts,
-    as (sub-factors, rows inside), or None.
-
-    A row is `(tuple, value, mask)`. The witness returns None to accept the
-    rows, or the mask of a conflicting pair of them, which is learned: no
-    later sub-product holding that pair is checked.
-    """
+def _tables(F: FiniteProductFn, min_sizes: list[int]):
+    """The ranked masks and row sets, and each row's value class (values
+    are grouped as dict keys are, so an unhashable value is a TypeError)."""
     if len(min_sizes) != len(F.factors):
         raise ValueError("min_sizes must match the factor count")
     if any(m < 0 for m in min_sizes):
         raise ValueError("min_sizes must be non-negative")
-    rows = [(t, F(t), mask) for t, mask in _tuples(F.factors)]
-    conflicts: list[int] = []
-    for mask in _ranked(F.factors, tuple(min_sizes)):
-        for c in conflicts:
-            if c & mask == c:
-                break  # holds a learned conflict: fails unchecked
-        else:
-            inside = [r for r in rows if r[2] & mask == r[2]]
-            if not inside:
-                continue
-            conflict = witness(inside)
-            if conflict is None:
-                return _subfactors(F.factors, mask), inside
-            conflicts.append(conflict)
-    return None
+    masks, rowsets = _ranked(F.factors, tuple(min_sizes))
+    return masks, rowsets, _classes(F.table)
 
 
-def _one_colour(rows):
-    """None when every row has the first row's colour, else a conflict.
+def _respects(rows: int, colour: list[int], shared: list[tuple[int, ...]]) -> bool:
+    """Whether F(a) = F(b) iff a and b share the coordinates in I, for all
+    rows a, b of `rows`: each value class meeting `rows` meets it in the
+    projection class of its lowest row. `shared` holds, for each coordinate
+    in I, each row's class in that factor (`_positions`)."""
+    rest = rows
+    while rest:
+        low = (rest & -rest).bit_length() - 1
+        same = rows
+        for by_row in shared:
+            same &= by_row[low]
+        if rows & colour[low] != same:
+            return False
+        rest ^= same
+    return True
 
-    Colours are compared by set membership, so an unhashable colour is a
-    TypeError, as it always was."""
-    _, first, first_mask = rows[0]
-    colours = {first}
-    for _, v, mask in rows:
-        if v not in colours:
-            return first_mask | mask
+
+def _first(F: FiniteProductFn, masks, rowsets, colour, I: tuple[int, ...]):
+    """The first ranked sub-product on which F respects I, as (sub-factors,
+    its rows), or None."""
+    shared = [_positions(F.factors)[1][i - 1] for i in I]
+    for mask, rows in zip(masks, rowsets):
+        if rows and _respects(rows, colour, shared):
+            return _subfactors(F.factors, mask), rows
     return None
 
 
@@ -186,11 +200,11 @@ def homogenize(F: FiniteProductFn, min_sizes: list[int]):
     Sub-products are searched by decreasing total size so the first hit is
     the strongest certificate.
     """
-    got = _search(F, min_sizes, _one_colour)
+    got = _first(F, *_tables(F, min_sizes), ())
     if got is None:
         return None
-    hs, inside = got
-    return hs, inside[0][1]
+    hs, rows = got
+    return hs, F.table[(rows & -rows).bit_length() - 1]
 
 
 def _coordinate_sets(n: int):
@@ -199,33 +213,16 @@ def _coordinate_sets(n: int):
         yield from itertools.combinations(range(1, n + 1), size)
 
 
-def _respects(I: tuple[int, ...], rows):
-    """None when F(a) = F(b) iff a|I = b|I on the rows, checked via the
-    projection classes, else the first conflict found."""
-    by_proj: dict[tuple, tuple] = {}
-    by_value: dict = {}
-    for t, v, mask in rows:
-        key = tuple(t[i - 1] for i in I)
-        if key in by_proj:
-            w, w_mask = by_proj[key]
-            if w != v:
-                return w_mask | mask  # same projection, different value
-        elif v in by_value:
-            return by_value[v] | mask  # same value, different projection
-        else:
-            by_proj[key] = v, mask
-            by_value[v] = mask
-    return None
-
-
 def important_coordinates(F: FiniteProductFn, min_sizes: list[int]):
     """(sub-factors, I) with F(a)=F(b) iff a|I=b|I on the sub-product.
 
     I is globally minimal (by size, then lexicographically); for each I the
-    sub-products are searched by decreasing total size.
+    sub-products are searched by decreasing total size. On I = () the search
+    is exactly homogenize's.
     """
+    tables = _tables(F, min_sizes)
     for I in _coordinate_sets(len(F.factors)):
-        got = _search(F, min_sizes, functools.partial(_respects, I))
+        got = _first(F, *tables, I)
         if got is not None:
             return got[0], I
     return None

@@ -341,6 +341,25 @@ def test_list_values_freeze(capsys):
     assert code == 0 and doc["result"] is True
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constants_exit_2(constant, capsys, tmp_path):
+    # Python's decoder takes these, but JSON has no such values, so a
+    # document that echoed one would not re-parse as JSON.
+    table = [f'{{"args": [{a}, {b}], "value": {constant}}}' for a in (1, 2) for b in (3, 4)]
+    fn = f'{{"factors": [[1, 2], [3, 4]], "table": [{", ".join(table)}]}}'
+    literal = f'["0", {constant}]'
+    fn_path, set_path = tmp_path / "fn.json", tmp_path / "set.json"
+    fn_path.write_text(fn)
+    set_path.write_text(literal)
+    for argv in (["ramsey", "homog", fn, "--min-sizes", "1,1"],
+                 ["ramsey", "homog", str(fn_path), "--min-sizes", "1,1"],
+                 ["set", "member", literal, "0"],
+                 ["set", "member", str(set_path), "0"]):
+        for mode in ([], ["--machine"]):
+            assert main(mode + argv) == 2
+            assert capsys.readouterr().out == ""
+
+
 def test_prikry_cli(capsys, tmp_path):
     struct = {
         "ground": [0, 1, 2, 3, 4, 5],

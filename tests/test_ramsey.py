@@ -13,6 +13,11 @@ from hypothesis import strategies as st
 from ordbench import io
 from ordbench.ramsey import (
     FiniteProductFn,
+    _coordinate_sets,
+    _domain,
+    _positions,
+    _ranked,
+    _subfactors,
     build_product_fn,
     homogenize,
     important_coordinates,
@@ -130,6 +135,76 @@ def test_important_matches_scan(search):
     assert important_coordinates(F, min_sizes) == _scan_important(F, min_sizes)
 
 
+@settings(max_examples=300)
+@given(searches())
+def test_important_agrees_with_homogenize(search):
+    # On the empty coordinate set the search is exactly homogenize's.
+    F, min_sizes = search
+    got = homogenize(F, min_sizes)
+    if got is not None:
+        assert important_coordinates(F, min_sizes) == (got[0], ())
+
+
+def test_nan_values_are_one_colour_in_both_searches():
+    nan = float("nan")
+    F = build_product_fn([[1, 2], [3, 4]], lambda a, b: nan)
+    full = ((1, 2), (3, 4))
+    hs, colour = homogenize(F, [1, 1])
+    assert hs == full and colour is nan
+    assert important_coordinates(F, [1, 1]) == (full, ())
+
+
+def _row_masks(factors):
+    """Each row's mask by the formula of the ranked scan: its (factor,
+    element) bits, `factors[i][j]` at `offset(i) + j`."""
+    offsets = list(itertools.accumulate(map(len, factors), initial=0))
+    return [sum(1 << o + j for o, j in zip(offsets, js)) for js in _positions(factors)[0]]
+
+
+@settings(max_examples=200)
+@given(searches())
+def test_ranked_tables_match_their_formulas(search):
+    F, min_sizes = search
+    factors = F.factors
+    masks, rowsets = _ranked(factors, tuple(min_sizes))
+    assert [_subfactors(factors, mask) for mask in masks] == list(_subproducts(factors, min_sizes))
+    row_masks = _row_masks(factors)
+    for mask, rows in zip(masks, rowsets):
+        assert rows == sum(1 << r for r, m in enumerate(row_masks) if m & mask == m)
+    domain = _domain(factors)
+    shared = _positions(factors)[1]
+    for I in _coordinate_sets(len(factors)):
+        classes: dict = {}
+        for r, t in enumerate(domain):
+            key = tuple(t[i - 1] for i in I)
+            classes[key] = classes.get(key, 0) | 1 << r
+        for r, t in enumerate(domain):
+            same = (1 << len(domain)) - 1
+            for i in I:
+                same &= shared[i - 1][r]
+            assert same == classes[tuple(t[i - 1] for i in I)]
+
+
+def test_an_unhashable_colour_is_a_type_error():
+    F = FiniteProductFn(((1, 2), (3,)), {(1, 3): 0, (2, 3): [0]})
+    for search in (homogenize, important_coordinates):
+        with pytest.raises(TypeError):
+            search(F, [1, 1])
+
+
+def test_the_table_is_the_callers_values_at_construction():
+    values = {(1, 3): 0, (2, 3): 1, (9, 9): 2}
+    F = FiniteProductFn(((1, 2), (3,)), values)
+    values[1, 3] = 5
+    del values[2, 3]
+    # In product order, without the entry outside the product.
+    assert F.table == (0, 1) and F((1, 3)) == 0 and F((2, 3)) == 1
+    assert F == FiniteProductFn(((1, 2), (3,)), (0, 1))
+    assert hash(F) == hash(FiniteProductFn(((1, 2), (3,)), {(2, 3): 1, (1, 3): 0}))
+    with pytest.raises(ValueError, match="2 values for 4 tuples"):
+        FiniteProductFn(((1, 2), (3, 4)), (0, 1))
+
+
 def test_scan_oracle_on_grid_and_near_projections():
     # Larger minimum sizes than the property draws, so that most searches
     # learn many conflicts and non-empty coordinate sets are common.
@@ -172,12 +247,11 @@ def test_equal_factors_keep_their_own_values():
     # must still see, store and certify its own values.
     floats = build_product_fn([[1.0, 2.0], [3.0]], lambda a, b: repr((a, b)))
     ints = build_product_fn([[1, 2], [3]], lambda a, b: repr((a, b)))
-    assert sorted(floats.table.values()) == ["(1.0, 3.0)", "(2.0, 3.0)"]
-    assert sorted(ints.table.values()) == ["(1, 3)", "(2, 3)"]
-    assert all(type(x) is int for t in ints.domain() for x in t)
-    assert all(type(x) is float for t in floats.domain() for x in t)
+    assert floats.table == ("(1.0, 3.0)", "(2.0, 3.0)")
+    assert ints.table == ("(1, 3)", "(2, 3)")
+    assert floats((1, 3)) == "(1.0, 3.0)" and ints((1.0, 3.0)) == "(1, 3)"
     for F, kind in ((floats, float), (ints, int), (floats, float)):
-        constant = FiniteProductFn(F.factors, {t: 0 for t in F.domain()})
+        constant = FiniteProductFn(F.factors, {t: 0 for t in _domain(F.factors)})
         (hs, _), (hs_i, _) = homogenize(constant, [1, 1]), important_coordinates(constant, [1, 1])
         assert hs == hs_i == F.factors
         assert all(type(x) is kind for h in hs for x in h)
