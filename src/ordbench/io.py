@@ -10,6 +10,7 @@ singletons as bare literals, intervals as two-element lists).
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from . import _lazy
@@ -247,15 +248,23 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if math.isinf(x):
+        raise ValueError(f"{text} is beyond a float's range")
+    return x
+
+
 def parse_json(text: str | bytes, what: str) -> Any:
     """The JSON value of `text` (bytes are UTF-8). Anything else is a
     ParseError that begins with `what`, and so are `NaN`, `Infinity` and
     `-Infinity`, which Python's decoder takes but JSON does not have
-    (RFC 8259 section 6)."""
+    (RFC 8259 section 6), and a number such as `1e999` that a float would
+    read as one of them."""
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        return json.loads(text, parse_constant=_refuse_constant)
+        return json.loads(text, parse_constant=_refuse_constant, parse_float=_finite)
     except ValueError as err:  # JSONDecodeError and UnicodeDecodeError among them
         raise ParseError(f"{what}: {err}") from err
 

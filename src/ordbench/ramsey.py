@@ -3,11 +3,11 @@ by a ranked search over sub-products of increasing tuples.
 
 Sub-products are tried in one fixed rank order: decreasing total size,
 then lexicographic; the answer is the first that passes. The rows of the
-product (its increasing tuples, in product order) are the bits of an int,
-so each ranked sub-product carries its rows as one int, and each check is
-a few ANDs of it with F's value classes (the rows sharing a value) and
-with the projection classes of a coordinate set (the rows sharing those
-coordinates).
+product (its increasing tuples, in product order) are the bits of an int.
+A sub-product's rows are all rows but those holding an element it leaves
+out, and each check is a few ANDs of them with F's value classes (the
+rows sharing a value) and with the projection classes of a coordinate
+set (the rows sharing those coordinates).
 
 NotFound is a legitimate outcome: the measure-theoretic guarantees do not
 transfer to arbitrary finite functions, so the module certifies rather
@@ -20,20 +20,17 @@ import functools
 import itertools
 import math
 import operator
-from typing import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 
 from . import _Record, _set
 
 __all__ = ["FiniteProductFn", "homogenize", "important_coordinates"]
 
-# Factor tuples (and min sizes) whose tables are kept. The tables pay off
-# only when a factor tuple repeats: across the functions of a sweep that
-# share their factors, and across the coordinate sets of one
-# `important_coordinates` call. A sweep that alternates between two factor
-# tuples, as the benchmark's `ramsey-search` does, keeps both; one would
-# rebuild a ranking at every switch. A ranking has one mask and one row set
-# per sub-product, so the cache never holds more than two calls' worth of
-# them.
+# Factor tuples (and min sizes) whose tables are kept. They pay off across
+# the functions of a sweep on the same factors and the coordinate sets of
+# one call; the benchmark's `ramsey-search` alternates between two factor
+# tuples. A ranking holds one mask per sub-product and at most four row
+# sets per element, so the cache holds at most two calls' worth of them.
 _CACHE_SIZE = 2
 
 # The most sub-products one search may rank. Ranking materialises and
@@ -44,87 +41,91 @@ MAX_SUBPRODUCTS = 2**18
 
 
 def _classes(keys: Sequence) -> list[int]:
-    """For each key, the bits of the positions whose keys are equal to it,
-    as dict keys are: by hash, then identity or `==`."""
-    bits: dict = {}
+    """For each key, the bits of the positions whose keys equal it as dict
+    keys do (so an unhashable key is a TypeError); or 0 for a key at one
+    position only, as `1 << position` would cost a bit per position before it."""
+    first, bits = {}, {}
     for r, key in enumerate(keys):
-        bits[key] = bits.get(key, 0) | 1 << r
-    return [bits[key] for key in keys]
+        s = first.setdefault(key, r)
+        if s != r:
+            bits[key] = bits.get(key, 1 << s) | 1 << r
+    return list(map(bits.get, keys, itertools.repeat(0)))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _positions(factors: tuple[tuple, ...]):
-    """The increasing tuples of the product, in product order: as one index
-    per factor; for each factor, each row's class (the bits of the rows with
-    the same index there); and each tuple's row, by the tuple.
-
-    Factors that compare equal (1 and 1.0 alike) share an entry, as dict keys
-    do, so an entry's tuples only find rows and never reach an answer.
-    """
+    """The increasing tuples of the product, in product order, as one index
+    per factor; and each tuple's row (its place in that order), by the tuple.
+    Factors that compare equal (1 and 1.0 alike) share an entry, as dict
+    keys do, so an entry's tuples only find rows and never reach an answer."""
     rows, index = [], {}
     for js in itertools.product(*(range(len(f)) for f in factors)):
         t = tuple(map(operator.getitem, factors, js))
         if all(a < b for a, b in zip(t, t[1:])):
             index[t] = len(rows)
             rows.append(js)
-    classes = tuple(tuple(_classes([js[i] for js in rows])) for i in range(len(factors)))
-    return tuple(rows), classes, index
+    return tuple(rows), index
 
 
 def _domain(factors: tuple[tuple, ...]) -> list[tuple]:
-    """The increasing tuples of the product, in product order, built from
-    these factors' own values."""
+    """The increasing tuples of the product, in product order, of these factors' own values."""
     return [tuple(map(operator.getitem, factors, js)) for js in _positions(factors)[0]]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _ranked(factors: tuple[tuple, ...], min_sizes: tuple[int, ...]):
     """The sub-products with at least `min_sizes` elements per factor, by
-    decreasing total size, then lexicographic sub-factors: their masks
-    (`factors[i][j]` is bit `offset(i) + j`) and, in parallel, their rows."""
-    count = math.prod(
-        sum(math.comb(len(f), k) for k in range(m, len(f) + 1))
-        for f, m in zip(factors, min_sizes)
-    )
+    decreasing total size, then lexicographic sub-factors, as masks
+    (`factors[i][j]` is bit `offset(i) + j`); for each factor, each row's
+    class there (the rows with the same index, as `_classes`); the blocks
+    that find a mask's rows (`_first`); and where the smallest begin."""
+    if len(min_sizes) != len(factors):
+        raise ValueError("min_sizes must match the factor count")
+    if any(m < 0 for m in min_sizes):
+        raise ValueError("min_sizes must be non-negative")
+    count = math.prod(sum(math.comb(len(f), k) for k in range(m, len(f) + 1))
+                      for f, m in zip(factors, min_sizes))
     if count > MAX_SUBPRODUCTS:
-        raise ValueError(
-            f"{count} sub-products to search, more than the cap of {MAX_SUBPRODUCTS}"
-        )
-    rows, shared, _ = _positions(factors)
+        raise ValueError(f"{count} sub-products to search, more than the cap of {MAX_SUBPRODUCTS}")
+    rows = _positions(factors)[0]
+    shared = [_classes([js[i] for js in rows]) for i in range(len(factors))]
     # Lexicographic: the product of each factor's choices in their own order.
-    masks, rowsets, offset = [0], [(1 << len(rows)) - 1], 0
+    masks, blocks, offset = [0], [], 0
     for i, (f, m) in enumerate(zip(factors, min_sizes)):
-        column = dict(zip((js[i] for js in rows), shared[i]))  # rows by their index here
-        choices = sorted(
-            c for size in range(m, len(f) + 1) for c in itertools.combinations(range(len(f)), size)
-        )
+        choices = sorted(c for size in range(m, len(f) + 1)
+                         for c in itertools.combinations(range(len(f)), size))
         bits = [sum(1 << offset + j for j in c) for c in choices]
-        ors = [functools.reduce(operator.or_, (column.get(j, 0) for j in c), 0) for c in choices]
         masks = [a | b for a in masks for b in bits]
-        rowsets = [a & b for a in rowsets for b in ors]
+        if m < len(f):  # a mask can leave out elements of f: each one's class, the rows holding it
+            columns = [0] * (len(f) + 3)
+            for r, js in enumerate(rows):
+                columns[js[i]] = shared[i][r] or 1 << r
+            # Four elements at a time: by the ones a mask leaves out, the rows holding one of them.
+            for k in range(0, len(f), 4):
+                table = [0]
+                for column in columns[k:k + 4]:
+                    table += [t | column for t in table] if column else table
+                blocks.append((offset + k, table))
         offset += len(f)
     # The sort is stable, so equal sizes keep their lexicographic order.
-    order = sorted(range(len(masks)), key=lambda k: masks[k].bit_count(), reverse=True)
-    return tuple(map(masks.__getitem__, order)), tuple(map(rowsets.__getitem__, order))
+    masks.sort(key=int.bit_count, reverse=True)
+    # The smallest sub-products that can have rows (max(m, 1) elements per factor) start here.
+    least = sum(max(m, 1) for m in min_sizes)
+    return tuple(masks), shared, tuple(blocks), sum(mask.bit_count() > least for mask in masks)
 
 
 def _subfactors(factors, mask: int) -> tuple[tuple, ...]:
     """The sub-factors a mask keeps, taken from the caller's own factors
     (a ranking may be shared by equal factors, as in `_positions`)."""
-    out = []
-    for f in factors:
-        out.append(tuple(x for j, x in enumerate(f) if mask >> j & 1))
-        mask >>= len(f)
-    return tuple(out)
+    offsets = itertools.accumulate(map(len, factors), initial=0)
+    return tuple(tuple(x for j, x in enumerate(f, o) if mask >> j & 1)
+                 for f, o in zip(factors, offsets))
 
 
 class FiniteProductFn(_Record):
     """A total function on increasing tuples drawn from finite factors.
-
-    `table` holds its values in the product order of the increasing tuples.
-    It is given so, or built from any mapping that covers those tuples
-    (entries outside the product are dropped).
-    """
+    `table` holds its values in the product order of those tuples: given so,
+    or read from a mapping that covers them (other entries are dropped)."""
 
     __slots__ = ("factors", "table", "_rows")  # `_rows`: each tuple's place in `table`
     _key = property(lambda r: (r.factors, r.table))
@@ -136,14 +137,14 @@ class FiniteProductFn(_Record):
                 raise ValueError("factors must be strictly increasing")
         # A hashable key for the position and ranking caches.
         _set(self, "factors", tuple(tuple(f) for f in factors))
-        _set(self, "_rows", _positions(self.factors)[2])
-        if not isinstance(table, tuple):
+        _set(self, "_rows", _positions(self.factors)[1])
+        if isinstance(table, Mapping):
             try:
                 table = tuple(table[t] for t in _domain(self.factors))
             except KeyError as err:
                 raise ValueError(f"table missing the tuple {err.args[0]}") from None
-        elif len(table) != len(self._rows):
-            raise ValueError(f"table has {len(table)} values for {len(self._rows)} tuples")
+        if not isinstance(table, tuple) or len(table) != len(self._rows):
+            raise ValueError(f"table must be a mapping or a tuple of {len(self._rows)} values")
         _set(self, "table", table)
 
     def __call__(self, t: tuple[int, ...]):
@@ -156,42 +157,47 @@ def build_product_fn(factors, fn) -> FiniteProductFn:
     return FiniteProductFn(factors, tuple(fn(*t) for t in _domain(factors)))
 
 
-def _tables(F: FiniteProductFn, min_sizes: list[int]):
-    """The ranked masks and row sets, and each row's value class (values
-    are grouped as dict keys are, so an unhashable value is a TypeError)."""
-    if len(min_sizes) != len(F.factors):
-        raise ValueError("min_sizes must match the factor count")
-    if any(m < 0 for m in min_sizes):
-        raise ValueError("min_sizes must be non-negative")
-    masks, rowsets = _ranked(F.factors, tuple(min_sizes))
-    return masks, rowsets, _classes(F.table)
-
-
-def _respects(rows: int, colour: list[int], shared: list[tuple[int, ...]]) -> bool:
+def _respects(rows: int, colour: list[int], shared: list[list[int]]) -> bool:
     """Whether F(a) = F(b) iff a and b share the coordinates in I, for all
     rows a, b of `rows`: each value class meeting `rows` meets it in the
-    projection class of its lowest row. `shared` holds, for each coordinate
-    in I, each row's class in that factor (`_positions`)."""
+    projection class of its lowest row (`shared`: each row's class in each
+    factor of I; a 0 class is the row alone)."""
     rest = rows
     while rest:
         low = (rest & -rest).bit_length() - 1
         same = rows
         for by_row in shared:
-            same &= by_row[low]
-        if rows & colour[low] != same:
+            same &= by_row[low] or 1 << low
+        if (rows & colour[low] or 1 << low) != same:
             return False
         rest ^= same
     return True
 
 
-def _first(F: FiniteProductFn, masks, rowsets, colour, I: tuple[int, ...]):
-    """The first ranked sub-product on which F respects I, as (sub-factors,
-    its rows), or None."""
-    shared = [_positions(F.factors)[1][i - 1] for i in I]
-    for mask, rows in zip(masks, rowsets):
+def _first(masks, blocks, everything: int, colour, shared):
+    """The first mask, with its rows (all rows but those holding an element
+    it leaves out), on which F respects I; or None."""
+    for mask in masks:
+        gone, out = 0, ~mask
+        for start, table in blocks:
+            gone |= table[out >> start & 15]
+        rows = everything ^ gone
         if rows and _respects(rows, colour, shared):
-            return _subfactors(F.factors, mask), rows
+            return mask, rows
     return None
+
+
+def _search(F: FiniteProductFn, ranking, colour, I: tuple[int, ...]):
+    """The first ranked sub-product on which F respects I, as (sub-factors,
+    its rows), or None. F respects I on each sub-product with rows inside
+    one on which it does, and each row lies in one of the smallest, which
+    come last: the first of those that passes is the answer unless a larger
+    one passes, and if none of them passes, none does."""
+    masks, shared, blocks, least = ranking
+    tables = blocks, (1 << len(colour)) - 1, colour, [shared[i - 1] for i in I]
+    got = _first(masks[least:], *tables)
+    got = got and (_first(masks[:least], *tables) or got)
+    return got and (_subfactors(F.factors, got[0]), got[1])
 
 
 def homogenize(F: FiniteProductFn, min_sizes: list[int]):
@@ -200,11 +206,8 @@ def homogenize(F: FiniteProductFn, min_sizes: list[int]):
     Sub-products are searched by decreasing total size so the first hit is
     the strongest certificate.
     """
-    got = _first(F, *_tables(F, min_sizes), ())
-    if got is None:
-        return None
-    hs, rows = got
-    return hs, F.table[(rows & -rows).bit_length() - 1]
+    got = _search(F, _ranked(F.factors, tuple(min_sizes)), _classes(F.table), ())
+    return None if got is None else (got[0], F.table[(got[1] & -got[1]).bit_length() - 1])
 
 
 def _coordinate_sets(n: int):
@@ -220,9 +223,9 @@ def important_coordinates(F: FiniteProductFn, min_sizes: list[int]):
     sub-products are searched by decreasing total size. On I = () the search
     is exactly homogenize's.
     """
-    tables = _tables(F, min_sizes)
+    ranking, colour = _ranked(F.factors, tuple(min_sizes)), _classes(F.table)
     for I in _coordinate_sets(len(F.factors)):
-        got = _first(F, *tables, I)
+        got = _search(F, ranking, colour, I)
         if got is not None:
             return got[0], I
     return None

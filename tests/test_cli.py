@@ -341,10 +341,11 @@ def test_list_values_freeze(capsys):
     assert code == 0 and doc["result"] is True
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
 def test_non_json_constants_exit_2(constant, capsys, tmp_path):
-    # Python's decoder takes these, but JSON has no such values, so a
-    # document that echoed one would not re-parse as JSON.
+    # Python's decoder takes these (a number too large for a float as an
+    # infinity), but JSON has no such values, so a document that echoed one
+    # would not re-parse as JSON.
     table = [f'{{"args": [{a}, {b}], "value": {constant}}}' for a in (1, 2) for b in (3, 4)]
     fn = f'{{"factors": [[1, 2], [3, 4]], "table": [{", ".join(table)}]}}'
     literal = f'["0", {constant}]'

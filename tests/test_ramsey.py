@@ -166,23 +166,64 @@ def _row_masks(factors):
 def test_ranked_tables_match_their_formulas(search):
     F, min_sizes = search
     factors = F.factors
-    masks, rowsets = _ranked(factors, tuple(min_sizes))
+    masks, shared, blocks, least = _ranked(factors, tuple(min_sizes))
     assert [_subfactors(factors, mask) for mask in masks] == list(_subproducts(factors, min_sizes))
+    # The smallest sub-products that can have rows start at `least`.
+    smallest = sum(max(m, 1) for m in min_sizes)
+    assert all(mask.bit_count() > smallest for mask in masks[:least])
+    assert all(mask.bit_count() <= smallest for mask in masks[least:])
     row_masks = _row_masks(factors)
-    for mask, rows in zip(masks, rowsets):
-        assert rows == sum(1 << r for r, m in enumerate(row_masks) if m & mask == m)
+    everything = (1 << len(row_masks)) - 1
+    for mask in masks:
+        gone = 0  # as `_first` finds it
+        for start, table in blocks:
+            gone |= table[~mask >> start & 15]
+        assert everything ^ gone == sum(1 << r for r, m in enumerate(row_masks) if m & mask == m)
     domain = _domain(factors)
-    shared = _positions(factors)[1]
     for I in _coordinate_sets(len(factors)):
         classes: dict = {}
         for r, t in enumerate(domain):
             key = tuple(t[i - 1] for i in I)
             classes[key] = classes.get(key, 0) | 1 << r
         for r, t in enumerate(domain):
-            same = (1 << len(domain)) - 1
+            same = everything
             for i in I:
-                same &= shared[i - 1][r]
+                same &= shared[i - 1][r] or 1 << r
             assert same == classes[tuple(t[i - 1] for i in I)]
+
+
+def _held_after(fn):
+    """fn's result, and the bytes still allocated after it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_factors_at_high_min_sizes_keep_no_row_set_per_subproduct():
+    # 31^3 sub-products of a product of 27,000 rows: a row set kept per
+    # sub-product would hold about 100 MB.
+    factors = [range(0, 30), range(30, 60), range(60, 90)]
+    F = build_product_fn(factors, lambda *t: 0)
+    got, held = _held_after(lambda: homogenize(F, [29, 29, 29]))
+    assert got == (F.factors, 0)
+    assert held < 20_000_000
+    assert important_coordinates(F, [29, 29, 29]) == (F.factors, ())
+
+
+def test_a_large_single_factor_costs_little_to_build_and_search():
+    # A bitset per lone key would cost about 25 MB for 20,000 of them.
+    F, held = _held_after(lambda: build_product_fn([range(20000)], lambda a: a))
+    assert held < 12_000_000
+    full = (tuple(range(20000)),)
+    got, held = _held_after(lambda: (homogenize(F, [20000]), important_coordinates(F, [20000])))
+    assert got == (None, (full, (1,)))
+    assert held < 5_000_000
 
 
 def test_an_unhashable_colour_is_a_type_error():
@@ -201,8 +242,10 @@ def test_the_table_is_the_callers_values_at_construction():
     assert F.table == (0, 1) and F((1, 3)) == 0 and F((2, 3)) == 1
     assert F == FiniteProductFn(((1, 2), (3,)), (0, 1))
     assert hash(F) == hash(FiniteProductFn(((1, 2), (3,)), {(2, 3): 1, (1, 3): 0}))
-    with pytest.raises(ValueError, match="2 values for 4 tuples"):
+    with pytest.raises(ValueError, match="a tuple of 4 values"):
         FiniteProductFn(((1, 2), (3, 4)), (0, 1))
+    with pytest.raises(ValueError, match="a tuple of 2 values"):
+        FiniteProductFn(((1, 2), (3,)), [0, 1])
 
 
 def test_scan_oracle_on_grid_and_near_projections():
