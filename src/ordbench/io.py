@@ -166,7 +166,7 @@ def tree_to_json(t: prikry.TreeCondition) -> dict:
         "depth": t.depth,
         "successors": [
             {"node": list(a), "set": sorted(s)}
-            for a, s in sorted(t.successors.items())
+            for a, s in t.successors
         ],
     }
 

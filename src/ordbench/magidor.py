@@ -4,8 +4,6 @@ types and the coordinate calculus."""
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from . import _Record, _set
 from .errors import (
     AlreadyUnveiled,
@@ -71,12 +69,13 @@ class ExtensionType(_Record):
 class MagidorCondition(_Record):
     """Blocks in increasing kappa order; the last block is the top pair."""
 
-    __slots__ = ("universe", "blocks", "__dict__")  # `gammas` is cached in `__dict__`
+    __slots__ = ("universe", "blocks", "_gammas")  # `_gammas`: `gammas`, once asked
     _key = property(lambda r: (r.universe, r.blocks))
 
     def __init__(self, universe: ToyUniverse, blocks: tuple[Block, ...]):
         _set(self, "universe", universe)
         _set(self, "blocks", blocks)
+        _set(self, "_gammas", None)
 
     @property
     def top(self) -> Block:
@@ -86,15 +85,17 @@ class MagidorCondition(_Record):
         """o-value of the 1-based i-th block."""
         return self.universe.o(self.blocks[i - 1].kappa)
 
-    @cached_property
+    @property
     def gammas(self) -> tuple[Ordinal, ...]:
         """Coordinates of all blocks: gammas[i-1] = sum of w^o(t_j), j <= i."""
-        out = []
-        total = ZERO
-        for i in range(1, len(self.blocks) + 1):
-            total = add(total, omega_power(self.o(i)))
-            out.append(total)
-        return tuple(out)
+        if self._gammas is None:
+            out = []
+            total = ZERO
+            for i in range(1, len(self.blocks) + 1):
+                total = add(total, omega_power(self.o(i)))
+                out.append(total)
+            _set(self, "_gammas", tuple(out))
+        return self._gammas
 
 
 def _check_same_universe(p: MagidorCondition, q: MagidorCondition):

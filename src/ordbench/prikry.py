@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Mapping
-from functools import cached_property
+from operator import itemgetter
 
 from . import _Record, _set
 from .errors import BranchTooShort, PruneBrokeLargeness
@@ -42,18 +42,17 @@ Node = tuple[int, ...]
 class UltraAssignment(_Record):
     """Core of a principal toy ultrafilter, with its downward projection."""
 
-    __slots__ = ("core", "proj", "__dict__")  # `_table` is cached in `__dict__`
+    __slots__ = ("core", "proj", "_table")  # `_table`: `proj` as a dict, once asked
     _key = property(lambda r: (r.core, r.proj))
 
     def __init__(self, core: frozenset[int], proj: tuple[tuple[int, int], ...] | None = None):
         _set(self, "core", core)
         _set(self, "proj", proj)  # None = identity (normal)
-
-    @cached_property
-    def _table(self) -> dict[int, int]:
-        return dict(self.proj or ())
+        _set(self, "_table", None)
 
     def pi(self, v: int) -> int:
+        if self._table is None:
+            _set(self, "_table", dict(self.proj or ()))
         return self._table.get(v, v)
 
     def is_large(self, s) -> bool:
@@ -67,23 +66,30 @@ class ToyUltraStructure(_Record):
     points above its last element (intersected with the default core when
     one is given): the finite presentation of an assignment whose measure
     sets concentrate above the node, as the dense normalization assumes.
+
+    `nodes` and `levels` are stored as tuples of (key, assignment) pairs
+    sorted by key, built from whatever mapping (or pairs) the caller
+    passes; `_nodes` and `_levels` look them up.
     """
 
-    __slots__ = ("ground", "nodes", "levels", "default", "tail_default")
+    __slots__ = ("ground", "nodes", "levels", "default", "tail_default", "_nodes", "_levels")
     _key = property(lambda r: (r.ground, r.nodes, r.levels, r.default, r.tail_default))
 
-    def __init__(self, ground: tuple[int, ...], nodes: dict[Node, UltraAssignment] | None = None,
-                 levels: dict[int, UltraAssignment] | None = None,
+    def __init__(self, ground: tuple[int, ...],
+                 nodes: Mapping[Node, UltraAssignment] | None = None,
+                 levels: Mapping[int, UltraAssignment] | None = None,
                  default: UltraAssignment | None = None, tail_default: bool = False):
         _set(self, "ground", ground)
-        _set(self, "nodes", {} if nodes is None else nodes)
-        _set(self, "levels", {} if levels is None else levels)
+        _set(self, "_nodes", dict(nodes or ()))
+        _set(self, "_levels", dict(levels or ()))
+        _set(self, "nodes", _sorted_pairs(self._nodes))
+        _set(self, "levels", _sorted_pairs(self._levels))
         _set(self, "default", default)
         _set(self, "tail_default", tail_default)
         if list(self.ground) != sorted(set(self.ground)):
             raise ValueError("ground must be strictly increasing")
         gset = set(self.ground)
-        for ua in list(self.nodes.values()) + list(self.levels.values()) + (
+        for ua in list(self._nodes.values()) + list(self._levels.values()) + (
             [self.default] if self.default else []
         ):
             if not ua.core or not ua.core <= gset:
@@ -91,18 +97,15 @@ class ToyUltraStructure(_Record):
             if ua.proj is not None:
                 if any(w > v for v, w in ua.proj):
                     raise ValueError("projections must be weakly decreasing")
-                if len(ua._table) != len(ua.proj):
+                if len(dict(ua.proj)) != len(ua.proj):
                     raise ValueError("a projection lists a point twice")
-
-    def __hash__(self):
-        return hash((self.ground, tuple(sorted(self.nodes)), tuple(sorted(self.levels))))
 
     def _fallback(self) -> UltraAssignment:
         return self.default or UltraAssignment(frozenset(self.ground))
 
     def node_ultra(self, a: Node) -> UltraAssignment:
         a = tuple(a)
-        got = self.nodes.get(a)
+        got = self._nodes.get(a)
         if got is not None:
             return got
         base = self._fallback()
@@ -116,7 +119,7 @@ class ToyUltraStructure(_Record):
         return UltraAssignment(tail, base.proj)
 
     def level_ultra(self, n: int) -> UltraAssignment:
-        return self.levels.get(n, self._fallback())
+        return self._levels.get(n, self._fallback())
 
 
 class TreeCondition(_Record):
@@ -125,28 +128,35 @@ class TreeCondition(_Record):
     Beyond the explicit entries the successor set of a node defaults to the
     core of its ultrafilter, which is the unique finite presentation every
     check needs.
+
+    `successors` is stored as a tuple of (node, set) pairs sorted by node,
+    built from whatever mapping (or pairs) the caller passes; `_suc` looks
+    them up.
     """
 
-    __slots__ = ("trunk", "depth", "successors")
+    __slots__ = ("trunk", "depth", "successors", "_suc")
     _key = property(lambda r: (r.trunk, r.depth, r.successors))
 
     def __init__(self, trunk: Node, depth: int,
-                 successors: dict[Node, frozenset[int]] | None = None):
+                 successors: Mapping[Node, frozenset[int]] | None = None):
         _set(self, "trunk", trunk)
         _set(self, "depth", depth)
-        _set(self, "successors", {} if successors is None else successors)
-        for a in self.successors:
+        _set(self, "_suc", dict(successors or ()))
+        _set(self, "successors", _sorted_pairs(self._suc))
+        for a in self._suc:
             if a[: len(self.trunk)] != self.trunk:
                 raise ValueError(f"successor node {a} does not extend the trunk")
 
-    def __hash__(self):
-        return hash((self.trunk, self.depth, tuple(sorted(self.successors.items()))))
-
     def suc(self, u: ToyUltraStructure, a: Node) -> frozenset[int]:
-        got = self.successors.get(tuple(a))
+        got = self._suc.get(tuple(a))
         if got is not None:
             return got
         return u.node_ultra(a).core
+
+
+def _sorted_pairs(table: dict) -> tuple:
+    """A table's (key, value) pairs sorted by key: canonical for `==` and `hash`."""
+    return tuple(sorted(table.items(), key=itemgetter(0)))
 
 
 def _trunk_violations(trunk: Node) -> list[str]:
@@ -166,7 +176,7 @@ def _set_violations(where: str, s, ua: UltraAssignment, ground: set[int]) -> lis
 def validate_tree(t: TreeCondition, u: ToyUltraStructure) -> list[str]:
     out = _trunk_violations(t.trunk)
     gset = set(u.ground)
-    for a, s in sorted(t.successors.items()):
+    for a, s in t.successors:
         out += _set_violations(f"successor set at {a}", s, u.node_ultra(a), gset)
     return out
 
@@ -181,7 +191,7 @@ def leq_tree(s: TreeCondition, t: TreeCondition, u: ToyUltraStructure) -> bool:
     # Off the explicit nodes both successor sets are the node's core.
     return all(
         t.suc(u, a) <= s.suc(u, a)
-        for a in {*s.successors, *t.successors}
+        for a in {*s._suc, *t._suc}
         if a[: len(t.trunk)] == t.trunk
     )
 

@@ -72,17 +72,19 @@ class IndexSet(_Record):
 
     The projection asks one index set the same questions many times, so
     it keeps its answers: `_facts` maps a point to `points.sup_below(g)`
-    when g is a member and to `_ABSENT` when it is not, and `_chains` maps
-    the o-values of a block sequence to its index chain. Neither takes
-    part in `==`, `hash` or `repr`."""
+    when g is a member and to `_ABSENT` when it is not, `_chains` maps
+    the o-values of a block sequence to its index chain, and `_gaps` maps
+    a member c to `gap_levels` from its predecessor. None takes part in
+    `==`, `hash` or `repr`."""
 
-    __slots__ = ("points", "_facts", "_chains")
+    __slots__ = ("points", "_facts", "_chains", "_gaps")
     _key = property(lambda r: (r.points,))
 
     def __init__(self, points: OrdinalSet):
         _set(self, "points", points)
         _set(self, "_facts", {})
         _set(self, "_chains", {})
+        _set(self, "_gaps", {})
 
     def _fact(self, g: Ordinal):
         try:
@@ -121,6 +123,20 @@ class IndexSet(_Record):
         m = self.points.min_above(lo)
         return m if m is not None and m < hi else None
 
+    def gap_levels(self, a: Ordinal, c: Ordinal) -> tuple[Ordinal, ...]:
+        """The levels of the stratum witnesses that fill the gap from a up
+        to c: `cnf_difference(a, c)` without its last exponent. Callers ask
+        with c's predecessor in the set (0 below the least member), so
+        only that a is kept, by c; any other a is computed afresh."""
+        s = self._fact(c)
+        if s is _ABSENT or (ZERO if s is None else s[0]) is not a:
+            return tuple(cnf_difference(a, c)[:-1])
+        try:
+            return self._gaps[c]
+        except KeyError:
+            levels = self._gaps[c] = tuple(cnf_difference(a, c)[:-1])
+            return levels
+
 
 def _cofinal(g: Ordinal, s: tuple[Ordinal, bool] | None) -> bool:
     """Whether the members below g, with supremum fact s, reach g; below
@@ -131,13 +147,14 @@ def _cofinal(g: Ordinal, s: tuple[Ordinal, bool] | None) -> bool:
 class ICondition(_Record):
     """Same block shape as a plain condition; sets live at Lim positions."""
 
-    __slots__ = ("universe", "index_set", "blocks")
+    __slots__ = ("universe", "index_set", "blocks", "_violations")  # what `validate_I` found
     _key = property(lambda r: (r.universe, r.index_set, r.blocks))
 
     def __init__(self, universe: ToyUniverse, index_set: IndexSet, blocks: tuple[Block, ...]):
         _set(self, "universe", universe)
         _set(self, "index_set", index_set)
         _set(self, "blocks", blocks)
+        _set(self, "_violations", None)
 
     @property
     def top(self) -> Block:
@@ -207,7 +224,14 @@ def pi(p: MagidorCondition, I: IndexSet) -> ICondition:
 def validate_I(q: ICondition) -> list[str]:
     """All violations of the subsequence-condition shape: the block walk of
     `magidor.validate` with the top's set clause and, below the top, the
-    clauses of successor (2.a) and limit (2.b) positions."""
+    clauses of successor (2.a) and limit (2.b) positions. q keeps them, and
+    each call returns a fresh list."""
+    if q._violations is None:
+        _set(q, "_violations", tuple(_violations_I(q)))
+    return list(q._violations)
+
+
+def _violations_I(q: ICondition) -> list[str]:
     u, I = q.universe, q.index_set
     chain = index_chain(q, I)
     idx: Ordinal | None = ZERO  # I(t, q) of the last block walked; None is N/A
@@ -234,7 +258,7 @@ def validate_I(q: ICondition) -> list[str]:
                     f"predecessor linkage fails (2.a.ii): "
                     f"pred({c})={pred} but previous index is {prev_idx}"
                 )
-            elif _least_witnesses(cnf_difference(pred, c)[:-1], prev_kappa, below=b.kappa) is None:
+            elif _least_witnesses(I.gap_levels(pred, c), prev_kappa, below=b.kappa) is None:
                 out.append("no stratum witness tuple (2.a.iii)")
             return out
         if b.measure_set is None:
@@ -272,9 +296,9 @@ def leq_I(p: ICondition, q: ICondition) -> bool:
             if prev_idx is None:
                 return False
             prev_kappa = q.blocks[j - 1].kappa if j >= 1 else None
-            exps = cnf_difference(prev_idx, c)
             return (
-                _least_witnesses(exps[:-1], prev_kappa, enclosing.measure_set, qb.kappa)
+                _least_witnesses(I.gap_levels(prev_idx, c), prev_kappa, enclosing.measure_set,
+                                 qb.kappa)
                 is not None
             )
         return qb.measure_set is not None and _inherits(qb, enclosing)
@@ -401,7 +425,7 @@ def onto_construct(q: ICondition) -> MagidorCondition:
         c = chain[i - 1]
         if I.in_succ(c):
             new_blocks += _witness_blocks(
-                u, cnf_difference(prev_idx, c)[:-1], prev_kappa, b.kappa,
+                u, I.gap_levels(prev_idx, c), prev_kappa, b.kappa,
                 lambda xi, floor: WitnessUnavailable(
                     f"no level-{xi} witness below {b.kappa} above {floor}"),
             )
@@ -446,7 +470,7 @@ def lift(p: MagidorCondition, q: ICondition) -> MagidorCondition:
             floor = pts[-1] if pts else kappas[i - 1] if i else None
             if I.in_succ(c):
                 pts += _least_witnesses(
-                    cnf_difference(prev_idx, c)[:-1], floor, p.blocks[i].measure_set,
+                    I.gap_levels(prev_idx, c), floor, p.blocks[i].measure_set,
                     qb.kappa, lambda xi, floor: WitnessUnavailable(
                         f"no level-{xi} witness below {qb.kappa} in the block set"),
                 )
@@ -556,8 +580,7 @@ def quotient_member(p: MagidorCondition, I: IndexSet) -> bool:
                 pred = I.clause_pred(cand)
                 if pred is None:
                     return False
-                exps = cnf_difference(pred, cand)
-                if _least_witnesses(exps[:-1], pred, b.measure_set, cand) is None:
+                if _least_witnesses(I.gap_levels(pred, cand), pred, b.measure_set, cand) is None:
                     return False
         prev = b.kappa
     return True

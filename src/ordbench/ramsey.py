@@ -224,6 +224,10 @@ def important_coordinates(F: FiniteProductFn, min_sizes: list[int]):
     is exactly homogenize's.
     """
     ranking, colour = _ranked(F.factors, tuple(min_sizes)), _classes(F.table)
+    if not (ranking[0] and F.table):
+        # The first ranked sub-product is the whole product: with no rows
+        # there, no sub-product has a row, and no I can pass.
+        return None
     for I in _coordinate_sets(len(F.factors)):
         got = _search(F, ranking, colour, I)
         if got is not None:

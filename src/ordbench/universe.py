@@ -23,15 +23,25 @@ __all__ = ["ToyUniverse", "CoreKey"]
 
 CoreKey = tuple[Ordinal, Ordinal]
 
+# How many answers each memo of a universe keeps. A universe lives for a
+# whole sweep, so a memo that reaches this size is emptied, as a bounded
+# cache, rather than growing with every set it is asked about.
+_MEMO_SIZE = 2048
+
 
 class ToyUniverse(_Record):
     """Ground order type, o-value bound, and core overrides.
 
     `cores` is stored as a tuple of ((beta, xi), core) pairs sorted by key,
     built from whatever mapping (or pairs) the caller passes: a copy the
-    caller cannot change, and canonical for `==` and `hash`."""
+    caller cannot change, and canonical for `==` and `hash`.
 
-    __slots__ = ("lambda0", "delta0_bound", "cores", "_at")
+    A universe answers the same questions many times over a sweep, so it
+    keeps its answers, each memo at most `_MEMO_SIZE` entries: `_o` maps a
+    point to its o-value, and `_large` and `_closed` map a (set, point)
+    question (`_question`) to `is_large_all` and `is_star_closed`."""
+
+    __slots__ = ("lambda0", "delta0_bound", "cores", "_at", "_o", "_large", "_closed")
     _key = property(lambda r: (r.lambda0, r.delta0_bound, r.cores))
 
     def __init__(self, lambda0: Ordinal, delta0_bound: Ordinal,
@@ -44,6 +54,8 @@ class ToyUniverse(_Record):
         for (beta, xi), core in self.cores:
             at.setdefault(beta, {})[xi] = core
         _set(self, "_at", at)  # the override cores by point, in increasing order
+        for memo in ("_o", "_large", "_closed"):
+            _set(self, memo, {})
         if not self.lambda0.is_limit:
             raise ValueError(f"lambda0 must be a limit ordinal, got {self.lambda0}")
         if self.max_o_value() >= self.delta0_bound:
@@ -62,9 +74,12 @@ class ToyUniverse(_Record):
     # -- o-function ----------------------------------------------------------
     def o(self, g: Ordinal) -> Ordinal:
         """o(g) = o_L(g) with o(0) = 0; defined for g <= lambda0."""
-        if g > self.lambda0:
-            raise ValueError(f"{g} is beyond the ground set")
-        return olim(g)
+        try:
+            return self._o[g]
+        except KeyError:
+            if g > self.lambda0:
+                raise ValueError(f"{g} is beyond the ground set") from None
+            return _remember(self._o, g, olim(g))
 
     def max_o_value(self) -> Ordinal:
         """Largest o-value over [0, lambda0] (sup when unattained)."""
@@ -100,6 +115,13 @@ class ToyUniverse(_Record):
 
     def is_large_all(self, B: OrdinalSet, beta: Ordinal) -> bool:
         """Large at (beta, xi) for every xi < o(beta)."""
+        key = _question(B, beta)
+        try:
+            return self._large[key]
+        except KeyError:
+            return _remember(self._large, key, self._large_all(B, beta))
+
+    def _large_all(self, B: OrdinalSet, beta: Ordinal) -> bool:
         ob = self.o(beta)
         over = self._at.get(beta, {})
         if any(not core.difference(B).is_bounded_below(beta) for core in over.values()):
@@ -146,9 +168,15 @@ class ToyUniverse(_Record):
     def is_star_closed(self, B: OrdinalSet, beta: Ordinal) -> bool:
         """Whether star_closure(B, beta) == B, without building the closure:
         B lies below beta and none of its points fails."""
-        if beta > self.lambda0:
-            raise ValueError(f"{beta} is beyond the ground set")
-        return B.is_below(beta) and not self._failing_points(B, [b for b in self._at if b < beta])
+        key = _question(B, beta)
+        try:
+            return self._closed[key]
+        except KeyError:
+            if beta > self.lambda0:
+                raise ValueError(f"{beta} is beyond the ground set") from None
+            closed = B.is_below(beta) and not self._failing_points(
+                B, [b for b in self._at if b < beta])
+            return _remember(self._closed, key, closed)
 
     def _failing_points(self, cur: OrdinalSet, override_points: list[Ordinal]) -> OrdinalSet:
         """The points of cur outside its star closure, in one pass.
@@ -184,3 +212,19 @@ class ToyUniverse(_Record):
             from_int(k): star.intersect(self.stratum(from_int(k), beta))
             for k in range(ob.as_int())
         }
+
+
+def _question(B: OrdinalSet, beta: Ordinal) -> tuple:
+    """The memo key of a question about B at beta: beta and the bounds and
+    levels of B's pieces, which are B's canonical value. Ordinals compare
+    by identity and level sets natively, so a hit runs no Python-level
+    `==`, whichever equal set asked first, and the memo keeps no set alive."""
+    return beta, *[x for p in B.pieces for x in (p.lo, p.hi, p.levels)]
+
+
+def _remember(memo: dict, key, value):
+    """Store value in a universe memo, emptying the memo first when it is full."""
+    if len(memo) >= _MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value

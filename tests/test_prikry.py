@@ -117,7 +117,7 @@ def test_normalize_dense_identity_projection():
     u = ToyUltraStructure(tuple(range(6)), tail_default=True)
     t = TreeCondition((1,), depth=2)
     got = normalize_dense(t, u)
-    for a, s in got.successors.items():
+    for a, s in got.successors:
         assert s == u.node_ultra(a).core
         assert all(v > (a[-1] if a else -1) for v in s)
     assert leq_tree(t, got, u)
@@ -133,7 +133,7 @@ def test_normalize_dense_halving_prunes():
     )
     t = TreeCondition((3,), depth=1, successors={(3,): frozenset(range(4, 12))})
     got = normalize_dense(t, u)
-    kept = got.successors[(3,)]
+    kept = dict(got.successors)[(3,)]
     # v is kept iff v//2 > 3, the pointwise inequality
     assert kept == frozenset(v for v in range(4, 12) if v // 2 > 3)
 
@@ -187,7 +187,7 @@ def old_validate_tree(t, u) -> list[str]:
     if list(t.trunk) != sorted(set(t.trunk)):
         out.append("trunk is not strictly increasing")
     gset = set(u.ground)
-    for a, s in sorted(t.successors.items()):
+    for a, s in t.successors:
         if not s <= gset:
             out.append(f"successor set at {a} leaves the ground")
         if not u.node_ultra(a).is_large(s):
@@ -504,8 +504,8 @@ def test_is_p_point_matches_oracle(u, data):
 
 
 def _comparison_nodes(s, t):
-    nodes = {a for a in s.successors if a[: len(t.trunk)] == t.trunk[: len(a)]}
-    nodes |= set(t.successors)
+    nodes = {a for a, _ in s.successors if a[: len(t.trunk)] == t.trunk[: len(a)]}
+    nodes |= {a for a, _ in t.successors}
     nodes.add(t.trunk)
     return {a for a in nodes if len(a) >= len(t.trunk) or t.trunk[: len(a)] == a}
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordbench import io
+from ordbench import io, ramsey
 from ordbench.ramsey import (
     FiniteProductFn,
     _coordinate_sets,
@@ -224,6 +224,21 @@ def test_a_large_single_factor_costs_little_to_build_and_search():
     got, held = _held_after(lambda: (homogenize(F, [20000]), important_coordinates(F, [20000])))
     assert got == (None, (full, (1,)))
     assert held < 5_000_000
+
+
+def test_a_product_without_rows_is_answered_without_a_search(monkeypatch):
+    # 2^16 coordinate sets, each of which used to be searched in vain.
+    searched = []
+    search = ramsey._search
+    monkeypatch.setattr(ramsey, "_search", lambda *args: searched.append(args[3]) or search(*args))
+    no_rows = build_product_fn([[1]] * 16, lambda *t: 0)
+    assert important_coordinates(no_rows, [1] * 16) is None
+    # Min sizes above a factor's size leave no sub-product at all.
+    F = build_product_fn([[1, 2], [3]], lambda a, b: a)
+    assert important_coordinates(F, [0, 2]) is None
+    assert searched == []
+    assert important_coordinates(F, [1, 1]) == (((1,), (3,)), ())
+    assert searched == [()]
 
 
 def test_an_unhashable_colour_is_a_type_error():

@@ -44,8 +44,9 @@ CASES = {
     # A product function stores its values in product order.
     FiniteProductFn: (lambda: [((1, 2),), (0, 1)], 2, ("table", (0, 0))),
     UltraAssignment: (lambda: [frozenset({1, 2}), None], 1, ("proj", ((2, 1),))),
-    ToyUltraStructure: (lambda: [(0, 1, 2), {}, {}, None, False], 1, ("tail_default", True)),
-    TreeCondition: (lambda: [(0,), 1, {}], 2, ("depth", 2)),
+    # Node, level and successor tables are stored as sorted tuples of (key, value) pairs.
+    ToyUltraStructure: (lambda: [(0, 1, 2), (), (), None, False], 1, ("tail_default", True)),
+    TreeCondition: (lambda: [(0,), 1, ()], 2, ("depth", 2)),
     Derivation: (lambda: [(1, 2), ("F1", "F2")], 2, ("levels", (1, 1))),
 }
 
@@ -68,13 +69,30 @@ def test_records_are_frozen_values(cls):
             setattr(a, name, None)
         with pytest.raises(AttributeError):
             delattr(a, name)
-    # The defaults, and a fresh dict for each dict default.
+    # The defaults; no field holds a dict, which a caller could still change.
     x, y = cls(*values()[:required]), cls(*values()[:required])
     assert x == y == a
-    for n in names:
-        if isinstance(getattr(x, n), dict):
-            assert getattr(x, n) is not getattr(y, n)
+    assert not any(isinstance(getattr(x, n), dict) for n in names)
     assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+
+
+def test_records_keep_no_dict_of_the_callers():
+    """A record copies the mappings it is built from: changing the
+    caller's dict afterwards changes neither its answers nor its value."""
+    nodes, levels = {(1,): UltraAssignment(frozenset({2}))}, {1: UltraAssignment(frozenset({3}))}
+    successors = {(1,): frozenset({2, 3})}
+    cores = {(W2, ONE): OrdinalSet.of(parse_ordinal("w*3"))}
+    built = (ToyUltraStructure((1, 2, 3), nodes, levels), TreeCondition((1,), 1, successors),
+             ToyUniverse(W2, OMEGA, cores))
+    same = copy.deepcopy(built)
+    u, t, universe = built
+    nodes[(1,)] = levels[1] = UltraAssignment(frozenset({99}))
+    successors[(1,)] = frozenset({99})
+    cores[(W2, parse_ordinal("5"))] = S
+    assert u.node_ultra((1,)).core == {2} and u.level_ultra(1).core == {3}
+    assert t.suc(u, (1,)) == {2, 3}
+    assert universe.is_large_all(OrdinalSet.interval(ONE, W2), W2)
+    assert built == same and hash(built) == hash(same)
 
 
 def test_a_warmed_index_set_keeps_its_value():

@@ -147,6 +147,21 @@ def test_no_unbounded_cache_on_a_function_with_parameters():
     assert found == []
 
 
+def test_no_record_has_a_dict_slot():
+    """No class in `src/` lists `__dict__` in its `__slots__`: a value's memo
+    is a `_` slot set in `__init__`, so a copy starts without it and nothing
+    can be added to the value after construction."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(n, ast.Assign)
+                    and any(getattr(t, "id", None) == "__slots__" for t in n.targets)
+                    and any(isinstance(c, ast.Constant) and c.value == "__dict__"
+                            for c in ast.walk(n.value))):
+                found.append(f"{path.name}:{n.lineno}")
+    assert found == []
+
+
 def test_every_private_helper_is_used():
     """Each undecorated private module-level function is named somewhere in
     `src/` (a call, a reference or an attribute; an import does not

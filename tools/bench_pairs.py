@@ -10,10 +10,11 @@ temporary directory.  Pair k (k = 1..N) runs
 
 once in each tree, each run a fresh process, the parent first when k is odd.
 S is `run_seconds` from the parent's `BENCHMARK.json`.  The pairs and, for
-each end-to-end metric, both sides' medians and quartiles and the number of
-pairs the change wins go into `BENCH_<P>.json` at the root of the repository
-as `workloads[W]`.  Other workloads already in that file are kept; `--claim`
-names the metric the change claims on W.  Run it with nothing else running.
+each end-to-end metric, both sides' medians and quartiles (next to those of
+the verdicts each side attempted) and the number of pairs the change wins go
+into `BENCH_<P>.json` at the root of the repository as `workloads[W]`.  Other
+workloads already in that file are kept; `--claim` names the metric the
+change claims on W.  Run it with nothing else running.
 """
 
 from __future__ import annotations
@@ -72,16 +73,23 @@ def run_once(tree: str, workload: str, seed: int, seconds: int, metrics: list[st
     return out
 
 
+def quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins."""
+    """Per metric: each side's median and quartiles, with those of the
+    verdicts it attempted (a side that completes more verdicts keeps more
+    of them in memory), and the change's wins."""
+    attempted = {side: quartiles([p[side]["attempted"] for p in pairs]) for side in SIDES}
     out = {}
     for metric in metrics:
         name, better = metric["name"], metric["better"]
         values = {side: [p[side][name] for p in pairs] for side in SIDES}
         row: dict = {"better": better}
         for side in SIDES:
-            q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
-            row[side] = {"median": median, "q1": q1, "q3": q3}
+            row[side] = {**quartiles(values[side]), "attempted": attempted[side]}
         row["change_over_parent"] = row["change"]["median"] / row["parent"]["median"]
         row["parent_quartile_spread"] = row["parent"]["q3"] - row["parent"]["q1"]
         sign = 1 if better == "higher" else -1
