@@ -7,13 +7,21 @@ two equal ordinals are the same object, so equality is identity.  Each
 ordinal carries a native key, a nested tuple whose Python order is the
 ordinal order.
 
-Construction invariant: every ordinal is made by `_make(terms, key)`,
-which probes the intern table by key first and returns on a hit.  Only a
-key new to the table is validated, once, where it enters the table, so
-the table never holds an invalid key.  The operations (`add`,
-`predecessor`, `left_subtract`, `mul_nat`, `omega_power`, `from_int` and
-the parser) compute the result key by slicing and concatenating operand
-keys, and build terms only on a miss.
+Construction invariant: every ordinal is made by `_make(key)`, which costs
+one probe of the intern table on a hit and one store on a miss, and never
+validates.  The public constructor `Ordinal(terms)` checks what it is
+handed (ordinal exponents, strictly decreasing, coefficients of type
+exactly `int` and >= 1), as `from_int` and `mul_nat` check their integer;
+every other operation (`add`, `predecessor`, `left_subtract`,
+`omega_power`, the parser) slices its key from valid operand keys.  So the
+table never holds an invalid key.
+
+An ordinal stores its key and hash.  `terms` is built from the key on
+first use and kept; the views (`is_zero`, `is_limit`, `as_int`, ...) and
+the printer read the key.  The table is a plain dict from key to a weak
+reference that carries the key: when the ordinal dies, the reference's
+callback removes the entry if it is still that dead reference, so an equal
+ordinal built in the meantime stays.
 """
 
 from __future__ import annotations
@@ -22,8 +30,9 @@ import functools
 import itertools
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 
-from . import _Record
+from . import _Record, _set as _init
 from .errors import DifferenceUndefined, ParseError
 
 __all__ = [
@@ -43,57 +52,72 @@ __all__ = [
     "ordinal_enumeration",
 ]
 
-# key -> the one live Ordinal with that key.  Weak, so ordinals no longer
-# referenced elsewhere leave the table.  `_probe` reads the table's own
-# dict, which maps a key to a weak reference.
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_probe = _INTERNED.data.get
+
+class _Ref(weakref.ref):
+    """The table's weak reference to an ordinal, with the ordinal's key."""
+
+    __slots__ = ("key",)
 
 
-def _make(terms: tuple | None, key: tuple) -> "Ordinal":
-    """The interned ordinal with this key, whose terms are `terms`.
+# key -> a weak reference to the one live Ordinal with that key.
+_INTERNED: dict[tuple, _Ref] = {}
+_probe = _INTERNED.get
 
-    `terms` may be None when every exponent key in `key` is the key of a
-    live ordinal (true of keys sliced from operands); the terms are then
-    read back from the table, on a miss only.
-    """
+
+def _drop(ref: _Ref, _remove=_remove_dead_weakref, _table=_INTERNED) -> None:
+    # The reference's callback: its ordinal has died.  The entry goes only
+    # if it is still this dead reference, never a live one that replaced it.
+    _remove(_table, ref.key)
+
+
+def _make(key: tuple) -> "Ordinal":
+    """The interned ordinal with this key, which must be valid."""
     ref = _probe(key)
     if ref is not None:
         self = ref()
         if self is not None:
             return self
-    for i, (e, c) in enumerate(key):
-        if c < 1:
-            raise ValueError("coefficients must be >= 1")
-        if i > 0 and key[i - 1][0] <= e:
-            raise ValueError("exponents must be strictly decreasing")
-    if terms is None:
-        terms = tuple([(_probe(e)(), c) for e, c in key])
     self = object.__new__(Ordinal)
-    _init = object.__setattr__
-    _init(self, "terms", terms)
     _init(self, "key", key)
     _init(self, "_hash", hash(key))
-    _INTERNED[key] = self
+    _init(self, "_terms", None)
+    ref = _Ref(self, _drop)
+    ref.key = key
+    _INTERNED[key] = ref
     return self
 
 
 class Ordinal(_Record):
-    """CNF ordinal: tuple of (exponent, coefficient) terms, exponents descending.
+    """CNF ordinal: (exponent, coefficient) terms, exponents descending.
 
     `key` is ((e1.key, c1), ..., (ek.key, ck)).  Tuple order, where a proper
     prefix is smaller, is lexicographic order on terms, which is CNF order.
     """
 
-    __slots__ = ("terms", "key", "_hash", "__weakref__")
+    __slots__ = ("key", "_hash", "_terms", "__weakref__")
 
-    terms: tuple[tuple["Ordinal", int], ...]
     key: tuple
 
     def __new__(cls, terms: tuple[tuple["Ordinal", int], ...] = ()):
-        # Read the terms once: the key and the new ordinal both need them.
-        terms = tuple(terms)
-        return _make(terms, tuple([(e.key, c) for e, c in terms]))
+        key = []
+        for e, c in terms:
+            if e.__class__ is not Ordinal:
+                raise ValueError("exponents must be ordinals")
+            if c.__class__ is not int or c < 1:
+                raise ValueError("coefficients must be integers >= 1")
+            if key and key[-1][0] <= e.key:
+                raise ValueError("exponents must be strictly decreasing")
+            key.append((e.key, c))
+        return _make(tuple(key))
+
+    @property
+    def terms(self) -> tuple[tuple["Ordinal", int], ...]:
+        """((e1, c1), ..., (ek, ck)), built from `key` on first use."""
+        terms = self._terms
+        if terms is None:
+            terms = tuple([(_make(e), c) for e, c in self.key])
+            _init(self, "_terms", terms)
+        return terms
 
     def __reduce__(self):
         # Unpickling and deep-copying go through the intern table.
@@ -118,7 +142,7 @@ class Ordinal(_Record):
         return add(self, other)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.key)
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -131,29 +155,34 @@ class Ordinal(_Record):
         # in every run.
         return self._hash
 
+    # The exponent 0 has the key (), so `not e` below reads "e is 0".
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.key
 
     @property
     def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0].is_zero
+        key = self.key
+        return bool(key) and not key[-1][0]
 
     @property
     def is_limit(self) -> bool:
-        return bool(self.terms) and not self.terms[-1][0].is_zero
+        key = self.key
+        return bool(key) and bool(key[-1][0])
 
     @property
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero)
+        key = self.key
+        return not key or (len(key) == 1 and not key[0][0])
 
     def as_int(self) -> int:
         """The integer value of a finite ordinal."""
-        if self.is_zero:
+        key = self.key
+        if not key:
             return 0
-        if not self.is_finite:
+        if len(key) > 1 or key[0][0]:
             raise ValueError(f"{self} is not finite")
-        return self.terms[0][1]
+        return key[0][1]
 
     def successor(self) -> "Ordinal":
         return add(self, ONE)
@@ -161,11 +190,10 @@ class Ordinal(_Record):
     def predecessor(self) -> "Ordinal":
         """The unique b with b+1 = self; only successors have one."""
         key = self.key
-        # A successor's last exponent is 0, whose key is ().
         if not key or key[-1][0]:
             raise ValueError(f"{self} is not a successor")
         c = key[-1][1]
-        return _make(None, key[:-1] + (((), c - 1),) if c > 1 else key[:-1])
+        return _make(key[:-1] + (((), c - 1),) if c > 1 else key[:-1])
 
 
 ZERO = Ordinal()
@@ -174,14 +202,16 @@ OMEGA = Ordinal(((ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
+    if n.__class__ is not int:
+        raise ValueError(f"not an integer: {n!r}")
     if n < 0:
         raise ValueError("ordinals are non-negative")
-    return _make(None, (((), n),)) if n else ZERO
+    return _make((((), n),)) if n else ZERO
 
 
 def omega_power(e: Ordinal) -> Ordinal:
     """w^e as a single-term ordinal (w^0 = 1)."""
-    return _make(None, ((e.key, 1),))
+    return _make(((e.key, 1),))
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
@@ -201,12 +231,14 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     while i < n and ak[i][0] > lead:
         i += 1
     if i < n and ak[i][0] == lead:
-        return _make(None, ak[:i] + ((lead, ak[i][1] + bk[0][1]),) + bk[1:])
-    return _make(None, ak[:i] + bk) if i else b
+        return _make(ak[:i] + ((lead, ak[i][1] + bk[0][1]),) + bk[1:])
+    return _make(ak[:i] + bk) if i else b
 
 
 def mul_nat(a: Ordinal, n: int) -> Ordinal:
     """a*n for a natural multiplier (right factor)."""
+    if n.__class__ is not int:
+        raise ValueError(f"not an integer: {n!r}")
     if n < 0:
         raise ValueError("multiplier must be >= 0")
     key = a.key
@@ -214,36 +246,34 @@ def mul_nat(a: Ordinal, n: int) -> Ordinal:
         return ZERO
     # (w^e*c + rest)*n = w^e*(c*n) + rest  for n >= 1.
     e, c = key[0]
-    return _make(None, ((e, c * n),) + key[1:])
+    return _make(((e, c * n),) + key[1:])
 
 
 def mul_omega(a: Ordinal) -> Ordinal:
     """a*w = w^(leading exponent + 1) for a > 0."""
     if a.is_zero:
         return ZERO
-    return omega_power(add(a.terms[0][0], ONE))
+    return omega_power(add(_make(a.key[0][0]), ONE))
 
 
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique d with a + d = b, for a <= b."""
-    cmp = compare(a, b)
-    if cmp > 0:
+    ak, bk = a.key, b.key
+    if ak > bk:
         raise DifferenceUndefined(f"{a} > {b}")
-    if cmp == 0:
+    if a is b:
         return ZERO
-    bt, bk = b.terms, b.key
-    for i, (ea, ca) in enumerate(a.terms):
-        eb, cb = bt[i]
-        c = compare(ea, eb)
-        if c < 0:
+    # a < b, so at the first term where they differ a's exponent or
+    # coefficient is the smaller, or else a is a proper prefix of b.
+    for i, (ea, ca) in enumerate(ak):
+        eb, cb = bk[i]
+        if ea != eb:
             # a's remaining terms are absorbed by b's i-th term.
-            return _make(None, bk[i:])
-        if c == 0 and ca != cb:
+            return _make(bk[i:])
+        if ca != cb:
             # b continues with a larger coefficient at the same exponent.
-            return _make(None, ((bk[i][0], cb - ca),) + bk[i + 1 :])
-        if c > 0:  # pragma: no cover - impossible for a < b
-            raise DifferenceUndefined(f"{a} > {b}")
-    return _make(None, bk[len(a.terms) :])
+            return _make(((eb, cb - ca),) + bk[i + 1 :])
+    return _make(bk[len(ak) :])
 
 
 # Most exponents `cnf_difference` lists (one per unit of coefficient), so a
@@ -263,8 +293,8 @@ def cnf_difference(a: Ordinal, b: Ordinal) -> list[Ordinal]:
             f"{count} exponents in the difference, more than the cap of {MAX_DIFFERENCE_TERMS}"
         )
     out: list[Ordinal] = []
-    for e, c in d.terms:
-        out.extend([e] * c)
+    for e, c in d.key:
+        out.extend([_make(e)] * c)
     return out
 
 
@@ -272,7 +302,7 @@ def limit_order(a: Ordinal) -> Ordinal:
     """o_L(a): the final CNF exponent; 0 exactly for successors."""
     if a.is_zero:
         raise ValueError("limit_order undefined for 0")
-    return a.terms[-1][0]
+    return _make(a.key[-1][0])
 
 
 def classify(a: Ordinal) -> str:
@@ -321,8 +351,9 @@ class _Parser:
     def pos(self) -> int:
         return self.ends[self.i]
 
-    def error(self, message: str):
-        raise ParseError(message, column=self.pos + 1)
+    def error(self, message: str) -> ParseError:
+        """The error to raise at the current position."""
+        return ParseError(message, column=self.pos + 1)
 
     def peek(self) -> str | None:
         return self.tokens[self.i]
@@ -336,7 +367,7 @@ class _Parser:
     def expect(self, token: str):
         got = self.take()
         if got != token:
-            self.error(f"expected {token!r}, found {got!r}")
+            raise self.error(f"expected {token!r}, found {got!r}")
 
     def at_end(self) -> bool:
         return self.pos >= len(self.text) or self.text[self.pos :].isspace()
@@ -351,11 +382,11 @@ class _Parser:
     def term(self) -> Ordinal:
         tok = self.take()
         if tok is None:
-            self.error("expected a term")
+            raise self.error("expected a term")
         if tok.isdigit():
             return from_int(int(tok))
         if tok != "w":
-            self.error(f"unexpected token {tok!r}")
+            raise self.error(f"unexpected token {tok!r}")
         exponent = ONE
         if self.peek() == "^":
             self.take()
@@ -365,15 +396,15 @@ class _Parser:
             self.take()
             c = self.take()
             if c is None or not c.isdigit() or int(c) < 1:
-                self.error("expected a nonzero coefficient after '*'")
+                raise self.error("expected a nonzero coefficient after '*'")
             coeff = int(c)
-        return _make(None, ((exponent.key, coeff),))
+        return _make(((exponent.key, coeff),))
 
     def atom(self) -> Ordinal:
         tok = self.peek()
         if tok == "(":
             if self.depth == MAX_NESTING:
-                self.error(f"exponents nested deeper than {MAX_NESTING}")
+                raise self.error(f"exponents nested deeper than {MAX_NESTING}")
             self.take()
             self.depth += 1
             inner = self.ordinal()
@@ -385,41 +416,41 @@ class _Parser:
             return OMEGA
         if tok is not None and tok.isdigit():
             return from_int(int(tok))
-        self.error(f"expected an exponent atom, found {tok!r}")
-        raise AssertionError  # unreachable
+        raise self.error(f"expected an exponent atom, found {tok!r}")
 
 
 def parse_ordinal(text: str) -> Ordinal:
     p = _Parser(text)
     if p.at_end():
-        p.error("empty ordinal literal")
+        raise p.error("empty ordinal literal")
     value = p.ordinal()
     if not p.at_end():
-        p.error(f"trailing input: {text[p.pos:].strip()!r}")
+        raise p.error(f"trailing input: {text[p.pos:].strip()!r}")
     return value
 
 
-def _format_atom(e: Ordinal) -> str:
-    if e == OMEGA:
-        return "w"
-    if e.is_finite:
-        return str(e.as_int())
-    return f"({format_ordinal(e)})"
+_OMEGA_KEY = OMEGA.key
+
+
+def _format_key(key: tuple) -> str:
+    parts = []
+    for e, c in key:
+        if not e:
+            parts.append(str(c))
+            continue
+        if len(e) == 1 and not e[0][0]:  # a finite exponent n
+            n = e[0][1]
+            base = "w" if n == 1 else f"w^{n}"
+        elif e == _OMEGA_KEY:
+            base = "w^w"
+        else:
+            base = f"w^({_format_key(e)})"
+        parts.append(base if c == 1 else f"{base}*{c}")
+    return " + ".join(parts) or "0"
 
 
 def format_ordinal(a: Ordinal) -> str:
-    if a.is_zero:
-        return "0"
-    parts = []
-    for e, c in a.terms:
-        if e.is_zero:
-            parts.append(str(c))
-        elif e == ONE:
-            parts.append("w" if c == 1 else f"w*{c}")
-        else:
-            base = f"w^{_format_atom(e)}"
-            parts.append(base if c == 1 else f"{base}*{c}")
-    return " + ".join(parts)
+    return _format_key(a.key)
 
 
 @functools.cache

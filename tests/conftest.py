@@ -205,6 +205,19 @@ HIGH_POINTS = tuple(
 )
 
 
+# The set strategies' parts, built once rather than on every draw.
+_LEVELS = st.none() | st.frozensets(st.integers(0, 3).map(from_int), max_size=3)
+_STEPS = st.sampled_from((nat(1), nat(2), W, add(W, nat(1)), W2))
+
+
+@functools.cache
+def _ends(high: bool):
+    """(low, ends): the sampled points below SET_TOP, and with `high` those
+    or a high end."""
+    low = st.sampled_from(small_ordinals_below(SET_TOP, 550))
+    return low, low | st.sampled_from(HIGH_ENDS) if high else low
+
+
 @st.composite
 def ordinal_sets(draw, max_pieces: int = 4, high: bool = False) -> OrdinalSet:
     """Unions of a few plain and level-filtered pieces below w^3*3, drawn
@@ -218,21 +231,17 @@ def ordinal_sets(draw, max_pieces: int = 4, high: bool = False) -> OrdinalSet:
     and a chain may end in one, so that filtered runs meet pieces that no
     filter can describe whole.
     """
-    dom = small_ordinals_below(SET_TOP, 550)
-    low = st.sampled_from(dom)
-    ends = low | st.sampled_from(HIGH_ENDS) if high else low
-    levels = st.none() | st.frozensets(st.integers(0, 3).map(from_int), max_size=3)
+    low, ends = _ends(high)
     if draw(st.booleans()):
-        steps = st.sampled_from((nat(1), nat(2), W, add(W, nat(1)), W2))
         cut, chain = draw(low), []
-        for lv in draw(st.lists(levels, min_size=1, max_size=max_pieces)):
-            nxt = add(cut, draw(steps))
+        for lv in draw(st.lists(_LEVELS, min_size=1, max_size=max_pieces)):
+            nxt = add(cut, draw(_STEPS))
             chain.append(Piece(cut, nxt, lv))
             cut = nxt
         if high and draw(st.booleans()):
             chain.append(Piece(cut, draw(st.sampled_from(HIGH_ENDS))))
         return OrdinalSet(tuple(chain))
-    drawn = draw(st.lists(st.tuples(ends, ends, levels), max_size=max_pieces))
+    drawn = draw(st.lists(st.tuples(ends, ends, _LEVELS), max_size=max_pieces))
     return OrdinalSet(
         tuple(
             Piece(min(a, b), max(a, b), None if max(a, b) >= W_W else lv)
@@ -245,20 +254,18 @@ def ordinal_sets(draw, max_pieces: int = 4, high: bool = False) -> OrdinalSet:
 def raw_pieces(draw, max_pieces: int = 5) -> tuple[Piece, ...]:
     """Raw piece lists as the constructor may be handed them: overlapping,
     touching, inverted (hi <= lo), unreduced and with empty filters."""
-    dom = small_ordinals_below(SET_TOP, 550)
-    levels = st.none() | st.frozensets(st.integers(0, 3).map(from_int), max_size=3)
-    steps = (nat(1), nat(2), W, add(W, nat(1)), W2)
+    low = _ends(False)[0]
     out: list[Piece] = []
     for _ in range(draw(st.integers(0, max_pieces))):
         if out and draw(st.booleans()):
             lo = draw(st.sampled_from((out[-1].lo, out[-1].hi)))
         else:
-            lo = draw(st.sampled_from(dom))
+            lo = draw(low)
         if draw(st.booleans()):
-            hi = add(lo, draw(st.sampled_from(steps)))
+            hi = add(lo, draw(_STEPS))
         else:
-            hi = draw(st.sampled_from(dom))
-        out.append(Piece(lo, hi, draw(levels)))
+            hi = draw(low)
+        out.append(Piece(lo, hi, draw(_LEVELS)))
     return tuple(out)
 
 

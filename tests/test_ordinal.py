@@ -272,22 +272,28 @@ def _cnf_compare(a: Ordinal, b: Ordinal) -> int:
     return (len(a.terms) > len(b.terms)) - (len(a.terms) < len(b.terms))
 
 
-def _from_terms(pairs) -> Ordinal:
-    """Sum of w^e*c over arbitrary (e, c) pairs, normalised with the oracle:
-    merge equal exponents, then order them descending."""
+def _normal_terms(pairs) -> tuple:
+    """The terms of the sum of w^e*c over arbitrary (e, c) pairs, normalised
+    with the oracle: merge equal exponents, then order them descending."""
     coeff: dict = {}
     for e, c in pairs:
         coeff[e] = coeff.get(e, 0) + c
     exps = sorted(coeff, key=functools.cmp_to_key(_cnf_compare), reverse=True)
-    return Ordinal(tuple((e, coeff[e]) for e in exps))
+    return tuple((e, coeff[e]) for e in exps)
+
+
+def _from_terms(pairs) -> Ordinal:
+    return Ordinal(_normal_terms(pairs))
+
+
+def _term_lists(inner):
+    return st.lists(st.tuples(inner, st.integers(1, 3)), max_size=3)
 
 
 # Small coefficients and few terms, so that equal ordinals are drawn often;
 # exponents nest to depth three.
 ordinals = st.recursive(
-    st.just(ZERO),
-    lambda inner: st.lists(st.tuples(inner, st.integers(1, 3)), max_size=3).map(_from_terms),
-    max_leaves=8,
+    st.just(ZERO), lambda inner: _term_lists(inner).map(_from_terms), max_leaves=8
 )
 
 
@@ -310,19 +316,144 @@ def test_equal_ordinals_are_identical(a, b):
 @settings(max_examples=100)
 @given(ordinals)
 def test_hash_pickle_and_deepcopy_keep_identity(a):
-    assert hash(a) == hash(Ordinal(a.terms))
+    assert hash(a) == hash(Ordinal(a.terms)) == hash(a.key)
     assert pickle.loads(pickle.dumps(a)) is a
     assert copy.deepcopy(a) is a
+
+
+def test_pickle_of_a_dead_ordinal_builds_it_again():
+    data = pickle.dumps(Ordinal(((from_int(424240), 6), (ZERO, 2))))
+    gc.collect()
+    a = pickle.loads(data)
+    assert a is parse_ordinal("w^424240*6 + 2") and a.key in _INTERNED
 
 
 def test_intern_table_is_weak():
     a = Ordinal(((from_int(424242), 987654321),))
     key, ref = a.key, weakref.ref(a)
-    assert _INTERNED[key] is a
+    assert _INTERNED[key]() is a
     del a
     gc.collect()
     assert ref() is None
     assert key not in _INTERNED
+
+
+def test_intern_table_drops_an_ordinal_only_a_cycle_holds():
+    gc.disable()
+    try:
+        cycle = [Ordinal(((from_int(424243), 5),))]
+        cycle.append(cycle)
+        key, ref = cycle[0].key, weakref.ref(cycle[0])
+        del cycle
+        # Only the collector can free it.
+        assert _INTERNED[key]() is ref() is not None
+    finally:
+        gc.enable()
+    gc.collect()
+    assert ref() is None
+    assert key not in _INTERNED
+
+
+def test_late_cleanup_keeps_an_equal_ordinal_built_after_the_first_died():
+    a = Ordinal(((from_int(424244), 3),))
+    key, first = a.key, _INTERNED[a.key]
+    cleanup = first.__callback__  # cleared once it has run
+    del a
+    gc.collect()
+    assert first() is None and key not in _INTERNED
+    b = Ordinal(((from_int(424244), 3),))
+    assert _INTERNED[key]() is b and parse_ordinal("w^424244*3") is b
+    # The first ordinal's cleanup, run only now, leaves b in the table ...
+    cleanup(first)
+    assert _INTERNED[key]() is b
+    # ... and so does it when the first one's dead reference was still in
+    # the table when the second ordinal was built.
+    del b
+    _INTERNED[key] = first
+    c = parse_ordinal("w^424244*3")
+    assert _INTERNED[key]() is c
+    cleanup(first)
+    assert _INTERNED[key]() is c and Ordinal(((from_int(424244), 3),)) is c
+
+
+_VALID_KEYS: set = set()
+
+
+def _valid_key(key) -> bool:
+    """A key is a tuple of (exponent key, int >= 1) pairs whose exponent
+    keys are valid and strictly decreasing; valid keys are remembered."""
+    if key in _VALID_KEYS:
+        return True
+    if type(key) is not tuple:
+        return False
+    for i, pair in enumerate(key):
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        e, c = pair
+        if type(c) is not int or c < 1 or not _valid_key(e):
+            return False
+        if i and not key[i - 1][0] > e:
+            return False
+    _VALID_KEYS.add(key)
+    return True
+
+
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), ordinals, ordinals),
+        st.tuples(st.just("left_subtract"), ordinals, ordinals),
+        st.tuples(st.just("cnf_difference"), ordinals, ordinals),
+        st.tuples(st.just("mul_nat"), ordinals, st.integers(0, 4)),
+        st.tuples(st.just("predecessor"), ordinals),
+        st.tuples(st.just("omega_power"), ordinals),
+        st.tuples(st.just("limit_order"), ordinals),
+        st.tuples(st.just("from_int"), st.integers(0, 10**6) | st.floats(0, 9) | st.booleans()),
+        st.tuples(st.just("parse"), ordinals),
+        st.tuples(st.just("terms"), ordinals),
+        st.tuples(st.just("construct"), _term_lists(ordinals)),
+        st.tuples(st.just("construct"), st.lists(st.tuples(ordinals, st.floats(0, 3)), max_size=2)),
+    ),
+    max_size=8,
+)
+
+
+def _apply(op, *args):
+    if op == "parse":
+        return parse_ordinal(format_ordinal(args[0]))
+    if op == "terms":
+        return args[0].terms
+    if op == "predecessor":
+        return args[0].predecessor()
+    if op == "construct":
+        return Ordinal(args[0])
+    return globals()[op](*args)
+
+
+def _run(ops, keep: list[bool]) -> list:
+    """Apply the operations in turn; the results at the kept positions."""
+    kept = []
+    for (op, *args), k in zip(ops, keep):
+        try:
+            out = _apply(op, *args)
+        except (ValueError, DifferenceUndefined):
+            continue
+        if k:
+            kept.append(out)
+    return kept
+
+
+@settings(max_examples=100)
+@given(_operations, st.lists(st.booleans(), min_size=8, max_size=8))
+def test_intern_table_holds_only_valid_keys_of_live_ordinals(ops, keep):
+    kept = _run(ops, keep)
+    gc.collect()
+    for key, ref in list(_INTERNED.items()):
+        assert _valid_key(key), key
+        live = ref()
+        assert live is not None and live.key == key
+    for x in kept:
+        if isinstance(x, Ordinal):
+            assert _INTERNED[x.key]() is x
 
 
 def test_constructor_reads_an_iterator_once():
@@ -358,6 +489,38 @@ def _assert_rejected(terms):
             Ordinal(t)
 
 
+def test_non_int_coefficients_are_rejected_new_key():
+    e = from_int(27183)
+    # Neither 918273 nor w^27183 (nor w^27183*2) is interned.
+    assert all(k not in _INTERNED for k in ((((), 918273),), ((e.key, 1),), ((e.key, 2),)))
+    _assert_rejected([((ZERO, 918273.0),), ((e, 2.5),), ((e, 2.0),), ((e, True),)])
+    for n in (918273.0, 7.5, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            from_int(n)
+    assert (((), 918273),) not in _INTERNED and ((e.key, 2),) not in _INTERNED
+    assert format_ordinal(from_int(918273)) == "918273"
+    assert format_ordinal(Ordinal(((e, 2),))) == "w^27183*2"
+
+
+def test_non_int_coefficients_are_rejected_when_value_interned():
+    seven, w9 = from_int(7), parse_ordinal("w^9*2")
+    _assert_rejected([((ZERO, 7.0),), ((from_int(9), 2.0),), ((ZERO, True),), ((ONE, True),)])
+    for n in (7.0, True, False):
+        with pytest.raises(ValueError, match="not an integer"):
+            from_int(n)
+    with pytest.raises(ValueError, match="not an integer"):
+        mul_nat(OMEGA, 2.0)
+    assert from_int(7) is seven and format_ordinal(seven) == "7"
+    assert type(seven.key[0][1]) is int and w9.key in _INTERNED
+
+
+def test_constructor_rejects_non_ordinal_exponents():
+    with pytest.raises(ValueError, match="exponents must be ordinals"):
+        Ordinal(((0, 1),))
+    with pytest.raises(ValueError, match="exponents must be ordinals"):
+        Ordinal(((OMEGA.key, 1),))
+
+
 def test_constructor_rejects_invalid_terms_new_key():
     e = from_int(31337)
     f = add(e, ONE)
@@ -371,6 +534,88 @@ def test_constructor_rejects_invalid_terms_when_value_interned():
     live = [parse_ordinal("w^w"), parse_ordinal("w*2"), ZERO]
     _assert_rejected([((ZERO, 0),), ((ONE, 1), (OMEGA, 1)), ((ONE, 1), (ONE, 1))])
     assert all(x.key in _INTERNED for x in live)
+
+
+# -- oracles: the views the kernel read from terms before it read keys ----
+
+
+def _terms_is_zero(a: Ordinal) -> bool:
+    return not a.terms
+
+
+def _terms_is_successor(a: Ordinal) -> bool:
+    return bool(a.terms) and _terms_is_zero(a.terms[-1][0])
+
+
+def _terms_is_limit(a: Ordinal) -> bool:
+    return bool(a.terms) and not _terms_is_zero(a.terms[-1][0])
+
+
+def _terms_is_finite(a: Ordinal) -> bool:
+    return not a.terms or (len(a.terms) == 1 and _terms_is_zero(a.terms[0][0]))
+
+
+def _terms_as_int(a: Ordinal) -> int:
+    if _terms_is_zero(a):
+        return 0
+    if not _terms_is_finite(a):
+        raise ValueError(f"{a} is not finite")
+    return a.terms[0][1]
+
+
+def _old_format_atom(e: Ordinal) -> str:
+    if e == OMEGA:
+        return "w"
+    if _terms_is_finite(e):
+        return str(_terms_as_int(e))
+    return f"({_old_format(e)})"
+
+
+def _old_format(a: Ordinal) -> str:
+    if _terms_is_zero(a):
+        return "0"
+    parts = []
+    for e, c in a.terms:
+        if _terms_is_zero(e):
+            parts.append(str(c))
+        elif e == ONE:
+            parts.append("w" if c == 1 else f"w*{c}")
+        else:
+            base = f"w^{_old_format_atom(e)}"
+            parts.append(base if c == 1 else f"{base}*{c}")
+    return " + ".join(parts)
+
+
+@settings(max_examples=200)
+@given(_term_lists(ordinals))
+def test_terms_match_terms_first_oracle(pairs):
+    terms = _normal_terms(pairs)
+    a = Ordinal(terms)
+    assert a.terms == terms
+    assert Ordinal(a.terms) is a
+    assert [(e.key, c) for e, c in a.terms] == list(a.key)
+
+
+@settings(max_examples=300)
+@given(ordinals)
+def test_key_views_match_terms_oracles(a):
+    assert a.is_zero == _terms_is_zero(a) == (not a)
+    assert a.is_successor == _terms_is_successor(a)
+    assert a.is_limit == _terms_is_limit(a)
+    assert a.is_finite == _terms_is_finite(a)
+    assert _outcome(a.as_int) == _outcome(_terms_as_int, a)
+    assert format_ordinal(a) == _old_format(a)
+    if a:
+        assert limit_order(a) is a.terms[-1][0]
+
+
+def test_terms_rebuild_exponents_that_died():
+    a = parse_ordinal("w^(w^2*71 + 3)*2 + w^(w*53)")
+    gc.collect()
+    # The parser kept no exponent alive; `terms` builds them again.
+    assert a.key[0][0] not in _INTERNED and a.key[1][0] not in _INTERNED
+    assert a.terms == ((parse_ordinal("w^2*71 + 3"), 2), (parse_ordinal("w*53"), 1))
+    assert a.terms is a.terms
 
 
 # -- oracles: the terms-first operations the kernel used before it built ---

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, seed, settings
 from hypothesis import strategies as st
 
 from ordbench.errors import ParseError, UnsupportedRegion
-from ordbench.ordinal import ONE, ZERO, Ordinal, add, from_int, omega_power
+from ordbench.ordinal import ONE, ZERO, Ordinal, add, format_ordinal, from_int, omega_power
 from ordbench.oset import (
     OrdinalSet,
     Piece,
@@ -859,3 +860,39 @@ def test_between_matches_the_chain(high, data):
 def test_is_below_matches_the_restriction(high, data):
     s, b = data.draw(sets_and_cuts(high=high))
     assert s.is_below(b) == (s.restrict_below(b) == s)
+
+
+# -- the shared strategies draw what they always drew -----------------------
+
+
+def _seeded_draws(strategy, n: int) -> list:
+    """The first n values of `strategy` that Hypothesis generates from one
+    fixed seed, with no example database and no shrinking."""
+    out = []
+
+    @seed(20261020)
+    @settings(max_examples=n, database=None, phases=[Phase.generate])
+    @given(strategy)
+    def collect(value):
+        out.append(value)
+
+    collect()
+    return out
+
+
+def _piece_text(p: Piece) -> tuple:
+    levels = None if p.levels is None else [format_ordinal(x) for x in sorted(p.levels)]
+    return format_ordinal(p.lo), format_ordinal(p.hi), levels
+
+
+def test_set_strategies_draw_a_pinned_sequence():
+    """A change to how `ordinal_sets` and `raw_pieces` are built (for speed)
+    must leave the values they draw as they were."""
+    draws = [
+        [[_piece_text(p) for p in s.pieces] for s in _seeded_draws(ordinal_sets(), 150)],
+        [[_piece_text(p) for p in s.pieces] for s in _seeded_draws(ordinal_sets(high=True), 150)],
+        [[_piece_text(p) for p in raw] for raw in _seeded_draws(raw_pieces(), 150)],
+    ]
+    assert [len(d) for d in draws] == [150, 150, 150]
+    digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+    assert digest == "172a1592f175451e25bb1ab78c519aa1110deea4121ee5f5666c4f5983c4117c"
