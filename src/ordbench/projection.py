@@ -37,7 +37,7 @@ from .magidor import (
 )
 from .ordinal import ZERO, Ordinal, add, cnf_difference, omega_power
 from .oset import OrdinalSet
-from .universe import ToyUniverse
+from .universe import ToyUniverse, _remember
 
 __all__ = [
     "IndexSet",
@@ -64,84 +64,63 @@ CLUB_REFINE_CAP = 200
 AnyCondition = Union[MagidorCondition, "ICondition"]
 
 
-_ABSENT = object()  # the point fact of a non-member
+# The positions of `IndexSet.position` other than a predecessor ordinal.
+OUT = "out"  # not a member
+LIM = "lim"  # a member whose predecessors in the set are cofinal below it
+OPEN = "open"  # a member whose predecessors have an unattained supremum
 
 
 class IndexSet(_Record):
-    """A subset of the ground order type, with limit/successor queries.
+    """A subset of the ground order type, with one position per point.
+
+    `position(g)` is `OUT` for a non-member, `LIM` for a limit position
+    (0 included), and for a successor position its predecessor in the set,
+    0 below the least member, or `OPEN` when the members below g have an
+    unattained supremum, which only happens for index sets that are not
+    closed below their sup.
 
     The projection asks one index set the same questions many times, so
-    it keeps its answers: `_facts` maps a point to `points.sup_below(g)`
-    when g is a member and to `_ABSENT` when it is not, `_chains` maps
-    the o-values of a block sequence to its index chain, and `_gaps` maps
-    a member c to `gap_levels` from its predecessor. None takes part in
-    `==`, `hash` or `repr`."""
+    it keeps its answers, each memo at most `universe._MEMO_SIZE` entries:
+    `_positions` maps a point to its position, `_chains` maps the o-values
+    of a block sequence to its index chain, and `_gaps` maps a successor
+    member to `gap_levels`. None takes part in `==`, `hash` or `repr`."""
 
-    __slots__ = ("points", "_facts", "_chains", "_gaps")
+    __slots__ = ("points", "_positions", "_chains", "_gaps")
     _key = property(lambda r: (r.points,))
 
     def __init__(self, points: OrdinalSet):
         _set(self, "points", points)
-        _set(self, "_facts", {})
-        _set(self, "_chains", {})
-        _set(self, "_gaps", {})
+        for memo in ("_positions", "_chains", "_gaps"):
+            _set(self, memo, {})
 
-    def _fact(self, g: Ordinal):
+    def position(self, g: Ordinal) -> Ordinal | str:
         try:
-            return self._facts[g]
+            return self._positions[g]
         except KeyError:
-            fact = self.points.sup_below(g) if g in self.points else _ABSENT
-            self._facts[g] = fact
-            return fact
+            pass
+        if g not in self.points:
+            pos = OUT
+        elif (s := self.points.sup_below(g)) is None:
+            pos = LIM if g.is_zero else ZERO
+        else:
+            pos = LIM if s[0] >= g else s[0] if s[1] else OPEN
+        return _remember(self._positions, g, pos)
 
     def __contains__(self, g: Ordinal) -> bool:
-        return self._fact(g) is not _ABSENT
-
-    def in_lim(self, g: Ordinal) -> bool:
-        """Member whose predecessors in the set are cofinal below it."""
-        s = self._fact(g)
-        return s is not _ABSENT and _cofinal(g, s)
-
-    def in_succ(self, g: Ordinal) -> bool:
-        s = self._fact(g)
-        return s is not _ABSENT and not _cofinal(g, s)
-
-    def clause_pred(self, g: Ordinal) -> Ordinal | None:
-        """Predecessor for the linkage clauses; 0 stands in below the minimum.
-
-        None means the members below g have an unattained supremum, which
-        only happens for index sets that are not closed below their sup.
-        """
-        s = self._fact(g)
-        if s is _ABSENT:
-            s = self.points.sup_below(g)
-        if s is None:
-            return ZERO
-        return s[0] if s[1] else None
+        return self.position(g) is not OUT
 
     def min_in_open(self, lo: Ordinal, hi: Ordinal) -> Ordinal | None:
         m = self.points.min_above(lo)
         return m if m is not None and m < hi else None
 
-    def gap_levels(self, a: Ordinal, c: Ordinal) -> tuple[Ordinal, ...]:
-        """The levels of the stratum witnesses that fill the gap from a up
-        to c: `cnf_difference(a, c)` without its last exponent. Callers ask
-        with c's predecessor in the set (0 below the least member), so
-        only that a is kept, by c; any other a is computed afresh."""
-        s = self._fact(c)
-        if s is _ABSENT or (ZERO if s is None else s[0]) is not a:
-            return tuple(cnf_difference(a, c)[:-1])
+    def gap_levels(self, c: Ordinal) -> tuple[Ordinal, ...]:
+        """The levels of the stratum witnesses that fill the gap up to c
+        from its predecessor: `cnf_difference(pred, c)` without its last
+        exponent. Defined for a successor position with a predecessor."""
         try:
             return self._gaps[c]
         except KeyError:
-            levels = self._gaps[c] = tuple(cnf_difference(a, c)[:-1])
-            return levels
-
-
-def _cofinal(g: Ordinal, s: tuple[Ordinal, bool] | None) -> bool:
-    """Whether the members below g, with supremum fact s, reach g; below
-    0 the empty set's sup is 0."""
-    return g.is_zero if s is None else s[0] >= g
+            return _remember(self._gaps, c, tuple(cnf_difference(self.position(c), c)[:-1]))
 
 
 class ICondition(_Record):
@@ -190,7 +169,7 @@ def index_chain(cond: AnyCondition, I: IndexSet) -> list[Ordinal | None]:
                 continue
             prev = I.points.min_in_level_above(xi, prev)
             vals.append(prev)
-        chain = I._chains[key] = tuple(vals)
+        chain = _remember(I._chains, key, tuple(vals))
     return list(chain)
 
 
@@ -208,9 +187,9 @@ def pi(p: MagidorCondition, I: IndexSet) -> ICondition:
     answer is undefined, and the CLI refuses one with exit 2.
     """
     kept = [
-        Block(b.kappa) if I.in_succ(c) else b
+        b if pos is LIM else Block(b.kappa)
         for b, c in zip(p.blocks[:-1], p.gammas)
-        if c in I
+        if (pos := I.position(c)) is not OUT
     ]
     kept.append(p.top)
     return ICondition(p.universe, I, tuple(kept))
@@ -247,18 +226,18 @@ def _violations_I(q: ICondition) -> list[str]:
         if c is None:
             return ["index recursion undefined (N/A)"]
         out = []
-        if I.in_succ(c):
+        pos = I.position(c)
+        if pos is not LIM:
             if b.measure_set is not None:
                 out.append("successor-position block must be bare (2.a.i)")
-            pred = I.clause_pred(c)
-            if pred is None:
+            if pos is OPEN:
                 out.append(f"predecessor of {c} unattained in the index set")
-            elif pred != prev_idx:
+            elif pos != prev_idx:
                 out.append(
                     f"predecessor linkage fails (2.a.ii): "
-                    f"pred({c})={pred} but previous index is {prev_idx}"
+                    f"pred({c})={pos} but previous index is {prev_idx}"
                 )
-            elif _least_witnesses(I.gap_levels(pred, c), prev_kappa, below=b.kappa) is None:
+            elif _least_witnesses(I.gap_levels(c), prev_kappa, below=b.kappa) is None:
                 out.append("no stratum witness tuple (2.a.iii)")
             return out
         if b.measure_set is None:
@@ -291,17 +270,14 @@ def leq_I(p: ICondition, q: ICondition) -> bool:
         c = chain[j]
         if c is None:
             return False
-        if I.in_succ(c):
-            prev_idx = chain[j - 1] if j >= 1 else ZERO
-            if prev_idx is None:
-                return False
-            prev_kappa = q.blocks[j - 1].kappa if j >= 1 else None
-            return (
-                _least_witnesses(I.gap_levels(prev_idx, c), prev_kappa, enclosing.measure_set,
-                                 qb.kappa)
-                is not None
-            )
-        return qb.measure_set is not None and _inherits(qb, enclosing)
+        pos = I.position(c)
+        if pos is LIM:
+            return qb.measure_set is not None and _inherits(qb, enclosing)
+        if pos is OPEN:  # no predecessor to fill the gap from: q fails 2.a.ii
+            return False
+        prev_kappa = q.blocks[j - 1].kappa if j >= 1 else None
+        return (_least_witnesses(I.gap_levels(c), prev_kappa, enclosing.measure_set, qb.kappa)
+                is not None)
 
     return _order_walk(p, q, admits) is not None
 
@@ -339,19 +315,17 @@ def in_D(p: MagidorCondition, I: IndexSet) -> DFailure | None:
     prev_proj = ZERO
     for i in range(1, len(p.blocks)):
         c = coords[i - 1]
-        if c not in I:
+        pos = I.position(c)
+        if pos is OUT:
             continue
         before = coords[i - 2] if i >= 2 else ZERO
-        if I.in_lim(c):
+        if pos is LIM:
             if prev_proj != before:
-                repair = I.min_in_open(before, c)
-                failure = DFailure(i, c, 1, repair)
-        else:
-            pred = I.clause_pred(c)
-            if pred is None:
-                failure = DFailure(i, c, 2, None)
-            elif prev_proj != pred:
-                failure = DFailure(i, c, 2, pred)
+                failure = DFailure(i, c, 1, I.min_in_open(before, c))
+        elif pos is OPEN:
+            failure = DFailure(i, c, 2, None)
+        elif prev_proj != pos:
+            failure = DFailure(i, c, 2, pos)
         prev_proj = c
     return failure
 
@@ -420,19 +394,16 @@ def onto_construct(q: ICondition) -> MagidorCondition:
     chain = index_chain(q, I)
     new_blocks: list[Block] = []
     prev_kappa: Ordinal | None = None
-    prev_idx = ZERO
-    for i, b in enumerate(q.blocks[:-1], start=1):
-        c = chain[i - 1]
-        if I.in_succ(c):
+    for b, c in zip(q.blocks[:-1], chain):
+        if I.position(c) is LIM:
+            new_blocks.append(b)
+        else:
             new_blocks += _witness_blocks(
-                u, I.gap_levels(prev_idx, c), prev_kappa, b.kappa,
+                u, I.gap_levels(c), prev_kappa, b.kappa,
                 lambda xi, floor: WitnessUnavailable(
                     f"no level-{xi} witness below {b.kappa} above {floor}"),
             )
-        else:
-            new_blocks.append(b)
         prev_kappa = b.kappa
-        prev_idx = c
     new_blocks.append(q.top)
     out = MagidorCondition(u, tuple(new_blocks))
     bad = validate(out)
@@ -451,7 +422,12 @@ def lift(p: MagidorCondition, q: ICondition) -> MagidorCondition:
     p' is p extended by the points q adds, each successor position of I
     preceded by its least stratum witnesses from the enclosing set, with
     q's sets at q's limit positions, at the points of p it keeps and at
-    the top."""
+    the top.
+
+    Precondition: `p` must pass `validate` and `q` must pass `validate_I`;
+    on an invalid condition the answer is undefined, and the CLI refuses
+    one with exit 2.
+    """
     I = q.index_set
     _check_same_universe(p, q)
     base = pi(p, I)
@@ -460,7 +436,6 @@ def lift(p: MagidorCondition, q: ICondition) -> MagidorCondition:
     kept = {b.kappa for b in base.blocks[:-1]}
     kappas = [b.kappa for b in p.blocks]
     gaps: list[list[Ordinal]] = [[] for _ in p.blocks]
-    prev_idx = ZERO
     for qb, c in zip(q.blocks[:-1], index_chain(q, I)):
         if qb.kappa not in kept:
             # The gap of p below the first point at or above qb; a point
@@ -468,14 +443,13 @@ def lift(p: MagidorCondition, q: ICondition) -> MagidorCondition:
             i = bisect_left(kappas, qb.kappa, 0, len(kappas) - 1)
             pts = gaps[i]
             floor = pts[-1] if pts else kappas[i - 1] if i else None
-            if I.in_succ(c):
+            if I.position(c) is not LIM:
                 pts += _least_witnesses(
-                    I.gap_levels(prev_idx, c), floor, p.blocks[i].measure_set,
+                    I.gap_levels(c), floor, p.blocks[i].measure_set,
                     qb.kappa, lambda xi, floor: WitnessUnavailable(
                         f"no level-{xi} witness below {qb.kappa} in the block set"),
                 )
             pts.append(qb.kappa)
-        prev_idx = c
     shrink = {b.kappa: b.measure_set for b in q.blocks if b.measure_set is not None}
     try:
         out = extend(p, tuple(map(tuple, gaps)), shrink)
@@ -546,7 +520,7 @@ def _succ_gap_candidates(I: IndexSet, lo: Ordinal, hi: Ordinal) -> list[Ordinal]
     out = []
     window = I.points.between(lo, hi)
     for p in window.pieces:
-        if I.in_succ(p.lo):
+        if I.position(p.lo) not in (OUT, LIM):
             out.append(p.lo)
     lacking = window.missing_limits(hi).min_element()
     g = window.min_above(lacking) if lacking is not None else None
@@ -577,10 +551,10 @@ def quotient_member(p: MagidorCondition, I: IndexSet) -> bool:
         if b.measure_set is not None:
             lo = prev if prev is not None else ZERO
             for cand in _succ_gap_candidates(I, lo, b.kappa):
-                pred = I.clause_pred(cand)
-                if pred is None:
+                pred = I.position(cand)
+                if pred is OPEN:
                     return False
-                if _least_witnesses(I.gap_levels(pred, cand), pred, b.measure_set, cand) is None:
+                if _least_witnesses(I.gap_levels(cand), pred, b.measure_set, cand) is None:
                     return False
         prev = b.kappa
     return True

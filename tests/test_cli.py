@@ -264,6 +264,14 @@ def test_proj_in_d_and_densify_at_an_unattained_predecessor(capsys):
     assert "RepairImpossible: no repair coordinate for the failure at block 2" in captured.err
 
 
+def test_proj_index_refuses_a_block_index_out_of_range(cond_doc, capsys):
+    for i in ("0", "2"):
+        assert main(["proj", "index", cond_doc, i, "--index", "{0} u [w,w^2)"]) == 2
+        got = capsys.readouterr()
+        assert (got.out, got.err) == ("", f"input error: block index {i} out of 1..1\n")
+    assert run(["proj", "index", cond_doc, "1", "--index", "{0} u [w,w^2)"], capsys) == (0, "w\n")
+
+
 def test_proj_refine_clubs_on_a_plain_set_reaching_w_to_the_w(capsys):
     assert run(["proj", "refine-clubs", "[0,w^w)", "--roots", "w^w"], capsys) == (0, "w^w\n")
 

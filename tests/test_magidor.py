@@ -9,6 +9,7 @@ from ordbench.errors import (
     NotAnExtension,
     NotIncreasing,
     PointNotInMeasureSet,
+    UniverseMismatch,
 )
 from ordbench.magidor import (
     Block,
@@ -159,6 +160,14 @@ def test_validate_bare_iff_zero_order(u3):
 def test_leq_reflexive(u3):
     p = canonical_condition(u3, [o("w"), o("w^2")])
     assert leq(p, p) and leq_star(p, p)
+
+
+def test_leq_refuses_conditions_over_different_universes(u3):
+    p = canonical_condition(u3, [o("w")])
+    q = canonical_condition(canon_universe("w^3", "w+1"), [o("w")])
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(UniverseMismatch, match="conditions live over different universes"):
+            leq(a, b)
 
 
 def test_one_step_extension_is_leq(u3):

@@ -1,6 +1,7 @@
 """Soundness of the memos kept on values: a warmed value answers every
 question as a fresh copy of it does, a returned violation list belongs to
-the caller, and a universe's memos stay within their size."""
+the caller, and the memos of a universe and of an index set stay within
+their size."""
 
 from __future__ import annotations
 
@@ -11,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordbench.errors import WorkbenchError
-from ordbench.magidor import validate
-from ordbench.oset import OrdinalSet
-from ordbench.projection import ICondition, in_D, densify, leq_I, lift, onto_construct, pi, validate_I
+from ordbench.magidor import Block, MagidorCondition, validate
+from ordbench.ordinal import ONE, Ordinal, add, mul_nat
+from ordbench.oset import OrdinalSet, parse_set
+from ordbench.projection import (
+    ICondition, IndexSet, densify, in_D, index_chain, leq_I, lift, onto_construct, pi, validate_I,
+)
 from ordbench.universe import _MEMO_SIZE
 
 from conftest import W, W2, canon_universe, gen_projection_condition, nat, random_extension, o
@@ -55,7 +59,7 @@ def test_warmed_values_answer_as_fresh_copies(lam, seed):
     first = _answers(I, p, ext)
     # Copies are rebuilt through `__init__`, so they start with empty memos.
     fresh = copy.deepcopy((I, p, ext))
-    assert fresh[1].universe is not u and not fresh[0]._facts
+    assert fresh[1].universe is not u and not fresh[0]._positions
     assert _answers(I, p, ext) == first == _answers(*fresh)
 
 
@@ -90,3 +94,31 @@ def test_universe_memos_stay_within_their_size():
             assert u.is_large_all(B, beta) == fresh.is_large_all(B, beta)
             assert u.is_star_closed(B, beta) == fresh.is_star_closed(B, beta)
     assert u.o(o("w*3")) == fresh.o(o("w*3"))
+
+
+def test_index_set_memos_stay_within_their_size():
+    u = UNIVERSES["w^3"]
+    I, fresh = (IndexSet(parse_set("{0} u [w,w^3)")) for _ in range(2))
+    at_level = (ONE, W, W2)  # a point of o-value 0, 1 and 2
+
+    def point(k: int):
+        return add(add(mul_nat(W2, k // 1024), mul_nat(W, k // 32 % 32)), nat(k % 32))
+
+    def blocks(k: int):
+        """Ten blocks whose o-values spell k in base 3, so each k keys its
+        own index chain, and the top."""
+        digits = [k // 3**i % 3 for i in range(10)]
+        return MagidorCondition(u, tuple(Block(at_level[d]) for d in digits) + (Block(u.lambda0),))
+
+    def answers(J: IndexSet, k: int):
+        g = point(k)
+        pos = J.position(g)
+        return pos, J.gap_levels(g) if isinstance(pos, Ordinal) else None, index_chain(blocks(k), J)
+
+    for k in range(10 * _MEMO_SIZE):
+        answers(I, k)
+        assert max(len(I._positions), len(I._chains), len(I._gaps)) <= _MEMO_SIZE
+    assert len(I._gaps) > 0
+    # What the memos hold after being emptied is still right.
+    for k in (0, 1, 33, 1057, 10 * _MEMO_SIZE - 1):
+        assert answers(I, k) == answers(fresh, k)

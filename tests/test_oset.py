@@ -8,7 +8,9 @@ from hypothesis import Phase, example, given, seed, settings
 from hypothesis import strategies as st
 
 from ordbench.errors import ParseError, UnsupportedRegion
-from ordbench.ordinal import ONE, ZERO, Ordinal, add, format_ordinal, from_int, omega_power
+from ordbench.ordinal import (
+    ONE, ZERO, Ordinal, add, cnf_difference, format_ordinal, from_int, omega_power,
+)
 from ordbench.oset import (
     OrdinalSet,
     Piece,
@@ -24,7 +26,7 @@ from ordbench.oset import (
     olim,
     parse_set,
 )
-from ordbench.projection import IndexSet
+from ordbench.projection import LIM, OPEN, OUT, IndexSet
 
 from conftest import (
     HIGH_POINTS,
@@ -393,6 +395,16 @@ def old_clause_pred(points: OrdinalSet, g):
     return ZERO if s is None else s[0] if s[1] else None
 
 
+def old_position(points: OrdinalSet, g):
+    """`IndexSet.position` from the rebuilt limit and predecessor oracles."""
+    if g not in points:
+        return OUT
+    if old_in_lim(points, g):
+        return LIM
+    pred = old_clause_pred(points, g)
+    return OPEN if pred is None else pred
+
+
 def old_min_in_open(points: OrdinalSet, lo, hi):
     return old_restrict_below(old_restrict_above(points, lo), hi).min_element()
 
@@ -450,25 +462,38 @@ def test_set_walks_match_rebuild(case):
 def test_index_set_walks_match_rebuild(case):
     s, g, h = case
     I = IndexSet(s)
-    assert I.in_lim(g) == old_in_lim(s, g)
-    assert I.clause_pred(g) == old_clause_pred(s, g)
+    assert I.position(g) == old_position(s, g)
     assert I.min_in_open(g, h) == old_min_in_open(s, g, h)
+
+
+@settings(max_examples=300)
+@given(sets_and_cuts())
+def test_gap_levels_run_from_the_predecessor(case):
+    """Every successor position c with a predecessor has the gap levels
+    `cnf_difference(pred, c)` less its last exponent."""
+    s, g = case
+    I = IndexSet(s)
+    for c in [g, *s.enumerate(12)]:
+        pred = old_position(s, c)
+        if isinstance(pred, Ordinal):
+            assert I.gap_levels(c) == tuple(cnf_difference(pred, c)[:-1])
 
 
 @settings(max_examples=200)
 @given(sets_and_cuts(cuts=6), st.randoms(use_true_random=False))
 def test_a_warmed_index_set_answers_like_a_fresh_one(case, rnd):
-    """IndexSet keeps its point facts; asked again, in another order, it
-    answers as a fresh index set and as the rebuilt oracles do."""
+    """IndexSet keeps its positions and gap levels; asked again, in another
+    order, it answers as a fresh index set and as the rebuilt oracles do."""
     s, *points = case
     points.append(s.pieces[-1].hi if s.pieces else ZERO)  # never a member
     oracles = {
         "__contains__": lambda g: g in s,
-        "in_lim": lambda g: old_in_lim(s, g),
-        "in_succ": lambda g: g in s and not old_in_lim(s, g),
-        "clause_pred": lambda g: old_clause_pred(s, g),
+        "position": lambda g: old_position(s, g),
+        "gap_levels": lambda g: tuple(cnf_difference(old_position(s, g), g)[:-1]),
     }
-    asks = [(name, g) for name in oracles for g in points]
+    asks = [(name, g) for name in ("__contains__", "position") for g in points]
+    # gap_levels is defined for successor positions with a predecessor.
+    asks += [("gap_levels", g) for g in points if isinstance(old_position(s, g), Ordinal)]
     want = {(name, g): oracles[name](g) for name, g in asks}
 
     def answers(I: IndexSet):

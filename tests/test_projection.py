@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordbench.errors import (
+    IndexSetMismatch,
     NonTermination,
     NotAnExtension,
     RepairImpossible,
@@ -27,6 +28,9 @@ from ordbench.magidor import (
 from ordbench.ordinal import add, cnf_difference, omega_power
 from ordbench.oset import OrdinalSet, parse_set
 from ordbench.projection import (
+    LIM,
+    OPEN,
+    OUT,
     DFailure,
     ICondition,
     IndexSet,
@@ -59,6 +63,7 @@ from conftest import (
     random_extension,
     small_ordinals_below,
 )
+from test_oset import old_in_lim
 
 
 def iset(text: str) -> IndexSet:
@@ -76,14 +81,13 @@ def sec41_condition() -> MagidorCondition:
 
 def test_index_set_classification():
     I = SEC41_I
-    assert I.in_lim(ZERO)
-    assert I.in_succ(o("w"))  # only 0 sits below it
-    assert I.in_lim(o("w*2"))
+    assert I.position(ZERO) is LIM
+    assert I.position(o("w")) == ZERO  # a successor position: only 0 sits below it
+    assert I.position(o("w*2")) is LIM
     assert I.points.sup_below(o("w")) == (ZERO, True)  # 0 is a member
-    assert I.clause_pred(o("w")) == ZERO
+    assert I.position(o("5")) is OUT and o("5") not in I
     J = iset("[w,w^2)")
-    assert J.clause_pred(o("w")) == ZERO  # virtual zero below the minimum
-    assert J.in_succ(o("w"))
+    assert J.position(o("w")) == ZERO  # virtual zero below the minimum
 
 
 def test_index_of_sec41():
@@ -98,6 +102,13 @@ def test_index_of_full_index_set_is_gamma(rng):
         p = random_condition(u, rng)
         for i in range(1, len(p.blocks)):
             assert index_of(p, i, I) == gamma_of(p, i)
+
+
+def test_index_of_refuses_a_block_index_out_of_range():
+    p = sec41_condition()
+    for i in (0, 2):
+        with pytest.raises(ValueError, match=rf"^block index {i} out of 1\.\.1$"):
+            index_of(p, i, SEC41_I)
 
 
 def test_index_of_na():
@@ -208,7 +219,7 @@ def unattained_predecessor():
 
 def test_an_unattained_predecessor_fails_clause_2_with_no_repair():
     p, I = unattained_predecessor()
-    assert I.clause_pred(o("w+1")) is None
+    assert I.position(o("w+1")) is OPEN
     assert in_D(p, I) == DFailure(2, o("w+1"), 2, None)
     with pytest.raises(RepairImpossible, match="no repair coordinate for the failure at block 2"):
         densify(p, I)
@@ -276,6 +287,28 @@ def test_leq_I_reflexive_and_extension():
     q = pi(densify(p, I), I)
     assert validate_I(q) == []
     assert leq_I(q, q) and leq_I_star(q, q)
+
+
+def test_leq_I_refuses_conditions_over_different_index_sets():
+    p, I = first_counterexample()
+    q = pi(densify(p, I), I)
+    other = ICondition(q.universe, iset("[0,w^2)"), q.blocks)
+    for a, b in ((q, other), (other, q)):
+        with pytest.raises(IndexSetMismatch, match="conditions carry different index sets"):
+            leq_I(a, b)
+
+
+def test_an_unattained_predecessor_is_not_admitted_by_the_order_or_the_lift():
+    # w^2+1 is the least level-0 member of I, so the index recursion lands
+    # on it, but the members below it (w, w*2, ...) have no greatest one.
+    u = canon_universe("w^3")
+    I = iset("[w,w^2)@{1} u {w^2+1}")
+    top = Block(u.lambda0, u.ground())
+    q = ICondition(u, I, (Block(o("w^2+1")), top))
+    assert index_chain(q, I) == [o("w^2+1")] and I.position(o("w^2+1")) is OPEN
+    assert not leq_I(ICondition(u, I, (top,)), q)
+    with pytest.raises(NotAnExtension):
+        lift(MagidorCondition(u, (top,)), q)
 
 
 def test_point_beyond_the_ground_set_in_the_order_and_the_lift():
@@ -369,7 +402,7 @@ def old_leq_I(p: ICondition, q: ICondition) -> bool:
         c = chain[j]
         if c is None:
             return False
-        if I.in_succ(c):
+        if not old_in_lim(I.points, c):
             prev_idx = chain[j - 1] if j >= 1 else ZERO
             if prev_idx is None:
                 return False
@@ -490,7 +523,7 @@ def test_the_memo_is_invisible():
     before = (hash(I), repr(I), icondition_to_json(q))
     onto_construct(pi(densify(p, I), I))
     validate_I(q)
-    assert I._facts and I._chains
+    assert I._positions and I._chains
     assert (hash(I), repr(I), icondition_to_json(q)) == before
     fresh = IndexSet(OrdinalSet(FIRST_I.pieces))
     assert fresh == I and hash(fresh) == hash(I) and repr(fresh) == repr(I)
@@ -650,7 +683,7 @@ def old_lift(p: MagidorCondition, q: ICondition) -> MagidorCondition:
                 raise WitnessUnavailable(
                     f"inserted point {kappa} is not admissible below {pb.kappa}"
                 )
-            if I.in_succ(c):
+            if not old_in_lim(I.points, c):
                 new_blocks += _old_witness_blocks(
                     u, cnf_difference(prev_idx, c)[:-1], prev_point, kappa, B,
                     lambda xi, floor: WitnessUnavailable(
@@ -975,7 +1008,7 @@ def test_quotient_member_fails_on_a_member_without_a_greatest_predecessor():
     u = canon_universe("w^2")
     I = parse_set("[0,w) u [w+1,w*2)")
     assert I == parse_set("[0,w*2)@{0}") and len(I.pieces) == 1
-    assert IndexSet(I).in_succ(o("w+1")) and IndexSet(I).clause_pred(o("w+1")) is None
+    assert IndexSet(I).position(o("w+1")) is OPEN
     from ordbench.projection import _succ_gap_candidates
 
     assert o("w+1") in _succ_gap_candidates(IndexSet(I), ZERO, o("w^2"))

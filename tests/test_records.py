@@ -14,7 +14,7 @@ from ordbench.magidor import Block, ExtensionType, MagidorCondition
 from ordbench.ordinal import ONE, OMEGA, ZERO, parse_ordinal
 from ordbench.oset import OrdinalSet, Piece
 from ordbench.prikry import Derivation, ToyUltraStructure, TreeCondition, UltraAssignment
-from ordbench.projection import DFailure, ICondition, IndexSet
+from ordbench.projection import LIM, DFailure, ICondition, IndexSet
 from ordbench.ramsey import FiniteProductFn
 from ordbench.universe import ToyUniverse
 
@@ -97,8 +97,8 @@ def test_records_keep_no_dict_of_the_callers():
 
 def test_a_warmed_index_set_keeps_its_value():
     warmed, fresh = (IndexSet(OrdinalSet.interval(ZERO, W2)) for _ in range(2))
-    assert warmed.in_lim(OMEGA) and warmed.in_succ(ONE) and W2 not in warmed
-    assert warmed._facts
+    assert warmed.position(OMEGA) is LIM and warmed.position(ONE) == ZERO and W2 not in warmed
+    assert warmed._positions
     assert warmed == fresh and hash(warmed) == hash(fresh) and repr(warmed) == repr(fresh)
 
 

@@ -162,6 +162,52 @@ def test_no_record_has_a_dict_slot():
     assert found == []
 
 
+def _empty_dict_slots(init: ast.FunctionDef) -> set[str]:
+    """The slots an `__init__` sets to an empty `{}` with `_set`, named in
+    the call or by a `for memo in (...)` loop over slot names."""
+    loops = {n.target.id: [c.value for c in n.iter.elts if isinstance(c, ast.Constant)]
+             for n in ast.walk(init)
+             if isinstance(n, ast.For) and isinstance(n.target, ast.Name)
+             and isinstance(n.iter, (ast.Tuple, ast.List))}
+    slots = set()
+    for n in ast.walk(init):
+        if (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_set"
+                and len(n.args) == 3 and isinstance(n.args[2], ast.Dict) and not n.args[2].keys):
+            slot = n.args[1]
+            slots.update([slot.value] if isinstance(slot, ast.Constant) else loops.get(slot.id, ()))
+    return slots
+
+
+def test_every_memo_is_written_through_remember():
+    """A slot that a record's `__init__` sets to an empty `{}` is a memo,
+    and a memo is written only through `universe._remember`, which keeps it
+    within `_MEMO_SIZE`: a store by subscript, `setdefault` or `update`
+    would let it grow with every question. Lookup tables built from the
+    caller's input (`_at`, `_nodes`, `_levels`, `_suc`) start from that
+    input, not from `{}`, and are not memos."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    memos = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.FunctionDef) and n.name == "__init__":
+                memos |= _empty_dict_slots(n)
+    writes = []
+    for name, tree in trees.items():
+        for n in ast.walk(tree):
+            stores = (n.targets if isinstance(n, ast.Assign)
+                      else [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign)) else [])
+            stores = [t.value for t in stores if isinstance(t, ast.Subscript)]
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("setdefault", "update", "__setitem__")):
+                stores.append(n.func.value)
+            writes += [f"{name}:{n.lineno} {t.attr}" for t in stores
+                       if isinstance(t, ast.Attribute) and t.attr in memos]
+    assert writes == []
+    # The rule sees both forms of `__init__`, and no lookup table.
+    assert {"_o", "_large", "_closed", "_positions", "_chains", "_gaps"} <= memos
+    assert not memos & {"_at", "_nodes", "_levels", "_suc"}
+
+
 def test_every_private_helper_is_used():
     """Each undecorated private module-level function is named somewhere in
     `src/` (a call, a reference or an attribute; an import does not
