@@ -7,6 +7,7 @@ layers its verb runs.
 """
 
 import importlib.util
+import operator
 import sys
 
 # Module -> the public names the package re-exports from it.
@@ -55,11 +56,19 @@ _set = object.__setattr__  # how an `__init__` sets a slot past the frozen `__se
 class _Record:
     """Frozen value record.  A record class lists its fields in `__slots__`
     in constructor order (a slot whose name starts with `_` is a memo, not a
-    field), sets them in `__init__` with `_set`, and reads the fields that
-    `==` and `hash` compare, as a tuple, in its `_key` property.  `Ordinal`
-    and `OrdinalSet` keep their own `==` and `hash`."""
+    field) and sets them in `__init__` with `_set`.  `==`, `hash`, pickling
+    and `repr` read the fields as one tuple, `_key`.  `Ordinal` and
+    `OrdinalSet` keep their own `==` and `hash`."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(n for n in vars(cls).get("__slots__", ()) if n[0] != "_")
+        if fields:
+            get = operator.attrgetter(*fields)
+            cls._fields = fields
+            cls._key = property(get if len(fields) > 1 else lambda r: (get(r),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -71,10 +80,10 @@ class _Record:
 
     def __reduce__(self):
         # Unpickling and copying go through `__init__`, not `__setattr__`.
-        return type(self), tuple(getattr(self, n) for n in self.__slots__ if n[0] != "_")
+        return type(self), self._key
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -18,7 +18,6 @@ class CanonicalSequence(_Record):
     """C(g) = g for g < lambda0, optionally restricted to an index set."""
 
     __slots__ = ("lambda0", "restriction", "_points")
-    _key = property(lambda r: (r.lambda0, r.restriction))
 
     def __init__(self, lambda0: Ordinal, restriction: OrdinalSet | None = None):
         _set(self, "lambda0", lambda0)

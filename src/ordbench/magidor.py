@@ -45,7 +45,6 @@ class Block(_Record):
     """A named point with its candidate set (present iff o(kappa) > 0)."""
 
     __slots__ = ("kappa", "measure_set")
-    _key = property(lambda r: (r.kappa, r.measure_set))
 
     def __init__(self, kappa: Ordinal, measure_set: OrdinalSet | None = None):
         _set(self, "kappa", kappa)
@@ -56,7 +55,6 @@ class ExtensionType(_Record):
     """Per-gap finite sequences of measure indices governing an extension."""
 
     __slots__ = ("per_block",)
-    _key = property(lambda r: (r.per_block,))
 
     def __init__(self, per_block: tuple[tuple[Ordinal, ...], ...]):
         _set(self, "per_block", per_block)
@@ -70,7 +68,6 @@ class MagidorCondition(_Record):
     """Blocks in increasing kappa order; the last block is the top pair."""
 
     __slots__ = ("universe", "blocks", "_gammas")  # `_gammas`: `gammas`, once asked
-    _key = property(lambda r: (r.universe, r.blocks))
 
     def __init__(self, universe: ToyUniverse, blocks: tuple[Block, ...]):
         _set(self, "universe", universe)

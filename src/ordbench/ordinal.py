@@ -40,9 +40,12 @@ __all__ = [
     "ZERO",
     "ONE",
     "OMEGA",
+    "from_int",
     "omega_power",
     "compare",
     "add",
+    "mul_nat",
+    "mul_omega",
     "left_subtract",
     "cnf_difference",
     "limit_order",
@@ -468,16 +471,10 @@ def ordinal_enumeration() -> tuple[Ordinal, ...]:
         for cs in itertools.product((1, 2, 3, 5), repeat=n)
     )
     flat = (ZERO, *itertools.islice(terms, 1999))
-    seen = set(flat)
-    nested: list[Ordinal] = []
     heads = [o for o in flat[:40] if not o.is_zero and not o.is_finite]
-    for head in heads:
-        for c in (1, 2):
-            for tail in flat[:12]:
-                o = add(mul_nat(omega_power(head), c), tail)
-                if o not in seen:
-                    seen.add(o)
-                    nested.append(o)
-                    if len(nested) == 100:
-                        return flat + tuple(nested)
-    return flat + tuple(nested)
+    nested = (add(mul_nat(omega_power(head), c), tail)
+              for head in heads for c in (1, 2) for tail in flat[:12])
+    seen = set(flat)
+    # The filter records each new ordinal in `seen` (`set.add` returns None).
+    fresh = (o for o in nested if o not in seen and not seen.add(o))
+    return flat + tuple(itertools.islice(fresh, 100))

@@ -26,8 +26,8 @@ the pass the spans of one merge of the two sorted piece lists; the
 constructor, the union of its raw pieces, merges them pairwise the same
 way.  A restriction feeds it only the cut piece, followed by the stored
 pieces after it; once one of those starts a new piece unchanged, the
-pass returns the rest verbatim.  `between` cuts both ends that way and
-keeps the stored pieces inside.
+pass returns the rest verbatim.  `between` is the restriction below its
+upper end, then above its lower end.
 
 The queries answer from the stored pieces without building a set.
 `issubset` merges the two piece lists, optionally inside a window, and
@@ -37,7 +37,8 @@ pieces by).  `is_below` reads the supremum.  `complement_limits` finds
 the members at which the complement is cofinal: a filtered piece holds
 them where a level under a point's own is left out, and a piece's least
 member is one when a gap, or a filtered piece leaving such a level out,
-comes right before it.
+comes right before it.  `missing_limits` is the one query that builds a
+set: the complement limits of [0, top) minus the set.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "olim",
     "least_in_level",
     "level_sup_below",
+    "feasible_levels",
     "format_set",
     "parse_set",
 ]
@@ -84,22 +86,16 @@ def least_in_level(xi: Ordinal, start: Ordinal) -> Ordinal:
     if xi.is_zero:
         # start is a limit here; its successor is the next level-0 point.
         return start.successor()
-    # Split start as H + w^xi*c + T with H's exponents > xi, T's < xi.
+    # Split start as H + w^xi*c + T, H's exponents > xi, T's < xi: H + w^xi*(c+1).
     head: list[tuple[Ordinal, int]] = []
     coeff = 0
-    tail = False
     for e, c in start.terms:
         cmp = compare(e, xi)
         if cmp > 0:
             head.append((e, c))
         elif cmp == 0:
             coeff = c
-        else:
-            tail = True
-    h = Ordinal(tuple(head))
-    if tail:
-        return add(h, Ordinal(((xi, coeff + 1),)))
-    return add(h, Ordinal(((xi, coeff + 1),))) if coeff else add(h, omega_power(xi))
+    return Ordinal((*head, (xi, coeff + 1)))
 
 
 def level_sup_below(xi: Ordinal, bound: Ordinal) -> tuple[Ordinal, bool] | None:
@@ -146,17 +142,11 @@ def feasible_levels(lo: Ordinal, hi: Ordinal) -> list[Ordinal]:
 
 class Piece(_Record):
     __slots__ = ("lo", "hi", "levels")
-    _key = property(lambda r: (r.lo, r.hi, r.levels))
 
     def __init__(self, lo: Ordinal, hi: Ordinal, levels: frozenset[Ordinal] | None = None):
         _set(self, "lo", lo)
         _set(self, "hi", hi)
         _set(self, "levels", levels)  # None = all levels
-
-    def contains(self, g: Ordinal) -> bool:
-        if not (self.lo <= g < self.hi):
-            return False
-        return self.levels is None or olim(g) in self.levels
 
     def least_from(self, x: Ordinal) -> Ordinal | None:
         """Least element >= x."""
@@ -258,7 +248,7 @@ class OrdinalSet(_Record):
     def __contains__(self, g: Ordinal) -> bool:
         for p in self.pieces:
             if g < p.hi:
-                return p.contains(g)
+                return p.lo <= g and (p.levels is None or olim(g) in p.levels)
         return False
 
     def __repr__(self):
@@ -302,25 +292,8 @@ class OrdinalSet(_Record):
         return OrdinalSet._of_normal(())
 
     def between(self, a: Ordinal, b: Ordinal) -> "OrdinalSet":
-        """self ∩ (a, b).  The stored pieces inside the window stay; the
-        piece cut at b is settled as in `restrict_below`, then the one cut
-        just above a as in `restrict_above`."""
-        cut = a.successor()
-        pieces = self.pieces
-        i = 0
-        while i < len(pieces) and pieces[i].hi <= cut:
-            i += 1
-        k = i
-        while k < len(pieces) and pieces[k].hi <= b:
-            k += 1
-        inner = pieces[i:k]
-        if k < len(pieces) and pieces[k].lo < b:
-            inner += _settle((Piece(pieces[k].lo, b, pieces[k].levels),))
-        if inner and inner[0].lo < cut:
-            head, rest = inner[0], inner[1:]
-            # The settled cut at b may end at or below the cut above a.
-            inner = _settle((Piece(cut, head.hi, head.levels),), rest) if head.hi > cut else rest
-        return OrdinalSet._of_normal(inner)
+        """self ∩ (a, b)."""
+        return self.restrict_below(b).restrict_above(a)
 
     # -- queries -----------------------------------------------------------
     def issubset(self, other: "OrdinalSet", lo: Ordinal | None = None,
@@ -374,23 +347,18 @@ class OrdinalSet(_Record):
 
     def min_in_level_above(self, xi: Ordinal, floor: Ordinal) -> Ordinal | None:
         """Least element of level xi strictly above floor."""
-        cut = floor.successor()
-        for p in self.pieces:
-            if p.hi <= cut:
-                continue
-            if p.levels is not None and xi not in p.levels:
-                continue
-            cand = least_in_level(xi, max(p.lo, cut))
-            if cand < p.hi:
-                return cand
-        return None
+        return self._min_in_level_from(xi, floor.successor())
 
     def min_in_level(self, xi: Ordinal) -> Ordinal | None:
         """Least element of level xi."""
+        return self._min_in_level_from(xi, ZERO)
+
+    def _min_in_level_from(self, xi: Ordinal, start: Ordinal) -> Ordinal | None:
+        """Least element of level xi at or above start."""
         for p in self.pieces:
-            if p.levels is not None and xi not in p.levels:
+            if p.hi <= start or p.levels is not None and xi not in p.levels:
                 continue
-            cand = least_in_level(xi, p.lo)
+            cand = least_in_level(xi, p.lo if p.lo > start else start)
             if cand < p.hi:
                 return cand
         return None
@@ -429,17 +397,9 @@ class OrdinalSet(_Record):
         return OrdinalSet(tuple(out)).restrict_below(top.successor())
 
     def missing_limits(self, top: Ordinal) -> "OrdinalSet":
-        """{a < top | a not in self, sup(self ∩ a) = a}.
-
-        A plain piece adds only its end, which is never a member (the piece
-        would run past it), so a plain piece reaching w^w needs no filter.
-        """
-        ends = [p.hi for p in self.pieces if p.levels is None and p.hi.is_limit and p.hi < top]
-        filtered = tuple(p for p in self.pieces if p.levels is not None)
-        if not filtered:
-            return OrdinalSet.of(*ends)
-        limits = OrdinalSet(filtered).closure_points(top).restrict_below(top)
-        return limits.difference(self).union(OrdinalSet.of(*ends))
+        """{a < top | a not in self, sup(self ∩ a) = a}: the members of
+        [0, top) minus self at which their complement is cofinal."""
+        return OrdinalSet.interval(ZERO, top).difference(self).complement_limits()
 
     def complement_limits(self) -> "OrdinalSet":
         """{a in self | sup(C ∩ a) = a} for the complement C of self: the
@@ -527,7 +487,7 @@ def _g_omega_power(e: Ordinal, levels: frozenset[Ordinal]) -> Ordinal:
     if e.is_successor:
         d = e.predecessor()
         step = add(_g_omega_power(d, levels), ONE if d in levels else ZERO)
-        return mul_omega(step) if step else ZERO
+        return mul_omega(step)
     raise UnsupportedRegion(f"otp of a filtered piece with limit exponent {e}")
 
 

@@ -43,7 +43,6 @@ class UltraAssignment(_Record):
     """Core of a principal toy ultrafilter, with its downward projection."""
 
     __slots__ = ("core", "proj", "_table")  # `_table`: `proj` as a dict, once asked
-    _key = property(lambda r: (r.core, r.proj))
 
     def __init__(self, core: frozenset[int], proj: tuple[tuple[int, int], ...] | None = None):
         _set(self, "core", core)
@@ -73,7 +72,6 @@ class ToyUltraStructure(_Record):
     """
 
     __slots__ = ("ground", "nodes", "levels", "default", "tail_default", "_nodes", "_levels")
-    _key = property(lambda r: (r.ground, r.nodes, r.levels, r.default, r.tail_default))
 
     def __init__(self, ground: tuple[int, ...],
                  nodes: Mapping[Node, UltraAssignment] | None = None,
@@ -135,7 +133,6 @@ class TreeCondition(_Record):
     """
 
     __slots__ = ("trunk", "depth", "successors", "_suc")
-    _key = property(lambda r: (r.trunk, r.depth, r.successors))
 
     def __init__(self, trunk: Node, depth: int,
                  successors: Mapping[Node, frozenset[int]] | None = None):
@@ -356,7 +353,6 @@ class Derivation(_Record):
     k-th maps tuples of the k-th arity to values."""
 
     __slots__ = ("levels", "fns")
-    _key = property(lambda r: (r.levels, r.fns))
 
     def __init__(self, levels: tuple[int, ...], fns: tuple):
         _set(self, "levels", levels)

@@ -86,7 +86,6 @@ class IndexSet(_Record):
     member to `gap_levels`. None takes part in `==`, `hash` or `repr`."""
 
     __slots__ = ("points", "_positions", "_chains", "_gaps")
-    _key = property(lambda r: (r.points,))
 
     def __init__(self, points: OrdinalSet):
         _set(self, "points", points)
@@ -127,7 +126,6 @@ class ICondition(_Record):
     """Same block shape as a plain condition; sets live at Lim positions."""
 
     __slots__ = ("universe", "index_set", "blocks", "_violations")  # what `validate_I` found
-    _key = property(lambda r: (r.universe, r.index_set, r.blocks))
 
     def __init__(self, universe: ToyUniverse, index_set: IndexSet, blocks: tuple[Block, ...]):
         _set(self, "universe", universe)
@@ -295,7 +293,6 @@ class DFailure(_Record):
     """Maximal failing projected block, the violated clause, and the repair."""
 
     __slots__ = ("block_index", "coordinate", "clause", "repair")
-    _key = property(lambda r: (r.block_index, r.coordinate, r.clause, r.repair))
 
     def __init__(self, block_index: int, coordinate: Ordinal, clause: int, repair: Ordinal | None):
         _set(self, "block_index", block_index)

@@ -24,7 +24,7 @@ from collections.abc import Hashable, Mapping, Sequence
 
 from . import _Record, _set
 
-__all__ = ["FiniteProductFn", "homogenize", "important_coordinates"]
+__all__ = ["FiniteProductFn", "build_product_fn", "homogenize", "important_coordinates"]
 
 # Factor tuples (and min sizes) whose tables are kept. They pay off across
 # the functions of a sweep on the same factors and the coordinate sets of
@@ -128,7 +128,6 @@ class FiniteProductFn(_Record):
     or read from a mapping that covers them (other entries are dropped)."""
 
     __slots__ = ("factors", "table", "_rows")  # `_rows`: each tuple's place in `table`
-    _key = property(lambda r: (r.factors, r.table))
 
     def __init__(self, factors: tuple[tuple[int, ...], ...],
                  table: Mapping[tuple[int, ...], Hashable] | tuple):

@@ -42,7 +42,6 @@ class ToyUniverse(_Record):
     question (`_question`) to `is_large_all` and `is_star_closed`."""
 
     __slots__ = ("lambda0", "delta0_bound", "cores", "_at", "_o", "_large", "_closed")
-    _key = property(lambda r: (r.lambda0, r.delta0_bound, r.cores))
 
     def __init__(self, lambda0: Ordinal, delta0_bound: Ordinal,
                  cores: Mapping[CoreKey, OrdinalSet] | None = None):

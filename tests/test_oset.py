@@ -42,11 +42,19 @@ from conftest import (
 )
 
 DOMAIN = small_ordinals_below(o("w^3*3"), 550)
+W4 = o("w^4")
 DOMAIN_HIGH = sorted((*DOMAIN, *HIGH_POINTS))
 
 
 def members(s: OrdinalSet, domain=DOMAIN):
     return [g for g in domain if g in s]
+
+
+def piece_has(p: Piece, g: Ordinal) -> bool:
+    """Membership in one piece, as the module docstring defines it: g in
+    [lo, hi) and, for a filtered piece, o_L(g) in its levels (o_L(0) read
+    as 0)."""
+    return p.lo <= g < p.hi and (p.levels is None or olim(g) in p.levels)
 
 
 def random_set(rng: random.Random) -> OrdinalSet:
@@ -439,6 +447,19 @@ def test_restrictions_match_rebuild(case):
 
 
 @settings(max_examples=300)
+@given(sets_and_cuts(), st.integers(0, 4).map(nat))
+def test_level_queries_match_the_stratum(case, xi):
+    """The least member of level xi, above a floor or not, is the least
+    member of the set's part in the stratum of level xi, filtered pieces
+    that leave xi out included."""
+    s, floor = case
+    stratum = OrdinalSet.stratum_piece(ZERO, W4, xi)  # the drawn sets lie below w^4
+    assert s.min_in_level(xi) == s.intersect(stratum).min_element()
+    want = s.restrict_above(floor).intersect(stratum).min_element()
+    assert s.min_in_level_above(xi, floor) == want
+
+
+@settings(max_examples=300)
 @given(ordinal_sets(), ordinal_sets())
 def test_combine_matches_span_scan(a, b):
     assert a.union(b).pieces == old_combine(a, b, "union").pieces
@@ -631,7 +652,7 @@ def _joinable(p: Piece, q: Piece) -> bool:
 def assert_normal(pieces):
     """The canonical invariants of the `oset` module docstring."""
     for p in pieces:
-        assert p.lo < p.hi and p.contains(p.lo)
+        assert p.lo < p.hi and piece_has(p, p.lo)
         top, attained = p.sup()
         assert p.hi == (top.successor() if attained else top)
         # Reduced: a proper, non-empty subset of the levels the piece realizes.
@@ -772,7 +793,7 @@ STRATEGIES = pytest.mark.parametrize("high", [False, True], ids=["below-w^3*3", 
 @given(raw_pieces())
 def test_constructor_matches_greedy_reference(raw):
     def member(g):
-        return any(p.contains(g) for p in raw)
+        return any(piece_has(p, g) for p in raw)
 
     assert OrdinalSet(raw).pieces == greedy_reference(member, _bounds(raw))
 

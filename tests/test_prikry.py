@@ -397,6 +397,12 @@ def test_limit_member_negative_length():
         limit_ultrafilter_member(simple_structure(), [], -1)
 
 
+def test_limit_member_refuses_malformed_tuples():
+    for X, why in (([(1, 2, 3)], "is not a 2-tuple"), ([(2, 1)], "is not increasing")):
+        with pytest.raises(ValueError, match=why):
+            limit_ultrafilter_member(simple_structure(), X, 2)
+
+
 _settings = settings(max_examples=100)
 
 

@@ -4,14 +4,18 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import inspect
 import pickle
+import pkgutil
 
 import pytest
 
+import ordbench
+from ordbench import _Record
 from ordbench.generic import CanonicalSequence
 from ordbench.magidor import Block, ExtensionType, MagidorCondition
-from ordbench.ordinal import ONE, OMEGA, ZERO, parse_ordinal
+from ordbench.ordinal import ONE, OMEGA, ZERO, Ordinal, parse_ordinal
 from ordbench.oset import OrdinalSet, Piece
 from ordbench.prikry import Derivation, ToyUltraStructure, TreeCondition, UltraAssignment
 from ordbench.projection import LIM, DFailure, ICondition, IndexSet
@@ -74,6 +78,21 @@ def test_records_are_frozen_values(cls):
     assert x == y == a
     assert not any(isinstance(getattr(x, n), dict) for n in names)
     assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+
+
+def test_every_record_class_has_a_case():
+    """Each record class of the package, other than the two that keep their
+    own `==` and `hash`, is in CASES: a new record cannot skip the tests
+    above."""
+    for module in pkgutil.iter_modules(ordbench.__path__):
+        importlib.import_module(f"ordbench.{module.name}")
+    found, todo = set(), [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("ordbench."):
+                found.add(sub)
+            todo.append(sub)
+    assert found - set(CASES) == {Ordinal, OrdinalSet}
 
 
 def test_records_keep_no_dict_of_the_callers():

@@ -83,14 +83,23 @@ def test_every_error_class_is_raised_somewhere():
 
 
 def test_every_export_is_defined():
-    """Each name in a module's `__all__` is an attribute of that module: a
-    deleted definition does not leave its export behind."""
-    missing = []
+    """Each name in a module's `__all__` is an attribute of that module, and
+    each public function and class a module with an `__all__` defines is in
+    it: a deleted definition does not leave its export behind, and a public
+    one is not left out."""
+    missing, unlisted = [], []
     for path in sorted(SRC.glob("*.py")):
         name = "ordbench" if path.stem == "__init__" else f"ordbench.{path.stem}"
         module = importlib.import_module(name)
-        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        exports = getattr(module, "__all__", None)
+        if exports is None:
+            continue
+        missing += [f"{name}.{n}" for n in exports if not hasattr(module, n)]
+        unlisted += [f"{name}.{n.name}" for n in ast.parse(path.read_text()).body
+                     if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                     and n.name[0] != "_" and n.name not in exports]
     assert missing == []
+    assert unlisted == []
 
 
 def _chained(n: ast.AST, outer: str, inner: str) -> bool:
