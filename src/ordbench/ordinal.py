@@ -13,7 +13,10 @@ validates.  The public constructor `Ordinal(terms)` checks what it is
 handed (ordinal exponents, strictly decreasing, coefficients of type
 exactly `int` and >= 1), as `from_int` and `mul_nat` check their integer;
 every other operation (`add`, `predecessor`, `left_subtract`,
-`omega_power`, the parser) slices its key from valid operand keys.  So the
+`omega_power`) slices its key from valid operand keys.  The parser builds
+a literal's key from its tokens and makes one ordinal, at the end: a key
+whose exponents strictly decrease, each exponent itself such a key and
+each coefficient a positive `int`, or else the `add` of its terms.  So the
 table never holds an invalid key.
 
 An ordinal stores its key and hash.  `terms` is built from the key on
@@ -322,117 +325,110 @@ def classify(a: Ordinal) -> str:
 #   term    := "w" "^" atom ("*" nat)? | "w" ("*" nat)? | nat
 #   atom    := nat | "w" | "(" ordinal ")"
 #
-# Non-canonical literals (ascending or duplicate exponents) are accepted;
-# the value is the left-to-right ordinal sum of the terms.
+# A parse builds the literal's key and makes one ordinal, at the end.
+# Exponent atoms are keys, a parenthesised one the key of its own sum.  A sum
+# whose exponents strictly decrease (every printed ordinal) is its own key;
+# a non-canonical one (ascending or duplicate exponents) is the left-to-right
+# ordinal sum of its terms, by `add`.
 # ---------------------------------------------------------------------------
 
+# A literal's tokens are the longest run of `_TOKEN` matches from its start.
 _TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
 
 # Deepest parenthesised exponent a literal may nest; the parser recurses
 # once per level, so deeper input would exhaust the interpreter's stack.
 MAX_NESTING = 100
 
+_ONE_KEY = ONE.key
+_OMEGA_KEY = OMEGA.key
 
-class _Parser:
-    """Recursive descent over the literal's tokens, read once up front.
 
-    The tokens are the longest run of `_TOKEN` matches from the start,
-    each beginning where the last ended; after i tokens are taken the
-    position is `ends[i]`, and a None token stands for the rest of the
-    text.
-    """
+def _matches(text: str) -> list[re.Match]:
+    return list(iter(_TOKEN.scanner(text).match, None))
 
-    def __init__(self, text: str):
-        self.text = text
-        matches = list(iter(_TOKEN.scanner(text).match, None))
-        self.tokens = [m[1] for m in matches] + [None]
-        self.ends = [0] + [m.end() for m in matches]
-        self.i = 0
-        self.depth = 0
 
-    @property
-    def pos(self) -> int:
-        return self.ends[self.i]
+def _error(text: str, i: int, message: str) -> ParseError:
+    """The error at the end of the first i tokens.  Taking the None token,
+    the rest of the text, does not move past the last token, so i may be
+    one more than the token count."""
+    ends = [0] + [m.end() for m in _matches(text)]
+    return ParseError(message, column=ends[min(i, len(ends) - 1)] + 1)
 
-    def error(self, message: str) -> ParseError:
-        """The error to raise at the current position."""
-        return ParseError(message, column=self.pos + 1)
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i]
-
-    def take(self) -> str | None:
-        tok = self.tokens[self.i]
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def expect(self, token: str):
-        got = self.take()
-        if got != token:
-            raise self.error(f"expected {token!r}, found {got!r}")
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text) or self.text[self.pos :].isspace()
-
-    def ordinal(self) -> Ordinal:
-        value = self.term()
-        while self.peek() == "+":
-            self.take()
-            value = add(value, self.term())
-        return value
-
-    def term(self) -> Ordinal:
-        tok = self.take()
-        if tok is None:
-            raise self.error("expected a term")
-        if tok.isdigit():
-            return from_int(int(tok))
-        if tok != "w":
-            raise self.error(f"unexpected token {tok!r}")
-        exponent = ONE
-        if self.peek() == "^":
-            self.take()
-            exponent = self.atom()
-        coeff = 1
-        if self.peek() == "*":
-            self.take()
-            c = self.take()
-            if c is None or not c.isdigit() or int(c) < 1:
-                raise self.error("expected a nonzero coefficient after '*'")
-            coeff = int(c)
-        return _make(((exponent.key, coeff),))
-
-    def atom(self) -> Ordinal:
-        tok = self.peek()
-        if tok == "(":
-            if self.depth == MAX_NESTING:
-                raise self.error(f"exponents nested deeper than {MAX_NESTING}")
-            self.take()
-            self.depth += 1
-            inner = self.ordinal()
-            self.depth -= 1
-            self.expect(")")
-            return inner
-        tok = self.take()
+def _sum_key(text: str, tokens: list, i: int, depth: int) -> tuple[tuple, int]:
+    """The key of the sum whose first term is token i, and the index of the
+    token after it.  `tokens` ends with None, which stands for the rest of
+    the text."""
+    terms: list[tuple[tuple, int]] = []
+    ordered = True
+    while True:
+        tok = tokens[i]
         if tok == "w":
-            return OMEGA
-        if tok is not None and tok.isdigit():
-            return from_int(int(tok))
-        raise self.error(f"expected an exponent atom, found {tok!r}")
+            e, c = _ONE_KEY, 1
+            i += 1
+            tok = tokens[i]
+            if tok == "^":
+                tok = tokens[i + 1]
+                if tok == "(":
+                    if depth == MAX_NESTING:
+                        raise _error(text, i + 1, f"exponents nested deeper than {MAX_NESTING}")
+                    e, i = _sum_key(text, tokens, i + 2, depth + 1)
+                    if tokens[i] != ")":
+                        raise _error(text, i + 1, f"expected ')', found {tokens[i]!r}")
+                    i += 1
+                elif tok == "w":
+                    e = _OMEGA_KEY
+                    i += 2
+                elif tok is not None and tok.isdigit():
+                    n = int(tok)
+                    e = (((), n),) if n else ()
+                    i += 2
+                else:
+                    raise _error(text, i + 2, f"expected an exponent atom, found {tok!r}")
+                tok = tokens[i]
+            if tok == "*":
+                tok = tokens[i + 1]
+                c = int(tok) if tok is not None and tok.isdigit() else 0
+                if c < 1:
+                    raise _error(text, i + 2, "expected a nonzero coefficient after '*'")
+                i += 2
+        elif tok is None:
+            raise _error(text, i, "expected a term")
+        elif tok.isdigit():
+            e, c = (), int(tok)
+            i += 1
+        else:
+            raise _error(text, i + 1, f"unexpected token {tok!r}")
+        if c:  # a term 0 adds nothing
+            if terms and terms[-1][0] <= e:
+                ordered = False
+            terms.append((e, c))
+        if tokens[i] != "+":
+            break
+        i += 1
+    if ordered:
+        return tuple(terms), i
+    value = ZERO
+    for term in terms:
+        value = add(value, _make((term,)))
+    return value.key, i
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    p = _Parser(text)
-    if p.at_end():
-        raise p.error("empty ordinal literal")
-    value = p.ordinal()
-    if not p.at_end():
-        raise p.error(f"trailing input: {text[p.pos:].strip()!r}")
-    return value
-
-
-_OMEGA_KEY = OMEGA.key
+    tokens = _TOKEN.findall(text)
+    # Those are all the tokens when each non-space character lies in one;
+    # otherwise they end where the first other one begins.
+    whole = "".join(tokens) == "".join(text.split())
+    if not whole:
+        tokens = [m[1] for m in _matches(text)]
+    if not text or text.isspace():
+        raise ParseError("empty ordinal literal", column=1)
+    tokens.append(None)
+    key, i = _sum_key(text, tokens, 0, 0)
+    if tokens[i] is not None or not whole:
+        column = _error(text, i, "").column
+        raise ParseError(f"trailing input: {text[column - 1:].strip()!r}", column=column)
+    return _make(key)
 
 
 def _format_key(key: tuple) -> str:

@@ -40,16 +40,42 @@ _CACHE_SIZE = 2
 MAX_SUBPRODUCTS = 2**18
 
 
-def _classes(keys: Sequence) -> list[int]:
-    """For each key, the bits of the positions whose keys equal it as dict
-    keys do (so an unhashable key is a TypeError); or 0 for a key at one
-    position only, as `1 << position` would cost a bit per position before it."""
-    first, bits = {}, {}
+class _Rows(tuple):
+    """A sparse value class: its rows, increasing. `rows & cls` gives the bits
+    of those of them in `rows`, as it does for a class kept as bits, so the
+    search never asks which kind a class is."""
+
+    __slots__ = ()
+
+    def __rand__(self, rows: int) -> int:
+        return sum(1 << r for r in self if rows >> r & 1)
+
+
+def _classes(keys: Sequence, sparse: bool = False) -> list:
+    """For each key, the positions whose keys equal it as dict keys do (so an
+    unhashable key is a TypeError), as bits; or 0 for a key at one position
+    only, as `1 << position` would cost a bit per position before it. With
+    `sparse`, a class with fewer than one position per 64 bits of its width
+    is a `_Rows` instead, so no table costs more than a few words per
+    position."""
+    first, members = {}, {}
     for r, key in enumerate(keys):
         s = first.setdefault(key, r)
         if s != r:
-            bits[key] = bits.get(key, 1 << s) | 1 << r
-    return list(map(bits.get, keys, itertools.repeat(0)))
+            rows = members.get(key)
+            if rows is None:
+                members[key] = [s, r]
+            else:
+                rows.append(r)
+    for key, rows in members.items():
+        if sparse and len(rows) * 64 <= rows[-1]:
+            members[key] = _Rows(rows)
+        else:
+            bits = 0
+            for r in rows:
+                bits |= 1 << r
+            members[key] = bits
+    return list(map(members.get, keys, itertools.repeat(0)))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -156,11 +182,12 @@ def build_product_fn(factors, fn) -> FiniteProductFn:
     return FiniteProductFn(factors, tuple(fn(*t) for t in _domain(factors)))
 
 
-def _respects(rows: int, colour: list[int], shared: list[list[int]]) -> bool:
+def _respects(rows: int, colour: list, shared: list[list[int]]) -> bool:
     """Whether F(a) = F(b) iff a and b share the coordinates in I, for all
     rows a, b of `rows`: each value class meeting `rows` meets it in the
-    projection class of its lowest row (`shared`: each row's class in each
-    factor of I; a 0 class is the row alone)."""
+    projection class of its lowest row (`colour`: each row's value class,
+    as `_classes` with `sparse`; `shared`: each row's class in each factor
+    of I; a 0 class is the row alone)."""
     rest = rows
     while rest:
         low = (rest & -rest).bit_length() - 1
@@ -205,7 +232,7 @@ def homogenize(F: FiniteProductFn, min_sizes: list[int]):
     Sub-products are searched by decreasing total size so the first hit is
     the strongest certificate.
     """
-    got = _search(F, _ranked(F.factors, tuple(min_sizes)), _classes(F.table), ())
+    got = _search(F, _ranked(F.factors, tuple(min_sizes)), _classes(F.table, sparse=True), ())
     return None if got is None else (got[0], F.table[(got[1] & -got[1]).bit_length() - 1])
 
 
@@ -222,7 +249,7 @@ def important_coordinates(F: FiniteProductFn, min_sizes: list[int]):
     sub-products are searched by decreasing total size. On I = () the search
     is exactly homogenize's.
     """
-    ranking, colour = _ranked(F.factors, tuple(min_sizes)), _classes(F.table)
+    ranking, colour = _ranked(F.factors, tuple(min_sizes)), _classes(F.table, sparse=True)
     if not (ranking[0] and F.table):
         # The first ranked sub-product is the whole product: with no rows
         # there, no sub-product has a row, and no I can pass.

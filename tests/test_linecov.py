@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -28,3 +30,30 @@ def test_linecov_on_one_ordinal_test():
     # The selection runs the ordinal kernel and never imports the CLI.
     assert 0 < rows["ordinal.py"][1] < rows["ordinal.py"][0]
     assert rows["cli.py"][1] == 0
+
+
+def test_linecov_reports_a_file_edited_mid_run_against_the_lines_that_ran(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("linecov", ROOT / "tools" / "linecov.py")
+    linecov = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(linecov)
+    src = tmp_path / "linecov_probe.py"
+    src.write_text("def f(x):\n    if x:\n        return 1\n    return 2\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "linecov_probe", raising=False)
+    cov = linecov.LineCoverage()
+    cov.prefix = str(tmp_path) + os.sep
+    tracers = sys.gettrace(), threading.gettrace()
+    cov.start()
+    try:
+        import linecov_probe
+
+        linecov_probe.f(1)
+        # A line added above them moves every line of the file on disk.
+        src.write_text("# a new first line\n" + src.read_text())
+    finally:
+        cov.stop()
+        sys.settrace(tracers[0])
+        threading.settrace(tracers[1])
+    row = next(ln.split() for ln in cov.report() if ln.split()[:1] == ["linecov_probe.py"])
+    # Lines 1-3 ran, line 4 (`return 2`) did not.
+    assert row == ["linecov_probe.py", "4", "3", "4"]

@@ -13,9 +13,10 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ordbench import ordinal
 from ordbench.errors import DifferenceUndefined, ParseError
 from ordbench.ordinal import (
     _INTERNED,
@@ -827,10 +828,44 @@ def _malformed_literals(draw) -> str:
     return "w^(" * depth + (body or "1") + ")" * closing
 
 
+def _error_examples(test):
+    """One `@example` per error branch of the parser, and the nesting limit."""
+    for text in ("", "  ", "w+", "x", "w^", "w^x", "w*", "w*0", "w*x", "w^(1", "w 2",
+                 "w+3 junk", "٣", "w^(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1)):
+        test = example(text)(test)
+    return test
+
+
 @settings(max_examples=500)
 @given(_malformed_literals())
+@_error_examples
 def test_parser_errors_match_old_parser(text):
     assert _outcome(parse_ordinal, text) == _outcome(_old_parse, text)
+
+
+def test_parser_makes_one_ordinal_per_printed_literal(monkeypatch):
+    made = []
+
+    def counted(key, _make=ordinal._make):
+        made.append(key)
+        return _make(key)
+
+    monkeypatch.setattr(ordinal, "_make", counted)
+    pool = ordinal_enumeration()
+    for a in (*pool[:200], *pool[-100:], parse_ordinal("w^(w^(w+1)*2 + 3)*4 + w^w + 7")):
+        made.clear()
+        assert parse_ordinal(format_ordinal(a)) is a
+        assert made == [a.key]
+
+
+def test_parser_interns_only_the_literal():
+    text = "w^(w^424270*3 + 424271)*5 + w^424272 + 424273"
+    before = set(_INTERNED)
+    a = parse_ordinal(text)
+    # No term, exponent or partial sum of the literal was alive before it.
+    parts = [(a.key[0],), a.key[0][0], (a.key[1],), a.key[1][0], (a.key[2],), a.key[:2]]
+    assert not before.intersection(parts)
+    assert set(_INTERNED) - before == {a.key}
 
 
 def test_cnf_difference_cap():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ordbench import io, ramsey
 from ordbench.ramsey import (
     FiniteProductFn,
+    _classes,
     _coordinate_sets,
     _domain,
     _positions,
@@ -224,6 +225,54 @@ def test_a_large_single_factor_costs_little_to_build_and_search():
     got, held = _held_after(lambda: (homogenize(F, [20000]), important_coordinates(F, [20000])))
     assert got == (None, (full, (1,)))
     assert held < 5_000_000
+
+
+def _peak_of(fn):
+    """fn's result, and the most bytes allocated while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_many_small_spread_value_classes_cost_linear_memory():
+    # 40,000 rows in 20,000 classes of two rows at the two ends: a bitset
+    # per class as wide as its highest row would cost about 85 MB.
+    F = build_product_fn([range(200), range(200, 400)],
+                         lambda a, b: min(a * 200 + b - 200, 39999 - a * 200 - b + 200))
+    got, peak = _peak_of(lambda: homogenize(F, [200, 200]))
+    assert got is None
+    assert peak < 16_000_000
+
+
+@st.composite
+def spread_classes(draw):
+    """F on one factor of 136-160 elements or two of 12-13, each row its own
+    value but for rows 0 and one of the last eight, which share a class
+    stored as its rows, and a few rows between that take an earlier row's
+    value; with min sizes of each factor's size or one less."""
+    n = draw(st.sampled_from([1, 2]))
+    size = draw(st.integers(136, 160) if n == 1 else st.integers(12, 13))
+    factors = [range(size)] if n == 1 else [range(size), range(size, 2 * size)]
+    m = len(_positions(tuple(tuple(f) for f in factors))[0])
+    values = list(range(m))
+    values[0] = values[draw(st.integers(m - 8, m - 1))] = -1
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = sorted(draw(st.lists(st.integers(1, m - 9), min_size=2, max_size=2, unique=True)))
+        values[b] = values[a]
+    return FiniteProductFn(factors, tuple(values)), [size - draw(st.integers(0, 1))] * n
+
+
+@settings(max_examples=40, deadline=None)
+@given(spread_classes())
+def test_sparse_value_classes_match_scan(search):
+    F, min_sizes = search
+    assert any(type(c) is ramsey._Rows for c in _classes(F.table, sparse=True))
+    assert homogenize(F, min_sizes) == _scan_homogenize(F, min_sizes)
+    assert important_coordinates(F, min_sizes) == _scan_important(F, min_sizes)
 
 
 def test_a_product_without_rows_is_answered_without_a_search(monkeypatch):

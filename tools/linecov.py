@@ -8,8 +8,10 @@ whose code lies in `src/ordbench`; frames elsewhere are not traced line by
 line.  It then prints
 the tests it ran and, for each module, its executable lines, how many ran,
 and the lines that never ran.  A module's executable lines are the lines
-its code objects hold instructions on, docstrings left out.  Code run in a
-subprocess (the CLI subprocess tests) is not seen.
+its code objects hold instructions on, docstrings left out, read from its
+file when its code first runs, so a file edited during the run is reported
+against the lines that ran.  Code run in a subprocess (the CLI subprocess
+tests) is not seen.
 
 The hook makes the run several times slower, so the wall-clock budgets of
 the acceptance tests fail under it: the pass/fail counts of a traced run are
@@ -38,13 +40,18 @@ class LineCoverage:
     def __init__(self):
         self.prefix = PKG + os.sep
         self.hits: dict[str, set[int]] = {}
+        # Each traced module's executable lines, read when its code first ran.
+        self.lines: dict[str, set[int]] = {}
         self.outcomes: dict[str, str] = {}
 
     def _call(self, frame, event, arg):
         path = frame.f_code.co_filename
         if not path.startswith(self.prefix):
             return None
-        lines = self.hits.setdefault(path, set())
+        lines = self.hits.get(path)
+        if lines is None:
+            self.lines[path] = executable_lines(path)
+            lines = self.hits[path] = set()
 
         def line(frame, event, arg):
             if event == "line":
@@ -76,7 +83,7 @@ class LineCoverage:
             if not name.endswith(".py"):
                 continue
             path = self.prefix + name
-            lines = sorted(executable_lines(path))
+            lines = sorted(self.lines[path] if path in self.lines else executable_lines(path))
             missed = [n for n in lines if n not in self.hits.get(path, ())]
             total += len(lines)
             ran += len(lines) - len(missed)
