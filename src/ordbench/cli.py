@@ -408,11 +408,6 @@ verb("prikry", "project", "prikry.project_ultrafilter",
     lambda r, table, target, n, u: r.check(
         prikry.project_ultrafilter(u, table, n)(target), "member", "not a member"))
 
-# Every public operation is reachable through exactly one verb; a test checks
-# this table against a hand-kept list of the public operations.
-REGISTRY: dict[tuple[str, str], tuple[str, str]] = {
-    tuple(v.op.split(".")): key for key, v in VERBS.items()
-}
 GROUPS = tuple(dict.fromkeys(group for group, _ in VERBS))
 
 

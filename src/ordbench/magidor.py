@@ -295,35 +295,28 @@ def extend(
     _check_alphas(p, alphas)
     u = p.universe
     new_blocks: list[Block] = []
+
+    def place(b: Block) -> None:
+        if shrink and b.kappa in shrink:
+            if b.measure_set is None:
+                raise LargenessViolated(f"cannot shrink bare block {b.kappa}")
+            if not shrink[b.kappa].issubset(b.measure_set):
+                raise LargenessViolated(f"shrink at {b.kappa} is not a subset")
+            b = Block(b.kappa, shrink[b.kappa])
+        new_blocks.append(b)
+
     for i, b in enumerate(p.blocks, start=1):
         pts = alphas[i - 1]
-        lo, _ = _gap_bounds(p, i)
-        prev = lo
+        prev, _ = _gap_bounds(p, i)
         for a in pts:
             if u.o(a).is_zero:
-                new_blocks.append(Block(a))
+                place(Block(a))
             else:
-                inherited = (b.measure_set.restrict_below(a) if prev is None
-                             else b.measure_set.between(prev, a))
-                new_blocks.append(Block(a, inherited))
+                place(Block(a, b.measure_set.restrict_below(a) if prev is None
+                          else b.measure_set.between(prev, a)))
             prev = a
-        if pts and b.measure_set is not None:
-            new_blocks.append(Block(b.kappa, b.measure_set.restrict_above(pts[-1])))
-        else:
-            new_blocks.append(b)
-    if shrink:
-        shrunk: list[Block] = []
-        for b in new_blocks:
-            if b.kappa in shrink:
-                S = shrink[b.kappa]
-                if b.measure_set is None:
-                    raise LargenessViolated(f"cannot shrink bare block {b.kappa}")
-                if not S.issubset(b.measure_set):
-                    raise LargenessViolated(f"shrink at {b.kappa} is not a subset")
-                shrunk.append(Block(b.kappa, S))
-            else:
-                shrunk.append(b)
-        new_blocks = shrunk
+        # `_check_alphas` refused points below a bare block.
+        place(Block(b.kappa, b.measure_set.restrict_above(pts[-1])) if pts else b)
     out = MagidorCondition(u, tuple(new_blocks))
     problems = validate(out)
     if problems:

@@ -4,7 +4,9 @@ diagonal intersection, P-point surrogates and derived sequences.
 
 Toy ultrafilters are principal: a set is large when it contains the
 assigned core.  Projections send each point weakly downward, standing in
-for the map that represents the ground in the ultrapower.
+for the map that represents the ground in the ultrapower.  The classical
+diagonal intersection is the modified one at a level whose projection is
+the identity, so only the modified one is kept.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "normalize_dense",
     "validate_sequence_condition",
     "modified_diag",
-    "classical_diag",
     "limit_ultrafilter_member",
     "project_ultrafilter",
     "is_p_point",
@@ -255,24 +256,13 @@ def validate_sequence_condition(trunk: Node, sets, u: ToyUltraStructure) -> list
     return out
 
 
-def _diag(u: ToyUltraStructure, family: dict[int, set], bound) -> frozenset[int]:
-    """{v | for all a < bound(v): v in A_a}."""
-    try:
-        return frozenset(
-            v for v in u.ground if all(v in family[a] for a in range(bound(v)))
-        )
-    except KeyError as err:
-        raise ValueError(f"family not total: missing index {err}") from err
-
-
 def modified_diag(u: ToyUltraStructure, family: dict[int, set], k: int) -> frozenset[int]:
     """{v | for all a < pi_k(v): v in A_a}."""
-    return _diag(u, family, u.level_ultra(k).pi)
-
-
-def classical_diag(u: ToyUltraStructure, family: dict[int, set]) -> frozenset[int]:
-    """{v | for all a < v: v in A_a}."""
-    return _diag(u, family, lambda v: v)
+    pi = u.level_ultra(k).pi
+    try:
+        return frozenset(v for v in u.ground if all(v in family[a] for a in range(pi(v))))
+    except KeyError as err:
+        raise ValueError(f"family not total: missing index {err}") from err
 
 
 def _as_tuples(X, n: int) -> set[Node]:
@@ -287,18 +277,18 @@ def _as_tuples(X, n: int) -> set[Node]:
     return out
 
 
-def limit_ultrafilter_member(
-    u: ToyUltraStructure, X, n: int = 2, prefix: Node = ()
-) -> bool:
+def limit_ultrafilter_member(u: ToyUltraStructure, X, n: int) -> bool:
     """Iterated section test: X (increasing n-tuples) belongs to the n-fold
-    limit of the node ultrafilters along the given prefix, that is, its
-    section X_v is in the limit along prefix + (v,) for U-many v."""
+    limit of the node ultrafilters, that is, its section X_v is in the
+    limit along (v,) for U-many v, and so on down the nodes."""
     if n < 0:
         raise ValueError(f"tuple length {n} is negative")
-    return _sections_member(u, _as_tuples(X, n), n, prefix)
+    return _sections_member(u, _as_tuples(X, n), n, ())
 
 
 def _sections_member(u: ToyUltraStructure, tuples, n: int, prefix: Node) -> bool:
+    """The n-tuples are in the n-fold limit along the node `prefix`: the
+    section at v is in the limit along prefix + (v,) for U-many v."""
     # The node ultrafilter is principal, so U-many means every point of
     # its core.
     if n == 0:

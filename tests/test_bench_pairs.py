@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
 
 import pytest
 
@@ -35,3 +38,39 @@ def test_summarize_gives_quartiles_wins_and_attempted_per_side():
     # Pair 1 is won on throughput and lost on memory; pair 2 the other way.
     assert (tp["change_wins"], rss["change_wins"], tp["pairs"]) == (1, 1, 2)
     assert tp["better"] == "higher" and rss["better"] == "lower"
+
+
+def test_a_second_run_of_a_workload_keeps_the_first(tmp_path, monkeypatch):
+    """Each run of a workload is appended to `workloads[W]`, newest last,
+    beside the runs of other workloads."""
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "parent"], cwd=tmp_path,
+                   check=True)
+    spec = {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}],
+            "end_to_end": [{"name": "throughput", "better": "higher"}]}
+
+    def build_trees(rev, into):
+        trees = {side: os.path.join(into, side) for side in bench_pairs.SIDES}
+        for tree in trees.values():
+            os.makedirs(tree)
+            with open(os.path.join(tree, "BENCHMARK.json"), "w") as fh:
+                json.dump(spec, fh)
+        return trees
+
+    runs = iter(range(100))
+
+    def run_once(tree, workload, seed, seconds, metrics):
+        return {"attempted": 1, "failed": 0, "correct": 1, "throughput": float(next(runs))}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "build_trees", build_trees)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    for workload in ("a", "b", "a"):
+        assert bench_pairs.main(["--parent", "HEAD", "--workload", workload,
+                                 "--pairs", "2", "--pr", "7"]) == 0
+    doc = json.loads((tmp_path / "BENCH_7.json").read_text())
+    first, second = doc["workloads"]["a"]
+    assert [p["parent"]["throughput"] for p in first["pairs"]] == [0.0, 3.0]
+    assert [p["change"]["throughput"] for p in second["pairs"]] == [9.0, 10.0]
+    assert len(doc["workloads"]["b"]) == 1

@@ -299,6 +299,26 @@ def test_extend_with_shrink():
     assert leq_star(p, q)
     with pytest.raises(LargenessViolated):
         extend(p, ((),) * 5, shrink={o("w^2"): parse_set("[w,w*2)")})  # not large
+    # A shrink at a point the extension inserts is applied there, as `lift`
+    # asks for; the block above keeps its set cut at that point.
+    gaps = ((), (), (o("w+5"), o("w*3")), (), ())
+    q = extend(p, gaps, {o("w*3"): parse_set("(w*2,w*3)")})
+    at = {b.kappa: b.measure_set for b in q.blocks}
+    assert at[o("w*3")] == parse_set("(w*2,w*3)")
+    assert at[o("w^2")] == parse_set("(w*3,w^2)")
+    # An inserted point of order 0 is a bare block, which no shrink applies to.
+    with pytest.raises(LargenessViolated, match=r"^cannot shrink bare block w \+ 5$"):
+        extend(p, gaps, {o("w+5"): parse_set("(w+1,w+5)")})
+    # Of two failing shrinks the first in block order is reported, whatever
+    # the order of the shrink map.
+    zero = parse_set("{0}")
+    for shrink, first in (
+        ({o("w^2"): zero, o("w*3"): zero}, "shrink at w*3 is not a subset"),
+        ({o("w*3"): zero, o("w+1"): zero}, "cannot shrink bare block w + 1"),
+    ):
+        with pytest.raises(LargenessViolated) as err:
+            extend(p, gaps, shrink)
+        assert str(err.value) == first
 
 
 def test_find_type_requires_extension(u3):

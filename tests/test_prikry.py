@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordbench import prikry
 from ordbench.errors import BranchTooShort, PruneBrokeLargeness
 from ordbench.prikry import (
     Derivation,
@@ -13,7 +14,6 @@ from ordbench.prikry import (
     TreeCondition,
     UltraAssignment,
     apply_derivation,
-    classical_diag,
     derivation_profile,
     is_p_point,
     leq_tree,
@@ -326,7 +326,7 @@ def test_modified_diag_identity_matches_classical(rng):
     u = simple_structure(8)
     for _ in range(100):
         fam = {a: {v for v in range(8) if rng.random() < 0.7} for a in range(8)}
-        assert modified_diag(u, fam, 1) == classical_diag(u, fam)
+        assert modified_diag(u, fam, 1) == _pointwise_diag(u, fam, lambda v: v)
 
 
 def test_modified_diag_pointwise_oracle(rng):
@@ -414,7 +414,10 @@ def test_limit_member_matches_recursive(u, n, data):
     if data.draw(st.booleans()):
         X = set(tuples) - X
     prefix = data.draw(st.sampled_from([()] + [(v,) for v in u.ground]))
-    assert limit_ultrafilter_member(u, X, n, prefix) == _recursive(u, X, n, prefix)
+    got = prikry._sections_member(u, prikry._as_tuples(X, n), n, prefix)
+    assert got == _recursive(u, X, n, prefix)
+    if prefix == ():
+        assert limit_ultrafilter_member(u, X, n) == got
 
 
 def test_projection_consistency():
@@ -562,17 +565,13 @@ def _pointwise_diag(u, family, bound) -> frozenset:
 def test_diagonals_match_pointwise_oracle(u, k, data):
     points = st.sets(st.sampled_from(u.ground))
     family = {a: data.draw(points) for a in range(data.draw(st.integers(0, 8)))}
-    for diag, bound in (
-        (lambda: modified_diag(u, family, k), u.level_ultra(k).pi),
-        (lambda: classical_diag(u, family), lambda v: v),
-    ):
-        try:
-            expect = _pointwise_diag(u, family, bound)
-        except ValueError:
-            with pytest.raises(ValueError, match="family not total"):
-                diag()
-        else:
-            assert diag() == expect
+    try:
+        expect = _pointwise_diag(u, family, u.level_ultra(k).pi)
+    except ValueError:
+        with pytest.raises(ValueError, match="family not total"):
+            modified_diag(u, family, k)
+    else:
+        assert modified_diag(u, family, k) == expect
 
 
 def test_projection_listing_a_point_twice_is_rejected():

@@ -12,9 +12,10 @@ once in each tree, each run a fresh process, the parent first when k is odd.
 S is `run_seconds` from the parent's `BENCHMARK.json`.  The pairs and, for
 each end-to-end metric, both sides' medians and quartiles (next to those of
 the verdicts each side attempted) and the number of pairs the change wins go
-into `BENCH_<P>.json` at the root of the repository as `workloads[W]`.  Other
-workloads already in that file are kept; `--claim` names the metric the
-change claims on W.  Run it with nothing else running.
+into `BENCH_<P>.json` at the root of the repository as one run appended to
+the list `workloads[W]`, so each run of a workload is kept, newest last.
+Other workloads already in that file are kept; `--claim` names the metric
+the change claims on W.  Run it with nothing else running.
 """
 
 from __future__ import annotations
@@ -164,11 +165,11 @@ def main(argv=None) -> int:
     )
     if args.claim:
         doc["claim"] = {"workload": args.workload, "metric": args.claim}
-    doc.setdefault("workloads", {})[args.workload] = {
+    doc.setdefault("workloads", {}).setdefault(args.workload, []).append({
         "pairs": pairs,
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
         "summary": summarize(pairs, metrics),
-    }
+    })
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
