@@ -35,8 +35,13 @@ def _set_literal(text: str):
         return io.set_from_json(io.load_document(text))
     try:
         return oset.parse_set(text)
-    except ParseError:
-        return io.set_from_json(io.parse_json(text, f"not a set literal: {text[:40]!r}"))
+    except ParseError as err:
+        # Text that is not JSON either gets the literal's own error.
+        try:
+            doc = io.parse_json(text, "not JSON")
+        except ParseError:
+            raise err from None
+    return io.set_from_json(doc)
 
 
 def _document(decode: Callable) -> Callable:
@@ -184,17 +189,6 @@ def _sequence(p, restriction):
     return generic.CanonicalSequence(p.universe.lambda0, restriction)
 
 
-def _order(module, leq: str) -> Callable:
-    """The handler of a `leq` verb: `module.<leq>`, or `module.<leq>_star` when
-    its last value (the --star switch) is set."""
-
-    def run(rep, *args):
-        decide = getattr(module, f"{leq}_star" if args[-1] else leq)
-        return rep.extends(decide(*args[:-1]))
-
-    return run
-
-
 verb("ord", "add", "ordinal.add", "a:ord b:ord")(lambda r, a, b: r.ordinal(a + b))
 
 
@@ -253,7 +247,8 @@ def _uni_stratify(rep, u, B, beta):
 
 verb("cond", "validate", "magidor.validate", "c1:str")(
     lambda r, text: r.violations(magidor.validate(r.decode("cond", text))))
-verb("cond", "leq", "magidor.leq", "c1:cond c2:cond --star")(_order(magidor, "leq"))
+verb("cond", "leq", "magidor.leq", "c1:cond c2:cond --star")(
+    lambda r, p, q, star: r.extends((magidor.leq_star if star else magidor.leq)(p, q)))
 verb("cond", "gamma", "magidor.gamma_of", "c1:cond index:int")(
     lambda r, p, i: r.ordinal(magidor.gamma_of(p, i)))
 verb("cond", "type-of", "magidor.type_of", "c1:cond alphas:alphas")(
@@ -297,7 +292,8 @@ verb("proj", "pi", "projection.pi", "c1:cond --index:set!")(
     lambda r, p, S: r.blocks(projection.pi(p, projection.IndexSet(S))))
 verb("proj", "validate", "projection.validate_I", "c1:str")(
     lambda r, text: r.violations(projection.validate_I(r.decode("icond", text))))
-verb("proj", "leq", "projection.leq_I", "c1:icond c2:icond --star")(_order(projection, "leq_I"))
+verb("proj", "leq", "projection.leq_I", "c1:icond c2:icond --star")(
+    lambda r, p, q, star: r.extends((projection.leq_I_star if star else projection.leq_I)(p, q)))
 
 
 @verb("proj", "in-d", "projection.in_D", "c1:cond --index:set!")
@@ -366,7 +362,7 @@ verb("ramsey", "important", "ramsey.important_coordinates", "fn:fn --min-sizes:i
 verb("prikry", "validate", "prikry.validate_tree", "a:tree --structure:structure!")(
     lambda r, t, u: r.violations(prikry.validate_tree(t, u)))
 verb("prikry", "leq", "prikry.leq_tree", "a:tree b:tree --structure:structure! --star")(
-    _order(prikry, "leq_tree"))
+    lambda r, s, t, u, star: r.extends((prikry.leq_tree_star if star else prikry.leq_tree)(s, t, u)))
 
 
 @verb("prikry", "normalize", "prikry.normalize_dense", "a:tree --structure:structure!")

@@ -146,11 +146,7 @@ def condition_from_json(doc: dict) -> magidor.MagidorCondition:
 
 
 def icondition_to_json(q: projection.ICondition) -> dict:
-    return {
-        "universe": universe_to_json(q.universe),
-        "index": set_to_json(q.index_set.points),
-        "blocks": _blocks_to_json(q.blocks),
-    }
+    return {**condition_to_json(q), "index": set_to_json(q.index_set.points)}
 
 
 def icondition_from_json(doc: dict) -> projection.ICondition:

@@ -5,7 +5,6 @@ the projection lemma."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Union
 
 from . import _Record, _set
 from .errors import (
@@ -61,9 +60,6 @@ __all__ = [
 DENSIFY_CAP = 200
 CLUB_REFINE_CAP = 200
 
-AnyCondition = Union[MagidorCondition, "ICondition"]
-
-
 # The positions of `IndexSet.position` other than a predecessor ordinal.
 OUT = "out"  # not a member
 LIM = "lim"  # a member whose predecessors in the set are cofinal below it
@@ -108,10 +104,6 @@ class IndexSet(_Record):
     def __contains__(self, g: Ordinal) -> bool:
         return self.position(g) is not OUT
 
-    def min_in_open(self, lo: Ordinal, hi: Ordinal) -> Ordinal | None:
-        m = self.points.min_above(lo)
-        return m if m is not None and m < hi else None
-
     def gap_levels(self, c: Ordinal) -> tuple[Ordinal, ...]:
         """The levels of the stratum witnesses that fill the gap up to c
         from its predecessor: `cnf_difference(pred, c)` without its last
@@ -149,7 +141,7 @@ def _check_compatible(p: ICondition, q: ICondition):
 # ---------------------------------------------------------------------------
 
 
-def index_chain(cond: AnyCondition, I: IndexSet) -> list[Ordinal | None]:
+def index_chain(cond: MagidorCondition | ICondition, I: IndexSet) -> list[Ordinal | None]:
     """I(t_i, p) for the non-top blocks; None encodes N/A and propagates.
 
     A point beyond the ground set is N/A and leaves the recursion where it
@@ -171,7 +163,7 @@ def index_chain(cond: AnyCondition, I: IndexSet) -> list[Ordinal | None]:
     return list(chain)
 
 
-def index_of(cond: AnyCondition, i: int, I: IndexSet) -> Ordinal | None:
+def index_of(cond: MagidorCondition | ICondition, i: int, I: IndexSet) -> Ordinal | None:
     """The coordinate the i-th block unveils in the subsequence, or N/A."""
     if not 1 <= i <= len(cond.blocks) - 1:
         raise ValueError(f"block index {i} out of 1..{len(cond.blocks) - 1}")
@@ -318,7 +310,8 @@ def in_D(p: MagidorCondition, I: IndexSet) -> DFailure | None:
         before = coords[i - 2] if i >= 2 else ZERO
         if pos is LIM:
             if prev_proj != before:
-                failure = DFailure(i, c, 1, I.min_in_open(before, c))
+                m = I.points.min_above(before)  # at most c, which is in I
+                failure = DFailure(i, c, 1, m if m < c else None)
         elif pos is OPEN:
             failure = DFailure(i, c, 2, None)
         elif prev_proj != pos:
@@ -536,7 +529,7 @@ def quotient_member(p: MagidorCondition, I: IndexSet) -> bool:
     chain = index_chain(q, I)
     # (a) every projected block sits at its own coordinate
     for j, b in enumerate(q.blocks[:-1]):
-        if chain[j] is None or chain[j] != b.kappa:
+        if chain[j] != b.kappa:
             return False
     # (b) members of the restricted sequence fall into the block sets
     if not _points_in_blocks(q.blocks, I.points):

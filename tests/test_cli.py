@@ -86,6 +86,19 @@ def test_set_ops_and_exit_codes(capsys):
     assert io.set_from_json(doc["result"]) == parse_set("[5,w)")
 
 
+def test_a_malformed_set_literal_reports_the_literal_error(capsys):
+    """Text that is neither a set literal nor JSON gets the literal's
+    error; a JSON document of the wrong shape still gets its shape's."""
+    for text, message in [
+        ("[0,w", "bad set piece '[0,w'"),
+        ("{w+}", "expected a term (column 3)"),
+        ('{"a": 1}', "expected a set literal, got {'a': 1}"),
+    ]:
+        for mode in ([], ["--machine"]):
+            assert main(mode + ["set", "union", text, "{}"]) == 2
+            assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+
 def test_set_union_drops_emptied_piece(capsys):
     # Pinning the junction at w leaves [w,w+1)@{0}, which holds no point.
     code, out = run(["set", "union", "[0,1)", "[0,w+1)@{0}"], capsys)
@@ -235,6 +248,25 @@ def test_proj_pi_section41(cond_doc, capsys):
     assert q.blocks[0].measure_set is None
     # round trip: same document serializes back
     assert io.icondition_to_json(q) == doc["result"]
+
+
+def test_star_asks_for_a_direct_extension(capsys):
+    """Each pair extends in the forcing order but adds blocks (for trees,
+    lengthens the trunk), so under `--star` it does not extend."""
+    u = canon_universe("w^2")
+    p, p3 = (canonical_condition(u, [o(k) for k in ks]) for ks in (["w"], ["w", "w+1", "w*2"]))
+    I = projection.IndexSet(parse_set("{0} u [w,w^2)"))
+    tree = {"trunk": [0, 2], "depth": 2}
+    pairs = [
+        ["cond", "leq", *(json.dumps(io.condition_to_json(c)) for c in (p, p3))],
+        ["proj", "leq", *(json.dumps(io.icondition_to_json(projection.pi(c, I))) for c in (p, p3))],
+        ["prikry", "leq", json.dumps(tree), json.dumps({**tree, "trunk": [0, 2, 3]}),
+         "--structure", _STRUCTURE],
+    ]
+    for argv in pairs:
+        assert run(argv, capsys) == (0, "extends\n")
+        assert run(argv + ["--star"], capsys) == (1, "does not extend\n")
+        assert machine(argv + ["--star"], capsys)[1]["result"] is False
 
 
 def test_proj_in_d_and_densify(capsys, tmp_path):

@@ -242,13 +242,6 @@ def test_every_private_helper_is_used():
     assert [f"{name}:{n.lineno} {n.name}" for name, n in helpers if n.name not in named] == []
 
 
-# Public names that nothing in `src/` or `bench/` names, each for a reason:
-# `cli._order` reaches the direct-extension orders by
-# `getattr(module, f"{leq}_star")`. Only a name reached by a computed
-# lookup belongs here; a name only tests reach is deleted.
-CALLED_ELSEWHERE = {"leq_I_star", "leq_tree_star"}
-
-
 def _callers() -> list[pathlib.Path]:
     """The modules whose calls count as callers: the library's and the benchmark's."""
     return sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "bench").glob("*.py"))
@@ -264,7 +257,11 @@ def test_every_public_name_has_a_caller():
     so the rule misses a method that shares its name with another class's
     (as `is_empty` did on `ExtensionType` and `OrdinalSet`) or whose only
     caller is itself test-only (as `total_length` was of that
-    `is_empty`)."""
+    `is_empty`).
+
+    There is no exception list: a name reached only by a lookup built at
+    run time would look unused here, and
+    `test_no_attribute_is_looked_up_by_a_built_name` refuses such lookups."""
     named = set()
     for path in _callers():
         for n in ast.walk(ast.parse(path.read_text())):
@@ -280,9 +277,29 @@ def test_every_public_name_has_a_caller():
             public += [(path.name, d) for d in [n, *members]
                        if isinstance(d, defs) and not d.name.startswith("_")]
     assert public
-    unused = [f"{name}:{d.lineno} {d.name}" for name, d in public
-              if d.name not in named and d.name not in CALLED_ELSEWHERE]
+    unused = [f"{name}:{d.lineno} {d.name}" for name, d in public if d.name not in named]
     assert unused == []
+
+
+def _builds_a_string(x: ast.AST) -> bool:
+    """An f-string, a `+` or `%`, or a `.format` call."""
+    return (isinstance(x, ast.JoinedStr)
+            or isinstance(x, ast.BinOp) and isinstance(x.op, (ast.Add, ast.Mod))
+            or isinstance(x, ast.Call) and getattr(x.func, "attr", None) == "format")
+
+
+def test_no_attribute_is_looked_up_by_a_built_name():
+    """No `getattr` or `hasattr` in `src/` builds its name argument from an
+    f-string, a `+` or `%`, or `.format`. A callee reached only through a
+    built name is named nowhere, so the caller rule above would take it for
+    dead code; each call names its callee instead."""
+    built = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("getattr", "hasattr")
+                    and len(n.args) > 1 and any(map(_builds_a_string, ast.walk(n.args[1])))):
+                built.append(f"{path.name}:{n.lineno}")
+    assert built == []
 
 
 def _passed(paths) -> dict[str, set]:
