@@ -63,7 +63,8 @@ KINDS: dict[str, Callable] = {
     "int": int,
     "ints": lambda text: tuple(int(x) for x in text.split(",")),
     "str": str,
-    "alphas": _document(lambda d: tuple(tuple(parse_ordinal(a) for a in gap) for gap in d)),
+    "alphas": _document(lambda d: tuple(
+        tuple(parse_ordinal(a) for a in io._typed(gap, list, "a gap")) for gap in d)),
     "shrink": _document(
         lambda d: {parse_ordinal(e["kappa"]): io.set_from_json(e["B"]) for e in d}
     ),
@@ -76,8 +77,9 @@ KINDS: dict[str, Callable] = {
     "sets": _document(lambda d: _family(d) if isinstance(d, dict) else set(io._ints(d, "a set"))),
     "tuples": _document(lambda d: [io._ints(t, "a tuple") for t in d]),
     "tables": _document(lambda d: [{int(k): io.hashable(v) for k, v in t.items()} for t in d]),
-    "graph": _document(lambda d: {tuple(e["args"]): io.hashable(e["value"]) for e in d}),
-    "target": _document(lambda d: {io.hashable(t) for t in d}),
+    "graph": _document(
+        lambda d: {tuple(io._typed(e["args"], list, "args")): io.hashable(e["value"]) for e in d}),
+    "target": _document(lambda d: {io.hashable(t) for t in io._typed(d, list, "target")}),
 }
 # Kinds echoed in machine mode -> (input kind, canonical JSON rendering).
 ECHOED = {

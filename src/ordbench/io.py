@@ -167,6 +167,14 @@ def tree_to_json(t: prikry.TreeCondition) -> dict:
     }
 
 
+def _typed(value: Any, cls: type, what: str) -> Any:
+    """`value`, which must be of the JSON type `cls` itself: a string is no
+    list (it would read as its characters) and a boolean no integer."""
+    if type(value) is not cls:
+        raise ParseError(f"{what} must be a JSON {cls.__name__}, got {value!r}")
+    return value
+
+
 def _ints(values, what: str) -> tuple[int, ...]:
     """The entries of a JSON list that must hold integers (not booleans)."""
     out = tuple(values)
@@ -176,9 +184,9 @@ def _ints(values, what: str) -> tuple[int, ...]:
 
 
 def tree_from_json(doc: dict) -> prikry.TreeCondition:
-    depth = doc["depth"]
-    if type(depth) is not int:
-        raise ParseError(f"tree depth must be an integer, got {depth!r}")
+    depth = _typed(doc["depth"], int, "tree depth")
+    if depth < 0:
+        raise ParseError(f"tree depth must be at least 0, got {depth}")
     return prikry.TreeCondition(
         _ints(doc["trunk"], "tree trunk"),
         depth,
@@ -211,7 +219,7 @@ def structure_from_json(doc: dict) -> prikry.ToyUltraStructure:
             for entry in doc.get("levels", [])
         },
         None if doc.get("default") is None else _assignment_from_json(doc["default"]),
-        bool(doc.get("tail_default", False)),
+        _typed(doc.get("tail_default", False), bool, "tail_default"),
     )
 
 
@@ -227,14 +235,15 @@ def hashable(value: Any) -> Any:
 
 def product_fn_from_json(doc: dict) -> ramsey.FiniteProductFn:
     return ramsey.FiniteProductFn(
-        tuple(tuple(f) for f in doc["factors"]),
-        {tuple(entry["args"]): hashable(entry["value"]) for entry in doc["table"]},
+        tuple(tuple(_typed(f, list, "a factor")) for f in doc["factors"]),
+        {tuple(_typed(entry["args"], list, "args")): hashable(entry["value"])
+         for entry in doc["table"]},
     )
 
 
 def derivation_from_json(doc: dict) -> prikry.Derivation:
     fns = tuple(
-        {tuple(entry["args"]): entry["value"] for entry in table}
+        {tuple(_typed(entry["args"], list, "args")): entry["value"] for entry in table}
         for table in doc["tables"]
     )
     return prikry.Derivation(_ints(doc["levels"], "derivation levels"), fns)

@@ -15,7 +15,6 @@ from .errors import (
     PointNotInMeasureSet,
     UniverseMismatch,
     WitnessUnavailable,
-    WorkbenchError,
 )
 from .ordinal import ZERO, Ordinal, add, cnf_difference, omega_power
 from .oset import OrdinalSet, least_in_level
@@ -352,14 +351,9 @@ def unveil_type(p: MagidorCondition, gamma: Ordinal) -> ExtensionType:
         raise OutOfRange(f"{gamma} is not between block coordinates")
     slot = next(i for i, c in enumerate(coords) if gamma < c)  # 0-based gap
     base = coords[slot - 1] if slot else ZERO
-    if gamma < base:
-        raise OutOfRange(f"{gamma} is below the preceding coordinate")
-    exponents = tuple(cnf_difference(base, gamma))
-    limit = p.o(slot + 1)
-    if any(e >= limit for e in exponents):
-        raise WorkbenchError(f"unveiling {gamma} needs an exponent at or above o = {limit}")
     per = [()] * len(p.blocks)
-    per[slot] = exponents
+    # gamma < base + w^o(slot + 1), so each exponent is below that order.
+    per[slot] = tuple(cnf_difference(base, gamma))
     return ExtensionType(tuple(per))
 
 

@@ -360,7 +360,7 @@ def densify(p: MagidorCondition, I: IndexSet) -> MagidorCondition:
 
 
 def _witness_blocks(
-    u: ToyUniverse, levels, floor: Ordinal | None, point: Ordinal, missing,
+    u: ToyUniverse, levels, floor: Ordinal | None, point: Ordinal,
 ) -> list[Block]:
     """Blocks at the least stratum witnesses of `levels` between floor and
     point, then at point itself.
@@ -368,7 +368,7 @@ def _witness_blocks(
     Each positive-order block carries the canonical large set at its point:
     the whole open interval above the block before it."""
     out: list[Block] = []
-    for w in _least_witnesses(levels, floor, None, point, missing) + [point]:
+    for w in _least_witnesses(levels, floor, None, point) + [point]:
         lo = ZERO if floor is None else floor.successor()
         out.append(Block(w) if u.o(w).is_zero else Block(w, OrdinalSet.interval(lo, w)))
         floor = w
@@ -388,11 +388,8 @@ def onto_construct(q: ICondition) -> MagidorCondition:
         if I.position(c) is LIM:
             new_blocks.append(b)
         else:
-            new_blocks += _witness_blocks(
-                u, I.gap_levels(c), prev_kappa, b.kappa,
-                lambda xi, floor: WitnessUnavailable(
-                    f"no level-{xi} witness below {b.kappa} above {floor}"),
-            )
+            # `validate_I`'s clause (2.a.iii) found these witnesses.
+            new_blocks += _witness_blocks(u, I.gap_levels(c), prev_kappa, b.kappa)
         prev_kappa = b.kappa
     new_blocks.append(q.top)
     out = MagidorCondition(u, tuple(new_blocks))

@@ -92,7 +92,12 @@ def test_a_malformed_set_literal_reports_the_literal_error(capsys):
     for text, message in [
         ("[0,w", "bad set piece '[0,w'"),
         ("{w+}", "expected a term (column 3)"),
+        ("{0} u ", "empty set piece"),
+        ("[0,w)@1", "bad level filter '1'"),
+        ("[0 w)", "expected comma in '[0 w)'"),
         ('{"a": 1}', "expected a set literal, got {'a': 1}"),
+        ('[["0", 5]]', "expected an ordinal literal, got 5"),
+        ("[[5]]", "bad set piece [5]"),
     ]:
         for mode in ([], ["--machine"]):
             assert main(mode + ["set", "union", text, "{}"]) == 2
@@ -443,6 +448,12 @@ _STRUCTURE = json.dumps(
     {"ground": [0, 1, 2, 3, 4, 5], "default": {"core": [3, 4, 5], "pi": None}}
 )
 _STRUCTURE5 = json.dumps({"ground": [0, 1, 2, 3, 4], "default": {"core": [1, 2], "pi": None}})
+_U2 = io.universe_to_json(canon_universe("w^2"))
+_ONE_BLOCK = json.dumps({"universe": _U2, "blocks": [{"kappa": "w^2", "B": "[0,w^2)"}]})
+_TWO_BLOCKS = json.dumps({"universe": _U2, "blocks": [{"kappa": "w", "B": "[0,w)"},
+                                                      {"kappa": "w^2", "B": "(w,w^2)"}]})
+# Its set misses the points up to w.
+_HOLED = json.dumps({"universe": _U2, "blocks": [{"kappa": "w^2", "B": "(w,w^2)"}]})
 
 
 @pytest.mark.parametrize(
@@ -481,13 +492,35 @@ _STRUCTURE5 = json.dumps({"ground": [0, 1, 2, 3, 4], "default": {"core": [1, 2],
         ["prikry", "normalize", '{"trunk": [1], "depth": 2}', "--structure",
          '{"ground": "a", "default": null}'],
         ["prikry", "derive", '{"levels": ["a"], "tables": [[]]}', "2,4"],
+        ["cond", "type-of", _ONE_BLOCK, '["w"]'],
+        ["ramsey", "homog", json.dumps({"factors": ["ab", "cd"], "table": [
+            {"args": [a, b], "value": 1} for a in "ab" for b in "cd"]}), "--min-sizes", "1,1"],
+        ["prikry", "normalize", '{"trunk": [1], "depth": 2}', "--structure",
+         '{"ground": [0,1,2], "default": {"core": [1,2], "pi": null}, "tail_default": "false"}'],
+        ["prikry", "normalize", '{"trunk": [], "depth": -3}', "--structure", _STRUCTURE],
+        ["prikry", "project", json.dumps([{"args": [a], "value": "3"} for a in range(6)]),
+         '"3"', "1", "--structure", _STRUCTURE],
+        ["set", "stratum", "--universe", json.dumps(
+            {**_U2, "cores": [{"beta": "w^2", "xi": "2", "core": "[0,w^2)"}]}), "1"],
+        ["prikry", "validate", '{"trunk": [], "depth": 2}', "--structure",
+         '{"ground": [1, 0], "default": null}'],
+        ["prikry", "validate", '{"trunk": [], "depth": 2}', "--structure",
+         '{"ground": [0, 1], "default": {"core": [9], "pi": null}}'],
+        ["prikry", "validate", '{"trunk": [], "depth": 2}', "--structure",
+         '{"ground": [0, 1, 2], "default": {"core": [2], "pi": [[1, 2]]}}'],
+        ["prikry", "validate", '{"trunk": [1], "depth": 2, "successors": '
+         '[{"node": [2], "set": [3]}]}', "--structure", _STRUCTURE],
+        ["prikry", "derive", '{"levels": [1, 2], "tables": [[]]}', "2,4"],
     ],
     ids=[
         "list-condition", "int-blocks", "gamma-list-condition", "deep-literal", "deep-json",
         "str-trunk", "bool-trunk", "str-depth", "float-node", "str-set-member",
         "object-fn-value", "object-graph-value", "negative-min-size", "oversized-ramsey",
         "str-family-member", "str-set-member-single", "str-tuple-entry", "negative-arity",
-        "point-projected-twice", "str-ground", "str-derivation-level",
+        "point-projected-twice", "str-ground", "str-derivation-level", "str-gap",
+        "str-factor", "str-tail-default", "negative-depth", "str-target",
+        "core-index-at-the-order", "ground-not-increasing", "core-outside-the-ground",
+        "projection-increases", "successor-off-the-trunk", "tables-per-level",
     ],
 )
 def test_malformed_input_exits_2(argv, capsys):
@@ -505,14 +538,85 @@ def test_malformed_input_exits_2(argv, capsys):
          "derivation table 0 has no entry for (2,)"),
         (["prikry", "p-point", '[{"3": 0, "4": 0, "5": 1}, {"3": 0}]', "1",
           "--structure", _STRUCTURE], "test table 1 has no entry for 4"),
+        (["ramsey", "homog", '{"factors": [[1], [3]], "table": []}', "--min-sizes", "1,1"],
+         "table missing the tuple (1, 3)"),
     ],
-    ids=["fn", "derivation-table", "p-point-table"],
+    ids=["fn", "derivation-table", "p-point-table", "ramsey-table"],
 )
 def test_missing_table_entry_names_the_table_and_tuple(argv, message, capsys):
     for mode in ([], ["--machine"]):
         assert main(mode + argv) == 2
         got = capsys.readouterr()
         assert got.out == "" and got.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cond", "gamma", _TWO_BLOCKS, "5"], "error: OutOfRange: block index 5 out of 1..2"),
+        (["cond", "type-of", _ONE_BLOCK, "[[],[]]"],
+         "error: NotIncreasing: assignment has 2 gaps, condition has 1"),
+        (["cond", "type-of", _HOLED, '[["5"]]'],
+         "error: PointNotInMeasureSet: gap 1: point 5 outside the block set"),
+        (["cond", "extend", _ONE_BLOCK, "[[]]", "--shrink", '[{"kappa": "w^2", "B": "[w,w*2)"}]'],
+         "error: LargenessViolated: block 1 (kappa=w^2): measure set not large at every index"),
+        (["cond", "extend", _ONE_BLOCK, '["w1"]'], "parse error: a gap must be a JSON list, got 'w1'"),
+        (["cond", "unveil", _ONE_BLOCK, "0"],
+         "error: OutOfRange: 0 is not between block coordinates"),
+        (["cond", "split", _TWO_BLOCKS, "9"], "error: BadCut: block index 9 out of range"),
+        (["cond", "join", _ONE_BLOCK, "--c2", _ONE_BLOCK],
+         "error: BadCut: block 2 (kappa=w^2): kappas not increasing; "
+         "block 2 (kappa=w^2): min of measure set not above previous point"),
+        (["set", "stratum", "--universe", json.dumps(_U2), "w"],
+         "input error: stratum index w not below delta0_bound"),
+        (["uni", "large", json.dumps(_U2), "[0,w^2)", "w^2", "2"],
+         "input error: xi=2 not below o(w^2)=2"),
+        (["uni", "stratify", '{"lambda0": "w^w", "delta0_bound": "w+1"}', "[0,w^w)", "w^w"],
+         "input error: stratify needs a finite o(w^w)"),
+        (["gen", "otp", "w^2", "w", "w"], "input error: need a < b <= w^2"),
+        (["proj", "refine-clubs", "[0,w)", "--roots", "w,1"],
+         "input error: roots must be strictly increasing and nonempty"),
+        (["prikry", "project", '[{"args": "01", "value": 0}]', "[0]", "1",
+          "--structure", _STRUCTURE], "parse error: args must be a JSON list, got '01'"),
+        (["prikry", "derive", '{"levels": [2], "tables": [[{"args": "01", "value": 0}]]}', "0,1"],
+         "parse error: args must be a JSON list, got '01'"),
+    ],
+    ids=["gamma-index", "gap-count", "point-off-the-set", "shrink-not-large", "str-gaps",
+         "unveil-zero", "split-index", "join-invalid", "stratum-index", "large-index",
+         "stratify-infinite-order", "otp-empty-interval", "roots-decrease", "str-graph-args",
+         "str-derivation-args"],
+)
+def test_a_refused_call_exits_2_and_says_why(argv, message, capsys):
+    for mode in ([], ["--machine"]):
+        assert main(mode + argv) == 2
+        assert capsys.readouterr() == ("", f"{message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["cond", "split", _ONE_BLOCK, "1"], 0, "lower: 1 blocks\nupper: empty\n"),
+        (["ramsey", "homog", json.dumps({"factors": [[1], [3]], "table": [
+            {"args": [1, 3], "value": 0}]}), "--min-sizes", "2,1"], 1, "not found\n"),
+        (["set", "inter", "{0}", "{1}"], 0, "{}\n"),
+        # Clause (b): the index set's points below w are not in the top's set.
+        (["proj", "quotient-member", _HOLED, "--index", "[0,w^2)"], 1,
+         "not in the quotient filter\n"),
+    ],
+    ids=["split-at-the-top", "no-homogeneous-subproduct", "disjoint-sets", "quotient-clause-b"],
+)
+def test_an_empty_answer(argv, code, out, capsys):
+    assert run(argv, capsys) == (code, out)
+
+
+def test_a_condition_reads_its_universe_from_a_path(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(_U2))
+    doc = json.dumps({"universe": str(path), "blocks": [{"kappa": "w^2", "B": "[0,w^2)"}]})
+    code, got = machine(["cond", "validate", doc], capsys)
+    assert code == 0
+    # The echo carries the universe inline.
+    assert got["inputs"][0]["value"]["universe"] == _U2
 
 
 _UNI = {"lambda0": "w^2", "delta0_bound": "w"}

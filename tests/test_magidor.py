@@ -8,8 +8,10 @@ from ordbench.errors import (
     LargenessViolated,
     NotAnExtension,
     NotIncreasing,
+    OutOfRange,
     PointNotInMeasureSet,
     UniverseMismatch,
+    WitnessUnavailable,
 )
 from ordbench.magidor import (
     Block,
@@ -352,6 +354,30 @@ def test_unveil_type_edges():
     assert x.per_block[2] == (ZERO,)
     with pytest.raises(AlreadyUnveiled):
         unveil_type(p, o("w+1"))
+    with pytest.raises(OutOfRange, match="0 is not between block coordinates"):
+        unveil_type(p, ZERO)
+
+
+def test_unveil_type_stays_below_the_blocks_order():
+    # gamma lies below base + w^o of the block after its gap, so no exponent
+    # reaches that order.
+    p = section2_condition()
+    coords = p.gammas
+    for gamma in map(o, ["1", "5", "w+2", "w*2", "w*5+3", "w^2+1", "w^2+w*2+3", "w^2*2+5"]):
+        slot = next(i for i, c in enumerate(coords) if gamma < c)
+        x = unveil_type(p, gamma)
+        assert x.per_block[slot] and all(e < p.o(slot + 1) for e in x.per_block[slot])
+
+
+def test_extend_minimal_refuses_a_type_it_cannot_place(u3):
+    p = canonical_condition(u3, [o("w"), o("w^2+1")])  # block 2 is bare
+    with pytest.raises(OutOfRange, match="type does not fit the condition"):
+        extend_minimal(p, ExtensionType(((), ())))
+    with pytest.raises(WitnessUnavailable, match="gap 2 lies below a bare block"):
+        extend_minimal(p, ExtensionType(((), (ZERO,), ())))
+    # [0,w) holds no point of order 1.
+    with pytest.raises(WitnessUnavailable, match="gap 1: no level-1 point"):
+        extend_minimal(p, ExtensionType(((nat(1),), (), ())))
 
 
 def test_unveil_extend_minimal_hits_target():

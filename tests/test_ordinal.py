@@ -490,6 +490,13 @@ def _assert_rejected(terms):
             Ordinal(t)
 
 
+def test_negative_integers_are_refused():
+    with pytest.raises(ValueError, match="ordinals are non-negative"):
+        from_int(-1)
+    with pytest.raises(ValueError, match="multiplier must be >= 0"):
+        mul_nat(OMEGA, -1)
+
+
 def test_non_int_coefficients_are_rejected_new_key():
     e = from_int(27183)
     # Neither 918273 nor w^27183 (nor w^27183*2) is interned.

@@ -186,6 +186,12 @@ def test_sup_and_boundedness():
     assert OrdinalSet.empty().is_bounded_below(W)
 
 
+def test_an_empty_window_has_no_levels_and_no_sup():
+    assert feasible_levels(W, W) == feasible_levels(W2, W) == []
+    assert Piece(W, W2).sup(W) is None
+    assert Piece(W, W2, frozenset((nat(1),))).sup(nat(5)) is None
+
+
 def test_sup_filtered():
     y1 = OrdinalSet.stratum_piece(ZERO, add(W2, nat(5)), nat(1))
     assert y1.sup() == (W2, False)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ordbench.errors import (
     IndexSetMismatch,
+    LargenessViolated,
     NonTermination,
     NotAnExtension,
     RepairImpossible,
@@ -559,6 +560,13 @@ def test_onto_check_raises_without_asserts(monkeypatch):
     )
     monkeypatch.setattr(projection, "pi", lambda p, I: None)
     with pytest.raises(WorkbenchError, match="projection of the construction"):
+        onto_construct(q)
+
+
+def test_onto_refuses_an_invalid_condition():
+    u = canon_universe("w^2")
+    q = ICondition(u, SEC41_I, (Block(u.lambda0),))
+    with pytest.raises(LargenessViolated, match="top block needs a measure set"):
         onto_construct(q)
 
 
