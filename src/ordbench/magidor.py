@@ -417,7 +417,8 @@ def extend_minimal(
         lo, _ = _gap_bounds(p, i)
         picked = _least_witnesses(
             levels, lo, b.measure_set, missing=lambda xi, floor: WitnessUnavailable(
-                f"gap {i}: no level-{xi} point above {floor} in the block set"),
+                f"gap {i}: no level-{xi} point"
+                f"{'' if floor is None else f' above {floor}'} in the block set"),
         )
         gaps.append(tuple(picked))
     alphas = tuple(gaps)

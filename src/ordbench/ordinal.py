@@ -8,20 +8,22 @@ ordinal carries a native key, a nested tuple whose Python order is the
 ordinal order.
 
 Construction invariant: every ordinal is made by `_make(key)`, which costs
-one probe of the intern table on a hit and one store on a miss, and never
-validates.  The public constructor `Ordinal(terms)` checks what it is
-handed (ordinal exponents, strictly decreasing, coefficients of type
-exactly `int` and >= 1), as `from_int` and `mul_nat` check their integer;
-every other operation (`add`, `predecessor`, `left_subtract`,
-`omega_power`) slices its key from valid operand keys.  The parser builds
-a literal's key from its tokens and makes one ordinal, at the end: a key
-whose exponents strictly decrease, each exponent itself such a key and
-each coefficient a positive `int`, or else the `add` of its terms.  So the
-table never holds an invalid key.
+one probe of the intern table on a hit and, on a miss, one slot store (the
+key) and one table store, and never validates.  The public constructor
+`Ordinal(terms)` checks what it is handed (ordinal exponents, strictly
+decreasing, coefficients of type exactly `int` and >= 1), as `from_int`
+and `mul_nat` check their integer; every other operation (`add`,
+`predecessor`, `left_subtract`, `omega_power`) slices its key from valid
+operand keys.  The parser builds a literal's key from its tokens and makes
+one ordinal, at the end: a key whose exponents strictly decrease, each
+exponent itself such a key and each coefficient a positive `int`, or else
+the `add` of its terms.  So the table never holds an invalid key.
 
-An ordinal stores its key and hash.  `terms` is built from the key on
-first use and kept; the views (`is_zero`, `is_limit`, `as_int`, ...) and
-the printer read the key.  The table is a plain dict from key to a weak
+A new ordinal stores its key alone.  Its hash and `terms` are computed
+from the key when first asked for and kept, so an ordinal that dies unread
+pays for neither; the views (`is_zero`, `is_limit`, `as_int`, ...) and the
+printer read the key.  `compare` decides equality by identity and the order
+by one key comparison.  The table is a plain dict from key to a weak
 reference that carries the key: when the ordinal dies, the reference's
 callback removes the entry if it is still that dead reference, so an equal
 ordinal built in the meantime stays.
@@ -32,10 +34,11 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import sys
 import weakref
 from _weakref import _remove_dead_weakref
 
-from . import _Record, _set as _init
+from . import _Record
 from .errors import DifferenceUndefined, ParseError
 
 __all__ = [
@@ -83,10 +86,8 @@ def _make(key: tuple) -> "Ordinal":
         self = ref()
         if self is not None:
             return self
-    self = object.__new__(Ordinal)
-    _init(self, "key", key)
-    _init(self, "_hash", hash(key))
-    _init(self, "_terms", None)
+    self = _new(Ordinal)
+    _set_key(self, key)
     ref = _Ref(self, _drop)
     ref.key = key
     _INTERNED[key] = ref
@@ -119,11 +120,12 @@ class Ordinal(_Record):
     @property
     def terms(self) -> tuple[tuple["Ordinal", int], ...]:
         """((e1, c1), ..., (ek, ck)), built from `key` on first use."""
-        terms = self._terms
-        if terms is None:
+        try:
+            return self._terms
+        except AttributeError:
             terms = tuple([(_make(e), c) for e, c in self.key])
-            _init(self, "_terms", terms)
-        return terms
+            _set_terms(self, terms)
+            return terms
 
     def __reduce__(self):
         # Unpickling and deep-copying go through the intern table.
@@ -158,8 +160,13 @@ class Ordinal(_Record):
 
     def __hash__(self) -> int:
         # Value-based, not id-based, so set order (and output) is the same
-        # in every run.
-        return self._hash
+        # in every run.  Computed on first use and kept.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.key)
+            _set_hash(self, h)
+            return h
 
     # The exponent 0 has the key (), so `not e` below reads "e is 0".
     @property
@@ -202,6 +209,13 @@ class Ordinal(_Record):
         return _make(key[:-1] + (((), c - 1),) if c > 1 else key[:-1])
 
 
+# Slot stores that skip the frozen `__setattr__`: `_make` stores the key
+# alone, and `__hash__` and `terms` fill their slot on first use.
+_new = object.__new__
+_set_key = Ordinal.key.__set__
+_set_hash = Ordinal._hash.__set__
+_set_terms = Ordinal._terms.__set__
+
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
@@ -222,8 +236,9 @@ def omega_power(e: Ordinal) -> Ordinal:
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """-1, 0, 1 for a<b, a=b, a>b; lexicographic on (exponent, coefficient)."""
-    ka, kb = a.key, b.key
-    return (ka > kb) - (ka < kb)
+    if a is b:  # hash-consed, so equal ordinals are one object
+        return 0
+    return 1 if a.key > b.key else -1
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -262,24 +277,29 @@ def mul_omega(a: Ordinal) -> Ordinal:
     return omega_power(add(_make(a.key[0][0]), ONE))
 
 
-def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
-    """The unique d with a + d = b, for a <= b."""
+def _difference_key(a: Ordinal, b: Ordinal) -> tuple:
+    """The key of the unique d with a + d = b, for a <= b."""
+    if a is b:
+        return ()
     ak, bk = a.key, b.key
     if ak > bk:
         raise DifferenceUndefined(f"{a} > {b}")
-    if a is b:
-        return ZERO
     # a < b, so at the first term where they differ a's exponent or
     # coefficient is the smaller, or else a is a proper prefix of b.
     for i, (ea, ca) in enumerate(ak):
         eb, cb = bk[i]
         if ea != eb:
             # a's remaining terms are absorbed by b's i-th term.
-            return _make(bk[i:])
+            return bk[i:]
         if ca != cb:
             # b continues with a larger coefficient at the same exponent.
-            return _make(((eb, cb - ca),) + bk[i + 1 :])
-    return _make(bk[len(ak) :])
+            return ((eb, cb - ca),) + bk[i + 1 :]
+    return bk[len(ak) :]
+
+
+def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
+    """The unique d with a + d = b, for a <= b."""
+    return _make(_difference_key(a, b))
 
 
 # Most exponents `cnf_difference` lists (one per unit of coefficient), so a
@@ -292,14 +312,14 @@ def cnf_difference(a: Ordinal, b: Ordinal) -> list[Ordinal]:
 
     Coefficients are expanded into repeated exponents; empty for a = b.
     """
-    d = left_subtract(a, b)
-    count = sum(c for _, c in d.key)
+    key = _difference_key(a, b)
+    count = sum(c for _, c in key)
     if count > MAX_DIFFERENCE_TERMS:
         raise ValueError(
             f"{count} exponents in the difference, more than the cap of {MAX_DIFFERENCE_TERMS}"
         )
     out: list[Ordinal] = []
-    for e, c in d.key:
+    for e, c in key:
         out.extend([_make(e)] * c)
     return out
 
@@ -424,7 +444,12 @@ def parse_ordinal(text: str) -> Ordinal:
     if not text or text.isspace():
         raise ParseError("empty ordinal literal", column=1)
     tokens.append(None)
-    key, i = _sum_key(text, tokens, 0, 0)
+    try:
+        key, i = _sum_key(text, tokens, 0, 0)
+    except ValueError:  # `int` refuses a numeral past the interpreter's limit
+        limit = sys.get_int_max_str_digits()
+        run = next(m for m in _matches(text) if m[1].isdigit() and len(m[1]) > limit)
+        raise ParseError(f"numeral longer than {limit} digits", column=run.start(1) + 1) from None
     if tokens[i] is not None or not whole:
         column = _error(text, i, "").column
         raise ParseError(f"trailing input: {text[column - 1:].strip()!r}", column=column)

@@ -18,15 +18,22 @@ _spec.loader.exec_module(bench_pairs)
 
 def test_summarize_gives_quartiles_wins_and_attempted_per_side():
     pairs = [
-        {"seed": 1, "parent": {"attempted": 100, "throughput": 10.0, "peak_rss_mb": 20.0},
-         "change": {"attempted": 140, "throughput": 14.0, "peak_rss_mb": 21.0}},
-        {"seed": 2, "parent": {"attempted": 120, "throughput": 12.0, "peak_rss_mb": 22.0},
-         "change": {"attempted": 160, "throughput": 11.0, "peak_rss_mb": 21.0}},
+        {"seed": 1, "parent": {"attempted": 100, "throughput": 10.0, "peak_rss_mb": 20.0,
+                               "latency_p50_ms": 10.0, "latency_tail_ms": 10.0, "setup_s": 10.0},
+         "change": {"attempted": 140, "throughput": 14.0, "peak_rss_mb": 21.0,
+                    "latency_p50_ms": 13.0, "latency_tail_ms": 15.0, "setup_s": 5.0}},
+        {"seed": 2, "parent": {"attempted": 120, "throughput": 12.0, "peak_rss_mb": 22.0,
+                               "latency_p50_ms": 10.2, "latency_tail_ms": 20.0, "setup_s": 20.0},
+         "change": {"attempted": 160, "throughput": 11.0, "peak_rss_mb": 21.0,
+                    "latency_p50_ms": 13.4, "latency_tail_ms": 16.0, "setup_s": 6.0}},
     ]
-    metrics = [{"name": "throughput", "better": "higher"},
-               {"name": "peak_rss_mb", "better": "lower"}]
-    got = bench_pairs.summarize(pairs, metrics)
-    assert set(got) == {"throughput", "peak_rss_mb"}
+    metrics = [{"name": "throughput", "better": "higher", "bound": 0.25},
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+               {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+               {"name": "latency_tail_ms", "better": "lower", "bound": 0.25},
+               {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    got = bench_pairs.summarize(pairs, metrics, "throughput")
+    assert set(got) == {m["name"] for m in metrics}
     tp, rss = got["throughput"], got["peak_rss_mb"]
     assert tp["parent"] == {"median": 11.0, "q1": 10.5, "q3": 11.5,
                             "attempted": {"median": 110, "q1": 105, "q3": 115}}
@@ -38,6 +45,20 @@ def test_summarize_gives_quartiles_wins_and_attempted_per_side():
     # Pair 1 is won on throughput and lost on memory; pair 2 the other way.
     assert (tp["change_wins"], rss["change_wins"], tp["pairs"]) == (1, 1, 2)
     assert tp["better"] == "higher" and rss["better"] == "lower"
+    # Claimed, but won in 1 of 2 pairs: no gain, and no worse than the bound.
+    assert {name: row["verdict"] for name, row in got.items()} == {
+        "throughput": "held",
+        "peak_rss_mb": "held",
+        # 13.2 ms against 10.1 ms, 31% worse with a bound of 25%.
+        "latency_p50_ms": "regressed",
+        # The parent's runs spread by 5 ms around 15 ms, more than 25%.
+        "latency_tail_ms": "unresolved",
+        # As wide, but every run of the change beats every run of the parent.
+        "setup_s": "held",
+    }
+    # Won in every pair by more than the parent's spread: a gain, if claimed.
+    assert bench_pairs.summarize(pairs, metrics, "setup_s")["setup_s"]["verdict"] == "gain"
+    assert bench_pairs.summarize(pairs, metrics, None)["setup_s"]["verdict"] == "held"
 
 
 def test_a_second_run_of_a_workload_keeps_the_first(tmp_path, monkeypatch):
@@ -48,7 +69,7 @@ def test_a_second_run_of_a_workload_keeps_the_first(tmp_path, monkeypatch):
     subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "parent"], cwd=tmp_path,
                    check=True)
     spec = {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}],
-            "end_to_end": [{"name": "throughput", "better": "higher"}]}
+            "end_to_end": [{"name": "throughput", "better": "higher", "bound": 0.25}]}
 
     def build_trees(rev, into):
         trees = {side: os.path.join(into, side) for side in bench_pairs.SIDES}

@@ -580,11 +580,13 @@ def test_missing_table_entry_names_the_table_and_tuple(argv, message, capsys):
           "--structure", _STRUCTURE], "parse error: args must be a JSON list, got '01'"),
         (["prikry", "derive", '{"levels": [2], "tables": [[{"args": "01", "value": 0}]]}', "0,1"],
          "parse error: args must be a JSON list, got '01'"),
+        (["ord", "add", "1" * (sys.get_int_max_str_digits() + 1), "1"],
+         f"parse error: numeral longer than {sys.get_int_max_str_digits()} digits (column 1)"),
     ],
     ids=["gamma-index", "gap-count", "point-off-the-set", "shrink-not-large", "str-gaps",
          "unveil-zero", "split-index", "join-invalid", "stratum-index", "large-index",
          "stratify-infinite-order", "otp-empty-interval", "roots-decrease", "str-graph-args",
-         "str-derivation-args"],
+         "str-derivation-args", "long-numeral"],
 )
 def test_a_refused_call_exits_2_and_says_why(argv, message, capsys):
     for mode in ([], ["--machine"]):

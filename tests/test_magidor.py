@@ -376,8 +376,12 @@ def test_extend_minimal_refuses_a_type_it_cannot_place(u3):
     with pytest.raises(WitnessUnavailable, match="gap 2 lies below a bare block"):
         extend_minimal(p, ExtensionType(((), (ZERO,), ())))
     # [0,w) holds no point of order 1.
-    with pytest.raises(WitnessUnavailable, match="gap 1: no level-1 point"):
+    with pytest.raises(WitnessUnavailable, match=r"^gap 1: no level-1 point in the block set$"):
         extend_minimal(p, ExtensionType(((nat(1),), (), ())))
+    # ... nor above the level-0 point 0 picked first.
+    with pytest.raises(WitnessUnavailable,
+                       match=r"^gap 1: no level-1 point above 0 in the block set$"):
+        extend_minimal(p, ExtensionType(((ZERO, nat(1)), (), ())))
 
 
 def test_unveil_extend_minimal_hits_target():

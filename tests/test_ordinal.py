@@ -35,6 +35,7 @@ from ordbench.ordinal import (
     left_subtract,
     limit_order,
     mul_nat,
+    mul_omega,
     omega_power,
     ordinal_enumeration,
     parse_ordinal,
@@ -129,6 +130,16 @@ def test_parse_errors_have_columns():
         parse_ordinal("w+3 junk")
     with pytest.raises(ParseError):
         parse_ordinal("")
+
+
+def test_a_numeral_past_the_conversion_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    for text, column in [(long, 1), ("w^" + long, 3), ("w*" + long, 3), ("w + 3 + " + long, 9)]:
+        with pytest.raises(ParseError, match=f"^numeral longer than {limit} digits") as err:
+            parse_ordinal(text)
+        assert err.value.column == column
+    assert parse_ordinal("1" * limit).as_int() == int("1" * limit)
 
 
 def test_parse_nesting_limit():
@@ -327,6 +338,45 @@ def test_pickle_of_a_dead_ordinal_builds_it_again():
     gc.collect()
     a = pickle.loads(data)
     assert a is parse_ordinal("w^424240*6 + 2") and a.key in _INTERNED
+
+
+def _revived(terms) -> Ordinal:
+    """An ordinal unpickled after the one that was pickled died."""
+    data = pickle.dumps(Ordinal(terms))
+    gc.collect()
+    return pickle.loads(data)
+
+
+# Every way to build an ordinal, each on a key no other test interns.
+_BUILDERS = {
+    "from_int": lambda: from_int(515001),
+    "omega_power": lambda: omega_power(from_int(515002)),
+    "add": lambda: add(omega_power(from_int(515003)), from_int(7)),
+    "predecessor": lambda: parse_ordinal("w^515004 + 9").predecessor(),
+    "left_subtract": lambda: left_subtract(o("w^515005"), o("w^515005*3 + 1")),
+    "mul_nat": lambda: mul_nat(o("w^515006 + 1"), 4),
+    "mul_omega": lambda: mul_omega(o("w^515007*2 + 1")),
+    "limit_order": lambda: limit_order(o("w^(w^515009*2)")),
+    "cnf_difference": lambda: cnf_difference(ZERO, o("w^(w*515010)"))[0],
+    "parse_ordinal": lambda: parse_ordinal("w^515011*2 + w + 3"),
+    "Ordinal": lambda: Ordinal(((from_int(515012), 5), (ZERO, 1))),
+    "pickle": lambda: _revived(((OMEGA, 2), (from_int(515013), 6))),
+}
+
+
+@pytest.mark.parametrize("build", list(_BUILDERS.values()), ids=list(_BUILDERS))
+def test_every_new_ordinal_fills_its_hash_and_terms_on_first_use(build):
+    before = set(_INTERNED)
+    x = build()
+    assert x.key not in before  # a new ordinal, not one already interned
+    above = add(x, ONE)
+    assert hash(x) == hash(x.key) == hash(x)  # the first read, then the kept hash
+    seen = {x}
+    assert Ordinal(x.terms) is x
+    assert parse_ordinal(format_ordinal(x)) in seen and x in {Ordinal(x.terms), above}
+    assert compare(x, x) == _cnf_compare(x, x) == 0
+    assert compare(x, above) == _cnf_compare(x, above) == -1
+    assert compare(above, x) == _cnf_compare(above, x) == 1
 
 
 def test_intern_table_is_weak():

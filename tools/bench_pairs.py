@@ -11,11 +11,13 @@ temporary directory.  Pair k (k = 1..N) runs
 once in each tree, each run a fresh process, the parent first when k is odd.
 S is `run_seconds` from the parent's `BENCHMARK.json`.  The pairs and, for
 each end-to-end metric, both sides' medians and quartiles (next to those of
-the verdicts each side attempted) and the number of pairs the change wins go
-into `BENCH_<P>.json` at the root of the repository as one run appended to
-the list `workloads[W]`, so each run of a workload is kept, newest last.
-Other workloads already in that file are kept; `--claim` names the metric
-the change claims on W.  Run it with nothing else running.
+the verdicts each side attempted), the number of pairs the change wins and
+the metric's outcome against its bound (`gain`, `regressed`, `unresolved`
+or `held`, by `verdict`) go into `BENCH_<P>.json` at the root of the
+repository as one run appended to the list `workloads[W]`, so each run of
+a workload is kept, newest last.  Other workloads already in that file are
+kept; `--claim` names the metric the change claims on W.  Run it with
+nothing else running.
 """
 
 from __future__ import annotations
@@ -79,10 +81,31 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+def verdict(row: dict, bound: float, claimed: bool, beats_every_run: bool) -> str:
+    """`gain` when the metric is claimed, the change wins at least 9 of every
+    10 pairs and the medians differ by more than the parent's quartile
+    spread; else `regressed` when the change's median is worse than the
+    parent's by more than `bound` (a fraction of the parent's median); else
+    `unresolved` when the parent's own spread is wider than that bound,
+    unless every run of the change beats every run of the parent; else
+    `held`."""
+    parent = row["parent"]["median"]
+    gained = (1 if row["better"] == "higher" else -1) * (row["change"]["median"] - parent)
+    spread = row["parent_quartile_spread"]
+    if claimed and 10 * row["change_wins"] >= 9 * row["pairs"] and gained > spread:
+        return "gain"
+    if -gained > bound * abs(parent):
+        return "regressed"
+    if spread > bound * abs(parent) and not beats_every_run:
+        return "unresolved"
+    return "held"
+
+
+def summarize(pairs: list[dict], metrics: list[dict], claim: str | None) -> dict:
     """Per metric: each side's median and quartiles, with those of the
     verdicts it attempted (a side that completes more verdicts keeps more
-    of them in memory), and the change's wins."""
+    of them in memory), the change's wins and the `verdict` against the
+    metric's `bound`; `claim` names the metric the change claims, if any."""
     attempted = {side: quartiles([p[side]["attempted"] for p in pairs]) for side in SIDES}
     out = {}
     for metric in metrics:
@@ -98,6 +121,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
         )
         row["pairs"] = len(pairs)
+        beats_every_run = all(sign * (c - p) > 0 for c in values["change"]
+                              for p in values["parent"])
+        row["verdict"] = verdict(row, metric["bound"], name == claim, beats_every_run)
         out[name] = row
     return out
 
@@ -168,7 +194,7 @@ def main(argv=None) -> int:
     doc.setdefault("workloads", {}).setdefault(args.workload, []).append({
         "pairs": pairs,
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
-        "summary": summarize(pairs, metrics),
+        "summary": summarize(pairs, metrics, args.claim),
     })
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
