@@ -16,8 +16,8 @@ from .errors import (
     UniverseMismatch,
     WitnessUnavailable,
 )
-from .ordinal import ZERO, Ordinal, add, cnf_difference, omega_power
-from .oset import OrdinalSet, least_in_level
+from .ordinal import ZERO, Ordinal, add, cnf_difference, least_in_level, omega_power
+from .oset import OrdinalSet
 from .universe import ToyUniverse
 
 __all__ = [

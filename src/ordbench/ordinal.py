@@ -19,14 +19,21 @@ one ordinal, at the end: a key whose exponents strictly decrease, each
 exponent itself such a key and each coefficient a positive `int`, or else
 the `add` of its terms.  So the table never holds an invalid key.
 
-A new ordinal stores its key alone.  Its hash and `terms` are computed
-from the key when first asked for and kept, so an ordinal that dies unread
-pays for neither; the views (`is_zero`, `is_limit`, `as_int`, ...) and the
-printer read the key.  `compare` decides equality by identity and the order
-by one key comparison.  The table is a plain dict from key to a weak
+A new ordinal stores its key alone.  Its hash is computed from the key when
+first asked for and kept, so an ordinal that dies unread never pays for it;
+`terms` is a view built from the key on each read, and the other views
+(`is_zero`, `is_limit`, `as_int`, ...) and the printer read the key.  The
+printer writes integers of any length, so a result may be longer than a
+literal the parser accepts.  `compare` decides equality by identity and the
+order by one key comparison.  The table is a plain dict from key to a weak
 reference that carries the key: when the ordinal dies, the reference's
 callback removes the entry if it is still that dead reference, so an equal
 ordinal built in the meantime stays.
+
+Levels, the strata of the set algebra, are ordinal arithmetic on keys: the
+level of g is its final exponent `olim(g)`, the least point of level xi at
+or past g is g or g + w^xi, and the greatest below a bound is read off one
+split of the bound's key at xi.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 
 from . import _Record
-from .errors import DifferenceUndefined, ParseError
+from .errors import DifferenceUndefined, ParseError, UnsupportedRegion
 
 __all__ = [
     "Ordinal",
@@ -51,10 +58,13 @@ __all__ = [
     "compare",
     "add",
     "mul_nat",
-    "mul_omega",
     "left_subtract",
     "cnf_difference",
     "limit_order",
+    "olim",
+    "least_in_level",
+    "level_sup_below",
+    "feasible_levels",
     "classify",
     "parse_ordinal",
     "format_ordinal",
@@ -101,7 +111,7 @@ class Ordinal(_Record):
     prefix is smaller, is lexicographic order on terms, which is CNF order.
     """
 
-    __slots__ = ("key", "_hash", "_terms", "__weakref__")
+    __slots__ = ("key", "_hash", "__weakref__")
 
     key: tuple
 
@@ -119,13 +129,8 @@ class Ordinal(_Record):
 
     @property
     def terms(self) -> tuple[tuple["Ordinal", int], ...]:
-        """((e1, c1), ..., (ek, ck)), built from `key` on first use."""
-        try:
-            return self._terms
-        except AttributeError:
-            terms = tuple([(_make(e), c) for e, c in self.key])
-            _set_terms(self, terms)
-            return terms
+        """((e1, c1), ..., (ek, ck)), built from `key` on each read."""
+        return tuple([(_make(e), c) for e, c in self.key])
 
     def __reduce__(self):
         # Unpickling and deep-copying go through the intern table.
@@ -210,11 +215,10 @@ class Ordinal(_Record):
 
 
 # Slot stores that skip the frozen `__setattr__`: `_make` stores the key
-# alone, and `__hash__` and `terms` fill their slot on first use.
+# alone, and `__hash__` fills its slot on first use.
 _new = object.__new__
 _set_key = Ordinal.key.__set__
 _set_hash = Ordinal._hash.__set__
-_set_terms = Ordinal._terms.__set__
 
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
@@ -270,13 +274,6 @@ def mul_nat(a: Ordinal, n: int) -> Ordinal:
     return _make(((e, c * n),) + key[1:])
 
 
-def mul_omega(a: Ordinal) -> Ordinal:
-    """a*w = w^(leading exponent + 1) for a > 0."""
-    if a.is_zero:
-        return ZERO
-    return omega_power(add(_make(a.key[0][0]), ONE))
-
-
 def _difference_key(a: Ordinal, b: Ordinal) -> tuple:
     """The key of the unique d with a + d = b, for a <= b."""
     if a is b:
@@ -328,7 +325,50 @@ def limit_order(a: Ordinal) -> Ordinal:
     """o_L(a): the final CNF exponent; 0 exactly for successors."""
     if a.is_zero:
         raise ValueError("limit_order undefined for 0")
-    return _make(a.key[-1][0])
+    return olim(a)
+
+
+def olim(g: Ordinal) -> Ordinal:
+    """o_L with the universe convention o(0) = 0."""
+    key = g.key
+    return _make(key[-1][0]) if key else ZERO
+
+
+def least_in_level(xi: Ordinal, start: Ordinal) -> Ordinal:
+    """Least g >= start with olim(g) = xi: a point between start and
+    start + w^xi adds some d < w^xi to start, so has d's level, below xi."""
+    return start if olim(start) is xi else add(start, omega_power(xi))
+
+
+def level_sup_below(xi: Ordinal, bound: Ordinal) -> tuple[Ordinal, bool] | None:
+    """(sup, attained) of {g < bound | olim(g) = xi}; None when empty.
+
+    Split bound = H + w^xi*c + T, H's exponents above xi and T's below.
+    The greatest such g is H + w^xi*c when c > 0 < T, or H + w^xi*(c-1)
+    when c > 1; else they are cofinal in H > 0, or are 0 alone, or none."""
+    key, x = bound.key, xi.key
+    i, n = 0, len(key)
+    while i < n and key[i][0] > x:
+        i += 1
+    c = key[i][1] if i < n and key[i][0] == x else 0
+    if c and i + 1 < n:
+        return _make(key[: i + 1]), True
+    if c > 1:
+        return _make(key[:i] + ((x, c - 1),)), True
+    if i:
+        return _make(key[:i]), False
+    return (ZERO, True) if key and not x else None
+
+
+def feasible_levels(lo: Ordinal, hi: Ordinal) -> list[Ordinal]:
+    """All xi with a level-xi point in [lo, hi); requires hi < w^w."""
+    if hi <= lo:
+        return []
+    lead = _make(hi.key[0][0])  # hi > lo >= 0
+    if not lead.is_finite:
+        raise UnsupportedRegion(f"stratified algebra needs a bound below w^w, got {hi}")
+    levels = map(from_int, range(lead.as_int() + 2))
+    return [xi for xi in levels if least_in_level(xi, lo) < hi]
 
 
 def classify(a: Ordinal) -> str:
@@ -456,25 +496,45 @@ def parse_ordinal(text: str) -> Ordinal:
     return _make(key)
 
 
-def _format_key(key: tuple) -> str:
+# `str` refuses an integer longer than the interpreter's conversion limit
+# (640 digits at the least); `format_ordinal` then prints each integer in
+# chunks of fewer digits.
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """n >= 0 in decimal, however many digits it has."""
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(f"{r:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def _format_key(key: tuple, decimal=str) -> str:
     parts = []
     for e, c in key:
         if not e:
-            parts.append(str(c))
+            parts.append(decimal(c))
             continue
         if len(e) == 1 and not e[0][0]:  # a finite exponent n
             n = e[0][1]
-            base = "w" if n == 1 else f"w^{n}"
+            base = "w" if n == 1 else f"w^{decimal(n)}"
         elif e == _OMEGA_KEY:
             base = "w^w"
         else:
-            base = f"w^({_format_key(e)})"
-        parts.append(base if c == 1 else f"{base}*{c}")
+            base = f"w^({_format_key(e, decimal)})"
+        parts.append(base if c == 1 else f"{base}*{decimal(c)}")
     return " + ".join(parts) or "0"
 
 
 def format_ordinal(a: Ordinal) -> str:
-    return _format_key(a.key)
+    try:
+        return _format_key(a.key)
+    except ValueError:  # an integer too long for `str`
+        return _format_key(a.key, _decimal)
 
 
 @functools.cache

@@ -5,7 +5,11 @@ level filter: a frozenset of allowed limit-orders, so that the piece
 denotes {g in [lo, hi) | o_L(g) in levels} (with o_L(0) read as 0).
 Plain pieces (levels=None) work anywhere below epsilon_0; filtered pieces
 are confined to regions below w^w, where the set of feasible levels of an
-interval is finite and enumerable.  All operations are exact.
+interval is finite and enumerable.  All operations are exact.  The level
+arithmetic (`olim`, `least_in_level`, `level_sup_below`,
+`feasible_levels`) is the kernel's, in `ordinal.py`.  The least member of
+a filtered span from lo on is lo itself or lo + w^xi for the least
+allowed level xi, so one candidate decides it.
 
 The stored pieces are canonical: equal sets have equal piece tuples, so
 `==` compares pieces and `hash` hashes them.  The rule is greedy maximal
@@ -32,13 +36,13 @@ upper end, then above its lower end.
 The queries answer from the stored pieces without building a set.
 `issubset` merges the two piece lists, optionally inside a window, and
 stops at the first point the other set does not cover; a span counts
-only if it has a point (`_has_point`, the test `_normalize` drops empty
-pieces by).  `is_below` reads the supremum.  `complement_limits` finds
-the members at which the complement is cofinal: a filtered piece holds
-them where a level under a point's own is left out, and a piece's least
-member is one when a gap, or a filtered piece leaving such a level out,
-comes right before it.  `missing_limits` is the one query that builds a
-set: the complement limits of [0, top) minus the set.
+only if it has a point (`_first_point`, the test `_normalize` drops
+empty pieces by).  `is_below` reads the supremum.  `complement_limits`
+finds the members at which the complement is cofinal: a filtered piece
+holds them where a level under a point's own is left out, and a piece's
+least member is one when a gap, or a filtered piece leaving such a level
+out, comes right before it.  `missing_limits` is the one query that
+builds a set: the complement limits of [0, top) minus the set.
 """
 
 from __future__ import annotations
@@ -46,18 +50,20 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import _Record, _set
-from .errors import ParseError, UnsupportedRegion
+from .errors import ParseError
 from .ordinal import (
     OMEGA,
     ONE,
     ZERO,
     Ordinal,
     add,
-    compare,
+    feasible_levels,
     from_int,
+    least_in_level,
     left_subtract,
+    level_sup_below,
     mul_nat,
-    mul_omega,
+    olim,
     omega_power,
     parse_ordinal,
 )
@@ -65,79 +71,9 @@ from .ordinal import (
 __all__ = [
     "OrdinalSet",
     "Piece",
-    "olim",
-    "least_in_level",
-    "level_sup_below",
-    "feasible_levels",
     "format_set",
     "parse_set",
 ]
-
-
-def olim(g: Ordinal) -> Ordinal:
-    """o_L with the universe convention o(0) = 0."""
-    return ZERO if g.is_zero else g.terms[-1][0]
-
-
-def least_in_level(xi: Ordinal, start: Ordinal) -> Ordinal:
-    """Least g >= start with olim(g) = xi."""
-    if olim(start) == xi:
-        return start
-    if xi.is_zero:
-        # start is a limit here; its successor is the next level-0 point.
-        return start.successor()
-    # Split start as H + w^xi*c + T, H's exponents > xi, T's < xi: H + w^xi*(c+1).
-    head: list[tuple[Ordinal, int]] = []
-    coeff = 0
-    for e, c in start.terms:
-        cmp = compare(e, xi)
-        if cmp > 0:
-            head.append((e, c))
-        elif cmp == 0:
-            coeff = c
-    return Ordinal((*head, (xi, coeff + 1)))
-
-
-def level_sup_below(xi: Ordinal, bound: Ordinal) -> tuple[Ordinal, bool] | None:
-    """(sup, attained) of {g < bound | olim(g) = xi}; None when empty."""
-    b = bound
-    while True:
-        if b.is_zero:
-            return (ZERO, True) if (xi.is_zero and bound > ZERO) else None
-        lo = olim(b)
-        cmp = compare(lo, xi)
-        if cmp > 0:
-            return b, False
-        if cmp == 0:
-            e, c = b.terms[-1]
-            if c > 1:
-                return Ordinal(b.terms[:-1] + ((e, c - 1),)), True
-            head = Ordinal(b.terms[:-1])
-            if xi.is_zero:
-                return (head, False) if head else (ZERO, True)
-            b = head
-            continue
-        # lo < xi: strip trailing terms with exponents below xi.
-        head_terms = tuple(t for t in b.terms if t[0] >= xi)
-        h = Ordinal(head_terms)
-        if head_terms and head_terms[-1][0] == xi:
-            return h, True
-        b = h
-
-
-def feasible_levels(lo: Ordinal, hi: Ordinal) -> list[Ordinal]:
-    """All xi with a level-xi point in [lo, hi); requires hi < w^w."""
-    if hi <= lo:
-        return []
-    if hi.terms and not hi.terms[0][0].is_finite:
-        raise UnsupportedRegion(f"stratified algebra needs a bound below w^w, got {hi}")
-    cap = hi.terms[0][0].as_int() + 1 if hi.terms else 0
-    out = []
-    for k in range(cap + 1):
-        xi = from_int(k)
-        if least_in_level(xi, lo) < hi:
-            out.append(xi)
-    return out
 
 
 class Piece(_Record):
@@ -150,17 +86,7 @@ class Piece(_Record):
 
     def least_from(self, x: Ordinal) -> Ordinal | None:
         """Least element >= x."""
-        lo = x if x > self.lo else self.lo
-        if self.hi <= lo:
-            return None
-        if self.levels is None:
-            return lo
-        best: Ordinal | None = None
-        for xi in self.levels:
-            cand = least_in_level(xi, lo)
-            if cand < self.hi and (best is None or cand < best):
-                best = cand
-        return best
+        return _first_point(x if x > self.lo else self.lo, self.hi, self.levels)
 
     def sup(self, hi: Ordinal | None = None) -> tuple[Ordinal, bool] | None:
         """(sup, attained) over the piece, or over its part below hi when
@@ -309,13 +235,13 @@ class OrdinalSet(_Record):
             end = p.hi if hi is None or p.hi < hi else hi
             levels = p.levels
             # [a, end) is the part of p still to cover.
-            while _has_point(a, end, levels):
+            while _first_point(a, end, levels) is not None:
                 while j < len(theirs) and theirs[j].hi <= a:
                     j += 1
                 q = theirs[j] if j < len(theirs) else None
                 if q is None or q.lo > a:
                     gap = end if q is None or q.lo > end else q.lo
-                    if _has_point(a, gap, levels):
+                    if _first_point(a, gap, levels) is not None:
                         return False
                     a = gap
                     continue
@@ -481,14 +407,11 @@ def _g_positive(y: Ordinal, levels: frozenset[Ordinal]) -> Ordinal:
 
 
 def _g_omega_power(e: Ordinal, levels: frozenset[Ordinal]) -> Ordinal:
-    """otp({0 < g < w^e | o_L(g) in levels})."""
-    if e.is_zero:
-        return ZERO
-    if e.is_successor:
-        d = e.predecessor()
-        step = add(_g_omega_power(d, levels), ONE if d in levels else ZERO)
-        return mul_omega(step)
-    raise UnsupportedRegion(f"otp of a filtered piece with limit exponent {e}")
+    """otp({0 < g < w^e | o_L(g) in levels}): w^(e - m) for the least level
+    m below e, whose points below w^e have that order type, and 0 when no
+    level lies below e."""
+    m = min(levels, default=e)
+    return omega_power(left_subtract(m, e)) if m < e else ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +477,20 @@ def _run(cur: Piece, p: Piece) -> Piece | None:
     return _pin(Piece(cur.lo, end, f | (g - seen)))
 
 
-def _has_point(lo: Ordinal, hi: Ordinal, levels: frozenset[Ordinal] | None) -> bool:
-    """Whether [lo, hi) holds a point of one of the levels (any point when
-    None)."""
-    return lo < hi and (levels is None or any(least_in_level(xi, lo) < hi for xi in levels))
+def _first_point(lo: Ordinal, hi: Ordinal,
+                 levels: frozenset[Ordinal] | None) -> Ordinal | None:
+    """The least point of [lo, hi) of one of the levels (of any level when
+    None); None when there is none.  Unless lo's own level is allowed,
+    that is lo + w^xi for the least allowed xi, as `add` is strictly
+    increasing in its right argument."""
+    if not lo < hi:
+        return None
+    if levels is None or olim(lo) in levels:
+        return lo
+    if not levels:
+        return None
+    g = add(lo, omega_power(min(levels)))
+    return g if g < hi else None
 
 
 def _least_missing(levels: frozenset[Ordinal]) -> Ordinal:
@@ -572,7 +505,8 @@ def _normalize(pieces: tuple[Piece, ...]) -> tuple[Piece, ...]:
     """Canonical form of raw pieces: their union, merged pairwise so that
     n pieces take O(log n) rounds of sweeps rather than n.  A piece with no
     point (no interval, or no level with a point inside it) adds no cuts."""
-    runs: list[Sequence[Piece]] = [(p,) for p in pieces if _has_point(p.lo, p.hi, p.levels)]
+    runs: list[Sequence[Piece]] = [(p,) for p in pieces
+                                  if _first_point(p.lo, p.hi, p.levels) is not None]
     while len(runs) > 1:
         odd = runs[-1:] if len(runs) % 2 else []
         runs = [_sweep(a, b, "union") for a, b in zip(runs[::2], runs[1::2])] + odd

@@ -16,8 +16,8 @@ from collections.abc import Mapping
 from operator import itemgetter
 
 from . import _Record, _set
-from .ordinal import ZERO, Ordinal, from_int, omega_power
-from .oset import OrdinalSet, feasible_levels, olim
+from .ordinal import ZERO, Ordinal, feasible_levels, from_int, olim, omega_power
+from .oset import OrdinalSet
 
 __all__ = ["ToyUniverse", "CoreKey"]
 

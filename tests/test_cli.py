@@ -55,6 +55,18 @@ def test_ord_add_paper_example(capsys):
     assert out.strip() == "w^w + w^5*3 + 5"
 
 
+def test_ord_add_prints_a_sum_longer_than_a_literal(capsys):
+    """Two literals at the parser's digit limit add to one digit more, which
+    prints in full in both modes."""
+    digits = sys.get_int_max_str_digits()
+    nines = "9" * digits
+    total = "1" + "9" * (digits - 1) + "8"
+    code, out = run(["ord", "add", nines, nines], capsys)
+    assert (code, out) == (0, total + "\n")
+    code, doc = machine(["ord", "add", nines, nines], capsys)
+    assert (code, doc["result"]) == (0, total)
+
+
 def test_ord_parse_error(capsys):
     code = main(["ord", "add", "x", "1"])
     assert code == 2

@@ -35,7 +35,6 @@ from ordbench.ordinal import (
     left_subtract,
     limit_order,
     mul_nat,
-    mul_omega,
     omega_power,
     ordinal_enumeration,
     parse_ordinal,
@@ -140,6 +139,19 @@ def test_a_numeral_past_the_conversion_limit_is_a_parse_error():
             parse_ordinal(text)
         assert err.value.column == column
     assert parse_ordinal("1" * limit).as_int() == int("1" * limit)
+
+
+def test_an_integer_past_the_conversion_limit_prints():
+    """The printer writes coefficients and finite exponents of any length,
+    longer than the literals the parser accepts."""
+    sevens = (10**100_000 - 1) // 9 * 7
+    assert format_ordinal(from_int(sevens)) == "7" * 100_000
+    ends = 10**99_999 + 1  # every chunk but the first is zero-padded
+    assert format_ordinal(omega_power(from_int(ends))) == "w^1" + "0" * 99_998 + "1"
+    big = mul_nat(from_int(10**4000), 10**1000)
+    assert repr(big) == f"Ordinal('1{'0' * 5000}')"
+    assert str(add(OMEGA, big)) == f"w + 1{'0' * 5000}"
+    assert format_ordinal(mul_nat(OMEGA, 10**5000)) == f"w*1{'0' * 5000}"
 
 
 def test_parse_nesting_limit():
@@ -355,7 +367,6 @@ _BUILDERS = {
     "predecessor": lambda: parse_ordinal("w^515004 + 9").predecessor(),
     "left_subtract": lambda: left_subtract(o("w^515005"), o("w^515005*3 + 1")),
     "mul_nat": lambda: mul_nat(o("w^515006 + 1"), 4),
-    "mul_omega": lambda: mul_omega(o("w^515007*2 + 1")),
     "limit_order": lambda: limit_order(o("w^(w^515009*2)")),
     "cnf_difference": lambda: cnf_difference(ZERO, o("w^(w*515010)"))[0],
     "parse_ordinal": lambda: parse_ordinal("w^515011*2 + w + 3"),
@@ -366,6 +377,8 @@ _BUILDERS = {
 
 @pytest.mark.parametrize("build", list(_BUILDERS.values()), ids=list(_BUILDERS))
 def test_every_new_ordinal_fills_its_hash_and_terms_on_first_use(build):
+    """A new ordinal, however it was built, fills its hash on first use and
+    keeps it; `terms`, built from the key on each read, names it again."""
     before = set(_INTERNED)
     x = build()
     assert x.key not in before  # a new ordinal, not one already interned
@@ -673,7 +686,6 @@ def test_terms_rebuild_exponents_that_died():
     # The parser kept no exponent alive; `terms` builds them again.
     assert a.key[0][0] not in _INTERNED and a.key[1][0] not in _INTERNED
     assert a.terms == ((parse_ordinal("w^2*71 + 3"), 2), (parse_ordinal("w*53"), 1))
-    assert a.terms is a.terms
 
 
 # -- oracles: the terms-first operations the kernel used before it built ---

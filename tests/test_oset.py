@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from ordbench.errors import ParseError, UnsupportedRegion
 from ordbench.ordinal import (
-    ONE, ZERO, Ordinal, add, cnf_difference, format_ordinal, from_int, omega_power,
+    ONE, ZERO, Ordinal, add, cnf_difference, feasible_levels, format_ordinal, from_int,
+    least_in_level, level_sup_below, olim, omega_power, ordinal_enumeration,
 )
 from ordbench.oset import (
     OrdinalSet,
@@ -19,11 +21,7 @@ from ordbench.oset import (
     _level_op,
     _normalize,
     _reduce_piece,
-    feasible_levels,
     format_set,
-    least_in_level,
-    level_sup_below,
-    olim,
     parse_set,
 )
 from ordbench.projection import LIM, OPEN, OUT, IndexSet
@@ -92,6 +90,63 @@ def test_level_sup_below_oracle():
             assert val >= pts[-1]
             if attained:
                 assert olim(val) == xi and val < b
+
+
+# Levels finite and infinite, and ordinals nested and flat.
+LEVELS = [nat(k) for k in range(6)] + [o(t) for t in ("w", "w+1", "w^2", "w*2")]
+
+
+@settings(max_examples=600)
+@given(st.sampled_from(ordinal_enumeration()), st.sampled_from(LEVELS),
+       st.sampled_from(ordinal_enumeration()))
+def test_least_in_level_and_level_sup_below_fix_each_other(g, xi, h):
+    """Each answer is pinned by the other helper: r = least_in_level(xi, g)
+    is a level-xi point at or past g with no level-xi point in [g, r), and
+    the supremum of the level-xi points below g is attained at a point
+    with no later one below g, or is a limit of them, or there is none."""
+    r = least_in_level(xi, g)
+    assert r >= g and olim(r) is xi
+    s = level_sup_below(xi, r)
+    assert s is None or (s[0] < g if s[1] else s[0] <= g)
+    s = level_sup_below(xi, g)
+    if s is None:
+        assert least_in_level(xi, ZERO) >= g
+        return
+    val, attained = s
+    if attained:
+        assert val < g and olim(val) is xi
+        assert least_in_level(xi, val.successor()) >= g
+    else:
+        assert ZERO < val <= g and least_in_level(xi, val) >= g
+        if h < val:
+            assert least_in_level(xi, h) < val
+
+
+def _times_omega(a: Ordinal) -> Ordinal:
+    """a*w: w^(leading exponent + 1) for a > 0."""
+    return omega_power(add(a.terms[0][0], ONE)) if a else ZERO
+
+
+def test_g_omega_power_matches_its_definition():
+    """otp({0 < g < w^e | o_L(g) in L}) by its recursion on finite e:
+    G(0) = 0 and G(k+1) = (G(k) + [k in L])*w, for L of at most 3 levels
+    below 6."""
+    for n in range(4):
+        for chosen in itertools.combinations(range(6), n):
+            levels, g = frozenset(map(nat, chosen)), ZERO
+            for k in range(7):
+                assert _g_omega_power(nat(k), levels) == g, (chosen, k)
+                g = _times_omega(add(g, ONE if nat(k) in levels else ZERO))
+
+
+def test_g_omega_power_at_a_limit_exponent():
+    assert _g_omega_power(W, frozenset({ZERO})) == W_W
+    assert _g_omega_power(W, frozenset({nat(3), W})) == W_W
+    assert _g_omega_power(W, frozenset({W, o("w+1")})) == ZERO
+    # The level-xi points below w^(w*2) are w^xi*(d+1) for d < w^w.
+    assert _g_omega_power(o("w*2"), frozenset({o("w+1")})) == W_W
+    assert _g_omega_power(o("w*2"), frozenset({W, o("w+5")})) == W_W
+    assert _g_omega_power(o("w*2"), frozenset({nat(2)})) == o("w^(w*2)")
 
 
 def test_spec_intersection_example():

@@ -102,6 +102,18 @@ def test_every_export_is_defined():
     assert unlisted == []
 
 
+def test_only_the_kernel_reads_ordinal_keys():
+    """No module of `src/ordbench` but `ordinal.py` reads an attribute named
+    `key`: the key layout is the kernel's, and the other layers ask it
+    questions (order, sums, levels) instead of reading keys."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "ordinal.py":
+            found += [f"{path.name}:{n.lineno}" for n in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(n, ast.Attribute) and n.attr == "key"]
+    assert found == []
+
+
 def _chained(n: ast.AST, outer: str, inner: str) -> bool:
     """Whether `n` is a call `<x>.<inner>(...).<outer>(...)`."""
     return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)

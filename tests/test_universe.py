@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordbench.magidor import Block, _set_violations
-from ordbench.ordinal import ZERO, mul_nat
-from ordbench.oset import OrdinalSet, Piece, olim, parse_set
+from ordbench.ordinal import ZERO, mul_nat, olim
+from ordbench.oset import OrdinalSet, Piece, parse_set
 from ordbench.universe import ToyUniverse
 
 from conftest import (
