@@ -276,11 +276,12 @@ def mul_nat(a: Ordinal, n: int) -> Ordinal:
 
 def _difference_key(a: Ordinal, b: Ordinal) -> tuple:
     """The key of the unique d with a + d = b, for a <= b."""
-    if a is b:
+    order = compare(a, b)
+    if order > 0:
+        raise DifferenceUndefined(f"{a} > {b}")
+    if not order:
         return ()
     ak, bk = a.key, b.key
-    if ak > bk:
-        raise DifferenceUndefined(f"{a} > {b}")
     # a < b, so at the first term where they differ a's exponent or
     # coefficient is the smaller, or else a is a proper prefix of b.
     for i, (ea, ca) in enumerate(ak):
