@@ -4,7 +4,8 @@ writers for the documents a verb prints.
 
 Set literals appear in two interchangeable forms: the compact string
 grammar ("{0} u [w,w^2)") and the JSON list form (["0", ["w","w^2"]],
-singletons as bare literals, intervals as two-element lists).
+singletons as bare literals, intervals as two-element lists, filtered
+pieces as objects with "lo", "hi" and a "levels" list).
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def set_from_json(doc: Any) -> oset.OrdinalSet:
         elif isinstance(item, list) and len(item) == 2:
             pieces.append(oset.Piece(_ord(item[0]), _ord(item[1])))
         elif isinstance(item, dict):
-            levels = frozenset(_ord(x) for x in item.get("levels", []))
+            levels = frozenset(_ord(x) for x in _typed(item["levels"], list, "levels"))
             pieces.append(oset.Piece(_ord(item["lo"]), _ord(item["hi"]), levels))
         else:
             raise ParseError(f"bad set piece {item!r}")

@@ -33,7 +33,9 @@ ordinal built in the meantime stays.
 Levels, the strata of the set algebra, are ordinal arithmetic on keys: the
 level of g is its final exponent `olim(g)`, the least point of level xi at
 or past g is g or g + w^xi, and the greatest below a bound is read off one
-split of the bound's key at xi.
+split of the bound's key at xi.  Those three helpers are all the kernel
+knows of levels: which levels a span realizes, and the w^w bound on
+filtered sets, belong to the set algebra.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 
 from . import _Record
-from .errors import DifferenceUndefined, ParseError, UnsupportedRegion
+from .errors import DifferenceUndefined, ParseError
 
 __all__ = [
     "Ordinal",
@@ -64,7 +66,6 @@ __all__ = [
     "olim",
     "least_in_level",
     "level_sup_below",
-    "feasible_levels",
     "classify",
     "parse_ordinal",
     "format_ordinal",
@@ -359,17 +360,6 @@ def level_sup_below(xi: Ordinal, bound: Ordinal) -> tuple[Ordinal, bool] | None:
     if i:
         return _make(key[:i]), False
     return (ZERO, True) if key and not x else None
-
-
-def feasible_levels(lo: Ordinal, hi: Ordinal) -> list[Ordinal]:
-    """All xi with a level-xi point in [lo, hi); requires hi < w^w."""
-    if hi <= lo:
-        return []
-    lead = _make(hi.key[0][0])  # hi > lo >= 0
-    if not lead.is_finite:
-        raise UnsupportedRegion(f"stratified algebra needs a bound below w^w, got {hi}")
-    levels = map(from_int, range(lead.as_int() + 2))
-    return [xi for xi in levels if least_in_level(xi, lo) < hi]
 
 
 def classify(a: Ordinal) -> str:

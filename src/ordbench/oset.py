@@ -6,10 +6,11 @@ denotes {g in [lo, hi) | o_L(g) in levels} (with o_L(0) read as 0).
 Plain pieces (levels=None) work anywhere below epsilon_0; filtered pieces
 are confined to regions below w^w, where the set of feasible levels of an
 interval is finite and enumerable.  All operations are exact.  The level
-arithmetic (`olim`, `least_in_level`, `level_sup_below`,
-`feasible_levels`) is the kernel's, in `ordinal.py`.  The least member of
-a filtered span from lo on is lo itself or lo + w^xi for the least
-allowed level xi, so one candidate decides it.
+arithmetic (`olim`, `least_in_level`, `level_sup_below`) is the kernel's;
+which levels a span realizes, and the w^w rule, are this module's
+(`_feasible_levels`).  A `Piece` is data: its least point (`_first_point`,
+one candidate: lo, or lo + w^xi for the least allowed level xi) and its
+supremum (`_sup`) are module functions.
 
 The stored pieces are canonical: equal sets have equal piece tuples, so
 `==` compares pieces and `hash` hashes them.  The rule is greedy maximal
@@ -37,12 +38,14 @@ The queries answer from the stored pieces without building a set.
 `issubset` merges the two piece lists, optionally inside a window, and
 stops at the first point the other set does not cover; a span counts
 only if it has a point (`_first_point`, the test `_normalize` drops
-empty pieces by).  `is_below` reads the supremum.  `complement_limits`
-finds the members at which the complement is cofinal: a filtered piece
-holds them where a level under a point's own is left out, and a piece's
-least member is one when a gap, or a filtered piece leaving such a level
-out, comes right before it.  `missing_limits` is the one query that
-builds a set: the complement limits of [0, top) minus the set.
+empty pieces by).  `sup` and `is_below` read the end of the last piece,
+which the canonical form pins, and `missed_levels` the last piece
+starting below a point.  `complement_limits` finds the members at which
+the complement is cofinal: a filtered piece holds them where a level
+under a point's own is left out, and a piece's least member is one when
+a gap, or a filtered piece leaving such a level out, comes right before
+it.  `missing_limits` is the one query that builds a set: the complement
+limits of [0, top) minus the set.
 """
 
 from __future__ import annotations
@@ -50,14 +53,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import _Record, _set
-from .errors import ParseError
+from .errors import ParseError, UnsupportedRegion
 from .ordinal import (
     OMEGA,
     ONE,
     ZERO,
     Ordinal,
     add,
-    feasible_levels,
     from_int,
     least_in_level,
     left_subtract,
@@ -83,41 +85,6 @@ class Piece(_Record):
         _set(self, "lo", lo)
         _set(self, "hi", hi)
         _set(self, "levels", levels)  # None = all levels
-
-    def least_from(self, x: Ordinal) -> Ordinal | None:
-        """Least element >= x."""
-        return _first_point(x if x > self.lo else self.lo, self.hi, self.levels)
-
-    def sup(self, hi: Ordinal | None = None) -> tuple[Ordinal, bool] | None:
-        """(sup, attained) over the piece, or over its part below hi when
-        hi < self.hi is given; None when that is empty."""
-        if hi is None:
-            hi = self.hi
-        if hi <= self.lo:
-            return None
-        if self.levels is None:
-            if hi.is_successor:
-                return hi.predecessor(), True
-            return hi, False
-        best: tuple[Ordinal, bool] | None = None
-        for xi in self.levels:
-            s = level_sup_below(xi, hi)
-            if s is None:
-                continue
-            val, att = s
-            if att:
-                if val < self.lo:
-                    continue
-                cand = (val, True)
-            else:
-                if self.lo >= val:
-                    continue
-                cand = (val, False)
-            if best is None or cand[0] > best[0]:
-                best = cand
-            elif cand[0] == best[0] and cand[1]:
-                best = (best[0], True)
-        return best
 
 
 class OrdinalSet(_Record):
@@ -247,17 +214,15 @@ class OrdinalSet(_Record):
                     continue
                 stop = q.hi if q.hi < end else end
                 if q.levels is not None:
-                    seen = (feasible_levels(a, stop) if levels is None
-                            else [xi for xi in levels if least_in_level(xi, a) < stop])
-                    if any(xi not in q.levels for xi in seen):
+                    seen = _feasible_levels(a, stop)
+                    if not (seen if levels is None else seen & levels) <= q.levels:
                         return False
                 a = stop
         return True
 
     def is_below(self, b: Ordinal) -> bool:
-        """Whether every member is below b, read from the supremum."""
-        s = self.sup()
-        return s is None or s[0] < b or (s[0] == b and not s[1])
+        """Whether every member is below b, read from the last piece's end."""
+        return not self.pieces or self.pieces[-1].hi <= b
 
     def min_element(self) -> Ordinal | None:
         return self.pieces[0].lo if self.pieces else None
@@ -268,7 +233,7 @@ class OrdinalSet(_Record):
         for p in self.pieces:
             if p.hi > cut:
                 # p ends just past its greatest member or at its supremum.
-                return p.least_from(cut)
+                return _first_point(cut if cut > p.lo else p.lo, p.hi, p.levels)
         return None
 
     def min_in_level_above(self, xi: Ordinal, floor: Ordinal) -> Ordinal | None:
@@ -290,8 +255,9 @@ class OrdinalSet(_Record):
         return None
 
     def sup(self) -> tuple[Ordinal, bool] | None:
-        """(sup, attained) over the whole set; None when empty."""
-        return self.pieces[-1].sup() if self.pieces else None
+        """(sup, attained) over the whole set, read from the last piece's
+        end; None when empty."""
+        return _end_sup(self.pieces[-1].hi) if self.pieces else None
 
     def sup_below(self, b: Ordinal) -> tuple[Ordinal, bool] | None:
         """(sup, attained) of self ∩ [0, b); None when that is empty."""
@@ -300,15 +266,31 @@ class OrdinalSet(_Record):
             if p.lo >= b:
                 break
             if p.hi > b:
-                # p.lo < b is a member of p, so p.sup(b) is not None.
-                return p.sup(b)
+                # p.lo < b is a member of p, so the cut piece has a sup.
+                return _sup(p.lo, b, p.levels)
             last = p
-        return None if last is None else last.sup()
+        return None if last is None else _end_sup(last.hi)
 
     def is_bounded_below(self, b: Ordinal) -> bool:
         """True iff sup(self ∩ [0,b)) < b (the tail-largeness test)."""
         s = self.sup_below(b)
         return s is None or s[0] < b
+
+    def missed_levels(self, beta: Ordinal) -> frozenset[Ordinal] | None:
+        """The levels the set misses cofinally below beta (None: every level),
+        from its last piece starting below beta: all after a gap up to beta,
+        none for a plain piece reaching beta, else the levels of [lo, beta)
+        the filter leaves out.  Exact below olim(beta), where callers read it."""
+        last = None
+        for p in self.pieces:
+            if p.lo >= beta:
+                break
+            last = p
+        if last is None or last.hi < beta:
+            return None
+        if last.levels is None:
+            return frozenset()
+        return _feasible_levels(last.lo, beta) - last.levels
 
     def closure_points(self, top: Ordinal) -> "OrdinalSet":
         """{a <= top | a > 0, sup(self ∩ a) = a}; needs the w^w level cap."""
@@ -316,9 +298,7 @@ class OrdinalSet(_Record):
         for p in self.pieces:
             span_lo, span_hi = p.lo.successor(), p.hi.successor()
             floor = ZERO if p.levels is None else min(p.levels)
-            allowed = frozenset(
-                xi for xi in feasible_levels(span_lo, span_hi) if xi > floor
-            )
+            allowed = frozenset(xi for xi in _feasible_levels(span_lo, span_hi) if xi > floor)
             out.append(Piece(span_lo, span_hi, allowed))
         return OrdinalSet(tuple(out)).restrict_below(top.successor())
 
@@ -361,7 +341,7 @@ class OrdinalSet(_Record):
                 if len(out) >= limit:
                     return out
                 out.append(cur)
-                cur = p.least_from(cur.successor())
+                cur = _first_point(cur.successor(), p.hi, p.levels)
         return out
 
     def otp(self) -> Ordinal:
@@ -427,10 +407,10 @@ def _reduce_piece(p: Piece) -> Piece | None:
     every feasible level; None when p is empty."""
     if p.levels is None:
         return p
-    if not p.hi < _W_W and p.least_from(p.lo) is None:
+    if not p.hi < _W_W and _first_point(p.lo, p.hi, p.levels) is None:
         return None  # an empty span needs no feasible levels, so may reach w^w
-    feas = set(feasible_levels(p.lo, p.hi))
-    kept = frozenset(xi for xi in p.levels if xi in feas)
+    feas = _feasible_levels(p.lo, p.hi)
+    kept = p.levels & feas
     if kept == feas:
         return Piece(p.lo, p.hi, None)
     return Piece(p.lo, p.hi, kept) if kept else None
@@ -443,8 +423,9 @@ def _pin(p: Piece) -> Piece | None:
     p = _reduce_piece(p)
     if p is None or p.levels is None:
         return p
-    top, attained = p.sup()
-    return _reduce_piece(Piece(p.least_from(p.lo), top.successor() if attained else top, p.levels))
+    top, attained = _sup(p.lo, p.hi, p.levels)
+    lo = _first_point(p.lo, p.hi, p.levels)
+    return _reduce_piece(Piece(lo, top.successor() if attained else top, p.levels))
 
 
 def _run(cur: Piece, p: Piece) -> Piece | None:
@@ -458,10 +439,10 @@ def _run(cur: Piece, p: Piece) -> Piece | None:
         return Piece(cur.lo, p.hi, p.levels)
     if not cur.hi < _W_W:
         return None  # no filter reaches w^w
-    f = frozenset(feasible_levels(cur.lo, cur.hi)) if cur.levels is None else cur.levels
+    f = _feasible_levels(cur.lo, cur.hi) if cur.levels is None else cur.levels
     if any(least_in_level(xi, cur.hi) < p.lo for xi in f):
         return None
-    seen = frozenset(feasible_levels(cur.lo, p.lo))
+    seen = _feasible_levels(cur.lo, p.lo)
     g = p.levels
     stops = [xi for xi in seen - f if g is None or xi in g]
     if g is not None:
@@ -473,7 +454,7 @@ def _run(cur: Piece, p: Piece) -> Piece | None:
         return None
     end = min(end, p.hi)
     if g is None:
-        g = frozenset(feasible_levels(p.lo, end))
+        g = _feasible_levels(p.lo, end)
     return _pin(Piece(cur.lo, end, f | (g - seen)))
 
 
@@ -491,6 +472,44 @@ def _first_point(lo: Ordinal, hi: Ordinal,
         return None
     g = add(lo, omega_power(min(levels)))
     return g if g < hi else None
+
+
+def _sup(lo: Ordinal, hi: Ordinal,
+         levels: frozenset[Ordinal] | None) -> tuple[Ordinal, bool] | None:
+    """(sup, attained) of the points of [lo, hi) of one of the levels (of
+    any level when None); None when there is none.  Filtered, it is the
+    greatest of the levels' suprema below hi, in tuple order (an attained v
+    outranks v unattained), that lies above (lo, False): an attained v >= lo
+    is a member, and an unattained v > lo a limit of members past lo."""
+    if levels is None:
+        return _end_sup(hi) if lo < hi else None
+    floor = best = (lo, False)
+    for xi in levels:
+        s = level_sup_below(xi, hi)
+        if s is not None and s > best:
+            best = s
+    return None if best is floor else best
+
+
+def _end_sup(hi: Ordinal) -> tuple[Ordinal, bool]:
+    """(sup, attained) of a span whose members reach its end hi: hi - 1 or hi."""
+    return (hi.predecessor(), True) if hi.is_successor else (hi, False)
+
+
+def _feasible_levels(lo: Ordinal, hi: Ordinal) -> frozenset[Ordinal]:
+    """The levels with a point in [lo, hi): lo's own and each k with
+    w^k < d = hi - lo, so every k below d's leading exponent e, and e unless
+    d is w^e.  A non-empty span reaching w^w has infinitely many: refused."""
+    if not lo < hi:
+        return frozenset()
+    if not hi < _W_W:
+        raise UnsupportedRegion(f"stratified algebra needs a bound below w^w, got {hi}")
+    d = left_subtract(lo, hi)
+    e = d.terms[0][0]
+    levels = {olim(lo), *map(from_int, range(e.as_int()))}
+    if d != omega_power(e):
+        levels.add(e)
+    return frozenset(levels)
 
 
 def _least_missing(levels: frozenset[Ordinal]) -> Ordinal:
@@ -578,7 +597,7 @@ def _level_op(la, lb, op: str, lo: Ordinal, hi: Ordinal):
     if not lb:
         return la
     if la is None:
-        la = frozenset(feasible_levels(lo, hi))
+        la = _feasible_levels(lo, hi)
     return la - lb
 
 

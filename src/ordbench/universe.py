@@ -7,7 +7,9 @@ full stratum Y(xi) below beta.  A set is large at (beta, xi) when it
 contains a tail of the core: Core(beta, xi) minus the set is bounded
 strictly below beta.  Tail containment is what survives the constant
 end-truncation the condition calculus performs; plain containment would
-make every nontrivial condition invalid.
+make every nontrivial condition invalid.  The default cores ask the set
+algebra which levels a set misses cofinally below beta
+(`OrdinalSet.missed_levels`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections.abc import Mapping
 from operator import itemgetter
 
 from . import _Record, _set
-from .ordinal import ZERO, Ordinal, feasible_levels, from_int, olim, omega_power
+from .ordinal import ZERO, Ordinal, from_int, olim, omega_power
 from .oset import OrdinalSet
 
 __all__ = ["ToyUniverse", "CoreKey"]
@@ -109,7 +111,7 @@ class ToyUniverse(_Record):
         override = self._at.get(beta, {}).get(xi)
         if override is not None:
             return override.difference(B).is_bounded_below(beta)
-        missed = self._missed_levels(B, beta)
+        missed = B.missed_levels(beta)
         return missed is not None and xi not in missed
 
     def is_large_all(self, B: OrdinalSet, beta: Ordinal) -> bool:
@@ -125,30 +127,11 @@ class ToyUniverse(_Record):
         over = self._at.get(beta, {})
         if any(not core.difference(B).is_bounded_below(beta) for core in over.values()):
             return False
-        missed = self._missed_levels(B, beta)
+        missed = B.missed_levels(beta)
         if missed is None:
             # Every level below o(beta) is missed, so each must be overridden.
             return ob.is_finite and len(over) == ob.as_int()
         return all(xi in over for xi in missed if xi < ob)
-
-    @staticmethod
-    def _missed_levels(B: OrdinalSet, beta: Ordinal) -> frozenset[Ordinal] | None:
-        """The levels of the default cores B misses cofinally below beta
-        (None: every level), read from B's last piece starting below beta.
-        After a gap up to beta, B misses every level; a plain piece reaching
-        beta misses none; a filtered one misses the levels of [lo, beta)
-        it leaves out.  Levels at or above o(beta) may be in the answer
-        without being cofinal; callers ignore them."""
-        last = None
-        for p in B.pieces:
-            if p.lo >= beta:
-                break
-            last = p
-        if last is None or last.hi < beta:
-            return None
-        if last.levels is None:
-            return frozenset()
-        return frozenset(feasible_levels(last.lo, beta)) - last.levels
 
     # -- star closure ----------------------------------------------------------
     def star_closure(self, B: OrdinalSet, beta: Ordinal) -> OrdinalSet:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -594,11 +595,18 @@ def test_missing_table_entry_names_the_table_and_tuple(argv, message, capsys):
          "parse error: args must be a JSON list, got '01'"),
         (["ord", "add", "1" * (sys.get_int_max_str_digits() + 1), "1"],
          f"parse error: numeral longer than {sys.get_int_max_str_digits()} digits (column 1)"),
+        # An object piece names its levels, as a JSON list ("levels": [] is
+        # the empty filter); a string would read as its characters.
+        (["set", "union", '[{"lo": "0", "hi": "w"}]', "{}"],
+         "parse error: malformed set argument: missing field 'levels'"),
+        (["set", "union", '[{"lo": "0", "hi": "w^2", "levels": "10"}]', "{}"],
+         "parse error: levels must be a JSON list, got '10'"),
     ],
     ids=["gamma-index", "gap-count", "point-off-the-set", "shrink-not-large", "str-gaps",
          "unveil-zero", "split-index", "join-invalid", "stratum-index", "large-index",
          "stratify-infinite-order", "otp-empty-interval", "roots-decrease", "str-graph-args",
-         "str-derivation-args", "long-numeral"],
+         "str-derivation-args", "long-numeral", "set-piece-without-levels",
+         "str-set-piece-levels"],
 )
 def test_a_refused_call_exits_2_and_says_why(argv, message, capsys):
     for mode in ([], ["--machine"]):
@@ -962,3 +970,15 @@ def test_registry_covers_public_operations():
         with pytest.raises(SystemExit) as done:
             main([group, verb, "--help"])
         assert done.value.code == 0, (group, verb)
+
+
+def test_the_readme_lists_every_verb_in_table_order():
+    """The README's "Verb groups:" paragraph names each group of the verb
+    table, and each group's verbs, in the table's order."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    para = text[text.index("Verb groups:"):].split("\n\n")[0]
+    listed = [(g, verbs.split(",")) for g, verbs in re.findall(r"`([\w-]+) \{([^}]*)\}`", para)]
+    table: dict[str, list[str]] = {}
+    for group, verb in VERBS:
+        table.setdefault(group, []).append(verb)
+    assert listed == list(table.items())

@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 
 from ordbench.errors import ParseError, UnsupportedRegion
 from ordbench.ordinal import (
-    ONE, ZERO, Ordinal, add, cnf_difference, feasible_levels, format_ordinal, from_int,
+    ONE, ZERO, Ordinal, add, cnf_difference, format_ordinal, from_int,
     least_in_level, level_sup_below, olim, omega_power, ordinal_enumeration,
 )
 from ordbench.oset import (
     OrdinalSet,
     Piece,
+    _feasible_levels,
     _g_omega_power,
     _g_positive,
     _level_op,
     _normalize,
     _reduce_piece,
+    _sup,
     format_set,
     parse_set,
 )
@@ -242,9 +244,19 @@ def test_sup_and_boundedness():
 
 
 def test_an_empty_window_has_no_levels_and_no_sup():
-    assert feasible_levels(W, W) == feasible_levels(W2, W) == []
-    assert Piece(W, W2).sup(W) is None
-    assert Piece(W, W2, frozenset((nat(1),))).sup(nat(5)) is None
+    assert _feasible_levels(W, W) == _feasible_levels(W2, W) == frozenset()
+    assert _sup(W, W, None) is None
+    assert _sup(W, nat(5), frozenset((nat(1),))) is None
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(ordinal_enumeration()[:2000]), st.sampled_from(ordinal_enumeration()[:2000]))
+def test_feasible_levels_are_the_levels_with_a_point(a, b):
+    """A level has a point in [lo, hi) exactly when its least point from lo
+    lies below hi; the flat pool's exponents are at most 6."""
+    lo, hi = min(a, b), max(a, b)
+    assert _feasible_levels(lo, hi) == {xi for xi in map(nat, range(8))
+                                        if least_in_level(xi, lo) < hi}
 
 
 def test_sup_filtered():
@@ -620,9 +632,9 @@ def _least_distinguishing_point(lo, hi, fa, fb):
         if lo.terms:
             m = max(m, lo.terms[0][0].as_int())
         hi = min(hi, omega_power(nat(m + 2)))
-        delta = [xi for xi in feasible_levels(lo, hi) if xi not in f]
+        delta = [xi for xi in _feasible_levels(lo, hi) if xi not in f]
     else:
-        delta = [xi for xi in feasible_levels(lo, hi) if (xi in fa) != (xi in fb)]
+        delta = [xi for xi in _feasible_levels(lo, hi) if (xi in fa) != (xi in fb)]
     cands = [c for c in (least_in_level(xi, lo) for xi in delta) if c < hi]
     return min(cands, default=None)
 
@@ -698,7 +710,7 @@ def _joinable(p: Piece, q: Piece) -> bool:
     and q.lo."""
     if not q.lo < W_W:
         return p.levels is None and p.hi == q.lo
-    f = frozenset(feasible_levels(p.lo, p.hi)) if p.levels is None else p.levels
+    f = _feasible_levels(p.lo, p.hi) if p.levels is None else p.levels
     one = OrdinalSet._of_normal((Piece(p.lo, q.lo.successor(), f | {olim(q.lo)}),))
     two = OrdinalSet((p, Piece(q.lo, q.lo.successor())))
     return one.difference(two).is_empty()
@@ -708,10 +720,10 @@ def assert_normal(pieces):
     """The canonical invariants of the `oset` module docstring."""
     for p in pieces:
         assert p.lo < p.hi and piece_has(p, p.lo)
-        top, attained = p.sup()
+        top, attained = _sup(p.lo, p.hi, p.levels)
         assert p.hi == (top.successor() if attained else top)
         # Reduced: a proper, non-empty subset of the levels the piece realizes.
-        assert p.levels is None or p.levels and p.levels < set(feasible_levels(p.lo, p.hi))
+        assert p.levels is None or p.levels and p.levels < _feasible_levels(p.lo, p.hi)
     for p, q in zip(pieces, pieces[1:]):
         assert p.hi <= q.lo
         assert not _joinable(p, q), (p, q)
@@ -961,6 +973,28 @@ def test_between_matches_the_chain(high, data):
 def test_is_below_matches_the_restriction(high, data):
     s, b = data.draw(sets_and_cuts(high=high))
     assert s.is_below(b) == (s.restrict_below(b) == s)
+
+
+@STRATEGIES
+@settings(max_examples=300)
+@given(data=st.data())
+def test_sup_and_is_below_match_their_definitions(high, data):
+    """`sup` and `is_below` read the last piece's end; each answer is held
+    to its definition here, not to that end: nothing at or past b, and a
+    greatest member, or a limit of members with none at or past it."""
+    s, b = data.draw(sets_and_cuts(high=high))
+    assert s.is_below(b) == s.difference(OrdinalSet.interval(ZERO, b)).is_empty()
+    if s.is_empty():
+        assert s.sup() is None
+        return
+    t, attained = s.sup()
+    assert s.min_above(t) is None
+    if attained:
+        assert t in s
+        return
+    assert t not in s and t.is_limit
+    for x in {x for p in s.pieces for x in (p.lo, p.hi) if x < t}:
+        assert s.min_above(x) < t
 
 
 # -- the shared strategies draw what they always drew -----------------------

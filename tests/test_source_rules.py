@@ -114,6 +114,21 @@ def test_only_the_kernel_reads_ordinal_keys():
     assert found == []
 
 
+def test_only_the_set_algebra_knows_the_w_w_rule():
+    """No module of `src/ordbench` but `oset.py` and `errors.py` names
+    `UnsupportedRegion`: which levels a span realizes, and the refusal of a
+    filtered bound at or past w^w, are the set algebra's; the kernel's level
+    helpers are plain ordinal arithmetic."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in ("oset.py", "errors.py"):
+            for n in ast.walk(ast.parse(path.read_text())):
+                names = ([a.name for a in n.names] if isinstance(n, ast.ImportFrom)
+                         else [getattr(n, "attr", getattr(n, "id", None))])
+                found += [f"{path.name}:{n.lineno}" for m in names if m == "UnsupportedRegion"]
+    assert found == []
+
+
 def _chained(n: ast.AST, outer: str, inner: str) -> bool:
     """Whether `n` is a call `<x>.<inner>(...).<outer>(...)`."""
     return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)

@@ -420,7 +420,7 @@ def _levels_below(missed, ob):
 def test_missed_levels_match_the_complements_last_piece(high, data):
     B, beta = data.draw(ordinal_sets(high=high)), data.draw(st.sampled_from(BETAS))
     ob = olim(beta)
-    got = ToyUniverse._missed_levels(B, beta)
+    got = B.missed_levels(beta)
     assert _levels_below(got, ob) == _levels_below(old_missed_levels(B, beta), ob)
 
 
