@@ -46,7 +46,7 @@ def interval_otp(seq: CanonicalSequence, a: Ordinal, b: Ordinal) -> Ordinal:
     """Order type of the sequence points strictly between a and b."""
     if not a < b <= seq.lambda0:
         raise ValueError(f"need a < b <= {seq.lambda0}")
-    return seq.points().between(a, b).otp()
+    return seq.points().otp(a.successor(), b)
 
 
 def filter_pair_compatible(

@@ -391,7 +391,8 @@ def _points_in_blocks(blocks, pts: OrdinalSet) -> bool:
     prev = ZERO
     for b in blocks:
         if b.measure_set is None:
-            low = pts.min_above(prev)
+            # (prev, prev + 1) holds no ordinal, so needs no query.
+            low = None if b.kappa == prev.successor() else pts.min_above(prev)
             if low is not None and low < b.kappa:
                 return False
         elif not pts.issubset(b.measure_set, prev.successor(), b.kappa):
@@ -442,7 +443,7 @@ def split_at(
         return lower, None
     cut = p.blocks[i - 1].kappa
     upper_blocks = tuple(
-        Block(b.kappa, None if b.measure_set is None else b.measure_set.restrict_above(cut))
+        b if b.measure_set is None else Block(b.kappa, b.measure_set.restrict_above(cut))
         for b in p.blocks[i:]
     )
     return lower, MagidorCondition(p.universe, upper_blocks)

@@ -38,9 +38,10 @@ The queries answer from the stored pieces without building a set.
 `issubset` merges the two piece lists, optionally inside a window, and
 stops at the first point the other set does not cover; a span counts
 only if it has a point (`_first_point`, the test `_normalize` drops
-empty pieces by).  `sup` and `is_below` read the end of the last piece,
-which the canonical form pins, and `missed_levels` the last piece
-starting below a point.  `complement_limits` finds the members at which
+empty pieces by).  `otp` takes the same window and sums the order types
+of the pieces clipped to it.  `sup` and `is_below` read the end of the
+last piece, which the canonical form pins, and `missed_levels` the last
+piece starting below a point.  `complement_limits` finds the members at which
 the complement is cofinal: a filtered piece holds them where a level
 under a point's own is left out, and a piece's least member is one when
 a gap, or a filtered piece leaving such a level out, comes right before
@@ -344,11 +345,18 @@ class OrdinalSet(_Record):
                 cur = _first_point(cur.successor(), p.hi, p.levels)
         return out
 
-    def otp(self) -> Ordinal:
-        """Order type of the set."""
+    def otp(self, lo: Ordinal | None = None, hi: Ordinal | None = None) -> Ordinal:
+        """Order type of self ∩ [lo, hi) (unbounded where None), the window
+        of `issubset`: the sum of the order types of the pieces clipped to
+        it, without building a set."""
         total = ZERO
         for p in self.pieces:
-            total = add(total, _piece_otp(p))
+            if hi is not None and p.lo >= hi:
+                break
+            a = p.lo if lo is None or p.lo > lo else lo
+            end = p.hi if hi is None or p.hi < hi else hi
+            if a < end:
+                total = add(total, _piece_otp(a, end, p.levels))
         return total
 
 
@@ -357,12 +365,12 @@ class OrdinalSet(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _piece_otp(p: Piece) -> Ordinal:
-    if p.levels is None:
-        return left_subtract(p.lo, p.hi)
-    return left_subtract(
-        _levelset_otp_below(p.lo, p.levels), _levelset_otp_below(p.hi, p.levels)
-    )
+def _piece_otp(lo: Ordinal, hi: Ordinal, levels: frozenset[Ordinal] | None) -> Ordinal:
+    """Order type of the points of [lo, hi), lo < hi, of one of the levels
+    (of any level when None)."""
+    if levels is None:
+        return left_subtract(lo, hi)
+    return left_subtract(_levelset_otp_below(lo, levels), _levelset_otp_below(hi, levels))
 
 
 def _levelset_otp_below(y: Ordinal, levels: frozenset[Ordinal]) -> Ordinal:

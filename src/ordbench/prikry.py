@@ -39,6 +39,13 @@ __all__ = [
 
 Node = tuple[int, ...]
 
+# The most nodes one dense normalization may prune.  The tree is walked
+# node by node and each level of depth multiplies the nodes, so a larger
+# one is counted and refused up front; a `tail_default` structure over
+# ground 0..23 with trunk (0,) prunes 145,499 nodes at depth 7 and
+# 390,656 at depth 8.
+MAX_TREE_NODES = 2**18
+
 
 class UltraAssignment(_Record):
     """Core of a principal toy ultrafilter, with its downward projection."""
@@ -200,20 +207,21 @@ def leq_tree_star(s: TreeCondition, t: TreeCondition, u: ToyUltraStructure) -> b
 
 def normalize_dense(t: TreeCondition, u: ToyUltraStructure) -> TreeCondition:
     """Prune successor sets so every branch satisfies the projection chain:
-    each successor projects strictly above the node's last point."""
+    each successor projects strictly above the node's last point.  A tree
+    with more than `MAX_TREE_NODES` nodes to prune is refused before any
+    is built."""
+    count = _nodes_to_prune(t, u)
+    if count > MAX_TREE_NODES:
+        raise ValueError(f"{count} tree nodes to prune, more than the cap of {MAX_TREE_NODES}")
     new: dict[Node, frozenset[int]] = {}
     frontier: list[Node] = [t.trunk]
     for _ in range(t.depth):
+        if not frontier:
+            break
         next_frontier: list[Node] = []
         for a in frontier:
-            ua = u.node_ultra(a)
-            floor = a[-1] if a else None
-            kept = frozenset(
-                v
-                for v in t.suc(u, a)
-                if floor is None or (ua.pi(v) > floor and v > floor)
-            )
-            if not ua.is_large(kept):
+            kept = _pruned(t, u, a)
+            if kept is None:
                 raise PruneBrokeLargeness(
                     f"pruning at node {a} drops part of the core"
                 )
@@ -221,6 +229,47 @@ def normalize_dense(t: TreeCondition, u: ToyUltraStructure) -> TreeCondition:
             next_frontier.extend(a + (v,) for v in kept)
         frontier = next_frontier
     return TreeCondition(t.trunk, t.depth, new)
+
+
+def _pruned(t: TreeCondition, u: ToyUltraStructure, a: Node) -> frozenset[int] | None:
+    """The successors of a that project strictly above its last point; None
+    when that drops part of a's core."""
+    ua = u.node_ultra(a)
+    floor = a[-1] if a else None
+    kept = frozenset(
+        v
+        for v in t.suc(u, a)
+        if floor is None or (ua.pi(v) > floor and v > floor)
+    )
+    return kept if ua.is_large(kept) else None
+
+
+def _nodes_to_prune(t: TreeCondition, u: ToyUltraStructure) -> int:
+    """How many nodes `normalize_dense` prunes, counted level by level
+    without building them.  A node that no explicit entry of t or u
+    extends prunes as every such node with its last point does, so each
+    level keeps one of those per last point, with their number.  The count
+    stops at the level where pruning fails, as the walk does."""
+    named = {a[:k] for a in (*t._suc, *u._nodes) for k in range(len(a) + 1)}
+    level: dict[Node, int] = {t.trunk: 1}
+    total = 0
+    for _ in range(t.depth):
+        if not level:
+            break
+        total += sum(level.values())
+        below: dict[Node, int] = {}
+        by_last: dict[int, Node] = {}
+        for a, n in level.items():
+            kept = _pruned(t, u, a)
+            if kept is None:
+                return total
+            for v in kept:
+                child = a + (v,)
+                if child not in named:
+                    child = by_last.setdefault(v, child)
+                below[child] = below.get(child, 0) + n
+        level = below
+    return total
 
 
 def validate_sequence_condition(trunk: Node, sets, u: ToyUltraStructure) -> list[str]:

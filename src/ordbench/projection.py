@@ -172,12 +172,13 @@ def index_of(cond: MagidorCondition | ICondition, i: int, I: IndexSet) -> Ordina
 
 def pi(p: MagidorCondition, I: IndexSet) -> ICondition:
     """Keep blocks at I-coordinates, strip sets at successor positions.
+    A kept block that is bare, or at a limit position, is p's own.
 
     Precondition: `p` must pass `validate`; on an invalid condition the
     answer is undefined, and the CLI refuses one with exit 2.
     """
     kept = [
-        b if pos is LIM else Block(b.kappa)
+        b if pos is LIM or b.measure_set is None else Block(b.kappa)
         for b, c in zip(p.blocks[:-1], p.gammas)
         if (pos := I.position(c)) is not OUT
     ]

@@ -461,6 +461,11 @@ _STRUCTURE = json.dumps(
     {"ground": [0, 1, 2, 3, 4, 5], "default": {"core": [3, 4, 5], "pi": None}}
 )
 _STRUCTURE5 = json.dumps({"ground": [0, 1, 2, 3, 4], "default": {"core": [1, 2], "pi": None}})
+# Over this structure a tree with trunk [0] prunes sum_{k<d} C(23, k) nodes
+# at depth d: 145,499 at depth 7, past `prikry.MAX_TREE_NODES` from depth 8.
+_STRUCTURE24 = json.dumps({"ground": list(range(24)),
+                           "default": {"core": list(range(1, 24)), "pi": None},
+                           "tail_default": True})
 _U2 = io.universe_to_json(canon_universe("w^2"))
 _ONE_BLOCK = json.dumps({"universe": _U2, "blocks": [{"kappa": "w^2", "B": "[0,w^2)"}]})
 _TWO_BLOCKS = json.dumps({"universe": _U2, "blocks": [{"kappa": "w", "B": "[0,w)"},
@@ -601,12 +606,15 @@ def test_missing_table_entry_names_the_table_and_tuple(argv, message, capsys):
          "parse error: malformed set argument: missing field 'levels'"),
         (["set", "union", '[{"lo": "0", "hi": "w^2", "levels": "10"}]', "{}"],
          "parse error: levels must be a JSON list, got '10'"),
+        (["prikry", "normalize", '{"trunk": [0], "depth": 9, "successors": []}',
+          "--structure", _STRUCTURE24],
+         "input error: 880970 tree nodes to prune, more than the cap of 262144"),
     ],
     ids=["gamma-index", "gap-count", "point-off-the-set", "shrink-not-large", "str-gaps",
          "unveil-zero", "split-index", "join-invalid", "stratum-index", "large-index",
          "stratify-infinite-order", "otp-empty-interval", "roots-decrease", "str-graph-args",
          "str-derivation-args", "long-numeral", "set-piece-without-levels",
-         "str-set-piece-levels"],
+         "str-set-piece-levels", "tree-past-the-node-cap"],
 )
 def test_a_refused_call_exits_2_and_says_why(argv, message, capsys):
     for mode in ([], ["--machine"]):
@@ -982,3 +990,19 @@ def test_the_readme_lists_every_verb_in_table_order():
     for group, verb in VERBS:
         table.setdefault(group, []).append(verb)
     assert listed == list(table.items())
+
+
+def test_the_readme_documents_read_and_pass_their_checks(tmp_path, monkeypatch, capsys):
+    """Each JSON block of the README's Documents section reads through its
+    `io` reader, and `uni check` and `cond validate` accept it.  The
+    condition names its universe by the path `universe.json`, so the
+    universe document is written there first."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("\n## Documents\n"):].split("\n## ")[1]
+    uni_text, cond_text = re.findall(r"```json\n(.*?)```", section, re.S)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "universe.json").write_text(uni_text)
+    io.universe_from_json(json.loads(uni_text))
+    io.condition_from_json(json.loads(cond_text))
+    assert run(["uni", "check", "universe.json"], capsys) == (0, "ok\n")
+    assert run(["cond", "validate", cond_text], capsys) == (0, "ok\n")

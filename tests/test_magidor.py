@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordbench.errors import (
     AlreadyUnveiled,
@@ -17,6 +19,7 @@ from ordbench.magidor import (
     Block,
     ExtensionType,
     MagidorCondition,
+    _points_in_blocks,
     extend,
     extend_minimal,
     find_type,
@@ -29,7 +32,7 @@ from ordbench.magidor import (
     unveil_type,
     validate,
 )
-from ordbench.ordinal import ZERO
+from ordbench.ordinal import ZERO, add
 from ordbench.oset import OrdinalSet, parse_set
 from ordbench.projection import ICondition, IndexSet, leq_I, validate_I
 from ordbench.universe import ToyUniverse
@@ -39,6 +42,7 @@ from conftest import (
     canonical_condition,
     nat,
     o,
+    ordinal_sets,
     random_condition,
     random_extension,
 )
@@ -407,6 +411,66 @@ def test_split_and_join_roundtrip():
     assert join(whole, nothing) == p
     with pytest.raises(BadCut):
         split_at(p, 2)  # zero-order block cannot be a lower top
+
+
+def test_split_at_keeps_the_bare_blocks_above_the_cut(rng):
+    """The upper part holds p's own bare blocks, and joining the two parts
+    gives p back."""
+    u = canon_universe("w^3")
+    bare = 0
+    for _ in range(25):
+        p = random_extension(random_condition(u, rng), rng)
+        for i in range(1, len(p.blocks) + 1):
+            if p.o(i).is_zero:
+                continue
+            lower, upper = split_at(p, i)
+            assert join(lower, upper) == p
+            for b, old in zip(upper.blocks if upper else (), p.blocks[i:]):
+                if old.measure_set is None:
+                    assert b is old
+                    bare += 1
+    assert bare > 0
+
+
+def unconditional_points_in_blocks(blocks, pts: OrdinalSet) -> bool:
+    """`_points_in_blocks` asking `min_above` below every bare block."""
+    prev = ZERO
+    for b in blocks:
+        if b.measure_set is None:
+            low = pts.min_above(prev)
+            if low is not None and low < b.kappa:
+                return False
+        elif not pts.issubset(b.measure_set, prev.successor(), b.kappa):
+            return False
+        prev = b.kappa
+    return True
+
+
+# Steps between consecutive points: 1 makes a bare block adjacent to the
+# point before it, where no query is needed.
+_CHAIN_STEPS = st.sampled_from([nat(1), nat(1), nat(2), o("w"), o("w+1"), o("w^2")])
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_points_in_blocks_matches_the_unconditional_walk(data):
+    """On a random chain of bare and set blocks, with bare points adjacent
+    to the point before and apart from it, and sequence points on the
+    chain, between its points or both, the answer is the walk's that asks
+    `min_above` below every bare block."""
+    kappas, cur = [], data.draw(st.sampled_from([ZERO, nat(3), o("w"), o("w*2+1")]))
+    for _ in range(data.draw(st.integers(1, 6))):
+        cur = add(cur, data.draw(_CHAIN_STEPS))
+        kappas.append(cur)
+    extra = data.draw(ordinal_sets())
+    pts = data.draw(st.sampled_from([OrdinalSet.of(*kappas), extra,
+                                     OrdinalSet.of(*kappas).union(extra)]))
+    blocks = tuple(
+        Block(k, data.draw(st.sampled_from([OrdinalSet.interval(ZERO, k), extra])))
+        if data.draw(st.booleans()) else Block(k)
+        for k in kappas
+    )
+    assert _points_in_blocks(blocks, pts) == unconditional_points_in_blocks(blocks, pts)
 
 
 def test_leq_transitive_random(rng):

@@ -970,6 +970,27 @@ def test_between_matches_the_chain(high, data):
 @STRATEGIES
 @settings(max_examples=300)
 @given(data=st.data())
+def test_otp_in_a_window_matches_the_built_window(high, data):
+    """`otp(lo, hi)` is the order type of the set cut at lo, then restricted
+    below hi; an empty or reversed window has order type 0."""
+    s, x, y = data.draw(sets_and_cuts(cuts=2, high=high))
+    for lo, hi in ((None, None), (x, None), (None, y), (x, y), (y, x)):
+        assert s.otp(lo, hi) == old_window(s, lo, hi).otp(), (s, lo, hi)
+    assert s.otp(x, x) == ZERO
+
+
+def test_otp_in_a_window_inside_a_filtered_piece():
+    s = parse_set("[0,w^3)@{1}")
+    assert s.otp(o("w+1"), o("w*3")) == ONE  # w*2 alone
+    assert s.otp(o("w*2"), o("w^2")) == W
+    assert s.otp(o("w^2"), o("w^2*2")) == W  # w^2 itself has level 2
+    assert s.otp(o("w*3"), o("w*2")) == ZERO
+    assert s.otp(o("w^3"), None) == ZERO
+
+
+@STRATEGIES
+@settings(max_examples=300)
+@given(data=st.data())
 def test_is_below_matches_the_restriction(high, data):
     s, b = data.draw(sets_and_cuts(high=high))
     assert s.is_below(b) == (s.restrict_below(b) == s)

@@ -147,6 +147,63 @@ def test_normalize_dense_can_break_largeness():
         normalize_dense(TreeCondition((3,), depth=1), u)
 
 
+@settings(max_examples=200)
+@given(data=st.data())
+def test_the_node_count_is_the_number_of_nodes_pruned(data):
+    """`_nodes_to_prune` counts without building what `normalize_dense`
+    builds: one successor set per node, explicit entries of the tree and
+    the structure included."""
+    u = data.draw(ultra_structures())
+    t = data.draw(tree_conditions(u.ground))
+    try:
+        got = normalize_dense(t, u)
+    except PruneBrokeLargeness:
+        return
+    assert prikry._nodes_to_prune(t, u) == len(got.successors)
+
+
+def test_the_node_count_reads_explicit_nodes_and_stops_where_pruning_fails():
+    """Nodes that share a last point prune alike only when no explicit
+    entry names them or a node below them: here the structure's (2, 4)
+    and (1, 3, 4) keep 7, the tree's (3, 4) keeps 5, 6 and 7, and (1, 4)
+    and (2, 3, 4) keep 6 and 7.  The count stops at the level where
+    pruning fails."""
+    seven = UltraAssignment(frozenset({7}))
+    u = ToyUltraStructure(tuple(range(8)), nodes={(2, 4): seven, (1, 3, 4): seven},
+                          default=UltraAssignment(frozenset({1, 2, 3, 4, 6, 7})), tail_default=True)
+    t = TreeCondition((), 5, {(3, 4): frozenset({5, 6, 7})})
+    assert prikry._nodes_to_prune(t, u) == len(normalize_dense(t, u).successors)
+    broken = ToyUltraStructure(tuple(range(6)), nodes={(2,): UltraAssignment(frozenset({1, 2, 3}))},
+                               tail_default=True)
+    t = TreeCondition((), 3)
+    assert prikry._nodes_to_prune(t, broken) == 1 + 6  # the root and its successors
+    with pytest.raises(PruneBrokeLargeness, match=r"at node \(2,\)"):
+        normalize_dense(t, broken)
+
+
+def test_normalize_dense_stops_where_the_branches_end():
+    """Past the level where every branch has ended there is nothing to
+    prune, however deep the tree is declared."""
+    u = ToyUltraStructure(tuple(range(6)), tail_default=True)
+    deep, exact = TreeCondition((0,), 10**9), TreeCondition((0,), 6)
+    assert prikry._nodes_to_prune(deep, u) == prikry._nodes_to_prune(exact, u) == 2**5
+    assert normalize_dense(deep, u).successors == normalize_dense(exact, u).successors
+
+
+def test_normalize_dense_at_the_node_cap_and_one_past_it(monkeypatch):
+    """A tree of exactly `MAX_TREE_NODES` nodes is normalized; with a cap
+    one lower it is refused, naming the count and the cap."""
+    u = ToyUltraStructure(tuple(range(24)), default=UltraAssignment(frozenset(range(1, 24))),
+                          tail_default=True)
+    t = TreeCondition((0,), depth=4)
+    count = 1 + 23 + 253 + 1771  # the increasing sequences after 0 of length < 4
+    monkeypatch.setattr(prikry, "MAX_TREE_NODES", count)
+    assert len(normalize_dense(t, u).successors) == count
+    monkeypatch.setattr(prikry, "MAX_TREE_NODES", count - 1)
+    with pytest.raises(ValueError, match=f"^{count} tree nodes to prune, more than the cap of {count - 1}$"):
+        normalize_dense(t, u)
+
+
 def test_validate_sequence_condition_omega():
     # default core is the whole ground, so a shrunken level set misses it
     u = simple_structure()

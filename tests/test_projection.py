@@ -137,6 +137,31 @@ def test_pi_full_index_set_keeps_everything(rng):
         assert in_D(p, I) is None
 
 
+def test_pi_keeps_the_blocks_it_does_not_change(rng):
+    """pi equals its definition rebuilt here: the blocks at I-coordinates,
+    each made bare unless at a limit position, then the top.  A kept
+    block that is bare, or at a limit position, is p's own object."""
+    u = canon_universe("w^3")
+    seen = {"bare": 0, "lim": 0, "stripped": 0}
+    for _ in range(25):
+        I = random_iset(u, rng)
+        p = random_condition(u, rng)
+        for p in (p, densify(p, I)):
+            q = pi(p, I)
+            kept = [(b, I.position(c) is LIM)
+                    for b, c in zip(p.blocks[:-1], p.gammas) if c in I]
+            want = tuple(Block(b.kappa, b.measure_set if lim else None) for b, lim in kept)
+            assert q.blocks == (*want, p.top)
+            for got, (b, lim) in zip(q.blocks, kept):
+                if b.measure_set is None or lim:
+                    assert got is b
+                    seen["lim" if lim else "bare"] += 1
+                else:
+                    seen["stripped"] += 1
+            assert q.top is p.top
+    assert min(seen.values()) > 0, seen
+
+
 # -- the two Section 4.2 counterexamples ------------------------------------
 
 FIRST_I = iset("[0,w+1) u {w+2} u {w+3}").points.union(
